@@ -44,7 +44,6 @@ lambda conventions per family:
 
 environment:
   {ORDER_CAP_ENV}   override the group order cap (default 1024)
-  KSPHERE_DISABLE_NUMBA   set to 1 to force the pure-numpy kernel backend
 """
 
 
@@ -91,10 +90,6 @@ def _dump_json(doc: dict, path: str) -> None:
     Path(path).write_text(data + "\n", encoding="utf-8")
 
 
-def _value_str(value) -> str:
-    return str(value)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -116,10 +111,9 @@ def _cmd_chartab(args) -> int:
         )
     rows = []
     for c in range(table.count):
-        rows.append([table.names[c]] + [_value_str(v) for v in table.irreducibles[c].values])
+        rows.append([table.names[c]] + [str(v) for v in table.irreducibles[c].values])
     print(f"group {group.name}: order {group.order}, exponent {table.modulus}, "
           f"{classes.count} classes")
-    widths = [max(len(header[i]) for i in range(3))] * 1
     name_w = max(len(r[0]) for r in rows + [["class"]])
     col_w = [max(len(cols[j][t]) for t in range(3)) for j in range(len(cols))]
     for j in range(len(cols)):
@@ -268,10 +262,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (GroupSpecError, LambdaSpecError) as exc:
+    except (InputError, GroupSpecError, LambdaSpecError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CharacterTheoryError as exc:

@@ -106,11 +106,6 @@ class CyclotomicRing:
         idx = (np.arange(self.phi) * scale) % big
         return target.red[idx]
 
-    def reduce_counts(self, counts) -> np.ndarray:
-        """Canonical coefficients of sum_t counts[t] * zeta**t (t < m)."""
-        counts = np.asarray(counts, dtype=np.int64)
-        return counts @ self.red
-
 
 @lru_cache(maxsize=None)
 def get_ring(m: int) -> CyclotomicRing:
@@ -164,11 +159,6 @@ class Cyclotomic:
     def zeta(m: int, power: int = 1) -> "Cyclotomic":
         ring = get_ring(m)
         return Cyclotomic.make(m, [int(c) for c in ring.red[power % m]])
-
-    @staticmethod
-    def from_root_counts(m: int, counts) -> "Cyclotomic":
-        ring = get_ring(m)
-        return Cyclotomic.make(m, [int(c) for c in ring.reduce_counts(counts)])
 
     # -- ring operations ----------------------------------------------------
 
@@ -279,9 +269,6 @@ class Cyclotomic:
         if not self.is_rational_integer:
             raise ValueError(f"{self} is not a rational integer")
         return self.num[0]
-
-    def sort_key(self) -> tuple:
-        return (self.num, self.den)
 
     def to_json(self) -> dict:
         return {"modulus": self.modulus, "coeffs": list(self.num), "den": self.den}

@@ -246,7 +246,7 @@ def common_eigenvectors(table: GroupTable, classes: ConjugacyClasses, p: int) ->
             kernels.class_matrix(table.product, table.inverse, classes.class_of, members, reps)
             % p
         )
-        next_active = []
+        pending = []
         for basis, pivots in active:
             mb = mat @ basis % p
             t = mb[pivots, :]
@@ -254,7 +254,7 @@ def common_eigenvectors(table: GroupTable, classes: ConjugacyClasses, p: int) ->
                 raise CharacterEngineError("subspace is not invariant under a class matrix")
             roots = eigenvalues_mod(t, p)
             if len(roots) == 1:
-                next_active.append((basis, pivots))
+                pending.append((basis, pivots))
                 continue
             d = basis.shape[1]
             for lam in roots:
@@ -264,8 +264,8 @@ def common_eigenvectors(table: GroupTable, classes: ConjugacyClasses, p: int) ->
                 if sub.shape[1] == 1:
                     finished.append(sub[:, 0])
                 else:
-                    next_active.append((sub, sub_piv))
-        active = next_active
+                    pending.append((sub, sub_piv))
+        active = pending
     if active:
         raise CharacterEngineError("class matrices failed to separate all eigenspaces")
     if len(finished) != k:

@@ -209,9 +209,6 @@ class SubgroupEmbedding:
     inclusion: tuple[int, ...]
     ambient: GroupTable
 
-    def ambient_index(self, sub_index: int) -> int:
-        return self.inclusion[sub_index]
-
 
 # ---------------------------------------------------------------------------
 # permutation helpers

@@ -1,36 +1,17 @@
-"""Hot integer kernels with a numba backend and a pure-numpy fallback.
+"""Hot integer kernels, in one vectorized numpy implementation.
 
 All heavy inner loops of the package live here: reduced row echelon form
 and characteristic polynomials over GF(p), class-sum structure constants,
 and the batched contractions used by exact cyclotomic table arithmetic.
-Every kernel exists in two semantically identical implementations:
 
-* ``numba`` -- ``@njit``-compiled loops (default when numba imports),
-* ``numpy`` -- vectorized fallback, selected by setting the environment
-  variable ``KSPHERE_DISABLE_NUMBA=1`` before import.
-
-Both operate on ``int64`` arrays and are exact as long as intermediate
-values stay below 2**63; callers keep moduli and coefficient magnitudes
-far below that bound.
+Every kernel operates on ``int64`` arrays and is exact as long as
+intermediate values stay below 2**63; callers keep moduli and coefficient
+magnitudes far below that bound.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-_DISABLE = os.environ.get("KSPHERE_DISABLE_NUMBA", "").strip() not in ("", "0")
-
-try:
-    if _DISABLE:
-        raise ImportError("numba disabled via KSPHERE_DISABLE_NUMBA")
-    from numba import njit
-
-    NUMBA_AVAILABLE = True
-except ImportError:
-    njit = None
-    NUMBA_AVAILABLE = False
 
 
 def _pow_mod(base: int, exp: int, p: int) -> int:
@@ -44,14 +25,9 @@ def _pow_mod(base: int, exp: int, p: int) -> int:
     return result
 
 
-# ---------------------------------------------------------------------------
-# numpy implementations
-# ---------------------------------------------------------------------------
-
-
-def _np_rref_mod(a: np.ndarray, p: int):
+def rref_mod(a: np.ndarray, p: int):
     """Row-reduce ``a`` over GF(p). Returns (rref matrix, pivot columns)."""
-    r = (a % p).astype(np.int64)
+    r = np.ascontiguousarray(a, dtype=np.int64) % p
     n_rows, n_cols = r.shape
     pivots = []
     row = 0
@@ -75,9 +51,9 @@ def _np_rref_mod(a: np.ndarray, p: int):
     return r, np.asarray(pivots, dtype=np.int64)
 
 
-def _np_charpoly_mod(a: np.ndarray, p: int) -> np.ndarray:
+def charpoly_mod(a: np.ndarray, p: int) -> np.ndarray:
     """Characteristic polynomial of ``a`` over GF(p), ascending coefficients."""
-    h = (a % p).astype(np.int64)
+    h = np.ascontiguousarray(a, dtype=np.int64) % p
     n = h.shape[0]
     for col in range(n - 2):
         nz = np.nonzero(h[col + 1 :, col])[0]
@@ -110,7 +86,7 @@ def _np_charpoly_mod(a: np.ndarray, p: int) -> np.ndarray:
     return polys[n]
 
 
-def _np_class_matrix(product, inverse, class_of, members, reps):
+def class_matrix(product, inverse, class_of, members, reps) -> np.ndarray:
     """Structure-constant matrix M[j, l] = #{x in the class: x^-1 * rep_l in class j}."""
     k = reps.shape[0]
     m = np.zeros((k, k), dtype=np.int64)
@@ -118,251 +94,6 @@ def _np_class_matrix(product, inverse, class_of, members, reps):
     cols = np.broadcast_to(np.arange(k, dtype=np.int64), j_idx.shape)
     np.add.at(m, (j_idx, cols), 1)
     return m
-
-
-def _np_mul_into(bf: np.ndarray, mul: np.ndarray) -> np.ndarray:
-    """bf [N, q] -> [N, p, r] with out[n,p,r] = sum_q bf[n,q] * mul[p,q,r]."""
-    return np.einsum("nq,pqr->npr", bf, mul)
-
-
-def _np_weighted_analysis(v: np.ndarray, at: np.ndarray) -> np.ndarray:
-    """v [B, k, p], at [ki, k, p, r] -> [B, ki, r] contracting classes and basis."""
-    return np.einsum("bjp,ijpr->bir", v, at)
-
-
-def _np_pair_products(a: np.ndarray, bm: np.ndarray) -> np.ndarray:
-    """a [Na, X, p], bm [Nb, X, p, r] -> [Na, Nb, X, r] (pointwise ring products)."""
-    return np.einsum("axp,bxpr->abxr", a, bm)
-
-
-def _np_pair_gram(a: np.ndarray, bm: np.ndarray) -> np.ndarray:
-    """a [Na, X, p], bm [Nb, X, p, r] -> [Na, Nb, r] (products summed over X)."""
-    return np.einsum("axp,bxpr->abr", a, bm)
-
-
-_NUMPY_IMPL = {
-    "rref_mod": _np_rref_mod,
-    "charpoly_mod": _np_charpoly_mod,
-    "class_matrix": _np_class_matrix,
-    "mul_into": _np_mul_into,
-    "weighted_analysis": _np_weighted_analysis,
-    "pair_products": _np_pair_products,
-    "pair_gram": _np_pair_gram,
-}
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-# ---------------------------------------------------------------------------
-
-if NUMBA_AVAILABLE:
-
-    @njit(cache=True)
-    def _nb_pow_mod(base, exp, p):  # pragma: no cover - exercised via kernels
-        result = 1
-        base %= p
-        while exp > 0:
-            if exp & 1:
-                result = result * base % p
-            base = base * base % p
-            exp >>= 1
-        return result
-
-    @njit(cache=True)
-    def _nb_rref_mod(a, p):
-        r = a % p
-        n_rows, n_cols = r.shape
-        pivots = np.empty(min(n_rows, n_cols), dtype=np.int64)
-        npiv = 0
-        row = 0
-        for col in range(n_cols):
-            if row >= n_rows:
-                break
-            pr = -1
-            for i in range(row, n_rows):
-                if r[i, col] != 0:
-                    pr = i
-                    break
-            if pr < 0:
-                continue
-            if pr != row:
-                for j in range(n_cols):
-                    tmp = r[row, j]
-                    r[row, j] = r[pr, j]
-                    r[pr, j] = tmp
-            inv = _nb_pow_mod(r[row, col], p - 2, p)
-            for j in range(n_cols):
-                r[row, j] = r[row, j] * inv % p
-            for i in range(n_rows):
-                if i != row and r[i, col] != 0:
-                    f = r[i, col]
-                    for j in range(n_cols):
-                        r[i, j] = (r[i, j] - f * r[row, j]) % p
-            pivots[npiv] = col
-            npiv += 1
-            row += 1
-        return r, pivots[:npiv].copy()
-
-    @njit(cache=True)
-    def _nb_charpoly_mod(a, p):
-        h = a % p
-        n = h.shape[0]
-        for col in range(n - 2):
-            pr = -1
-            for i in range(col + 1, n):
-                if h[i, col] != 0:
-                    pr = i
-                    break
-            if pr < 0:
-                continue
-            if pr != col + 1:
-                for j in range(n):
-                    tmp = h[col + 1, j]
-                    h[col + 1, j] = h[pr, j]
-                    h[pr, j] = tmp
-                for j in range(n):
-                    tmp = h[j, col + 1]
-                    h[j, col + 1] = h[j, pr]
-                    h[j, pr] = tmp
-            inv = _nb_pow_mod(h[col + 1, col], p - 2, p)
-            for i in range(col + 2, n):
-                f = h[i, col]
-                if f != 0:
-                    f = f * inv % p
-                    for j in range(n):
-                        h[i, j] = (h[i, j] - f * h[col + 1, j]) % p
-                    for j in range(n):
-                        h[j, col + 1] = (h[j, col + 1] + f * h[j, i]) % p
-        polys = np.zeros((n + 1, n + 1), dtype=np.int64)
-        polys[0, 0] = 1
-        for i in range(1, n + 1):
-            for t in range(i, 0, -1):
-                polys[i, t] = polys[i - 1, t - 1]
-            d = h[i - 1, i - 1]
-            for t in range(i):
-                polys[i, t] = (polys[i, t] - d * polys[i - 1, t]) % p
-            prod = 1
-            for j in range(i - 2, -1, -1):
-                prod = prod * h[j + 1, j] % p
-                if prod == 0:
-                    break
-                coef = h[j, i - 1] * prod % p
-                if coef != 0:
-                    for t in range(j + 1):
-                        polys[i, t] = (polys[i, t] - coef * polys[j, t]) % p
-        return polys[n].copy()
-
-    @njit(cache=True)
-    def _nb_class_matrix(product, inverse, class_of, members, reps):
-        k = reps.shape[0]
-        m = np.zeros((k, k), dtype=np.int64)
-        for t in range(members.shape[0]):
-            xi = inverse[members[t]]
-            for l in range(k):
-                j = class_of[product[xi, reps[l]]]
-                m[j, l] += 1
-        return m
-
-    @njit(cache=True)
-    def _nb_mul_into(bf, mul):
-        n, phi = bf.shape
-        out = np.zeros((n, phi, phi), dtype=np.int64)
-        for i in range(n):
-            for q in range(phi):
-                c = bf[i, q]
-                if c != 0:
-                    for pp in range(phi):
-                        for r in range(phi):
-                            out[i, pp, r] += c * mul[pp, q, r]
-        return out
-
-    @njit(cache=True)
-    def _nb_weighted_analysis(v, at):
-        nb2, k, phi = v.shape
-        ki = at.shape[0]
-        out = np.zeros((nb2, ki, phi), dtype=np.int64)
-        for b in range(nb2):
-            for i in range(ki):
-                for j in range(k):
-                    for pp in range(phi):
-                        c = v[b, j, pp]
-                        if c != 0:
-                            for r in range(phi):
-                                out[b, i, r] += c * at[i, j, pp, r]
-        return out
-
-    @njit(cache=True)
-    def _nb_pair_products(a, bm):
-        na, x, phi = a.shape
-        nbm = bm.shape[0]
-        out = np.zeros((na, nbm, x, phi), dtype=np.int64)
-        for ia in range(na):
-            for ib in range(nbm):
-                for ix in range(x):
-                    for pp in range(phi):
-                        c = a[ia, ix, pp]
-                        if c != 0:
-                            for r in range(phi):
-                                out[ia, ib, ix, r] += c * bm[ib, ix, pp, r]
-        return out
-
-    @njit(cache=True)
-    def _nb_pair_gram(a, bm):
-        na, x, phi = a.shape
-        nbm = bm.shape[0]
-        out = np.zeros((na, nbm, phi), dtype=np.int64)
-        for ia in range(na):
-            for ib in range(nbm):
-                for ix in range(x):
-                    for pp in range(phi):
-                        c = a[ia, ix, pp]
-                        if c != 0:
-                            for r in range(phi):
-                                out[ia, ib, r] += c * bm[ib, ix, pp, r]
-        return out
-
-    _NUMBA_IMPL = {
-        "rref_mod": _nb_rref_mod,
-        "charpoly_mod": _nb_charpoly_mod,
-        "class_matrix": _nb_class_matrix,
-        "mul_into": _nb_mul_into,
-        "weighted_analysis": _nb_weighted_analysis,
-        "pair_products": _nb_pair_products,
-        "pair_gram": _nb_pair_gram,
-    }
-else:
-    _NUMBA_IMPL = None
-
-
-BACKEND = "numba" if NUMBA_AVAILABLE else "numpy"
-_ACTIVE = _NUMBA_IMPL if NUMBA_AVAILABLE else _NUMPY_IMPL
-
-
-def available_backends() -> tuple[str, ...]:
-    return ("numpy", "numba") if NUMBA_AVAILABLE else ("numpy",)
-
-
-def get_backend(name: str) -> dict:
-    """Return the kernel table for an explicit backend (used by tests/benchmarks)."""
-    if name == "numpy":
-        return _NUMPY_IMPL
-    if name == "numba":
-        if not NUMBA_AVAILABLE:
-            raise RuntimeError("numba backend is not available in this process")
-        return _NUMBA_IMPL
-    raise ValueError(f"unknown backend {name!r}")
-
-
-def rref_mod(a: np.ndarray, p: int):
-    return _ACTIVE["rref_mod"](np.ascontiguousarray(a, dtype=np.int64), p)
-
-
-def charpoly_mod(a: np.ndarray, p: int) -> np.ndarray:
-    return _ACTIVE["charpoly_mod"](np.ascontiguousarray(a, dtype=np.int64), p)
-
-
-def class_matrix(product, inverse, class_of, members, reps) -> np.ndarray:
-    return _ACTIVE["class_matrix"](product, inverse, class_of, members, reps)
 
 
 def mul_into(bf: np.ndarray, mul: np.ndarray) -> np.ndarray:
@@ -374,28 +105,40 @@ def mul_into(bf: np.ndarray, mul: np.ndarray) -> np.ndarray:
     """
     lead = bf.shape[:-1]
     flat = np.ascontiguousarray(bf.reshape(-1, bf.shape[-1]), dtype=np.int64)
-    out = _ACTIVE["mul_into"](flat, mul)
+    out = np.einsum("nq,pqr->npr", flat, mul)
     return out.reshape(*lead, mul.shape[0], mul.shape[2])
 
 
 def weighted_analysis(v: np.ndarray, at: np.ndarray) -> np.ndarray:
     """Contract value arrays [B, k, phi] against an analysis tensor [ki, k, phi, phi]."""
-    return _ACTIVE["weighted_analysis"](
-        np.ascontiguousarray(v, dtype=np.int64), np.ascontiguousarray(at, dtype=np.int64)
+    return np.einsum(
+        "bjp,ijpr->bir",
+        np.ascontiguousarray(v, dtype=np.int64),
+        np.ascontiguousarray(at, dtype=np.int64),
     )
 
 
 def pair_products(a: np.ndarray, bm: np.ndarray) -> np.ndarray:
-    """All pointwise ring products of rows of ``a`` with prepared rows of ``bm``."""
-    return _ACTIVE["pair_products"](
-        np.ascontiguousarray(a, dtype=np.int64), np.ascontiguousarray(bm, dtype=np.int64)
+    """All pointwise ring products of rows of ``a`` with prepared rows of ``bm``.
+
+    a [Na, X, p], bm [Nb, X, p, r] -> [Na, Nb, X, r].
+    """
+    return np.einsum(
+        "axp,bxpr->abxr",
+        np.ascontiguousarray(a, dtype=np.int64),
+        np.ascontiguousarray(bm, dtype=np.int64),
     )
 
 
 def pair_gram(a: np.ndarray, bm: np.ndarray) -> np.ndarray:
-    """Pairwise ring products summed over the shared axis (exact gram matrices)."""
-    return _ACTIVE["pair_gram"](
-        np.ascontiguousarray(a, dtype=np.int64), np.ascontiguousarray(bm, dtype=np.int64)
+    """Pairwise ring products summed over the shared axis (exact gram matrices).
+
+    a [Na, X, p], bm [Nb, X, p, r] -> [Na, Nb, r].
+    """
+    return np.einsum(
+        "axp,bxpr->abr",
+        np.ascontiguousarray(a, dtype=np.int64),
+        np.ascontiguousarray(bm, dtype=np.int64),
     )
 
 
@@ -412,22 +155,3 @@ def nullspace_mod(a: np.ndarray, p: int) -> np.ndarray:
         for i, pc in enumerate(pivots):
             basis[int(pc), idx] = (-int(r[i, c])) % p
     return basis
-
-
-def warmup() -> None:
-    """Trigger JIT compilation of every kernel on tiny inputs."""
-    p = 7
-    a = np.array([[1, 2], [3, 4]], dtype=np.int64)
-    rref_mod(a, p)
-    charpoly_mod(a, p)
-    prod = np.array([[0, 1], [1, 0]], dtype=np.int64)
-    inv = np.array([0, 1], dtype=np.int64)
-    cls = np.array([0, 1], dtype=np.int64)
-    class_matrix(prod, inv, cls, np.array([1], dtype=np.int64), np.array([0, 1], dtype=np.int64))
-    mul = np.zeros((2, 2, 2), dtype=np.int64)
-    mul[0, 0, 0] = 1
-    bf = np.ones((2, 2), dtype=np.int64)
-    bm = mul_into(bf, mul)
-    weighted_analysis(np.ones((1, 2, 2), dtype=np.int64), bm.reshape(1, 2, 2, 2))
-    pair_products(np.ones((1, 2, 2), dtype=np.int64), bm.reshape(2, 1, 2, 2)[:1])
-    pair_gram(np.ones((1, 2, 2), dtype=np.int64), bm.reshape(2, 1, 2, 2)[:1])

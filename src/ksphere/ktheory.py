@@ -21,7 +21,6 @@ from .characters import (
     VirtualCharacter,
     decompose_values,
     lambda_context,
-    product_values,
     restrict,
     restrict_values,
     tensor_product,
@@ -269,19 +268,19 @@ def ring_product(alpha: KElement, beta: KElement) -> KElement:
 
 
 def _lambda_tensor_permutation(ctx: LambdaContext) -> np.ndarray:
+    """Permutation pi of Irr(G) with lambda * chi_c = chi_pi(c).
+
+    lambda is +-1 on every class, so lambda * chi_c is chi_c's value row with
+    the signs of lambda applied, and its index is a row lookup in the table.
+    """
     table = ctx.table_g
-    lam_vals = table.values[ctx.lambda_index]
-    prods = product_values(
-        np.broadcast_to(lam_vals, table.values.shape), table.values, table.ring
-    )
-    coeffs = decompose_values(table, prods)
+    signs = table.values[ctx.lambda_index][:, :1]
     pi = np.full(table.count, -1, dtype=np.int64)
     for c in range(table.count):
-        row = coeffs[c]
-        nz = np.nonzero(row)[0]
-        if len(nz) != 1 or row[nz[0]] != 1:
+        target = table.character_index(table.values[c] * signs)
+        if target is None:
             raise CharacterTheoryError("tensoring by the sign character is not a permutation")
-        pi[c] = nz[0]
+        pi[c] = target
     if np.any(pi[pi] != np.arange(table.count)):
         raise CharacterTheoryError("sign tensoring is not an involution")
     return pi

@@ -1,13 +1,4 @@
-import pytest
-
-from ksphere import kernels
 from ksphere.groups import GroupSpec, LambdaSpec, build_group, build_sign_hom
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernels():
-    # JIT-compile (or no-op on the numpy backend) before any timed test runs.
-    kernels.warmup()
 
 
 def group_with_lambda(spec: GroupSpec, convention: str):

@@ -1,11 +1,10 @@
-"""Backend equivalence and oracles for the mod-p and contraction kernels."""
+"""Oracles for the mod-p and contraction kernels."""
 
 import numpy as np
 import pytest
 
 from ksphere import kernels
 
-BACKENDS = kernels.available_backends()
 PRIMES = (7, 97, 12289)
 
 
@@ -55,96 +54,42 @@ def _charpoly_by_interpolation(a, p):
     return coeffs
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("p", PRIMES)
-def test_rref_properties(backend, p):
-    impl = kernels.get_backend(backend)
+def test_rref_properties(p):
     rng = np.random.default_rng(3)
     for n, m in [(1, 1), (3, 5), (5, 3), (6, 6), (8, 8)]:
         a = _random_matrix(rng, n, m, p)
-        r, pivots = impl["rref_mod"](a.copy(), p)
+        r, pivots = kernels.rref_mod(a.copy(), p)
         for i, c in enumerate(pivots):
             col = np.zeros(n, dtype=np.int64)
             col[i] = 1
             assert np.array_equal(r[:, c], col)
         # rref is row-equivalent to a: same row space over GF(p)
-        stacked, piv2 = impl["rref_mod"](np.vstack([a, r]), p)
+        stacked, piv2 = kernels.rref_mod(np.vstack([a, r]), p)
         assert len(piv2) == len(pivots)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_nullspace_annihilates(backend):
-    impl = kernels.get_backend(backend)
-    orig = kernels._ACTIVE
-    kernels._ACTIVE = impl
-    try:
-        rng = np.random.default_rng(5)
-        p = 97
-        for n, m in [(4, 6), (6, 4), (5, 5)]:
-            a = _random_matrix(rng, n, m, p)
-            ns = kernels.nullspace_mod(a, p)
-            assert np.all((a @ ns) % p == 0)
-            r, pivots = impl["rref_mod"](a.copy(), p)
-            assert ns.shape[1] == m - len(pivots)
-    finally:
-        kernels._ACTIVE = orig
+def test_nullspace_annihilates():
+    rng = np.random.default_rng(5)
+    p = 97
+    for n, m in [(4, 6), (6, 4), (5, 5)]:
+        a = _random_matrix(rng, n, m, p)
+        ns = kernels.nullspace_mod(a, p)
+        assert np.all((a @ ns) % p == 0)
+        r, pivots = kernels.rref_mod(a.copy(), p)
+        assert ns.shape[1] == m - len(pivots)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("p", PRIMES)
-def test_charpoly_matches_interpolation_oracle(backend, p):
-    impl = kernels.get_backend(backend)
+def test_charpoly_matches_interpolation_oracle(p):
     rng = np.random.default_rng(11)
     for n in (1, 2, 3, 5, 7):
         if n + 1 > p:
             continue  # interpolation oracle needs n+1 distinct points mod p
         a = _random_matrix(rng, n, n, p)
-        got = impl["charpoly_mod"](a.copy(), p)
+        got = kernels.charpoly_mod(a.copy(), p)
         expect = _charpoly_by_interpolation(a, p)
         assert np.array_equal(got % p, expect % p)
-
-
-def test_backends_agree_on_all_kernels():
-    if len(BACKENDS) < 2:
-        pytest.skip("numba backend not available")
-    rng = np.random.default_rng(17)
-    np_impl = kernels.get_backend("numpy")
-    nb_impl = kernels.get_backend("numba")
-    p = 97
-    a = _random_matrix(rng, 7, 9, p)
-    r1, p1 = np_impl["rref_mod"](a.copy(), p)
-    r2, p2 = nb_impl["rref_mod"](a.copy(), p)
-    assert np.array_equal(r1, r2) and np.array_equal(p1, p2)
-
-    s = _random_matrix(rng, 6, 6, p)
-    assert np.array_equal(np_impl["charpoly_mod"](s.copy(), p), nb_impl["charpoly_mod"](s.copy(), p))
-
-    prod = rng.integers(0, 4, (4, 4)).astype(np.int64) % 4
-    prod = (np.arange(4)[:, None] + np.arange(4)[None, :]) % 4
-    inv = (-np.arange(4)) % 4
-    cls = np.arange(4, dtype=np.int64)
-    members = np.array([2], dtype=np.int64)
-    reps = np.arange(4, dtype=np.int64)
-    assert np.array_equal(
-        np_impl["class_matrix"](prod, inv, cls, members, reps),
-        nb_impl["class_matrix"](prod, inv, cls, members, reps),
-    )
-
-    phi = 6
-    mul = rng.integers(-2, 3, (phi, phi, phi)).astype(np.int64)
-    bf = rng.integers(-4, 5, (10, phi)).astype(np.int64)
-    assert np.array_equal(np_impl["mul_into"](bf, mul), nb_impl["mul_into"](bf, mul))
-
-    v = rng.integers(-4, 5, (3, 5, phi)).astype(np.int64)
-    at = rng.integers(-4, 5, (4, 5, phi, phi)).astype(np.int64)
-    assert np.array_equal(
-        np_impl["weighted_analysis"](v, at), nb_impl["weighted_analysis"](v, at)
-    )
-
-    a3 = rng.integers(-4, 5, (3, 5, phi)).astype(np.int64)
-    bm = rng.integers(-4, 5, (2, 5, phi, phi)).astype(np.int64)
-    assert np.array_equal(np_impl["pair_products"](a3, bm), nb_impl["pair_products"](a3, bm))
-    assert np.array_equal(np_impl["pair_gram"](a3, bm), nb_impl["pair_gram"](a3, bm))
 
 
 def test_pair_gram_is_summed_pair_products():

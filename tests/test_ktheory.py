@@ -1,5 +1,7 @@
 """K-group presentations against orbit-count and lattice oracles."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,8 +13,9 @@ from ksphere.characters import (
     lambda_context,
     tensor_product,
 )
-from ksphere.groups import GroupSpec, build_group, enumerate_sign_homs
+from ksphere.groups import GroupSpec, build_group, builtin_specs_upto, enumerate_sign_homs
 from ksphere.ktheory import (
+    _lambda_tensor_permutation,
     k_group_s1_lambda,
     k_group_s_lambda,
     module_action,
@@ -20,6 +23,7 @@ from ksphere.ktheory import (
     ring_product,
 )
 from ksphere.lattice import hermite_normal_form, in_span, integrally_independent
+from ksphere.verification import corrupt_table
 
 
 def dihedral_rank_oracle(n: int) -> int:
@@ -293,3 +297,34 @@ def test_s_lambda_span_matches_lattice_oracle():
         assert oracle == hermite_normal_form([b.coeffs for b in ideal.basis])
         for row in rows:
             assert in_span(row, oracle)
+
+
+def test_s_lambda_pairing_matches_tensor_decomposition():
+    """The row lookup pairs chi with lambda*chi exactly as the full product does."""
+    for spec in builtin_specs_upto(32):
+        t = build_group(spec)
+        for lam in enumerate_sign_homs(t):
+            ideal = k_group_s_lambda(t, lam)
+            tab = ideal.ctx.table_g
+            lam_chi = VirtualCharacter.unit(tab, ideal.lambda_index)
+            partner = []
+            for c in range(tab.count):
+                coeffs = tensor_product(lam_chi, VirtualCharacter.unit(tab, c)).coeffs
+                assert sorted(coeffs) == [0] * (tab.count - 1) + [1]
+                partner.append(coeffs.index(1))
+            assert ideal.pairs == tuple((c, d) for c, d in enumerate(partner) if c < d)
+            assert ideal.fixed == tuple(c for c, d in enumerate(partner) if c == d)
+
+
+@pytest.mark.parametrize(
+    "spec, conv",
+    [(GroupSpec.symmetric(3), "sign"), (GroupSpec.dihedral(4), "reflection-sign")],
+    ids=["S3", "D4"],
+)
+def test_lambda_tensor_lookup_rejects_corrupt_table(spec, conv):
+    t, lam = group_with_lambda(spec, conv)
+    ctx = lambda_context(t, lam)
+    _lambda_tensor_permutation(ctx)  # control: the clean table gives a permutation
+    bad = replace(ctx, table_g=corrupt_table(ctx.table_g, ctx.table_g.trivial_index, 1))
+    with pytest.raises(CharacterTheoryError, match="not a permutation"):
+        _lambda_tensor_permutation(bad)
