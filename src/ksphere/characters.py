@@ -2,10 +2,16 @@
 
 Class-function values live in one cyclotomic ring per group (modulus =
 group exponent); subgroup values embed into the ambient modulus when the
-two interact. Bulk operations (decomposition, induction, products) run on
-int64 coefficient arrays through the kernels module, and every
-decomposition is checked for exact integrality: a non-integer multiplicity
-anywhere aborts with a diagnostic rather than rounding.
+two interact, and tables, inputs and outputs stay int64 power-basis arrays.
+Bulk operations that sum over classes (the orthogonality certificate and
+decomposition, including of pointwise products) run in the evaluation
+domain: each value is mapped to its images at the phi primitive roots of
+unity modulo primes p = 1 (mod m), the class sums become one k x k modular
+matrix product per evaluation point, and a coefficient bound computed
+beforehand fixes how many primes make the CRT lift exact. Every
+decomposition is checked for exact integrality: a non-rational or
+non-integer multiplicity anywhere aborts with a diagnostic rather than
+rounding.
 """
 
 from __future__ import annotations
@@ -16,7 +22,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dixon, kernels
-from .cyclotomic import Cyclotomic, CyclotomicRing, get_ring
+from .cyclotomic import (
+    Cyclotomic,
+    CyclotomicRing,
+    eval_prime,
+    get_ring,
+    prime_count,
+    symmetric_lift,
+)
 from .groups import (
     ConjugacyClasses,
     GroupTable,
@@ -30,12 +43,6 @@ from .groups import (
 
 class CharacterTheoryError(ArithmeticError):
     """Exact-arithmetic invariant violated (non-integer multiplicity etc.)."""
-
-
-# Exact table verification is skipped above this contraction-cost bound;
-# it covers every desk-scale group and avoids quadratic blowups near the
-# order cap (the verification module can still run the checks explicitly).
-_VERIFY_COST_LIMIT = 2 * 10**9
 
 
 @dataclass(eq=False)
@@ -185,6 +192,8 @@ _table_cache: "weakref.WeakKeyDictionary[GroupTable, CharacterTable]" = (
     weakref.WeakKeyDictionary()
 )
 _table_data_cache: dict[bytes, tuple[tuple[int, ...], np.ndarray, int]] = {}
+# Per table: modulus -> per-class weights of the coefficient bound, and
+# (modulus, prime index) -> evaluation weights.
 _analysis_cache: "weakref.WeakKeyDictionary[CharacterTable, dict]" = weakref.WeakKeyDictionary()
 _embedded_values_cache: "weakref.WeakKeyDictionary[CharacterTable, dict]" = (
     weakref.WeakKeyDictionary()
@@ -271,7 +280,6 @@ def table_invariant_failures(table: CharacterTable) -> list[str]:
     out: list[str] = []
     k = table.classes.count
     n = table.group.order
-    phi = table.ring.phi
     if table.count != k:
         out.append(f"irreducible count {table.count} != class count {k}")
         return out
@@ -299,27 +307,32 @@ def table_invariant_failures(table: CharacterTable) -> list[str]:
         lead = key_mat[np.arange(1, k), first] - key_mat[np.arange(k - 1), first]
         if np.any(lead[any_diff] < 0):
             out.append("characters are not in canonical order")
-    if k**3 * phi**2 > _VERIFY_COST_LIMIT:
-        # Orthogonality certificate is quadratic in the table; near the order
-        # cap it is skipped here and left to explicit verification runs.
-        return out
-    at = _analysis_tensor(table, table.ring)
-    gram = kernels.weighted_analysis(table.values, at)  # [a, b, phi]
-    expected = np.zeros_like(gram)
-    expected[np.arange(k), np.arange(k), 0] = n
-    if not np.array_equal(gram, expected):
-        bad = np.argwhere(np.any(gram != expected, axis=-1))
-        pairs = ", ".join(f"({a},{b})" for a, b in bad[:5])
+    # Row orthogonality: sum_j |C_j| chi_a(j) conj(chi_b(j)) = n delta_ab.
+    # Column orthogonality, scaled by |C_j|: sum_c chi_c(i) conj(chi_c(j)) |C_j|
+    # = n delta_ij. Both sums are k x k products of the same two tensors.
+    ring = table.ring
+    chi_l1 = np.abs(table.values).sum(axis=-1, dtype=object)  # |chi_c(j)|_1, [c, j]
+    row_bound = _analysis_bound(table, ring, chi_l1.max(axis=0).tolist()) + n
+    col_bound = ring.peak * ring.l1 * max(table.classes.class_sizes) * (
+        chi_l1.max(axis=1) ** 2
+    ).sum() + n
+    row_bad = np.zeros((k, k), dtype=bool)
+    col_bad = np.zeros((k, k), dtype=bool)
+    for i in range(prime_count(ring.modulus, max(row_bound, col_bound))):
+        p = eval_prime(ring.modulus, i)[0]
+        images = ring.evaluate(table.values, i)
+        weights = _analysis_tensor(table, ring, i, images)
+        expected = np.zeros((k, k, 1), dtype=np.int64)
+        expected[np.arange(k), np.arange(k)] = n % p
+        gram = kernels.weighted_analysis(images, weights, p)
+        row_bad |= np.any(gram != expected, axis=-1)
+        col = kernels.weighted_analysis(images.transpose(1, 0, 2), weights.transpose(1, 0, 2), p)
+        col_bad |= np.any(col != expected, axis=-1)
+    if row_bad.any():
+        pairs = ", ".join(f"({a},{b})" for a, b in np.argwhere(row_bad)[:5])
         out.append(f"row orthogonality fails at character pairs {pairs}")
-    sizes = np.asarray(table.classes.class_sizes, dtype=np.int64)
-    conj_vals = table.values @ table.ring.conj
-    cm = kernels.mul_into(conj_vals, table.ring.mul)
-    col = kernels.pair_gram(table.values.transpose(1, 0, 2), cm.transpose(1, 0, 2, 3))
-    col_expected = np.zeros_like(col)
-    col_expected[np.arange(k), np.arange(k), 0] = n // sizes
-    if not np.array_equal(col, col_expected):
-        bad = np.argwhere(np.any(col != col_expected, axis=-1))
-        pairs = ", ".join(f"({i},{j})" for i, j in bad[:5])
+    if col_bad.any():
+        pairs = ", ".join(f"({i},{j})" for i, j in np.argwhere(col_bad)[:5])
         out.append(f"column orthogonality fails at class pairs {pairs}")
     return out
 
@@ -347,46 +360,101 @@ def _embedded_values(table: CharacterTable, ring: CyclotomicRing) -> np.ndarray:
     return vals
 
 
-def _analysis_tensor(table: CharacterTable, ring: CyclotomicRing) -> np.ndarray:
+def _class_l1(varr: np.ndarray) -> list[int]:
+    """Per class j, a bound on the l1 norm of varr[b, j] over every b (Python ints)."""
+    peaks = np.abs(np.asarray(varr, dtype=np.int64)).max(axis=0, initial=0)
+    return [int(c) for c in peaks.sum(axis=-1, dtype=object)]
+
+
+def _analysis_bound(table: CharacterTable, ring: CyclotomicRing, l1: list[int]) -> int:
+    """Bound on every coefficient of sum_j |C_j| v(j) conj(chi_i(j)) when |v(j)|_1 <= l1[j]."""
     per = _analysis_cache.setdefault(table, {})
-    at = per.get(ring.modulus)
-    if at is None:
-        vals = _embedded_values(table, ring)
-        conj_vals = vals @ ring.conj
-        sizes = np.asarray(table.classes.class_sizes, dtype=np.int64)
-        weighted = conj_vals * sizes[None, :, None]
-        at = kernels.mul_into(weighted, ring.mul)
-        per[ring.modulus] = at
-    return at
+    weight = per.get(ring.modulus)
+    if weight is None:
+        # |C_j| * max_i |conj chi_i(j)|_1, with the l1 norms taken in `ring`.
+        chi_l1 = np.abs(_embedded_values(table, ring)).sum(axis=-1, dtype=object)
+        weight = [
+            size * ring.l1 * int(c)
+            for size, c in zip(table.classes.class_sizes, chi_l1.max(axis=0))
+        ]
+        per[ring.modulus] = weight
+    return ring.peak * sum(a * b for a, b in zip(l1, weight))
+
+
+def _analysis_tensor(
+    table: CharacterTable, ring: CyclotomicRing, i: int, images: np.ndarray | None = None
+) -> np.ndarray:
+    """Evaluation weights [k, k, e] = conj(chi_c(j)) |C_j| mod the i-th prime of `ring`.
+
+    `images`, when given, are the images of the table's values in `ring` at
+    that prime, already computed by the caller.
+    """
+    per = _analysis_cache.setdefault(table, {})
+    w = per.get((ring.modulus, i))
+    if w is None:
+        p, _, neg = eval_prime(ring.modulus, i)
+        if images is None:
+            images = ring.evaluate(_embedded_values(table, ring), i)
+        sizes = np.asarray(table.classes.class_sizes, dtype=np.int64) % p
+        point_major = np.moveaxis(images, -1, 0)[neg]  # [e, c, j], conjugated
+        w = np.moveaxis(point_major * sizes % p, 0, -1)
+        w.setflags(write=False)
+        per[(ring.modulus, i)] = w
+    return w
 
 
 def decompose_values(
-    table: CharacterTable, varr: np.ndarray, ring: CyclotomicRing | None = None
+    table: CharacterTable,
+    varr: np.ndarray,
+    ring: CyclotomicRing | None = None,
+    factor: np.ndarray | None = None,
 ) -> np.ndarray:
     """Exact irreducible coordinates of class-function values [B, k, phi].
+
+    With `factor` [F, k, phi], decomposes every pointwise product
+    varr[b] * factor[f] instead and returns [B, F, ki]; the products are
+    formed only in the evaluation domain.
 
     Raises CharacterTheoryError when any multiplicity fails to be a rational
     integer: that always signals an internal bug or corrupted input, never a
     legitimate outcome.
     """
     ring = table.ring if ring is None else ring
-    at = _analysis_tensor(table, ring)
-    x = kernels.weighted_analysis(np.asarray(varr, dtype=np.int64), at)
+    varr = np.asarray(varr, dtype=np.int64)
+    l1 = _class_l1(varr)
+    if factor is not None:
+        factor = np.asarray(factor, dtype=np.int64)
+        l1 = [a * b * ring.l1 for a, b in zip(l1, _class_l1(factor))]
+    bound = _analysis_bound(table, ring, l1)
     order = table.group.order
-    if np.any(x[..., 1:]):
-        b, c = np.argwhere(np.any(x[..., 1:], axis=-1))[0]
+    lead = varr.shape[:1] if factor is None else (varr.shape[0], factor.shape[0])
+    irrational = np.zeros(lead + (table.count,), dtype=bool)
+    residues = []
+    for i in range(prime_count(ring.modulus, bound)):
+        p = eval_prime(ring.modulus, i)[0]
+        images = ring.evaluate(varr, i)
+        if factor is not None:
+            images = images[:, None] * ring.evaluate(factor, i)[None] % p
+        x = kernels.weighted_analysis(
+            images.reshape((-1,) + images.shape[-2:]), _analysis_tensor(table, ring, i), p
+        ).reshape(irrational.shape + (ring.phi,))
+        # A rational integer has the same image at every evaluation point.
+        irrational |= np.any(x != x[..., :1], axis=-1)
+        residues.append(x[..., 0])
+    if irrational.any():
+        where = np.argwhere(irrational)[0]
         raise CharacterTheoryError(
             f"non-rational multiplicity on {table.group.name}: "
-            f"function {b}, irreducible chi{c}"
+            f"function {', '.join(str(w) for w in where[:-1])}, irreducible chi{where[-1]}"
         )
-    c0 = x[..., 0]
+    c0 = symmetric_lift(residues, ring.modulus)
     if np.any(c0 % order):
-        b, c = np.argwhere(c0 % order)[0]
+        where = np.argwhere(c0 % order)[0]
         raise CharacterTheoryError(
-            f"non-integer multiplicity {c0[b, c]}/{order} on {table.group.name}: "
-            f"function {b}, irreducible chi{c}"
+            f"non-integer multiplicity {c0[tuple(where)]}/{order} on {table.group.name}: "
+            f"function {', '.join(str(w) for w in where[:-1])}, irreducible chi{where[-1]}"
         )
-    return c0 // order
+    return (c0 // order).astype(np.int64)
 
 
 def product_values(a: np.ndarray, b: np.ndarray, ring: CyclotomicRing) -> np.ndarray:

@@ -5,6 +5,14 @@ of the m-th cyclotomic integers, reduced modulo the m-th cyclotomic
 polynomial, with an optional positive denominator for rational multiples.
 Equality is literal coefficient equality of the normalized form, so all
 comparisons in the package are exact; no floating point appears anywhere.
+
+Bulk table arithmetic may instead run in the evaluation domain: a prime
+p = 1 (mod m) splits completely in Z[zeta_m], so evaluating at the phi(m)
+primitive m-th roots of unity mod p maps Z[zeta_m] / p onto GF(p)^phi.
+A value is divisible by p exactly when all its images vanish, and a result
+whose power-basis coefficients are bounded by B is recovered exactly from
+its residues modulo primes whose product exceeds 2B (`prime_count`,
+`symmetric_lift`).
 """
 
 from __future__ import annotations
@@ -15,9 +23,18 @@ from math import gcd
 
 import numpy as np
 
-# Guard for the int64 bulk engine: reduction/multiplication tensor entries
-# must leave ample headroom below 2**63 after the contractions in kernels.py.
+from . import kernels
+
+# Largest reduction coefficient accepted for a modulus. It keeps the entries
+# of `red`, `mul` and `conj` small; it does not by itself keep a contraction
+# exact. The dense kernels check their own worst-case int64 output, and the
+# evaluation-domain path checks a coefficient bound before it picks primes.
 _COEFF_LIMIT = 1 << 20
+
+# Evaluation primes lie above this; below 2**31 so that a product of two
+# residues stays below 2**62.
+_EVAL_PRIME_FLOOR = 1 << 20
+_EVAL_PRIME_CEIL = 1 << 31
 
 
 def divisors(m: int) -> list[int]:
@@ -88,6 +105,11 @@ class CyclotomicRing:
         peak = max((abs(c) for row in red for c in row), default=0)
         if peak >= _COEFF_LIMIT:
             raise ValueError(f"reduction coefficients too large for modulus {m}")
+        # Every row of `mul` and `conj` is a row of `red`, so for power-basis
+        # vectors a, b: |a*b|_inf <= |a|_1 |b|_1 peak, |a*b|_1 <= |a|_1 |b|_1 l1
+        # and |conj a|_1 <= |a|_1 l1.
+        self.peak = peak
+        self.l1 = max((sum(abs(c) for c in row) for row in red), default=0)
         self.red = np.asarray(red, dtype=np.int64)
         self.red.setflags(write=False)
         idx = (np.arange(self.phi)[:, None] + np.arange(self.phi)[None, :]) % m
@@ -106,10 +128,92 @@ class CyclotomicRing:
         idx = (np.arange(self.phi) * scale) % big
         return target.red[idx]
 
+    def evaluate(self, values: np.ndarray, i: int) -> np.ndarray:
+        """Images [..., e] of power-basis values [..., phi] mod the i-th evaluation prime.
+
+        The result is a view of a point-major array (e is the slowest axis in
+        memory), the layout in which kernels.weighted_analysis contracts.
+        """
+        p, v, _ = eval_prime(self.modulus, i)
+        values = np.asarray(values, dtype=np.int64)
+        flat = values.reshape(-1, self.phi)
+        images = kernels.matmul_mod(v, flat.T, p)  # [e, N]
+        return np.moveaxis(images.reshape((self.phi,) + values.shape[:-1]), 0, -1)
+
 
 @lru_cache(maxsize=None)
 def get_ring(m: int) -> CyclotomicRing:
     return CyclotomicRing(m)
+
+
+def is_prime(n: int) -> bool:
+    """Trial division; the numbers tested here stay below 2**31."""
+    if n < 2 or n % 2 == 0:
+        return n == 2
+    d = 3
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 2
+    return True
+
+
+@lru_cache(maxsize=None)
+def eval_prime(m: int, i: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """The i-th prime p = 1 (mod m) above 2**20 and its evaluation data.
+
+    Returns (p, V, neg). With z a primitive m-th root of unity mod p and
+    e_0 < e_1 < ... the phi(m) exponents coprime to m, V[s, t] = z**(e_s * t)
+    mod p maps power-basis coefficients to the images at the points z**e_s,
+    and neg[s] is the index of -e_s: complex conjugation permutes the points.
+    """
+    p = eval_prime(m, i - 1)[0] + m if i else (_EVAL_PRIME_FLOOR // m + 1) * m + 1
+    while not is_prime(p):
+        p += m
+    if p >= _EVAL_PRIME_CEIL:
+        raise ArithmeticError(f"no evaluation prime below 2**31 for modulus {m}")
+    factors = [q for q in divisors(m) if is_prime(q)]
+    x = 2
+    while True:
+        z = pow(x, (p - 1) // m, p)
+        if all(pow(z, m // q, p) != 1 for q in factors):
+            break
+        x += 1
+    exps = [e for e in range(m) if gcd(e, m) == 1]
+    phi = len(exps)
+    v = np.asarray(
+        [[pow(z, e * t, p) for t in range(phi)] for e in exps], dtype=np.int64
+    )
+    v.setflags(write=False)
+    where = {e: s for s, e in enumerate(exps)}
+    neg = np.asarray([where[-e % m] for e in exps], dtype=np.int64)
+    neg.setflags(write=False)
+    return p, v, neg
+
+
+def prime_count(m: int, bound: int) -> int:
+    """Fewest evaluation primes for modulus m whose product exceeds 2 * bound."""
+    count, product = 1, eval_prime(m, 0)[0]
+    while product <= 2 * bound:
+        product *= eval_prime(m, count)[0]
+        count += 1
+    return count
+
+
+def symmetric_lift(residues: list[np.ndarray], m: int) -> np.ndarray:
+    """The integers x with |x| < P/2 and x = residues[i] mod the i-th prime.
+
+    P is the product of the first len(residues) evaluation primes of m. The
+    lift is exact for every x whose magnitude is known to be below P/2; it
+    comes back as int64 for one prime and as Python ints otherwise.
+    """
+    x, modulus = residues[0], eval_prime(m, 0)[0]
+    for i, r in enumerate(residues[1:], start=1):
+        p = eval_prime(m, i)[0]
+        x = np.asarray(x, dtype=object)
+        x = x + modulus * ((r - x) * pow(modulus, -1, p) % p)
+        modulus *= p
+    return np.where(x > modulus // 2, x - modulus, x)
 
 
 def _normalize(num: tuple[int, ...], den: int) -> tuple[tuple[int, ...], int]:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import kernels
+from .cyclotomic import get_ring, is_prime
 from .groups import ConjugacyClasses, GroupTable
 
 
@@ -33,24 +34,11 @@ class CharacterEngineError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
-
-
 def choose_prime(exponent: int, order: int) -> int:
     """Smallest prime p = 1 (mod exponent) with p*p > 4*order and p odd."""
     p = exponent + 1
     while True:
-        if p > 2 and p * p > 4 * order and (p - 1) % exponent == 0 and _is_prime(p):
+        if p > 2 and p * p > 4 * order and (p - 1) % exponent == 0 and is_prime(p):
             return p
         p += 1
 
@@ -287,8 +275,6 @@ def character_table_data(
     table: GroupTable, classes: ConjugacyClasses
 ) -> tuple[list[int], np.ndarray, int]:
     """Unsorted exact character data: (degrees, values[k, k, phi], exponent)."""
-    from .cyclotomic import get_ring
-
     n = table.order
     k = classes.count
     reps = classes.representatives

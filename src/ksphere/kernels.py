@@ -2,16 +2,42 @@
 
 All heavy inner loops of the package live here: reduced row echelon form
 and characteristic polynomials over GF(p), class-sum structure constants,
-and the batched contractions used by exact cyclotomic table arithmetic.
+the modular matrix products of evaluation-domain table arithmetic, and the
+dense power-basis contractions that the brute-force oracles use.
 
-Every kernel operates on ``int64`` arrays and is exact as long as
-intermediate values stay below 2**63; callers keep moduli and coefficient
-magnitudes far below that bound.
+Every kernel works on ``int64`` arrays, and every contraction is exact by a
+checked bound: before it contracts, it computes in Python ints the largest
+magnitude any partial sum can reach and raises OverflowError when that is
+2**63 or more. For the modular products (`matmul_mod`, `weighted_analysis`)
+that is k * (p - 1)**2 for k terms; for the dense ones (`mul_into`,
+`pair_products`, `pair_gram`) it is the number of terms times the largest
+operand magnitudes.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+_INT64_LIMIT = 1 << 63
+
+
+def _magnitude(a: np.ndarray) -> int:
+    """Largest absolute entry of an integer array, as a Python int."""
+    if a.size == 0:
+        return 0
+    return max(int(a.max()), -int(a.min()))
+
+
+def _require_int64(bound: int, what: str) -> None:
+    if bound >= _INT64_LIMIT:
+        raise OverflowError(f"{what}: worst-case magnitude {bound} reaches 2**63")
+
+
+def _dense_checked(a: np.ndarray, b: np.ndarray, terms: int, what: str):
+    a = np.ascontiguousarray(a, dtype=np.int64)
+    b = np.ascontiguousarray(b, dtype=np.int64)
+    _require_int64(terms * _magnitude(a) * _magnitude(b), what)
+    return a, b
 
 
 def _pow_mod(base: int, exp: int, p: int) -> int:
@@ -96,6 +122,30 @@ def class_matrix(product, inverse, class_of, members, reps) -> np.ndarray:
     return m
 
 
+def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """(a @ b) mod p over the last two axes, with residues in [0, p).
+
+    Exact in int64: raises before contracting unless k * (p - 1)**2 < 2**63,
+    k being the contracted length.
+    """
+    k = a.shape[-1]
+    _require_int64(k * (p - 1) ** 2, f"mod-{p} product over {k} terms")
+    out = np.matmul(np.remainder(a, p, dtype=np.int64), np.remainder(b, p, dtype=np.int64))
+    return np.remainder(out, p, out=out)
+
+
+def weighted_analysis(v: np.ndarray, w: np.ndarray, p: int) -> np.ndarray:
+    """out[b, i, e] = sum_j v[b, j, e] * w[i, j, e] mod p.
+
+    v [B, k, phi] and w [ki, k, phi] hold residues at phi evaluation points;
+    the sum is one modular k x k matrix product per point e. Operands stored
+    point-major (e slowest in memory) are contracted without a copy.
+    """
+    a = np.ascontiguousarray(v.transpose(2, 0, 1))  # [e, B, k]
+    b = np.ascontiguousarray(w.transpose(2, 0, 1))  # [e, ki, k]
+    return matmul_mod(a, b.transpose(0, 2, 1), p).transpose(1, 2, 0)
+
+
 def mul_into(bf: np.ndarray, mul: np.ndarray) -> np.ndarray:
     """Partially apply the ring multiplication tensor to a batch of values.
 
@@ -104,18 +154,9 @@ def mul_into(bf: np.ndarray, mul: np.ndarray) -> np.ndarray:
     Leading dimensions are arbitrary; the last axis is the coefficient axis.
     """
     lead = bf.shape[:-1]
-    flat = np.ascontiguousarray(bf.reshape(-1, bf.shape[-1]), dtype=np.int64)
+    flat, mul = _dense_checked(bf.reshape(-1, bf.shape[-1]), mul, bf.shape[-1], "mul_into")
     out = np.einsum("nq,pqr->npr", flat, mul)
     return out.reshape(*lead, mul.shape[0], mul.shape[2])
-
-
-def weighted_analysis(v: np.ndarray, at: np.ndarray) -> np.ndarray:
-    """Contract value arrays [B, k, phi] against an analysis tensor [ki, k, phi, phi]."""
-    return np.einsum(
-        "bjp,ijpr->bir",
-        np.ascontiguousarray(v, dtype=np.int64),
-        np.ascontiguousarray(at, dtype=np.int64),
-    )
 
 
 def pair_products(a: np.ndarray, bm: np.ndarray) -> np.ndarray:
@@ -123,11 +164,8 @@ def pair_products(a: np.ndarray, bm: np.ndarray) -> np.ndarray:
 
     a [Na, X, p], bm [Nb, X, p, r] -> [Na, Nb, X, r].
     """
-    return np.einsum(
-        "axp,bxpr->abxr",
-        np.ascontiguousarray(a, dtype=np.int64),
-        np.ascontiguousarray(bm, dtype=np.int64),
-    )
+    a, bm = _dense_checked(a, bm, a.shape[-1], "pair_products")
+    return np.einsum("axp,bxpr->abxr", a, bm)
 
 
 def pair_gram(a: np.ndarray, bm: np.ndarray) -> np.ndarray:
@@ -135,11 +173,8 @@ def pair_gram(a: np.ndarray, bm: np.ndarray) -> np.ndarray:
 
     a [Na, X, p], bm [Nb, X, p, r] -> [Na, Nb, r].
     """
-    return np.einsum(
-        "axp,bxpr->abr",
-        np.ascontiguousarray(a, dtype=np.int64),
-        np.ascontiguousarray(bm, dtype=np.int64),
-    )
+    a, bm = _dense_checked(a, bm, a.shape[-2] * a.shape[-1], "pair_gram")
+    return np.einsum("axp,bxpr->abr", a, bm)
 
 
 def nullspace_mod(a: np.ndarray, p: int) -> np.ndarray:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels, lattice
+from . import lattice
 from .characters import (
     CharacterTheoryError,
     LambdaContext,
@@ -211,11 +211,8 @@ def k_group_s1_lambda(
             "ec,cjp->ejp", coeff_mat, _embedded_values(table_h, ring_g)
         )
         res_all = restrict_values(ctx.emb, table_g.values)
-        bm = kernels.mul_into(basis_vals, ring_g.mul)
-        prods = kernels.pair_products(res_all, bm)
-        t = decompose_values(
-            table_h, prods.reshape(k_g * rank, k_h, ring_g.phi), ring_g
-        ).reshape(k_g, rank, k_h)
+        # t[a, e] = coordinates of res(phi_a) * basis_e over Irr(H).
+        t = decompose_values(table_h, res_all, ring_g, factor=basis_vals)
         mats = tuple(
             np.ascontiguousarray(_antiinvariant_coords(ctx, t[a]).T) for a in range(k_g)
         )

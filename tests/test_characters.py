@@ -8,20 +8,35 @@ import numpy as np
 import pytest
 
 from conftest import group_with_lambda
+from ksphere import characters
 from ksphere.characters import (
     CharacterTheoryError,
     VirtualCharacter,
+    _assemble_table,
+    _embedded_values,
     character_table,
     conjugate_twist,
+    decompose_values,
     g_orbits_on_irr,
     inner_product,
     induce,
     lambda_context,
     restrict,
+    restrict_values,
+    table_invariant_failures,
     tensor_product,
+    values_of_coeffs,
 )
-from ksphere.cyclotomic import Cyclotomic
-from ksphere.groups import GroupSpec, build_group, kernel_embedding
+from ksphere.cyclotomic import Cyclotomic, get_ring
+from ksphere.groups import (
+    GroupSpec,
+    build_group,
+    builtin_specs_upto,
+    enumerate_sign_homs,
+    kernel_embedding,
+)
+from ksphere.ktheory import k_group_s1_lambda
+from ksphere.verification import corrupt_table
 
 
 def scalar_values(vc: VirtualCharacter):
@@ -354,3 +369,119 @@ def test_virtual_character_algebra():
     assert (a + b) - b == a
     assert (-a).coeffs == tuple(-c for c in a.coeffs)
     assert (a * b).degree() == a.degree() * b.degree()
+
+
+# -- certificate and decomposition in the evaluation domain ------------------
+
+
+def dense_decompose(table, varr, ring):
+    """Oracle: the power-basis contraction against ring.mul, divided by |G|."""
+    sizes = np.asarray(table.classes.class_sizes, dtype=np.int64)
+    weighted = (_embedded_values(table, ring) @ ring.conj) * sizes[None, :, None]
+    at = np.einsum("ijq,pqr->ijpr", weighted, ring.mul)
+    x = np.einsum("bjp,ijpr->bir", np.asarray(varr, dtype=np.int64), at)
+    assert not np.any(x[..., 1:]) and not np.any(x[..., 0] % table.group.order)
+    return x[..., 0] // table.group.order
+
+
+def _prime_spy(monkeypatch):
+    """Record (modulus, bound, primes) of every prime_count call in characters."""
+    calls = []
+    real = characters.prime_count
+
+    def spy(m, bound):
+        count = real(m, bound)
+        calls.append((m, bound, count))
+        return count
+
+    monkeypatch.setattr(characters, "prime_count", spy)
+    return calls
+
+
+CERTIFIED = [
+    GroupSpec.cyclic(5),
+    GroupSpec.symmetric(3),
+    GroupSpec.dihedral(17),
+    GroupSpec.dihedral(31),
+]
+
+
+@pytest.mark.parametrize("spec", CERTIFIED, ids=lambda s: f"{s.kind}{s.n}")
+def test_certificate_reports_both_orthogonality_failures(spec, monkeypatch):
+    tab = character_table(build_group(spec))
+    calls = _prime_spy(monkeypatch)
+    assert table_invariant_failures(tab) == []
+    assert len(calls) == 1
+    if spec == GroupSpec.dihedral(31):
+        assert calls[0][2] == 2  # the certificate bound needs two primes
+    # Coefficient 0 of chi_1 at class 1, then coefficient 1 of chi_2 at class 1.
+    shifted = tab.values.copy()
+    shifted[2, 1, 1] += 1
+    corrupted = [
+        corrupt_table(tab, 1, 1),
+        _assemble_table(tab.group, tab.classes, tab.degrees, shifted, tab.modulus),
+    ]
+    for bad in corrupted:
+        failures = table_invariant_failures(bad)
+        assert any(f.startswith("row orthogonality fails at character pairs") for f in failures)
+        assert any(f.startswith("column orthogonality fails at class pairs") for f in failures)
+
+
+def test_certificate_names_the_corrupted_pairs():
+    tab = character_table(build_group(GroupSpec.symmetric(3)))
+    failures = table_invariant_failures(corrupt_table(tab, 2, 1))
+    pairs = "(0,2), (1,2), (2,0), (2,1), (2,2)"
+    assert f"row orthogonality fails at character pairs {pairs}" in failures
+    pairs = "(0,1), (1,0), (1,1), (1,2), (2,1)"
+    assert f"column orthogonality fails at class pairs {pairs}" in failures
+
+
+def test_decompose_values_matches_dense_oracle_on_every_small_builtin():
+    rng = np.random.default_rng(32)
+    for spec in builtin_specs_upto(32):
+        group = build_group(spec)
+        tab = character_table(group)
+        coeffs = rng.integers(-3, 4, (3, tab.count))
+        vals = values_of_coeffs(tab, coeffs)
+        got = decompose_values(tab, vals)
+        assert np.array_equal(got, coeffs)
+        assert np.array_equal(got, dense_decompose(tab, vals, tab.ring))
+        homs = enumerate_sign_homs(group)
+        if homs:
+            # Restriction to ker(lambda), decomposed in the ambient ring.
+            ctx = lambda_context(group, homs[0])
+            res = restrict_values(ctx.emb, vals)
+            got = decompose_values(ctx.table_h, res, tab.ring)
+            assert np.array_equal(got, dense_decompose(ctx.table_h, res, tab.ring))
+
+
+@pytest.mark.parametrize("spec", CERTIFIED[:3], ids=lambda s: f"{s.kind}{s.n}")
+def test_decompose_values_rejects_non_rational_and_non_integral_functions(spec):
+    tab = character_table(build_group(spec))
+    at_identity = np.zeros((1, tab.count, tab.ring.phi), dtype=np.int64)
+    at_identity[0, 0, 1] = 1  # zeta at the identity class, zero elsewhere
+    with pytest.raises(CharacterTheoryError, match="non-rational multiplicity"):
+        decompose_values(tab, at_identity)
+    at_identity[0, 0] = 0
+    at_identity[0, 0, 0] = 1  # the regular character divided by |G|
+    with pytest.raises(CharacterTheoryError, match=f"non-integer multiplicity 1/{tab.group.order}"):
+        decompose_values(tab, at_identity)
+
+
+def test_s1_lambda_products_on_d17_need_two_primes_and_match_dense_oracle(monkeypatch):
+    group, lam = group_with_lambda(GroupSpec.dihedral(17), "reflection-sign")
+    ctx = lambda_context(group, lam)
+    calls = _prime_spy(monkeypatch)
+    pres = k_group_s1_lambda(group, lam)
+    assert [(m, count) for m, _, count in calls] == [(ctx.table_g.modulus, 2)]
+
+    ring = ctx.table_g.ring
+    coeffs = np.asarray([b.character.coeffs for b in pres.basis], dtype=np.int64)
+    basis = values_of_coeffs(ctx.table_h, coeffs) @ ctx.table_h.ring.embed_matrix(ring)
+    res = restrict_values(ctx.emb, ctx.table_g.values)
+    prods = np.einsum("ajp,ejq,pqr->aejr", res, basis, ring.mul)
+    t = dense_decompose(ctx.table_h, prods.reshape(-1, *prods.shape[2:]), ring)
+    t = t.reshape(ctx.table_g.count, pres.rank, ctx.table_h.count)
+    reps = [b.rep for b in pres.basis]
+    for a, mat in enumerate(pres.action):
+        assert np.array_equal(mat, t[a][:, reps].T)

@@ -11,7 +11,11 @@ from ksphere.cyclotomic import (
     Cyclotomic,
     cyclotomic_polynomial,
     euler_phi,
+    eval_prime,
     get_ring,
+    is_prime,
+    prime_count,
+    symmetric_lift,
 )
 
 # Classical table, frozen: degree-indexed coefficients, ascending.
@@ -178,3 +182,69 @@ def test_mul_tensor_matches_scalar_products():
         bulk = np.einsum("p,q,pqr->r", a, b, ring.mul)
         scalar = Cyclotomic.make(m, a) * Cyclotomic.make(m, b)
         assert Cyclotomic.make(m, bulk) == scalar
+
+
+# -- evaluation domain ---------------------------------------------------------
+
+
+def _images(x: Cyclotomic, i: int) -> np.ndarray:
+    return get_ring(x.modulus).evaluate(np.asarray([x.num], dtype=np.int64), i)[0]
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 6, 12, 34, 64])
+def test_evaluation_is_a_ring_homomorphism_that_sees_conjugation(m):
+    rng = np.random.default_rng(m)
+    phi = euler_phi(m)
+    for i in range(3):
+        p, v, neg = eval_prime(m, i)
+        assert is_prime(p) and p > 1 << 20 and (p - 1) % m == 0
+        assert i == 0 or p > eval_prime(m, i - 1)[0]
+        assert v.shape == (phi, phi) and sorted(neg.tolist()) == list(range(phi))
+        for _ in range(5):
+            a = Cyclotomic.make(m, rng.integers(-50, 51, phi))
+            b = Cyclotomic.make(m, rng.integers(-50, 51, phi))
+            assert np.array_equal(_images(a * b, i), _images(a, i) * _images(b, i) % p)
+            assert np.array_equal(_images(a.conjugate(), i), _images(a, i)[neg])
+        # The images of zeta are distinct primitive m-th roots of unity.
+        z = _images(Cyclotomic.zeta(m), i)
+        assert len(set(z.tolist())) == phi
+        assert all(pow(int(r), m, p) == 1 for r in z)
+
+
+def test_ring_bound_constants_hold_on_random_products():
+    rng = np.random.default_rng(7)
+    for m in (9, 12, 15, 30, 34):
+        ring = get_ring(m)
+        assert ring.peak == int(np.abs(ring.red).max())
+        assert ring.l1 == int(np.abs(ring.red).sum(axis=1).max())
+        for _ in range(20):
+            a = Cyclotomic.make(m, rng.integers(-9, 10, ring.phi))
+            b = Cyclotomic.make(m, rng.integers(-9, 10, ring.phi))
+            na, nb = sum(map(abs, a.num)), sum(map(abs, b.num))
+            ab = (a * b).num
+            assert max(map(abs, ab)) <= na * nb * ring.peak
+            assert sum(map(abs, ab)) <= na * nb * ring.l1
+            assert sum(map(abs, a.conjugate().num)) <= na * ring.l1
+
+
+@pytest.mark.parametrize("m", [3, 34])
+def test_prime_count_is_the_fewest_primes_covering_twice_the_bound(m):
+    p0, p1, p2 = (eval_prime(m, i)[0] for i in range(3))
+    assert prime_count(m, 0) == 1
+    assert prime_count(m, (p0 - 1) // 2) == 1
+    assert prime_count(m, p0 // 2 + 1) == 2
+    assert prime_count(m, (p0 * p1 - 1) // 2) == 2
+    assert prime_count(m, p0 * p1 // 2 + 1) == 3
+    assert p0 * p1 * p2 > 2 * (p0 * p1 // 2 + 1)
+
+
+@pytest.mark.parametrize("count", [1, 2, 3])
+def test_symmetric_lift_recovers_every_value_below_half_the_product(count):
+    m = 12
+    primes = [eval_prime(m, i)[0] for i in range(count)]
+    half = int(np.prod(primes, dtype=object)) // 2
+    rng = np.random.default_rng(count)
+    xs = [0, 1, -1, half, -half]
+    xs += [int(r) % (2 * half + 1) - half for r in rng.integers(-(1 << 62), 1 << 62, 50)]
+    residues = [np.asarray([x % p for x in xs], dtype=np.int64) for p in primes]
+    assert [int(x) for x in symmetric_lift(residues, m)] == xs

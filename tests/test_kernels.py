@@ -100,3 +100,59 @@ def test_pair_gram_is_summed_pair_products():
     assert np.array_equal(
         kernels.pair_gram(a, bm), kernels.pair_products(a, bm).sum(axis=2)
     )
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_weighted_analysis_matches_einsum_oracle(p):
+    rng = np.random.default_rng(p)
+    v = rng.integers(0, p, (3, 5, 4)).astype(np.int64)
+    w = rng.integers(0, p, (6, 5, 4)).astype(np.int64)
+    expect = np.einsum("bje,ije->bie", v.astype(object), w.astype(object)) % p
+    got = kernels.weighted_analysis(v, w, p)
+    assert got.shape == (3, 6, 4)
+    assert np.array_equal(got, expect.astype(np.int64))
+
+
+def test_weighted_analysis_reduces_signed_inputs():
+    p = 97
+    rng = np.random.default_rng(1)
+    v = rng.integers(-500, 500, (2, 3, 2)).astype(np.int64)
+    w = rng.integers(-500, 500, (4, 3, 2)).astype(np.int64)
+    expect = np.einsum("bje,ije->bie", v, w) % p
+    assert np.array_equal(kernels.weighted_analysis(v, w, p), expect)
+
+
+def test_modular_product_guard_is_exact_at_two_to_the_63():
+    # k * (p - 1)**2 == 2**63 with k = 2 and p - 1 = 2**31, and past it: refused.
+    for k in (2, 3):
+        ones = np.ones((1, k, 1), dtype=np.int64)
+        with pytest.raises(OverflowError):
+            kernels.weighted_analysis(ones, ones, (1 << 31) + 1)
+    # Just below: 2 * (2**31 - 1)**2 < 2**63, and the largest residues stay exact.
+    p = 1 << 31
+    top = np.full((1, 2, 1), p - 1, dtype=np.int64)
+    got = kernels.weighted_analysis(top, top, p)
+    assert int(got[0, 0, 0]) == 2 * (p - 1) ** 2 % p
+
+
+@pytest.mark.parametrize(
+    "kernel, shape_a, shape_b, terms",
+    [
+        (kernels.mul_into, (1, 2), (2, 2, 2), 2),
+        (kernels.pair_products, (1, 1, 2), (1, 1, 2, 2), 2),
+        (kernels.pair_gram, (1, 2, 2), (1, 2, 2, 2), 4),
+    ],
+)
+def test_dense_kernels_refuse_outputs_that_reach_two_to_the_63(kernel, shape_a, shape_b, terms):
+    # terms * |a| * |b| == 2**63 exactly: refused before contracting.
+    big_b = 1 << 31
+    big_a = (1 << 63) // (terms * big_b)
+    with pytest.raises(OverflowError):
+        kernel(np.full(shape_a, big_a, dtype=np.int64), np.full(shape_b, big_b, dtype=np.int64))
+    with pytest.raises(OverflowError):
+        kernel(np.full(shape_a, -big_a, dtype=np.int64), np.full(shape_b, big_b, dtype=np.int64))
+    # One less in |a|: the worst case stays below 2**63 and the result is exact.
+    a = np.full(shape_a, big_a - 1, dtype=np.int64)
+    b = np.full(shape_b, -big_b, dtype=np.int64)
+    out = kernel(a, b)
+    assert int(out.min()) == -terms * (big_a - 1) * big_b
