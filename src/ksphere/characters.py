@@ -227,13 +227,7 @@ def character_table(group: GroupTable) -> CharacterTable:
     fresh = data is None
     if fresh:
         degrees_raw, values_raw, modulus = dixon.character_table_data(group, classes)
-        order = sorted(
-            range(len(degrees_raw)),
-            key=lambda c: (
-                degrees_raw[c],
-                tuple(int(-v) for v in values_raw[c].reshape(-1)),
-            ),
-        )
+        order = _canonical_order(degrees_raw, values_raw)
         degrees = tuple(degrees_raw[c] for c in order)
         values = np.ascontiguousarray(values_raw[order])
         data = (degrees, values, modulus)
@@ -249,6 +243,18 @@ def character_table(group: GroupTable) -> CharacterTable:
             )
     _table_cache[group] = table
     return table
+
+
+def _canonical_order(degrees: list[int], values: np.ndarray) -> np.ndarray:
+    """Rows by ascending degree, then by descending values read row-major.
+
+    One lexsort, whose last key is primary, over views of ``values``: sorting
+    ascending by (-degree, values, -row) and reversing gives the order, with
+    ties kept in row order.
+    """
+    flat = values.reshape(len(degrees), -1)
+    keys = (-np.arange(len(degrees)), *flat.T[::-1], -np.asarray(degrees, dtype=np.int64))
+    return np.lexsort(keys)[::-1]
 
 
 def _assemble_table(group, classes, degrees, values, modulus) -> CharacterTable:

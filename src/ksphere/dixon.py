@@ -6,10 +6,15 @@ m the group exponent, and p*p > 4|G|:
 1. build the class-sum structure-constant matrices M_i,
 2. split the common eigenspaces of the M_i over GF(p) (they are exactly
    the lines spanned by the central characters, since p does not divide
-   the group order),
-3. recover degrees from the modular central characters (the bound on p
+   the group order). The class algebra is split semisimple mod p, so a
+   restriction of M_i to a subspace has one eigenvalue only when it is
+   scalar; such a subspace waits for the next class without further work,
+3. find the eigenvalues of every other restriction as the roots of its
+   characteristic polynomial, by evaluating it at all of GF(p) (p is
+   small), and require the eigenspaces to fill the subspace,
+4. recover degrees from the modular central characters (the bound on p
    makes the square root unambiguous below p/2),
-4. lift each character value to an exact cyclotomic integer by counting
+5. lift each character value to an exact cyclotomic integer by counting
    root-of-unity eigenvalues with a discrete Fourier sum mod p.
 
 No floating point and no tolerances appear anywhere; every lifted value
@@ -98,115 +103,24 @@ def sqrt_mod(a: int, p: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# polynomials over GF(p) (ascending int64 coefficient arrays)
+# eigenspace splitting
 # ---------------------------------------------------------------------------
-
-
-def _ptrim(u: np.ndarray) -> np.ndarray:
-    nz = np.nonzero(u)[0]
-    return u[: nz[-1] + 1] if nz.size else u[:1] * 0
-
-
-def _pmul(u: np.ndarray, v: np.ndarray, p: int) -> np.ndarray:
-    return _ptrim(np.convolve(u, v) % p)
-
-
-def _pmod(u: np.ndarray, f: np.ndarray, p: int) -> np.ndarray:
-    u = u.copy() % p
-    df = len(f) - 1
-    lead_inv = kernels._pow_mod(int(f[-1]), p - 2, p)
-    for i in range(len(u) - 1, df - 1, -1):
-        c = int(u[i]) * lead_inv % p
-        if c:
-            u[i - df : i + 1] = (u[i - df : i + 1] - c * f) % p
-    return _ptrim(u[:df] if df > 0 else u[:1] * 0)
-
-
-def _pgcd(u: np.ndarray, v: np.ndarray, p: int) -> np.ndarray:
-    a, b = _ptrim(u % p), _ptrim(v % p)
-    while len(b) > 1 or b[0] != 0:
-        a, b = b, _pmod(a, b, p)
-    inv = kernels._pow_mod(int(a[-1]), p - 2, p)
-    return a * inv % p
-
-
-def _ppowmod(base: np.ndarray, e: int, f: np.ndarray, p: int) -> np.ndarray:
-    result = np.array([1], dtype=np.int64)
-    base = _pmod(base, f, p)
-    while e > 0:
-        if e & 1:
-            result = _pmod(_pmul(result, base, p), f, p)
-        base = _pmod(_pmul(base, base, p), f, p)
-        e >>= 1
-    return result
-
-
-def _pdiv_exact(u: np.ndarray, f: np.ndarray, p: int) -> np.ndarray:
-    u = u.copy() % p
-    df = len(f) - 1
-    lead_inv = kernels._pow_mod(int(f[-1]), p - 2, p)
-    out = np.zeros(len(u) - df, dtype=np.int64)
-    for i in range(len(u) - 1, df - 1, -1):
-        c = int(u[i]) * lead_inv % p
-        out[i - df] = c
-        if c:
-            u[i - df : i + 1] = (u[i - df : i + 1] - c * f) % p
-    if np.any(u):
-        raise CharacterEngineError("inexact polynomial division")
-    return out
-
-
-def split_roots(f: np.ndarray, p: int) -> list[int]:
-    """All roots of a monic squarefree polynomial that splits over GF(p)."""
-    roots: list[int] = []
-    stack = [_ptrim(f % p)]
-    while stack:
-        g = stack.pop()
-        deg = len(g) - 1
-        if deg == 0:
-            continue
-        if deg == 1:
-            inv = kernels._pow_mod(int(g[1]), p - 2, p)
-            roots.append((-int(g[0]) * inv) % p)
-            continue
-        split = None
-        for a in range(p):
-            t = _ppowmod(np.array([a, 1], dtype=np.int64), (p - 1) // 2, g, p)
-            t = t.copy()
-            t[0] = (t[0] - 1) % p
-            h = _pgcd(t, g, p) if np.any(t) else g
-            if 0 < len(h) - 1 < deg:
-                split = h
-                break
-        if split is None:
-            raise CharacterEngineError("failed to split a squarefree polynomial")
-        stack.append(split)
-        stack.append(_pdiv_exact(g, split, p))
-    if len(set(roots)) != len(roots):
-        raise CharacterEngineError("repeated root in squarefree split")
-    return sorted(roots)
-
-
-def _pderiv(f: np.ndarray, p: int) -> np.ndarray:
-    if len(f) == 1:
-        return f[:1] * 0
-    return _ptrim(f[1:] * np.arange(1, len(f), dtype=np.int64) % p)
 
 
 def eigenvalues_mod(t: np.ndarray, p: int) -> list[int]:
-    """Distinct eigenvalues of a GF(p)-diagonalizable matrix, ascending."""
+    """Distinct eigenvalues of ``t`` in GF(p), ascending.
+
+    They are the residues where the characteristic polynomial vanishes,
+    found by one vectorised Horner pass over every x in [0, p). The prime
+    stays small (choose_prime gives p <= 18899 under the default order cap
+    of 1024), so the pass costs p * deg multiply-adds, each below p**2.
+    """
     f = kernels.charpoly_mod(t, p)
-    fp = _pderiv(f, p)
-    if len(fp) == 1 and fp[0] == 0:
-        g = f
-    else:
-        g = _pdiv_exact(f, _pgcd(f, fp, p), p)
-    return split_roots(g, p)
-
-
-# ---------------------------------------------------------------------------
-# eigenspace splitting
-# ---------------------------------------------------------------------------
+    x = np.arange(p, dtype=np.int64)
+    acc = np.full(p, f[-1], dtype=np.int64)
+    for c in f[-2::-1]:
+        acc = (acc * x + c) % p
+    return np.flatnonzero(acc == 0).tolist()
 
 
 def _column_rref(b: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -240,19 +154,27 @@ def common_eigenvectors(table: GroupTable, classes: ConjugacyClasses, p: int) ->
             t = mb[pivots, :]
             if not np.array_equal(basis @ t % p, mb):
                 raise CharacterEngineError("subspace is not invariant under a class matrix")
-            roots = eigenvalues_mod(t, p)
-            if len(roots) == 1:
+            d = basis.shape[1]
+            eye_d = np.eye(d, dtype=np.int64)
+            # The class algebra is split semisimple mod p, so t has a single
+            # eigenvalue exactly when it is scalar; such a subspace waits
+            # for a later class.
+            if np.array_equal(t, t[0, 0] * eye_d):
                 pending.append((basis, pivots))
                 continue
-            d = basis.shape[1]
-            for lam in roots:
-                shifted = (t - lam * np.eye(d, dtype=np.int64)) % p
-                null = kernels.nullspace_mod(shifted, p)
+            split = 0
+            for lam in eigenvalues_mod(t, p):
+                null = kernels.nullspace_mod((t - lam * eye_d) % p, p)
+                split += null.shape[1]
                 sub, sub_piv = _column_rref(basis @ null % p, p)
                 if sub.shape[1] == 1:
                     finished.append(sub[:, 0])
                 else:
                     pending.append((sub, sub_piv))
+            if split != d:
+                raise CharacterEngineError(
+                    f"eigenspaces of a class matrix span {split} of {d} dimensions"
+                )
         active = pending
     if active:
         raise CharacterEngineError("class matrices failed to separate all eigenspaces")
@@ -262,7 +184,7 @@ def common_eigenvectors(table: GroupTable, classes: ConjugacyClasses, p: int) ->
     for idx, v in enumerate(finished):
         if v[0] == 0:
             raise CharacterEngineError("central character vanishes on the identity class")
-        out[idx] = v * kernels._pow_mod(int(v[0]), p - 2, p) % p
+        out[idx] = v * pow(int(v[0]), p - 2, p) % p
     return out
 
 
@@ -289,7 +211,7 @@ def character_table_data(
     z = pow(primitive_root(p), (p - 1) // int(m), p)
 
     omega = common_eigenvectors(table, classes, p)
-    inv_sizes = np.asarray([kernels._pow_mod(s, p - 2, p) for s in sizes], dtype=np.int64)
+    inv_sizes = np.asarray([pow(s, p - 2, p) for s in sizes], dtype=np.int64)
     invcls = np.asarray(
         [int(classes.class_of[table.inverse[r]]) for r in reps], dtype=np.int64
     )
@@ -299,7 +221,7 @@ def character_table_data(
         s = int(np.sum(omega[c] * omega[c, invcls] % p * inv_sizes % p) % p)
         if s == 0:
             raise CharacterEngineError("degenerate central character norm")
-        dsq = n * kernels._pow_mod(s, p - 2, p) % p
+        dsq = n * pow(s, p - 2, p) % p
         d = sqrt_mod(dsq, p)
         d = min(d, p - d)
         if d == 0 or d * d % p != dsq:
@@ -308,9 +230,8 @@ def character_table_data(
     if sum(d * d for d in degrees) != n:
         raise CharacterEngineError("degree squares do not sum to the group order")
 
-    chibar = np.zeros((k, k), dtype=np.int64)
-    for c in range(k):
-        chibar[c] = omega[c] * inv_sizes % p * degrees[c] % p
+    degree_arr = np.asarray(degrees, dtype=np.int64)
+    chibar = omega * inv_sizes % p * degree_arr[:, None] % p
 
     # Power maps: class of rep_j ** s for 0 <= s < order(rep_j).
     values = np.zeros((k, k, ring.phi), dtype=np.int64)
@@ -323,19 +244,16 @@ def character_table_data(
             y = int(table.product[y, reps[j]])
         if y != table.identity:
             raise CharacterEngineError("representative order mismatch")
-        zr_inv = kernels._pow_mod(pow(z, int(m) // r, p), p - 2, p)
+        zr_inv = pow(pow(z, int(m) // r, p), p - 2, p)
         st = np.arange(r, dtype=np.int64)
-        zpow = np.asarray(
-            [kernels._pow_mod(zr_inv, int(e), p) for e in range(r)], dtype=np.int64
-        )
+        zpow = np.asarray([pow(zr_inv, e, p) for e in range(r)], dtype=np.int64)
         dft = zpow[(st[:, None] * st[None, :]) % r]
-        inv_r = kernels._pow_mod(r, p - 2, p)
+        inv_r = pow(r, p - 2, p)
         counts = chibar[:, power_classes] @ dft % p * inv_r % p
-        for c in range(k):
-            if int(np.sum(counts[c])) != degrees[c]:
-                raise CharacterEngineError("root-of-unity multiplicities do not sum to the degree")
-            if np.any(counts[c] > degrees[c]):
-                raise CharacterEngineError("root-of-unity multiplicity exceeds the degree")
+        if np.any(counts.sum(axis=1) != degree_arr):
+            raise CharacterEngineError("root-of-unity multiplicities do not sum to the degree")
+        if np.any(counts > degree_arr[:, None]):
+            raise CharacterEngineError("root-of-unity multiplicity exceeds the degree")
         exps = (st * (int(m) // r)) % int(m)
         values[:, j, :] = counts @ ring.red[exps]
 

@@ -263,15 +263,39 @@ def _validate_permutation(g, idx: int, degree: int) -> tuple[int, ...]:
     return p
 
 
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One opaque void scalar per row: equal exactly when the rows are equal."""
+    rows = np.ascontiguousarray(rows, dtype=np.int64)
+    return rows.view(np.dtype((np.void, 8 * rows.shape[-1]))).reshape(rows.shape[:-1])
+
+
 def _table_from_perms(perms: list[tuple[int, ...]], gen_perms) -> tuple[np.ndarray, list[int]]:
-    index = {p: i for i, p in enumerate(perms)}
-    n = len(perms)
+    n, degree = len(perms), len(perms[0])
+
+    def as_rows(ps) -> np.ndarray:
+        # A degree-0 permutation acts as the identity on one point.
+        rows = np.zeros((len(ps), max(degree, 1)), dtype=np.int64)
+        rows[:, :degree] = np.asarray(ps, dtype=np.int64).reshape(len(ps), degree)
+        return rows
+
+    arr = as_rows(perms)
+    keys = _row_keys(arr)
+    order = np.argsort(keys)
+    sorted_keys = keys[order]
+
+    def index(rows: np.ndarray) -> np.ndarray:
+        wanted = _row_keys(rows)
+        pos = np.minimum(np.searchsorted(sorted_keys, wanted), n - 1)
+        missing = np.flatnonzero(sorted_keys[pos] != wanted)
+        if missing.size:
+            raise KeyError(tuple(int(x) for x in rows[missing[0]]))
+        return order[pos]
+
     product = np.empty((n, n), dtype=np.int64)
-    for i, p in enumerate(perms):
-        for j, q in enumerate(perms):
-            product[i, j] = index[_compose(p, q)]
-    gen_idx = [index[g] for g in gen_perms]
-    return product, gen_idx
+    for i in range(n):
+        # Row i holds perms[i] * q = perms[i](q(.)) for every q.
+        product[i] = index(arr[i][arr])
+    return product, index(as_rows(gen_perms)).tolist()
 
 
 def _perm_closure(gens: list[tuple[int, ...]], cap: int) -> list[tuple[int, ...]]:
@@ -324,15 +348,12 @@ def _build_dihedral(n: int) -> GroupTable:
     if n < 2:
         raise GroupSpecError(f"dihedral parameter must be >= 2, got {n}")
     order = 2 * n
-    product = np.empty((order, order), dtype=np.int64)
     # Index k*n + i encodes s^k r^i with relations r^n = s^2 = e, r s = s r^-1:
     # r^i * s r^j = s r^(j-i);  s r^i * r^j = s r^(i+j);  s r^i * s r^j = r^(j-i)
-    for a in range(order):
-        fa, ia = divmod(a, n)
-        for b in range(order):
-            fb, ib = divmod(b, n)
-            jj = (ib - ia) % n if fb == 1 else (ia + ib) % n
-            product[a, b] = ((fa + fb) % 2) * n + jj
+    fa, ia = np.divmod(np.arange(order, dtype=np.int64)[:, None], n)
+    fb, ib = fa.T, ia.T
+    jj = np.where(fb == 1, (ib - ia) % n, (ia + ib) % n)
+    product = ((fa + fb) % 2) * n + jj
     rot = ["e", "r"] + [f"r^{i}" for i in range(2, n)]
     ref = ["s", "s*r"] + [f"s*r^{i}" for i in range(2, n)]
     labels = tuple(rot[:n] + ref[:n])

@@ -40,17 +40,6 @@ def _dense_checked(a: np.ndarray, b: np.ndarray, terms: int, what: str):
     return a, b
 
 
-def _pow_mod(base: int, exp: int, p: int) -> int:
-    result = 1
-    base %= p
-    while exp > 0:
-        if exp & 1:
-            result = result * base % p
-        base = base * base % p
-        exp >>= 1
-    return result
-
-
 def rref_mod(a: np.ndarray, p: int):
     """Row-reduce ``a`` over GF(p). Returns (rref matrix, pivot columns)."""
     r = np.ascontiguousarray(a, dtype=np.int64) % p
@@ -66,7 +55,7 @@ def rref_mod(a: np.ndarray, p: int):
         pr = row + int(nz[0])
         if pr != row:
             r[[row, pr]] = r[[pr, row]]
-        inv = _pow_mod(int(r[row, col]), p - 2, p)
+        inv = pow(int(r[row, col]), p - 2, p)
         r[row] = r[row] * inv % p
         mask = np.nonzero(r[:, col])[0]
         mask = mask[mask != row]
@@ -89,7 +78,7 @@ def charpoly_mod(a: np.ndarray, p: int) -> np.ndarray:
         if pr != col + 1:
             h[[col + 1, pr]] = h[[pr, col + 1]]
             h[:, [col + 1, pr]] = h[:, [pr, col + 1]]
-        inv = _pow_mod(int(h[col + 1, col]), p - 2, p)
+        inv = pow(int(h[col + 1, col]), p - 2, p)
         for i in range(col + 2, n):
             f = int(h[i, col])
             if f:
@@ -130,8 +119,16 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """
     k = a.shape[-1]
     _require_int64(k * (p - 1) ** 2, f"mod-{p} product over {k} terms")
-    out = np.matmul(np.remainder(a, p, dtype=np.int64), np.remainder(b, p, dtype=np.int64))
+    out = np.matmul(_residues(a, p), _residues(b, p))
     return np.remainder(out, p, out=out)
+
+
+def _residues(a: np.ndarray, p: int) -> np.ndarray:
+    """``a`` mod p as int64, copied only when an entry lies outside [0, p)."""
+    a = np.asarray(a, dtype=np.int64)
+    if a.size and (int(a.min()) < 0 or int(a.max()) >= p):
+        return np.remainder(a, p)
+    return a
 
 
 def weighted_analysis(v: np.ndarray, w: np.ndarray, p: int) -> np.ndarray:

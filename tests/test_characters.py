@@ -115,6 +115,22 @@ def test_tables_are_deterministic():
     assert a.degrees == b.degrees
 
 
+def test_canonical_order_matches_sorted_key_oracle():
+    """Ascending degree, then descending values row-major; equal rows keep their order."""
+    rng = np.random.default_rng(11)
+    for trial in range(200):
+        k, phi = int(rng.integers(1, 9)), int(rng.integers(1, 4))
+        degrees = rng.integers(1, 4, size=k).tolist()
+        values = rng.integers(-2, 3, size=(k, k, phi)).astype(np.int64)
+        if k > 2 and trial % 2:
+            values[2], degrees[2] = values[0], degrees[0]
+        expect = sorted(
+            range(k),
+            key=lambda c: (degrees[c], tuple(int(-v) for v in values[c].reshape(-1))),
+        )
+        assert characters._canonical_order(degrees, values).tolist() == expect
+
+
 @pytest.mark.parametrize("n", range(1, 13))
 def test_cyclic_tables_pass_scalar_orthogonality(n):
     tab = character_table(build_group(GroupSpec.cyclic(n)))

@@ -1,0 +1,113 @@
+"""Oracles for the eigenvalue search and the eigenspace splitting of Dixon's algorithm."""
+
+import numpy as np
+import pytest
+
+from ksphere import dixon, kernels
+from ksphere.characters import get_classes
+from ksphere.groups import GroupSpec, build_group
+
+PRIMES = (7, 97, 12289)
+
+
+def _rank_mod(a, p):
+    """Rank over GF(p) by plain Gaussian elimination on Python ints (oracle)."""
+    rows = [[int(x) % p for x in row] for row in a]
+    rank = 0
+    for col in range(len(rows[0])):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][col], p - 2, p)
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                f = rows[r][col] * inv % p
+                rows[r] = [(x - f * y) % p for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _eigenvalue_oracle(t, p):
+    """Brute force: every lambda in GF(p) with rank(t - lambda I) < d."""
+    base = [[int(x) for x in row] for row in t]
+    out = []
+    for lam in range(p):
+        shifted = [[x - lam * (i == j) for j, x in enumerate(row)] for i, row in enumerate(base)]
+        if _rank_mod(shifted, p) < len(base):
+            out.append(lam)
+    return out
+
+
+def _invertible(rng, d, p):
+    while True:
+        a = rng.integers(0, p, size=(d, d)).astype(np.int64)
+        if _rank_mod(a, p) == d:
+            return a
+
+
+def _inverse_mod(a, p):
+    d = a.shape[0]
+    r, _ = kernels.rref_mod(np.hstack([a, np.eye(d, dtype=np.int64)]), p)
+    return r[:, d:]
+
+
+def _conjugate(rng, block, p):
+    q = _invertible(rng, block.shape[0], p)
+    return q @ block % p @ _inverse_mod(q, p) % p
+
+
+def _non_residue(p):
+    return next(a for a in range(2, p) if pow(a, (p - 1) // 2, p) == p - 1)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_eigenvalues_of_diagonalizable_matrices_match_rank_oracle(p):
+    rng = np.random.default_rng(p)
+    for d in (2, 3, 5):
+        # Draw d eigenvalues from fewer than d residues, so some repeat.
+        pool = rng.choice(p, size=max(1, min(d - 1, p)), replace=False)
+        diag = np.diag(rng.choice(pool, size=d)).astype(np.int64)
+        t = _conjugate(rng, diag, p)
+        got = dixon.eigenvalues_mod(t, p)
+        assert got == sorted({int(x) for x in np.diag(diag)})
+        assert got == _eigenvalue_oracle(t, p)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_eigenvalues_skip_an_irreducible_quadratic_factor(p):
+    rng = np.random.default_rng(p + 1)
+    a = _non_residue(p)
+    block = np.zeros((5, 5), dtype=np.int64)
+    block[:2, :2] = [[0, a], [1, 0]]  # companion matrix of x**2 - a
+    block[2:, 2:] = np.diag([3, 3, 5])
+    t = _conjugate(rng, block, p)
+    assert dixon.eigenvalues_mod(t, p) == [3, 5]
+    assert dixon.eigenvalues_mod(t, p) == _eigenvalue_oracle(t, p)
+
+
+@pytest.mark.parametrize(
+    "n, fake",
+    [
+        (2, [[1, 1], [0, 1]]),  # a Jordan block: one eigenvalue, not scalar
+        (3, [[1, 0, 0], [0, 0, 3], [0, 1, 0]]),  # 1 and the roots of x**2 - 3 mod 7
+    ],
+    ids=["jordan-C2", "irreducible-C3"],
+)
+def test_common_eigenvectors_rejects_a_class_matrix_that_does_not_split(monkeypatch, n, fake):
+    table = build_group(GroupSpec.cyclic(n))
+    classes = get_classes(table)
+    p = dixon.choose_prime(n, n)
+    monkeypatch.setattr(kernels, "class_matrix", lambda *args: np.asarray(fake, dtype=np.int64))
+    with pytest.raises(dixon.CharacterEngineError, match=f"span 1 of {n} dimensions"):
+        dixon.common_eigenvectors(table, classes, p)
+
+
+def test_common_eigenvectors_of_cyclic_group_are_its_characters():
+    table = build_group(GroupSpec.cyclic(5))
+    classes = get_classes(table)
+    p = dixon.choose_prime(5, 5)
+    omega = dixon.common_eigenvectors(table, classes, p)
+    z = pow(dixon.primitive_root(p), (p - 1) // 5, p)
+    expect = {tuple(pow(z, j * int(r), p) for r in classes.representatives) for j in range(5)}
+    assert {tuple(int(x) for x in row) for row in omega} == expect

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from ksphere import groups
 from ksphere.groups import (
     GroupSpec,
     GroupSpecError,
@@ -290,3 +291,58 @@ def test_parse_group_document_errors_name_fields():
         parse_group_document({"family": "product", "factors": [{"family": "C", "n": 2}]})
     with pytest.raises(GroupSpecError, match="lambda"):
         parse_group_document({"family": "C", "n": 2, "lambda": {}})
+
+
+def _compose_table_oracle(perms, gen_perms):
+    index = {p: i for i, p in enumerate(perms)}
+    product = np.asarray([[index[groups._compose(p, q)] for q in perms] for p in perms])
+    return product, [index[g] for g in gen_perms]
+
+
+_TWENTY_CYCLE = tuple((i + 1) % 20 for i in range(20))
+_TWENTY_FLIP = tuple((-i) % 20 for i in range(20))
+
+
+@pytest.mark.parametrize(
+    "perms, gen_perms",
+    [
+        (groups._symmetric_perms(5), groups._symmetric_gen_perms(5)),
+        (
+            [p for p in groups._symmetric_perms(5) if groups._perm_parity(p) == 1],
+            groups._alternating_gen_perms(5),
+        ),
+        (
+            groups._perm_closure([_TWENTY_CYCLE, _TWENTY_FLIP], 1024),
+            [_TWENTY_CYCLE, _TWENTY_FLIP],
+        ),
+    ],
+    ids=["S5", "A5", "degree20"],
+)
+def test_table_from_perms_matches_compose_oracle(perms, gen_perms):
+    product, gen_idx = groups._table_from_perms(perms, gen_perms)
+    expect_product, expect_gens = _compose_table_oracle(perms, gen_perms)
+    assert np.array_equal(product, expect_product)
+    assert gen_idx == expect_gens
+
+
+def test_table_from_perms_rejects_a_set_that_is_not_closed():
+    with pytest.raises(KeyError):
+        groups._table_from_perms([(0, 1, 2), (1, 2, 0)], [])
+
+
+def test_degree_zero_generators_give_the_trivial_group():
+    t = build_group(GroupSpec.permutation_generators([()]))
+    assert t.order == 1 and t.product.tolist() == [[0]] and t.generators == (0,)
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 17])
+def test_dihedral_table_matches_relation_loop_oracle(n):
+    # Index k*n + i encodes s^k r^i; r^i * s r^j = s r^(j-i) and s r^i * s r^j = r^(j-i).
+    expect = np.empty((2 * n, 2 * n), dtype=np.int64)
+    for a in range(2 * n):
+        fa, ia = divmod(a, n)
+        for b in range(2 * n):
+            fb, ib = divmod(b, n)
+            jj = (ib - ia) % n if fb == 1 else (ia + ib) % n
+            expect[a, b] = ((fa + fb) % 2) * n + jj
+    assert np.array_equal(build_group(GroupSpec.dihedral(n)).product, expect)

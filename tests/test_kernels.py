@@ -156,3 +156,20 @@ def test_dense_kernels_refuse_outputs_that_reach_two_to_the_63(kernel, shape_a, 
     b = np.full(shape_b, -big_b, dtype=np.int64)
     out = kernel(a, b)
     assert int(out.min()) == -terms * (big_a - 1) * big_b
+
+
+def test_matmul_mod_reduces_operands_outside_the_residue_range():
+    # Unreduced, these operands would overflow int64 in the contraction.
+    p = (1 << 31) - 1
+    rng = np.random.default_rng(5)
+    negative = rng.integers(-(1 << 40), 0, (3, 2)).astype(np.int64)
+    large = rng.integers(p, 1 << 40, (2, 4)).astype(np.int64)
+    expect = (negative.astype(object) @ large.astype(object)) % p
+    assert np.array_equal(kernels.matmul_mod(negative, large, p), expect.astype(np.int64))
+    assert np.array_equal(kernels.matmul_mod(large.T, negative.T, p), expect.T.astype(np.int64))
+
+
+def test_residue_operands_are_not_copied():
+    a = np.arange(12, dtype=np.int64).reshape(3, 4)
+    assert kernels._residues(a, 12) is a
+    assert kernels._residues(a, 11) is not a
