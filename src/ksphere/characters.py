@@ -463,12 +463,6 @@ def decompose_values(
     return (c0 // order).astype(np.int64)
 
 
-def product_values(a: np.ndarray, b: np.ndarray, ring: CyclotomicRing) -> np.ndarray:
-    """Pointwise ring product of equal-shape value arrays [..., phi]."""
-    bm = kernels.mul_into(np.asarray(b, dtype=np.int64), ring.mul)
-    return np.einsum("...p,...pr->...r", np.asarray(a, dtype=np.int64), bm)
-
-
 # ---------------------------------------------------------------------------
 # scalar operations
 # ---------------------------------------------------------------------------
@@ -640,8 +634,7 @@ def tensor_product(a: VirtualCharacter, b: VirtualCharacter) -> VirtualCharacter
     table = a.table
     va = values_of_coeffs(table, np.asarray([a.coeffs]))
     vb = values_of_coeffs(table, np.asarray([b.coeffs]))
-    prod = product_values(va, vb, table.ring)
-    coeffs = decompose_values(table, prod)[0]
+    coeffs = decompose_values(table, va, factor=vb)[0, 0]
     return VirtualCharacter(table, tuple(int(c) for c in coeffs))
 
 

@@ -18,8 +18,11 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .characters import CharacterTheoryError, character_table
+from .cyclotomic import Cyclotomic
 from .groups import (
     GroupSpecError,
     LambdaSpecError,
@@ -27,6 +30,7 @@ from .groups import (
     build_group,
     build_sign_hom,
     parse_group_document,
+    row_keys,
 )
 from .ktheory import S1_LAMBDA, S_LAMBDA, k_group_s1_lambda, k_group_s_lambda
 from .verification import reports_to_jsonable, run_verification, verify_group
@@ -57,7 +61,10 @@ def _load_document(arg: str) -> dict:
         path = Path(arg)
         if not path.exists():
             raise InputError(f"group spec file not found: {arg}")
-        text = path.read_text(encoding="utf-8")
+        try:
+            text = path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise InputError(f"cannot read group spec file {arg}: {exc}") from exc
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -99,6 +106,13 @@ def _cmd_chartab(args) -> int:
     spec, group, lam = _resolve(args.groupspec, need_lambda=False)
     table = character_table(group)
     classes = table.classes
+    k, m = table.count, table.modulus
+    # Render each distinct value once; `which[c, j]` picks chi_c's value at class j.
+    flat = table.values.reshape(k * k, table.ring.phi)
+    _, first, which = np.unique(row_keys(flat), return_index=True, return_inverse=True)
+    rendered = [Cyclotomic.make(m, flat[i]) for i in first]
+    texts = [str(v) for v in rendered]
+    which = which.reshape(k, k)
     header = ["class", "size", "order"]
     cols = []
     for j, rep in enumerate(classes.representatives):
@@ -106,13 +120,13 @@ def _cmd_chartab(args) -> int:
             [
                 group.element_labels[rep],
                 str(classes.class_sizes[j]),
-                str(group.element_order(rep)),
+                str(classes.orders[j]),
             ]
         )
     rows = []
-    for c in range(table.count):
-        rows.append([table.names[c]] + [str(v) for v in table.irreducibles[c].values])
-    print(f"group {group.name}: order {group.order}, exponent {table.modulus}, "
+    for c in range(k):
+        rows.append([table.names[c]] + [texts[u] for u in which[c]])
+    print(f"group {group.name}: order {group.order}, exponent {m}, "
           f"{classes.count} classes")
     name_w = max(len(r[0]) for r in rows + [["class"]])
     col_w = [max(len(cols[j][t]) for t in range(3)) for j in range(len(cols))]
@@ -127,15 +141,16 @@ def _cmd_chartab(args) -> int:
         line += "  ".join(row[j + 1].rjust(col_w[j]) for j in range(len(cols)))
         print(line)
     if args.json:
+        as_json = [v.to_json() for v in rendered]
         doc = {
             "schema": CHARTAB_SCHEMA,
             "group": {"name": group.name, "order": group.order},
-            "modulus": table.modulus,
+            "modulus": m,
             "classes": [
                 {
                     "label": group.element_labels[rep],
                     "size": classes.class_sizes[j],
-                    "element_order": group.element_order(rep),
+                    "element_order": classes.orders[j],
                 }
                 for j, rep in enumerate(classes.representatives)
             ],
@@ -143,9 +158,9 @@ def _cmd_chartab(args) -> int:
                 {
                     "name": table.names[c],
                     "degree": table.degrees[c],
-                    "values": [v.to_json() for v in table.irreducibles[c].values],
+                    "values": [as_json[u] for u in which[c]],
                 }
-                for c in range(table.count)
+                for c in range(k)
             ],
         }
         _dump_json(doc, args.json)

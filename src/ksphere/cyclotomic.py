@@ -13,6 +13,9 @@ A value is divisible by p exactly when all its images vanish, and a result
 whose power-basis coefficients are bounded by B is recovered exactly from
 its residues modulo primes whose product exceeds 2B (`prime_count`,
 `symmetric_lift`).
+
+The package's modular number theory lives here too, for Dixon's algorithm
+as well: `factorization`, `is_prime` and `root_of_unity`.
 """
 
 from __future__ import annotations
@@ -37,23 +40,27 @@ _EVAL_PRIME_FLOOR = 1 << 20
 _EVAL_PRIME_CEIL = 1 << 31
 
 
-def divisors(m: int) -> list[int]:
-    out = [d for d in range(1, m + 1) if m % d == 0]
+def factorization(n: int) -> list[tuple[int, int]]:
+    """Ascending (prime, exponent) pairs of n >= 1, by trial division."""
+    out = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            out.append((p, e))
+        p += 1
+    if n > 1:
+        out.append((n, 1))
     return out
 
 
 def euler_phi(m: int) -> int:
     result = m
-    n = m
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            while n % p == 0:
-                n //= p
-            result -= result // p
-        p += 1
-    if n > 1:
-        result -= result // n
+    for p, _ in factorization(m):
+        result -= result // p
     return result
 
 
@@ -77,8 +84,8 @@ def _poly_div_exact(num: list[int], den: list[int]) -> list[int]:
 def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     """Integer coefficients of the m-th cyclotomic polynomial, ascending."""
     poly = [-1] + [0] * (m - 1) + [1]
-    for d in divisors(m):
-        if d != m:
+    for d in range(1, m):
+        if m % d == 0:
             poly = _poly_div_exact(poly, list(cyclotomic_polynomial(d)))
     return tuple(poly)
 
@@ -158,6 +165,21 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def root_of_unity(m: int, p: int) -> int:
+    """A primitive m-th root of unity mod a prime p = 1 (mod m).
+
+    The first of x**((p-1)/m), x = 2, 3, ..., whose order is exactly m: its
+    (m/q)-th power is not 1 for any prime q dividing m.
+    """
+    factors = [q for q, _ in factorization(m)]
+    x = 2
+    while True:
+        z = pow(x, (p - 1) // m, p)
+        if all(pow(z, m // q, p) != 1 for q in factors):
+            return z
+        x += 1
+
+
 @lru_cache(maxsize=None)
 def eval_prime(m: int, i: int) -> tuple[int, np.ndarray, np.ndarray]:
     """The i-th prime p = 1 (mod m) above 2**20 and its evaluation data.
@@ -172,13 +194,7 @@ def eval_prime(m: int, i: int) -> tuple[int, np.ndarray, np.ndarray]:
         p += m
     if p >= _EVAL_PRIME_CEIL:
         raise ArithmeticError(f"no evaluation prime below 2**31 for modulus {m}")
-    factors = [q for q in divisors(m) if is_prime(q)]
-    x = 2
-    while True:
-        z = pow(x, (p - 1) // m, p)
-        if all(pow(z, m // q, p) != 1 for q in factors):
-            break
-        x += 1
+    z = root_of_unity(m, p)
     exps = [e for e in range(m) if gcd(e, m) == 1]
     phi = len(exps)
     v = np.asarray(

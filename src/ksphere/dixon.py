@@ -12,8 +12,9 @@ m the group exponent, and p*p > 4|G|:
 3. find the eigenvalues of every other restriction as the roots of its
    characteristic polynomial, by evaluating it at all of GF(p) (p is
    small), and require the eigenspaces to fill the subspace,
-4. recover degrees from the modular central characters (the bound on p
-   makes the square root unambiguous below p/2),
+4. recover each degree d from the modular central characters as the one
+   d in [1, isqrt(|G|)] whose square matches mod p (the bound on p makes
+   it unique), a bounded search rather than a modular square root,
 5. lift each character value to an exact cyclotomic integer by counting
    root-of-unity eigenvalues with a discrete Fourier sum mod p.
 
@@ -23,10 +24,12 @@ is later certified by exact orthogonality checks in characters.py.
 
 from __future__ import annotations
 
+from math import isqrt, lcm
+
 import numpy as np
 
 from . import kernels
-from .cyclotomic import get_ring, is_prime
+from .cyclotomic import get_ring, is_prime, root_of_unity
 from .groups import ConjugacyClasses, GroupTable
 
 
@@ -34,72 +37,12 @@ class CharacterEngineError(RuntimeError):
     """Internal invariant violation inside the character engine."""
 
 
-# ---------------------------------------------------------------------------
-# small number theory (p stays tiny; trial division is plenty)
-# ---------------------------------------------------------------------------
-
-
 def choose_prime(exponent: int, order: int) -> int:
-    """Smallest prime p = 1 (mod exponent) with p*p > 4*order and p odd."""
+    """Smallest odd prime p = 1 (mod exponent) with p*p > 4*order."""
     p = exponent + 1
-    while True:
-        if p > 2 and p * p > 4 * order and (p - 1) % exponent == 0 and is_prime(p):
-            return p
-        p += 1
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def primitive_root(p: int) -> int:
-    if p == 2:
-        return 1
-    factors = _prime_factors(p - 1)
-    for g in range(2, p):
-        if all(pow(g, (p - 1) // q, p) != 1 for q in factors):
-            return g
-    raise CharacterEngineError(f"no primitive root found mod {p}")
-
-
-def sqrt_mod(a: int, p: int) -> int:
-    """A square root of a mod p (p odd prime); raises if a is not a square."""
-    a %= p
-    if a == 0:
-        return 0
-    if pow(a, (p - 1) // 2, p) != 1:
-        raise CharacterEngineError(f"{a} is not a quadratic residue mod {p}")
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    # Tonelli-Shanks with a deterministic non-residue scan.
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        i, tt = 0, t
-        while tt != 1:
-            tt = tt * tt % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c = i, b * b % p
-        t = t * c % p
-        r = r * b % p
-    return r
+    while not (p > 2 and p * p > 4 * order and is_prime(p)):
+        p += exponent
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -201,14 +144,10 @@ def character_table_data(
     k = classes.count
     reps = classes.representatives
     sizes = classes.class_sizes
-    rep_orders = [table.element_order(r) for r in reps]
-    m = 1
-    for o in rep_orders:
-        g = np.gcd(m, o)
-        m = m * o // g
-    ring = get_ring(int(m))
-    p = choose_prime(int(m), n)
-    z = pow(primitive_root(p), (p - 1) // int(m), p)
+    m = lcm(*classes.orders)
+    ring = get_ring(m)
+    p = choose_prime(m, n)
+    z = root_of_unity(m, p)
 
     omega = common_eigenvectors(table, classes, p)
     inv_sizes = np.asarray([pow(s, p - 2, p) for s in sizes], dtype=np.int64)
@@ -216,15 +155,17 @@ def character_table_data(
         [int(classes.class_of[table.inverse[r]]) for r in reps], dtype=np.int64
     )
 
+    # A degree d divides n, so 1 <= d <= isqrt(n); two such d with equal
+    # squares mod p would have p | (d - d')(d + d'), impossible as
+    # 0 < d + d' <= 2 isqrt(n) < p because 4n < p*p. So d**2 mod p decides d.
+    degree_of_square = {d * d % p: d for d in range(1, isqrt(n) + 1)}
     degrees = []
     for c in range(k):
         s = int(np.sum(omega[c] * omega[c, invcls] % p * inv_sizes % p) % p)
         if s == 0:
             raise CharacterEngineError("degenerate central character norm")
-        dsq = n * pow(s, p - 2, p) % p
-        d = sqrt_mod(dsq, p)
-        d = min(d, p - d)
-        if d == 0 or d * d % p != dsq:
+        d = degree_of_square.get(n * pow(s, p - 2, p) % p)
+        if d is None:
             raise CharacterEngineError("degree recovery failed")
         degrees.append(d)
     if sum(d * d for d in degrees) != n:
@@ -236,7 +177,7 @@ def character_table_data(
     # Power maps: class of rep_j ** s for 0 <= s < order(rep_j).
     values = np.zeros((k, k, ring.phi), dtype=np.int64)
     for j in range(k):
-        r = rep_orders[j]
+        r = classes.orders[j]
         power_classes = np.empty(r, dtype=np.int64)
         y = table.identity
         for s in range(r):
@@ -244,7 +185,7 @@ def character_table_data(
             y = int(table.product[y, reps[j]])
         if y != table.identity:
             raise CharacterEngineError("representative order mismatch")
-        zr_inv = pow(pow(z, int(m) // r, p), p - 2, p)
+        zr_inv = pow(pow(z, m // r, p), p - 2, p)
         st = np.arange(r, dtype=np.int64)
         zpow = np.asarray([pow(zr_inv, e, p) for e in range(r)], dtype=np.int64)
         dft = zpow[(st[:, None] * st[None, :]) % r]
@@ -254,10 +195,10 @@ def character_table_data(
             raise CharacterEngineError("root-of-unity multiplicities do not sum to the degree")
         if np.any(counts > degree_arr[:, None]):
             raise CharacterEngineError("root-of-unity multiplicity exceeds the degree")
-        exps = (st * (int(m) // r)) % int(m)
+        exps = (st * (m // r)) % m
         values[:, j, :] = counts @ ring.red[exps]
 
     for c in range(k):
         if values[c, 0, 0] != degrees[c] or np.any(values[c, 0, 1:]):
             raise CharacterEngineError("identity-class value disagrees with the degree")
-    return degrees, values, int(m)
+    return degrees, values, m

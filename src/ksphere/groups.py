@@ -11,9 +11,11 @@ import os
 from dataclasses import dataclass
 from functools import reduce
 from itertools import permutations
-from math import factorial, gcd
+from math import factorial
 
 import numpy as np
+
+from .cyclotomic import factorization
 
 DEFAULT_ORDER_CAP = 1024
 ORDER_CAP_ENV = "KSPHERE_MAX_ORDER"
@@ -154,13 +156,6 @@ class GroupTable:
             k += 1
         return k
 
-    def exponent(self) -> int:
-        m = 1
-        for x in range(self.order):
-            o = self.element_order(x)
-            m = m * o // gcd(m, o)
-        return m
-
     def is_abelian(self) -> bool:
         return bool(np.array_equal(self.product, self.product.T))
 
@@ -173,6 +168,7 @@ class ConjugacyClasses:
     class_of: np.ndarray
     representatives: tuple[int, ...]
     class_sizes: tuple[int, ...]
+    orders: tuple[int, ...]  # element order of each representative
 
     def __post_init__(self):
         self.class_of = np.ascontiguousarray(self.class_of, dtype=np.int64)
@@ -263,7 +259,7 @@ def _validate_permutation(g, idx: int, degree: int) -> tuple[int, ...]:
     return p
 
 
-def _row_keys(rows: np.ndarray) -> np.ndarray:
+def row_keys(rows: np.ndarray) -> np.ndarray:
     """One opaque void scalar per row: equal exactly when the rows are equal."""
     rows = np.ascontiguousarray(rows, dtype=np.int64)
     return rows.view(np.dtype((np.void, 8 * rows.shape[-1]))).reshape(rows.shape[:-1])
@@ -279,12 +275,12 @@ def _table_from_perms(perms: list[tuple[int, ...]], gen_perms) -> tuple[np.ndarr
         return rows
 
     arr = as_rows(perms)
-    keys = _row_keys(arr)
+    keys = row_keys(arr)
     order = np.argsort(keys)
     sorted_keys = keys[order]
 
     def index(rows: np.ndarray) -> np.ndarray:
-        wanted = _row_keys(rows)
+        wanted = row_keys(rows)
         pos = np.minimum(np.searchsorted(sorted_keys, wanted), n - 1)
         missing = np.flatnonzero(sorted_keys[pos] != wanted)
         if missing.size:
@@ -390,27 +386,25 @@ def _symmetric_perms(n: int) -> list[tuple[int, ...]]:
     return sorted(permutations(range(n)))
 
 
-def _symmetric_gen_perms(n: int) -> list[tuple[int, ...]]:
-    if n < 2:
-        return []
-    swap = tuple([1, 0] + list(range(2, n)))
-    if n == 2:
-        return [swap]
-    cycle = tuple(list(range(1, n)) + [0])
-    return [swap, cycle]
-
-
-def _alternating_gen_perms(n: int) -> list[tuple[int, ...]]:
-    if n < 3:
-        return []
-    three = tuple([1, 2, 0] + list(range(3, n)))
-    if n == 3:
-        return [three]
-    if n % 2 == 1:
-        big = tuple(list(range(1, n)) + [0])
-    else:
-        big = tuple([0] + list(range(2, n)) + [1])
-    return [three, big]
+def _generator_perms(spec: GroupSpec) -> list[tuple[int, ...]]:
+    """The generators of a permutation family, in the order of `GroupTable.generators`."""
+    n = spec.n
+    if spec.kind == "symmetric":  # (0 1), then the n-cycle from n = 3 on
+        if n < 2:
+            return []
+        swap = tuple([1, 0] + list(range(2, n)))
+        return [swap] if n == 2 else [swap, tuple(list(range(1, n)) + [0])]
+    if spec.kind == "alternating":  # (0 1 2), then an even n- or (n-1)-cycle from n = 4 on
+        if n < 3:
+            return []
+        three = tuple([1, 2, 0] + list(range(3, n)))
+        if n == 3:
+            return [three]
+        if n % 2:
+            return [three, tuple(list(range(1, n)) + [0])]
+        return [three, tuple([0] + list(range(2, n)) + [1])]
+    degree = len(spec.generators[0])
+    return [_validate_permutation(g, i, degree) for i, g in enumerate(spec.generators)]
 
 
 def _build_permutation_group(perms, gen_perms, name: str, cap: int) -> GroupTable:
@@ -432,14 +426,8 @@ def _build_direct_product(a: GroupTable, b: GroupTable, cap: int) -> GroupTable:
     order = a.order * b.order
     if order > cap:
         raise OrderLimitError(f"group of order {order} exceeds the order cap {cap}")
-    # Encode (x, y) -> x * |B| + y and build the product blockwise.
-    product = np.empty((order, order), dtype=np.int64)
-    for x1 in range(a.order):
-        for x2 in range(a.order):
-            block = a.product[x1, x2] * b.order + b.product
-            product[
-                x1 * b.order : (x1 + 1) * b.order, x2 * b.order : (x2 + 1) * b.order
-            ] = block
+    # Encode (x, y) -> x * |B| + y; axes (x1, y1, x2, y2) flatten to (row, column).
+    product = a.product[:, None, :, None] * b.order + b.product[None, :, None, :]
     inverse = a.inverse[:, None] * b.order + b.inverse[None, :]
     labels = tuple(
         f"({la},{lb})" for la in a.element_labels for lb in b.element_labels
@@ -447,7 +435,7 @@ def _build_direct_product(a: GroupTable, b: GroupTable, cap: int) -> GroupTable:
     gens = tuple(g * b.order for g in a.generators) + tuple(int(g) for g in b.generators)
     return GroupTable(
         order,
-        product,
+        product.reshape(order, order),
         inverse.reshape(-1),
         labels,
         generators=gens,
@@ -483,15 +471,13 @@ def build_group(spec: GroupSpec, cap: int | None = None) -> GroupTable:
                 f"group of order {factorial(spec.n)} exceeds the order cap {cap}"
             )
         return _build_permutation_group(
-            _symmetric_perms(spec.n), _symmetric_gen_perms(spec.n), f"S{spec.n}", cap
+            _symmetric_perms(spec.n), _generator_perms(spec), f"S{spec.n}", cap
         )
     if spec.kind == "alternating":
         if not 1 <= spec.n <= 6:
             raise GroupSpecError(f"alternating parameter must be in 1..6, got {spec.n}")
         perms = [p for p in _symmetric_perms(spec.n) if _perm_parity(p) == 1]
-        return _build_permutation_group(
-            perms, _alternating_gen_perms(spec.n), f"A{spec.n}", cap
-        )
+        return _build_permutation_group(perms, _generator_perms(spec), f"A{spec.n}", cap)
     if spec.kind == "direct_product":
         if len(spec.factors) != 2:
             raise GroupSpecError("direct_product requires exactly two factors")
@@ -501,10 +487,7 @@ def build_group(spec: GroupSpec, cap: int | None = None) -> GroupTable:
     if spec.kind == "permutation_generators":
         if not spec.generators:
             raise GroupSpecError("permutation_generators requires at least one generator")
-        degree = len(spec.generators[0])
-        gens = [
-            _validate_permutation(g, i, degree) for i, g in enumerate(spec.generators)
-        ]
+        gens = _generator_perms(spec)
         perms = _perm_closure(gens, cap)
         return _build_permutation_group(perms, gens, spec.name, cap)
     raise GroupSpecError(f"unknown group kind {spec.kind!r}")
@@ -531,11 +514,11 @@ def conjugacy_classes(table: GroupTable) -> ConjugacyClasses:
         cid = len(raw_classes)
         raw_classes.append(tuple(int(v) for v in orbit))
         class_of[orbit] = cid
-    keys = []
-    for cid, cls in enumerate(raw_classes):
-        rep = cls[0]
-        keys.append((table.element_order(rep), len(cls), rep, cid))
-    order_perm = [k[3] for k in sorted(keys)]
+    keys = sorted(
+        (table.element_order(cls[0]), len(cls), cls[0], cid)
+        for cid, cls in enumerate(raw_classes)
+    )
+    order_perm = [k[3] for k in keys]
     remap = {old: new for new, old in enumerate(order_perm)}
     classes = tuple(raw_classes[old] for old in order_perm)
     class_of = np.asarray([remap[int(c)] for c in class_of], dtype=np.int64)
@@ -544,6 +527,7 @@ def conjugacy_classes(table: GroupTable) -> ConjugacyClasses:
         class_of=class_of,
         representatives=tuple(c[0] for c in classes),
         class_sizes=tuple(len(c) for c in classes),
+        orders=tuple(k[0] for k in keys),
     )
 
 
@@ -660,22 +644,9 @@ def build_sign_hom(table: GroupTable, spec: GroupSpec, lam: LambdaSpec) -> SignH
         vals = np.where(np.arange(2 * n) < n, 1, -1)
         return make_sign_hom(table, vals, conv)
     if conv == "sign":
-        perms = _element_permutations(spec)
-        vals = np.asarray([_perm_parity(p) for p in perms], dtype=np.int8)
-        return make_sign_hom(table, vals, conv)
+        parities = tuple(_perm_parity(g) for g in _generator_perms(spec))
+        return _signs_from_generators(table, parities, conv)
     raise LambdaSpecError(f"unhandled convention {conv!r}")
-
-
-def _element_permutations(spec: GroupSpec) -> list[tuple[int, ...]]:
-    if spec.kind == "symmetric":
-        return _symmetric_perms(spec.n)
-    if spec.kind == "alternating":
-        return [p for p in _symmetric_perms(spec.n) if _perm_parity(p) == 1]
-    if spec.kind == "permutation_generators":
-        degree = len(spec.generators[0])
-        gens = [_validate_permutation(g, i, degree) for i, g in enumerate(spec.generators)]
-        return _perm_closure(gens, order_cap())
-    raise LambdaSpecError(f"'sign' convention needs a permutation family, not {spec.kind!r}")
 
 
 def _subgroup_closure(table: GroupTable, seed: set[int]) -> list[int]:
@@ -805,28 +776,12 @@ def _partitions(k: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _prime_factorization(n: int) -> list[tuple[int, int]]:
-    out = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            out.append((p, e))
-        p += 1
-    if n > 1:
-        out.append((n, 1))
-    return out
-
-
 def abelian_factor_lists(order: int) -> list[tuple[int, ...]]:
     """All abelian groups of this order, as descending prime-power factor lists."""
     if order == 1:
         return [(1,)]
     per_prime = []
-    for p, e in _prime_factorization(order):
+    for p, e in factorization(order):
         per_prime.append([tuple(p**part for part in pt) for pt in _partitions(e)])
     results = [()]
     for options in per_prime:

@@ -24,16 +24,17 @@ from .characters import (
     decompose_values,
     induced_values,
     lambda_context,
-    product_values,
     restrict_values,
     values_of_coeffs,
 )
 from .groups import (
     GroupTable,
+    OrderLimitError,
     SignHomomorphism,
     build_group,
     builtin_specs_upto,
     enumerate_sign_homs,
+    order_cap,
 )
 from .ktheory import k_group_s1_lambda, k_group_s_lambda
 
@@ -436,12 +437,9 @@ def check_ideal_lattice(group: GroupTable, lam: SignHomomorphism) -> list[CheckR
                 "sign character equals the trivial character",
             )
         ]
-    gen_vals = product_values(
-        np.broadcast_to(values_of_coeffs(table, one_minus)[0], table.values.shape),
-        table.values,
-        table.ring,
-    )
-    gen_rows = decompose_values(table, gen_vals)
+    # Row c decomposes (1 - lambda) * chi_c.
+    one_minus_vals = values_of_coeffs(table, one_minus)
+    gen_rows = decompose_values(table, table.values, factor=one_minus_vals)[:, 0]
     oracle = lattice.hermite_normal_form([tuple(int(v) for v in row) for row in gen_rows])
     emitted = lattice.hermite_normal_form([b.coeffs for b in ideal.basis])
     if oracle == emitted and len(oracle) == ideal.rank:
@@ -489,8 +487,14 @@ def verify_group(group: GroupTable, lam: SignHomomorphism | None = None) -> list
 
 
 def run_verification(max_order: int = 64, specs=None) -> list[CheckReport]:
-    """Sweep the builtin catalog (or explicit specs) with every valid lambda."""
+    """Sweep the builtin catalog (or explicit specs) with every valid lambda.
+
+    A catalog sweep past the order cap is rejected before any group is built.
+    """
     if specs is None:
+        cap = order_cap()
+        if max_order > cap:
+            raise OrderLimitError(f"sweep up to order {max_order} exceeds the order cap {cap}")
         specs = builtin_specs_upto(max_order)
     reports: list[CheckReport] = []
     for spec in specs:

@@ -501,3 +501,26 @@ def test_s1_lambda_products_on_d17_need_two_primes_and_match_dense_oracle(monkey
     reps = [b.rep for b in pres.basis]
     for a, mat in enumerate(pres.action):
         assert np.array_equal(mat, t[a][:, reps].T)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        GroupSpec.symmetric(4),
+        GroupSpec.quaternion(8),
+        GroupSpec.cyclic(12),
+        GroupSpec.dihedral(17),
+    ],
+    ids=lambda s: s.name,
+)
+def test_tensor_product_matches_dense_oracle(spec, monkeypatch):
+    tab = character_table(build_group(spec))
+    ring = tab.ring
+    calls = _prime_spy(monkeypatch)
+    for a in range(tab.count):
+        for b in range(tab.count):
+            got = tensor_product(VirtualCharacter.unit(tab, a), VirtualCharacter.unit(tab, b))
+            prod = np.einsum("jp,jq,pqr->jr", tab.values[a], tab.values[b], ring.mul)
+            assert list(got.coeffs) == dense_decompose(tab, prod[None], ring)[0].tolist()
+    if spec == GroupSpec.dihedral(17):
+        assert max(count for _, _, count in calls) == 2

@@ -101,7 +101,7 @@ def test_verify_exit_code_on_failure(monkeypatch, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
-def test_input_error_exit_codes(capsys):
+def test_input_error_exit_codes(tmp_path, monkeypatch, capsys):
     assert cli.main(["chartab", '{"family":"X","n":3}']) == 2
     assert "unknown family" in capsys.readouterr().err
     assert cli.main(["kgroup", '{"family":"S","n":3}']) == 2
@@ -112,6 +112,17 @@ def test_input_error_exit_codes(capsys):
     assert "invalid JSON" in capsys.readouterr().err
     assert cli.main(["kgroup", '{"family":"C","n":5,"lambda":{"convention":"onto-pm1"}}']) == 2
     assert "even" in capsys.readouterr().err
+    assert cli.main(["chartab", str(tmp_path)]) == 2
+    assert "Is a directory" in capsys.readouterr().err
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes('{"family":"S","n":3,"name":"Gruppe \xfc"}'.encode("latin-1"))
+    assert cli.main(["chartab", str(latin1)]) == 2
+    assert "'utf-8' codec can't decode" in capsys.readouterr().err
+    # Rejected before the sweep builds any group below the cap.
+    monkeypatch.setenv("KSPHERE_MAX_ORDER", "10")
+    assert cli.main(["verify", "--all-upto", "12"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "order cap 10" in captured.err
 
 
 def test_order_cap_env():
@@ -122,6 +133,16 @@ def test_order_cap_env():
     # Control: S4 has order 24, so a cap of exactly 24 admits it.
     proc = run_cli(["chartab", s4], env={"KSPHERE_MAX_ORDER": "24"})
     assert proc.returncode == 0, proc.stderr
+
+
+def test_order_cap_env_bounds_the_verify_sweep():
+    proc = run_cli(["verify", "--all-upto", "11"], env={"KSPHERE_MAX_ORDER": "10"})
+    assert proc.returncode == 2, proc.stderr
+    assert "order cap 10" in proc.stderr and proc.stdout == ""
+    # Control: a sweep up to exactly the cap runs.
+    proc = run_cli(["verify", "--all-upto", "10"], env={"KSPHERE_MAX_ORDER": "10"})
+    assert proc.returncode == 0, proc.stderr
+    assert "0 failures" in proc.stdout
 
 
 def test_json_outputs_are_byte_identical_across_runs(tmp_path):

@@ -1,5 +1,6 @@
 """Exactness of the cyclotomic layer, checked against naive polynomial math."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -12,11 +13,14 @@ from ksphere.cyclotomic import (
     cyclotomic_polynomial,
     euler_phi,
     eval_prime,
+    factorization,
     get_ring,
     is_prime,
     prime_count,
+    root_of_unity,
     symmetric_lift,
 )
+from ksphere.dixon import choose_prime
 
 # Classical table, frozen: degree-indexed coefficients, ascending.
 KNOWN_POLYS = {
@@ -248,3 +252,31 @@ def test_symmetric_lift_recovers_every_value_below_half_the_product(count):
     xs += [int(r) % (2 * half + 1) - half for r in rng.integers(-(1 << 62), 1 << 62, 50)]
     residues = [np.asarray([x % p for x in xs], dtype=np.int64) for p in primes]
     assert [int(x) for x in symmetric_lift(residues, m)] == xs
+
+
+def _multiplicative_order(z: int, p: int) -> int:
+    t, y = 1, z % p
+    while y != 1:
+        y = y * z % p
+        t += 1
+    return t
+
+
+@pytest.mark.parametrize("m", [1, 2, 12, 720, 1024])
+def test_root_of_unity_has_exact_order_m(m):
+    dixon_primes = [choose_prime(m, n) for n in (1, m, 1024)]
+    eval_primes = [eval_prime(m, i)[0] for i in range(2)]
+    for p in dixon_primes + eval_primes:
+        assert (p - 1) % m == 0
+        assert _multiplicative_order(root_of_unity(m, p), p) == m
+
+
+@pytest.mark.parametrize(
+    "n", [1, 2, 3, 4, 12, 97, 360, 720, 1001, 1024, 18899, 6 * 2**20, 2**31 - 1]
+)
+def test_factorization_multiplies_back_and_lists_only_primes(n):
+    pairs = factorization(n)
+    primes = [q for q, _ in pairs]
+    assert primes == sorted(set(primes))
+    assert all(is_prime(q) and e >= 1 for q, e in pairs)
+    assert math.prod(q**e for q, e in pairs) == n

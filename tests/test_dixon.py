@@ -5,6 +5,7 @@ import pytest
 
 from ksphere import dixon, kernels
 from ksphere.characters import get_classes
+from ksphere.cyclotomic import is_prime, root_of_unity
 from ksphere.groups import GroupSpec, build_group
 
 PRIMES = (7, 97, 12289)
@@ -108,6 +109,26 @@ def test_common_eigenvectors_of_cyclic_group_are_its_characters():
     classes = get_classes(table)
     p = dixon.choose_prime(5, 5)
     omega = dixon.common_eigenvectors(table, classes, p)
-    z = pow(dixon.primitive_root(p), (p - 1) // 5, p)
+    z = root_of_unity(5, p)
     expect = {tuple(pow(z, j * int(r), p) for r in classes.representatives) for j in range(5)}
     assert {tuple(int(x) for x in row) for row in omega} == expect
+
+
+def _choose_prime_oracle(exponent, order):
+    """The scan over every integer above the exponent, one step at a time."""
+    p = exponent + 1
+    while True:
+        if p > 2 and p * p > 4 * order and (p - 1) % exponent == 0 and is_prime(p):
+            return p
+        p += 1
+
+
+@pytest.mark.parametrize(
+    "exponent, order",
+    [(1, 1), (1, 2), (2, 2), (2, 8), (3, 6), (4, 8), (6, 24), (12, 24), (12, 48),
+     (30, 120), (60, 360), (120, 240), (128, 128), (256, 256), (34, 34), (5, 1000)],
+)
+def test_choose_prime_matches_the_step_one_scan(exponent, order):
+    p = dixon.choose_prime(exponent, order)
+    assert p == _choose_prime_oracle(exponent, order)
+    assert is_prime(p) and p % exponent == 1 % exponent and p * p > 4 * order

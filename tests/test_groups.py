@@ -195,6 +195,41 @@ def test_kernel_is_normal_and_equals_positive_part():
             assert int(t.product[t.product[g, x], t.inverse[g]]) in h
 
 
+_SIGN_SPECS = (
+    [GroupSpec.symmetric(n) for n in range(1, 7)]
+    + [GroupSpec.alternating(n) for n in range(1, 7)]
+    + [
+        GroupSpec.permutation_generators(gens)
+        for gens in (
+            [(1, 0, 2)],
+            [(1, 2, 0)],
+            [(1, 0, 2, 3), (0, 1, 3, 2)],
+            [(1, 2, 3, 4, 0), (4, 3, 2, 1, 0)],
+            [(1, 2, 3, 0), (0, 1, 3, 2)],
+        )
+    ]
+)
+
+
+@pytest.mark.parametrize("spec", _SIGN_SPECS, ids=lambda s: s.name)
+def test_sign_convention_is_the_parity_of_every_element(spec):
+    # Oracle: the parity of each element's permutation, in table order.
+    if spec.kind == "symmetric":
+        perms = groups._symmetric_perms(spec.n)
+    elif spec.kind == "alternating":
+        perms = [p for p in groups._symmetric_perms(spec.n) if groups._perm_parity(p) == 1]
+    else:
+        perms = groups._perm_closure(list(spec.generators), 1024)
+    parities = [groups._perm_parity(p) for p in perms]
+    t = build_group(spec)
+    if -1 not in parities:
+        with pytest.raises(LambdaSpecError, match="'sign' is not surjective"):
+            build_sign_hom(t, spec, LambdaSpec(convention="sign"))
+        return
+    lam = build_sign_hom(t, spec, LambdaSpec(convention="sign"))
+    assert lam.values.tolist() == parities and lam.label == "sign"
+
+
 def test_lambda_must_be_surjective():
     t = build_group(GroupSpec.cyclic(3))
     with pytest.raises(LambdaSpecError):
@@ -306,10 +341,10 @@ _TWENTY_FLIP = tuple((-i) % 20 for i in range(20))
 @pytest.mark.parametrize(
     "perms, gen_perms",
     [
-        (groups._symmetric_perms(5), groups._symmetric_gen_perms(5)),
+        (groups._symmetric_perms(5), groups._generator_perms(GroupSpec.symmetric(5))),
         (
             [p for p in groups._symmetric_perms(5) if groups._perm_parity(p) == 1],
-            groups._alternating_gen_perms(5),
+            groups._generator_perms(GroupSpec.alternating(5)),
         ),
         (
             groups._perm_closure([_TWENTY_CYCLE, _TWENTY_FLIP], 1024),
@@ -335,14 +370,43 @@ def test_degree_zero_generators_give_the_trivial_group():
     assert t.order == 1 and t.product.tolist() == [[0]] and t.generators == (0,)
 
 
+def _loop_table(order, law):
+    """Oracle: the product table filled one entry at a time from a multiplication law."""
+    expect = np.empty((order, order), dtype=np.int64)
+    for a in range(order):
+        for b in range(order):
+            expect[a, b] = law(a, b)
+    return expect
+
+
 @pytest.mark.parametrize("n", [2, 3, 8, 17])
 def test_dihedral_table_matches_relation_loop_oracle(n):
     # Index k*n + i encodes s^k r^i; r^i * s r^j = s r^(j-i) and s r^i * s r^j = r^(j-i).
-    expect = np.empty((2 * n, 2 * n), dtype=np.int64)
-    for a in range(2 * n):
+    def law(a, b):
         fa, ia = divmod(a, n)
-        for b in range(2 * n):
-            fb, ib = divmod(b, n)
-            jj = (ib - ia) % n if fb == 1 else (ia + ib) % n
-            expect[a, b] = ((fa + fb) % 2) * n + jj
-    assert np.array_equal(build_group(GroupSpec.dihedral(n)).product, expect)
+        fb, ib = divmod(b, n)
+        jj = (ib - ia) % n if fb == 1 else (ia + ib) % n
+        return ((fa + fb) % 2) * n + jj
+
+    assert np.array_equal(build_group(GroupSpec.dihedral(n)).product, _loop_table(2 * n, law))
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (GroupSpec.symmetric(4), GroupSpec.cyclic(6)),
+        (GroupSpec.cyclic(2), GroupSpec.dihedral(5)),
+        (GroupSpec.quaternion(8), GroupSpec.symmetric(3)),
+    ],
+    ids=["S4xC6", "C2xD5", "Q8xS3"],
+)
+def test_direct_product_table_matches_pair_loop_oracle(a, b):
+    # Index x * |B| + y encodes the pair (x, y); pairs multiply componentwise.
+    ta, tb = build_group(a), build_group(b)
+
+    def law(u, v):
+        (x1, y1), (x2, y2) = divmod(u, tb.order), divmod(v, tb.order)
+        return ta.product[x1, x2] * tb.order + tb.product[y1, y2]
+
+    table = build_group(GroupSpec.direct_product(a, b))
+    assert np.array_equal(table.product, _loop_table(ta.order * tb.order, law))
