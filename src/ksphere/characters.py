@@ -17,7 +17,8 @@ rounding.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -35,7 +36,6 @@ from .groups import (
     GroupTable,
     SignHomomorphism,
     SubgroupEmbedding,
-    conjugacy_classes,
     coset_representatives,
     kernel_embedding,
 )
@@ -92,21 +92,17 @@ class CharacterTable:
     def count(self) -> int:
         return len(self.degrees)
 
-    @property
+    @cached_property
     def irreducibles(self) -> tuple[ClassFunction, ...]:
-        cached = getattr(self, "_irreducibles", None)
-        if cached is None:
-            m = self.modulus
-            cached = tuple(
-                ClassFunction(
-                    self.group,
-                    self.classes,
-                    tuple(Cyclotomic.make(m, row) for row in self.values[c]),
-                )
-                for c in range(self.count)
-            )
-            self._irreducibles = cached
-        return cached
+        m = self.modulus
+        return tuple(
+            ClassFunction(self.group, self.classes, tuple(Cyclotomic.make(m, v) for v in row))
+            for row in self.values
+        )
+
+    @cached_property
+    def _row_lookup(self) -> dict[bytes, int]:
+        return {row.tobytes(): c for c, row in enumerate(self.values)}
 
     def character_index(self, values_row: np.ndarray) -> int | None:
         key = np.ascontiguousarray(values_row, dtype=np.int64).tobytes()
@@ -177,38 +173,26 @@ class OrbitData:
     orbits: tuple[tuple[int, ...], ...]
     isotropy: tuple[str, ...]  # "G" (fixed) or "H" (swapped)
     representatives: tuple[int, ...]
-    twist_perm: np.ndarray
-    b: int
 
 
 # ---------------------------------------------------------------------------
 # caches
 # ---------------------------------------------------------------------------
 
-_classes_cache: "weakref.WeakKeyDictionary[GroupTable, ConjugacyClasses]" = (
-    weakref.WeakKeyDictionary()
-)
+# Hit by every lambda of a group and by each restrict, induce and twist on it.
 _table_cache: "weakref.WeakKeyDictionary[GroupTable, CharacterTable]" = (
     weakref.WeakKeyDictionary()
 )
+# Hit by group objects with equal tables: equal kernels, repeated CLI items.
 _table_data_cache: dict[bytes, tuple[tuple[int, ...], np.ndarray, int]] = {}
 # Per table: modulus -> per-class weights of the coefficient bound, and
-# (modulus, prime index) -> evaluation weights.
+# (modulus, prime index) -> evaluation weights. Hit by every decomposition
+# against the same table.
 _analysis_cache: "weakref.WeakKeyDictionary[CharacterTable, dict]" = weakref.WeakKeyDictionary()
+# Hit by each restriction to and induction from a kernel in the ambient ring.
 _embedded_values_cache: "weakref.WeakKeyDictionary[CharacterTable, dict]" = (
     weakref.WeakKeyDictionary()
 )
-_emb_data_cache: "weakref.WeakKeyDictionary[SubgroupEmbedding, dict]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
-def get_classes(group: GroupTable) -> ConjugacyClasses:
-    cached = _classes_cache.get(group)
-    if cached is None:
-        cached = conjugacy_classes(group)
-        _classes_cache[group] = cached
-    return cached
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +205,7 @@ def character_table(group: GroupTable) -> CharacterTable:
     cached = _table_cache.get(group)
     if cached is not None:
         return cached
-    classes = get_classes(group)
+    classes = group.classes
     key = group.fingerprint()
     data = _table_data_cache.get(key)
     fresh = data is None
@@ -268,7 +252,7 @@ def _assemble_table(group, classes, degrees, values, modulus) -> CharacterTable:
         if np.array_equal(values[c], trivial_row):
             trivial_index = c
             break
-    table = CharacterTable(
+    return CharacterTable(
         group=group,
         classes=classes,
         ring=ring,
@@ -277,8 +261,6 @@ def _assemble_table(group, classes, degrees, values, modulus) -> CharacterTable:
         names=tuple(f"chi{c}" for c in range(len(degrees))),
         trivial_index=trivial_index,
     )
-    table._row_lookup = {values[c].tobytes(): c for c in range(len(degrees))}
-    return table
 
 
 def table_invariant_failures(table: CharacterTable) -> list[str]:
@@ -486,50 +468,9 @@ def inner_product(f: ClassFunction, g: ClassFunction) -> Cyclotomic:
 # ---------------------------------------------------------------------------
 
 
-def _emb_data(emb: SubgroupEmbedding) -> dict:
-    data = _emb_data_cache.get(emb)
-    if data is not None:
-        return data
-    g = emb.ambient
-    h = emb.subgroup
-    cls_g = get_classes(g)
-    cls_h = get_classes(h)
-    pos = np.full(g.order, -1, dtype=np.int64)
-    pos[list(emb.inclusion)] = np.arange(h.order)
-    incl = np.asarray(emb.inclusion, dtype=np.int64)
-    # H-class -> ambient class of its representative.
-    rmap = np.asarray(
-        [int(cls_g.class_of[incl[rep]]) for rep in cls_h.representatives], dtype=np.int64
-    )
-    # Induction weights W[a, i] = #{x in G : x^-1 g_a x in H-class i}.
-    prod = g.product
-    inv = g.inverse
-    all_g = np.arange(g.order, dtype=np.int64)
-    w = np.zeros((cls_g.count, cls_h.count), dtype=np.int64)
-    for a, rep in enumerate(cls_g.representatives):
-        conjugates = prod[prod[inv[all_g], rep], all_g]
-        inside = pos[conjugates]
-        hits = inside[inside >= 0]
-        if hits.size:
-            w[a] = np.bincount(cls_h.class_of[hits], minlength=cls_h.count)
-    data = {
-        "pos": pos,
-        "incl": incl,
-        "rmap": rmap,
-        "weights": w,
-        "cls_g": cls_g,
-        "cls_h": cls_h,
-        "twist_perms": {},
-        "twist_class_maps": {},
-    }
-    _emb_data_cache[emb] = data
-    return data
-
-
 def restrict_values(emb: SubgroupEmbedding, gvals: np.ndarray) -> np.ndarray:
     """Gather ambient class-function values [B, k_G, phi] onto H classes."""
-    rmap = _emb_data(emb)["rmap"]
-    return np.ascontiguousarray(gvals[:, rmap, :])
+    return np.ascontiguousarray(gvals[:, emb.class_map, :])
 
 
 def restrict(phi: VirtualCharacter, emb: SubgroupEmbedding) -> VirtualCharacter:
@@ -546,9 +487,7 @@ def restrict(phi: VirtualCharacter, emb: SubgroupEmbedding) -> VirtualCharacter:
 
 def induced_values(emb: SubgroupEmbedding, hvals: np.ndarray) -> np.ndarray:
     """Value-level induction of H class functions [B, k_H, phi] to G classes."""
-    data = _emb_data(emb)
-    w = data["weights"]
-    numer = np.einsum("ai,bip->bap", w, np.asarray(hvals, dtype=np.int64))
+    numer = np.einsum("ai,bip->bap", emb.induction_weights, np.asarray(hvals, dtype=np.int64))
     h_order = emb.subgroup.order
     if np.any(numer % h_order):
         raise CharacterTheoryError("induced values are not algebraic integers")
@@ -571,35 +510,20 @@ def induce(chi: VirtualCharacter, emb: SubgroupEmbedding) -> VirtualCharacter:
 
 def twist_class_map(emb: SubgroupEmbedding, g: int) -> np.ndarray:
     """Permutation of H classes induced by h -> g^-1 h g."""
-    data = _emb_data(emb)
-    cached = data["twist_class_maps"].get(g)
-    if cached is not None:
-        return cached
     ambient = emb.ambient
     if not 0 <= g < ambient.order:
         raise CharacterTheoryError(f"element {g} is not in the ambient group")
-    cls_h = data["cls_h"]
-    pos = data["pos"]
-    incl = data["incl"]
+    cls_h = emb.subgroup.classes
     prod = ambient.product
-    ginv = int(ambient.inverse[g])
     reps = np.asarray(cls_h.representatives, dtype=np.int64)
-    conj = prod[prod[ginv, incl[reps]], g]
-    hidx = pos[conj]
+    hidx = emb.position[prod[prod[ambient.inverse[g], emb.inclusion[reps]], g]]
     if np.any(hidx < 0):
         raise CharacterTheoryError("subgroup is not normal under this element")
-    tw = np.ascontiguousarray(cls_h.class_of[hidx])
-    tw.setflags(write=False)
-    data["twist_class_maps"][g] = tw
-    return tw
+    return cls_h.class_of[hidx]
 
 
 def twist_permutation(emb: SubgroupEmbedding, g: int) -> np.ndarray:
     """Permutation sigma on Irr(H) with (g-twist of chi_c) = chi_sigma(c)."""
-    data = _emb_data(emb)
-    cached = data["twist_perms"].get(g)
-    if cached is not None:
-        return cached
     table_h = character_table(emb.subgroup)
     tw = twist_class_map(emb, g)
     twisted = table_h.values[:, tw, :]
@@ -612,7 +536,6 @@ def twist_permutation(emb: SubgroupEmbedding, g: int) -> np.ndarray:
     if len(set(int(s) for s in sigma)) != table_h.count:
         raise CharacterTheoryError("twist did not permute the irreducibles")
     sigma.setflags(write=False)
-    data["twist_perms"][g] = sigma
     return sigma
 
 
@@ -659,10 +582,13 @@ class LambdaContext:
     lambda_index: int
 
 
-_ctx_cache: "weakref.WeakKeyDictionary[SignHomomorphism, dict]" = weakref.WeakKeyDictionary()
+# Hit by every check, K-group and CLI command on the same lambda.
+_ctx_cache: "weakref.WeakKeyDictionary[SignHomomorphism, LambdaContext]" = (
+    weakref.WeakKeyDictionary()
+)
 
 
-def _orbit_data(table_h: CharacterTable, sigma: np.ndarray, b: int) -> OrbitData:
+def _orbit_data(table_h: CharacterTable, sigma: np.ndarray) -> OrbitData:
     orbits = []
     isotropy = []
     seen = set()
@@ -682,8 +608,6 @@ def _orbit_data(table_h: CharacterTable, sigma: np.ndarray, b: int) -> OrbitData
         orbits=tuple(orbits),
         isotropy=tuple(isotropy),
         representatives=tuple(o[0] for o in orbits),
-        twist_perm=sigma,
-        b=b,
     )
 
 
@@ -700,15 +624,19 @@ def lambda_index(table_g: CharacterTable, lam: SignHomomorphism) -> int:
 
 
 def lambda_context(group: GroupTable, lam: SignHomomorphism, b: int | None = None) -> LambdaContext:
-    per = _ctx_cache.setdefault(lam, {})
-    base = per.get(None)
-    if base is None or base.group is not group:
+    """The context of lambda with the canonical coset element, or with `b`.
+
+    Only the canonical context is cached; one for another `b` is built on
+    each call.
+    """
+    ctx = _ctx_cache.get(lam)
+    if ctx is None or ctx.group is not group:
         table_g = character_table(group)
         emb = kernel_embedding(group, lam)
         table_h = character_table(emb.subgroup)
         cosets = coset_representatives(group, lam)
         sigma = twist_permutation(emb, cosets[0])
-        base = LambdaContext(
+        ctx = LambdaContext(
             group=group,
             lam=lam,
             table_g=table_g,
@@ -717,32 +645,16 @@ def lambda_context(group: GroupTable, lam: SignHomomorphism, b: int | None = Non
             cosets=cosets,
             b=cosets[0],
             twist=sigma,
-            orbits=_orbit_data(table_h, sigma, cosets[0]),
+            orbits=_orbit_data(table_h, sigma),
             lambda_index=lambda_index(table_g, lam),
         )
-        per[None] = base
-    if b is None or b == base.b:
-        return base
-    ctx = per.get(b)
-    if ctx is not None and ctx.group is group:
+        _ctx_cache[lam] = ctx
+    if b is None or b == ctx.b:
         return ctx
     if int(lam.values[b]) != -1:
         raise CharacterTheoryError("chosen b is not in the nontrivial coset")
-    sigma = twist_permutation(base.emb, b)
-    ctx = LambdaContext(
-        group=group,
-        lam=lam,
-        table_g=base.table_g,
-        emb=base.emb,
-        table_h=base.table_h,
-        cosets=base.cosets,
-        b=b,
-        twist=sigma,
-        orbits=_orbit_data(base.table_h, sigma, b),
-        lambda_index=base.lambda_index,
-    )
-    per[b] = ctx
-    return ctx
+    sigma = twist_permutation(ctx.emb, b)
+    return replace(ctx, b=b, twist=sigma, orbits=_orbit_data(ctx.table_h, sigma))
 
 
 def g_orbits_on_irr(group: GroupTable, lam: SignHomomorphism) -> OrbitData:

@@ -21,7 +21,7 @@ as well: `factorization`, `is_prime` and `root_of_unity`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd
 
 import numpy as np
@@ -119,12 +119,17 @@ class CyclotomicRing:
         self.l1 = max((sum(abs(c) for c in row) for row in red), default=0)
         self.red = np.asarray(red, dtype=np.int64)
         self.red.setflags(write=False)
-        idx = (np.arange(self.phi)[:, None] + np.arange(self.phi)[None, :]) % m
-        self.mul = np.ascontiguousarray(self.red[idx])
-        self.mul.setflags(write=False)
         conj_idx = (m - np.arange(self.phi)) % m
         self.conj = np.ascontiguousarray(self.red[conj_idx])
         self.conj.setflags(write=False)
+
+    @cached_property
+    def mul(self) -> np.ndarray:
+        """mul[p, q] = z**(p + q) in the power basis: 8 phi**3 bytes, built on first read."""
+        idx = (np.arange(self.phi)[:, None] + np.arange(self.phi)[None, :]) % self.modulus
+        mul = self.red[idx]
+        mul.setflags(write=False)
+        return mul
 
     def embed_matrix(self, target: CyclotomicRing) -> np.ndarray:
         """Basis-change matrix into a ring whose modulus is a multiple of ours."""

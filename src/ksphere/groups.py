@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import permutations
 from math import factorial
 
@@ -159,6 +159,11 @@ class GroupTable:
     def is_abelian(self) -> bool:
         return bool(np.array_equal(self.product, self.product.T))
 
+    @cached_property
+    def classes(self) -> "ConjugacyClasses":
+        """The conjugacy classes, computed on first read."""
+        return conjugacy_classes(self)
+
 
 @dataclass(eq=False)
 class ConjugacyClasses:
@@ -199,11 +204,55 @@ class SignHomomorphism:
 
 @dataclass(eq=False)
 class SubgroupEmbedding:
-    """An index-2 subgroup with its inclusion into the ambient group."""
+    """An index-2 subgroup with its inclusion into the ambient group.
+
+    `inclusion[e]` is the ambient index of subgroup element e. The transfer
+    data derived from it is built on first use.
+    """
 
     subgroup: GroupTable
-    inclusion: tuple[int, ...]
+    inclusion: np.ndarray
     ambient: GroupTable
+
+    def __post_init__(self):
+        self.inclusion = np.ascontiguousarray(self.inclusion, dtype=np.int64)
+        self.inclusion.setflags(write=False)
+
+    @cached_property
+    def position(self) -> np.ndarray:
+        """Subgroup index of each ambient element, -1 outside the subgroup."""
+        pos = np.full(self.ambient.order, -1, dtype=np.int64)
+        pos[self.inclusion] = np.arange(self.subgroup.order)
+        pos.setflags(write=False)
+        return pos
+
+    @cached_property
+    def class_map(self) -> np.ndarray:
+        """Ambient class of each subgroup class."""
+        reps = np.asarray(self.subgroup.classes.representatives, dtype=np.int64)
+        out = self.ambient.classes.class_of[self.inclusion[reps]]
+        out.setflags(write=False)
+        return out
+
+    @cached_property
+    def induction_weights(self) -> np.ndarray:
+        """W[a, i] = #{x in G : x^-1 g_a x in subgroup class i}, g_a the a-th class rep.
+
+        Induction of a subgroup class function f is then
+        ind(f)(g_a) = |H|^-1 sum_i W[a, i] f(i) (Isaacs, Character Theory of
+        Finite Groups, 1976, Definition 5.1).
+        """
+        g, cls_g, cls_h = self.ambient, self.ambient.classes, self.subgroup.classes
+        prod = g.product
+        all_g = np.arange(g.order, dtype=np.int64)
+        w = np.zeros((cls_g.count, cls_h.count), dtype=np.int64)
+        for a, rep in enumerate(cls_g.representatives):
+            inside = self.position[prod[prod[g.inverse[all_g], rep], all_g]]
+            hits = inside[inside >= 0]
+            if hits.size:
+                w[a] = np.bincount(cls_h.class_of[hits], minlength=cls_h.count)
+        w.setflags(write=False)
+        return w
 
 
 # ---------------------------------------------------------------------------
@@ -672,15 +721,9 @@ def enumerate_sign_homs(table: GroupTable) -> list[SignHomomorphism]:
     """
     n = table.order
     prod = table.product
-    inv = table.inverse
-    seed: set[int] = set()
-    for a in range(n):
-        seed.add(int(prod[a, a]))
-    for a in range(n):
-        for b in range(a + 1, n):
-            comm = int(prod[prod[inv[a], inv[b]], prod[a, b]])
-            seed.add(comm)
-    nsub = _subgroup_closure(table, seed)
+    # The squares alone generate <squares, commutators>: every commutator is
+    # a product of squares, a^-1 b^-1 a b = a^-2 (a b^-1)^2 b^2.
+    nsub = _subgroup_closure(table, set(np.diagonal(prod).tolist()))
     nset = np.zeros(n, dtype=bool)
     nset[nsub] = True
     coset_of = np.full(n, -1, dtype=np.int64)
@@ -747,7 +790,7 @@ def kernel_embedding(table: GroupTable, lam: SignHomomorphism) -> SubgroupEmbedd
         generators=(),
         name=f"ker({lam.label})<{table.name}",
     )
-    return SubgroupEmbedding(sub, tuple(int(i) for i in h_idx), table)
+    return SubgroupEmbedding(sub, h_idx, table)
 
 
 def coset_representatives(table: GroupTable, lam: SignHomomorphism) -> list[int]:
@@ -836,6 +879,13 @@ _FAMILY_ALIASES = {
 }
 
 
+def _json_int(value, field: str) -> int:
+    """`value` when it is a JSON integer; a boolean is not one."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise GroupSpecError(f"field {field!r} must be an integer, got {value!r}")
+    return value
+
+
 def _group_spec_from_obj(obj: dict) -> GroupSpec:
     if not isinstance(obj, dict):
         raise GroupSpecError("group spec must be a JSON object")
@@ -843,6 +893,11 @@ def _group_spec_from_obj(obj: dict) -> GroupSpec:
         gens = obj["generators"]
         if not isinstance(gens, list) or not gens:
             raise GroupSpecError("field 'generators' must be a non-empty list")
+        for i, g in enumerate(gens):
+            if not isinstance(g, list):
+                raise GroupSpecError(f"field 'generators[{i}]' must be a list, got {g!r}")
+            for j, x in enumerate(g):
+                _json_int(x, f"generators[{i}][{j}]")
         return GroupSpec.permutation_generators(gens)
     family = obj.get("family")
     if family is None:
@@ -857,10 +912,7 @@ def _group_spec_from_obj(obj: dict) -> GroupSpec:
         return GroupSpec.direct_product(
             _group_spec_from_obj(factors[0]), _group_spec_from_obj(factors[1])
         )
-    n = obj.get("n")
-    if not isinstance(n, int):
-        raise GroupSpecError(f"field 'n' (integer) is required for family {family!r}")
-    return GroupSpec(kind, n=n)
+    return GroupSpec(kind, n=_json_int(obj.get("n"), "n"))
 
 
 def parse_group_document(obj: dict) -> tuple[GroupSpec, LambdaSpec | None]:
@@ -877,5 +929,10 @@ def parse_group_document(obj: dict) -> tuple[GroupSpec, LambdaSpec | None]:
         signs = lam_obj["generator_signs"]
         if not isinstance(signs, list):
             raise GroupSpecError("field 'lambda.generator_signs' must be a list")
-        return spec, LambdaSpec(generator_signs=tuple(int(s) for s in signs))
+        for i, s in enumerate(signs):
+            if _json_int(s, f"lambda.generator_signs[{i}]") not in (1, -1):
+                raise GroupSpecError(
+                    f"field 'lambda.generator_signs[{i}]' must be +1 or -1, got {s}"
+                )
+        return spec, LambdaSpec(generator_signs=tuple(signs))
     raise GroupSpecError("field 'lambda' needs 'convention' or 'generator_signs'")

@@ -161,13 +161,11 @@ def _element_induction_matrix(ctx: LambdaContext) -> np.ndarray:
     n = g.order
     prod = g.product
     inv = g.inverse
-    pos = np.full(n, -1, dtype=np.int64)
-    pos[list(ctx.emb.inclusion)] = np.arange(len(ctx.emb.inclusion))
     all_g = np.arange(n, dtype=np.int64)
-    ew = np.zeros((n, len(ctx.emb.inclusion)), dtype=np.int64)
+    ew = np.zeros((n, ctx.emb.subgroup.order), dtype=np.int64)
     for gg in range(n):
         conj = prod[prod[inv[all_g], gg], all_g]
-        inside = pos[conj]
+        inside = ctx.emb.position[conj]
         hits = inside[inside >= 0]
         if hits.size:
             ew[gg] = np.bincount(hits, minlength=ew.shape[1])
@@ -192,11 +190,7 @@ def _g_element_values(ctx: LambdaContext, coeffs: np.ndarray) -> np.ndarray:
 def _brute_twisted_h_values(ctx: LambdaContext, helem: np.ndarray, b: int) -> np.ndarray:
     """Values of h -> f(b^-1 h b) by direct element conjugation."""
     g = ctx.group
-    incl = np.asarray(ctx.emb.inclusion, dtype=np.int64)
-    pos = np.full(g.order, -1, dtype=np.int64)
-    pos[incl] = np.arange(len(incl))
-    binv = int(g.inverse[b])
-    conj = pos[g.product[g.product[binv, incl], b]]
+    conj = ctx.emb.position[g.product[g.product[g.inverse[b], ctx.emb.inclusion], b]]
     if np.any(conj < 0):
         raise ValueError("kernel is not normal (impossible at index 2)")
     return helem[..., conj, :]
@@ -247,7 +241,6 @@ def check_projection_formula(group: GroupTable, lam: SignHomomorphism) -> list[C
     k_g, k_h = ctx.table_g.count, ctx.table_h.count
     h_order = ctx.emb.subgroup.order
     ew = _element_induction_matrix(ctx)
-    incl = np.asarray(ctx.emb.inclusion, dtype=np.int64)
 
     phi_elem = _g_element_values(ctx, np.eye(k_g, dtype=np.int64))  # [k_g, n, phi]
     chi_helem = _h_element_values(ctx, np.eye(k_h, dtype=np.int64))  # [k_h, |H|, phi]
@@ -263,7 +256,7 @@ def check_projection_formula(group: GroupTable, lam: SignHomomorphism) -> list[C
     ind_elem = ind_numer // h_order  # [k_h, n, phi]
     lhs = kernels.pair_products(phi_elem, kernels.mul_into(ind_elem, ring.mul))
 
-    res_phi_helem = phi_elem[:, incl, :]  # [k_g, |H|, phi]
+    res_phi_helem = phi_elem[:, ctx.emb.inclusion, :]  # [k_g, |H|, phi]
     inner = kernels.pair_products(res_phi_helem, kernels.mul_into(chi_helem, ring.mul))
     rhs_numer = np.einsum("ge,aiep->aigp", ew, inner)
     if np.any(rhs_numer % h_order):
@@ -293,7 +286,6 @@ def check_mackey_restriction(group: GroupTable, lam: SignHomomorphism) -> list[C
     ctx = lambda_context(group, lam)
     k_h = ctx.table_h.count
     h_order = ctx.emb.subgroup.order
-    incl = np.asarray(ctx.emb.inclusion, dtype=np.int64)
     ew = _element_induction_matrix(ctx)
     chi_helem = _h_element_values(ctx, np.eye(k_h, dtype=np.int64))
     ind_numer = np.einsum("ge,iep->igp", ew, chi_helem)
@@ -304,7 +296,7 @@ def check_mackey_restriction(group: GroupTable, lam: SignHomomorphism) -> list[C
                 "element-level induction produced non-integral values",
             )
         ]
-    res_ind = (ind_numer // h_order)[:, incl, :]
+    res_ind = (ind_numer // h_order)[:, ctx.emb.inclusion, :]
     twisted = _brute_twisted_h_values(ctx, chi_helem, ctx.b)
     value_ok = np.array_equal(res_ind, chi_helem + twisted)
     # Coordinate shadow: T then R must equal I + twist permutation.
@@ -332,10 +324,9 @@ def check_orbit_multiplicities(group: GroupTable, lam: SignHomomorphism) -> list
     ctx = lambda_context(group, lam)
     ring = ctx.table_g.ring
     k_g, k_h = ctx.table_g.count, ctx.table_h.count
-    incl = np.asarray(ctx.emb.inclusion, dtype=np.int64)
     phi_elem = _g_element_values(ctx, np.eye(k_g, dtype=np.int64))
     chi_helem = _h_element_values(ctx, np.eye(k_h, dtype=np.int64))
-    res_phi = phi_elem[:, incl, :]
+    res_phi = phi_elem[:, ctx.emb.inclusion, :]
     twisted = _brute_twisted_h_values(ctx, chi_helem, ctx.b)
     conj = lambda arr: arr @ ring.conj  # noqa: E731
     lhs = kernels.pair_gram(res_phi, kernels.mul_into(conj(chi_helem), ring.mul))
@@ -402,7 +393,7 @@ def check_b_independence(group: GroupTable, lam: SignHomomorphism) -> list[Check
 def check_corollary(group: GroupTable, lam: SignHomomorphism) -> list[CheckReport]:
     """Commuting coset element forces rank 0 (sufficient direction only)."""
     ctx = lambda_context(group, lam)
-    h_idx = np.asarray(ctx.emb.inclusion, dtype=np.int64)
+    h_idx = ctx.emb.inclusion
     prod = group.product
     commuting = None
     for b in ctx.cosets:
@@ -486,18 +477,15 @@ def verify_group(group: GroupTable, lam: SignHomomorphism | None = None) -> list
     return reports
 
 
-def run_verification(max_order: int = 64, specs=None) -> list[CheckReport]:
-    """Sweep the builtin catalog (or explicit specs) with every valid lambda.
+def run_verification(max_order: int = 64) -> list[CheckReport]:
+    """Sweep the builtin catalog up to `max_order` with every valid lambda.
 
-    A catalog sweep past the order cap is rejected before any group is built.
+    A sweep past the order cap is rejected before any group is built.
     """
-    if specs is None:
-        cap = order_cap()
-        if max_order > cap:
-            raise OrderLimitError(f"sweep up to order {max_order} exceeds the order cap {cap}")
-        specs = builtin_specs_upto(max_order)
+    cap = order_cap()
+    if max_order > cap:
+        raise OrderLimitError(f"sweep up to order {max_order} exceeds the order cap {cap}")
     reports: list[CheckReport] = []
-    for spec in specs:
-        group = build_group(spec)
-        reports.extend(verify_group(group))
+    for spec in builtin_specs_upto(max_order):
+        reports.extend(verify_group(build_group(spec)))
     return sorted(reports, key=lambda r: (r.check, r.group, r.lam))

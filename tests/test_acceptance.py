@@ -6,13 +6,11 @@ bounds here are wall-clock budgets.
 """
 
 import json
-import subprocess
-import sys
 import time
 
 import numpy as np
 
-from conftest import group_with_lambda
+from conftest import group_with_lambda, run_cli
 from ksphere.characters import VirtualCharacter, lambda_context, tensor_product
 from ksphere.groups import (
     GroupSpec,
@@ -207,11 +205,7 @@ def test_criterion_7_determinism(tmp_path):
             (["kgroup", '{"family":"S","n":3,"lambda":{"convention":"sign"}}'], kpath),
             (["verify", '{"family":"D","n":6,"lambda":{"convention":"reflection-sign"}}'], vpath),
         ]:
-            proc = subprocess.run(
-                [sys.executable, "-m", "ksphere.cli", *args, "--json", str(path)],
-                capture_output=True,
-                text=True,
-            )
+            proc = run_cli([*args, "--json", str(path)])
             assert proc.returncode == 0, proc.stderr
         docs.append((kpath.read_bytes(), vpath.read_bytes()))
     ok = docs[0] == docs[1]

@@ -25,18 +25,20 @@ from ksphere.characters import (
     restrict_values,
     table_invariant_failures,
     tensor_product,
+    twist_class_map,
     values_of_coeffs,
 )
 from ksphere.cyclotomic import Cyclotomic, get_ring
 from ksphere.groups import (
     GroupSpec,
+    SubgroupEmbedding,
     build_group,
     builtin_specs_upto,
     enumerate_sign_homs,
     kernel_embedding,
 )
 from ksphere.ktheory import k_group_s1_lambda
-from ksphere.verification import corrupt_table
+from ksphere.verification import _element_induction_matrix, corrupt_table
 
 
 def scalar_values(vc: VirtualCharacter):
@@ -226,6 +228,29 @@ def test_induce_matches_frobenius_oracle():
             assert got == expect
 
 
+def test_embedding_transfer_data_matches_element_oracles():
+    """position, class_map and induction_weights on every builtin (group, lambda) up to 32."""
+    for spec in builtin_specs_upto(32):
+        group = build_group(spec)
+        cls_g = group.classes
+        for lam in enumerate_sign_homs(group):
+            ctx = lambda_context(group, lam)
+            emb = ctx.emb
+            cls_h = emb.subgroup.classes
+            pos = {int(x): e for e, x in enumerate(emb.inclusion)}
+            assert emb.position.tolist() == [pos.get(x, -1) for x in range(group.order)]
+            assert emb.class_map.tolist() == [
+                next(a for a, c in enumerate(cls_g.classes) if int(emb.inclusion[h[0]]) in c)
+                for h in cls_h.classes
+            ]
+            # Element rows of the transfer matrix, summed into H-class columns,
+            # give the row of that element's G-class.
+            onehot = np.eye(cls_h.count, dtype=np.int64)[cls_h.class_of]
+            assert np.array_equal(
+                _element_induction_matrix(ctx) @ onehot, emb.induction_weights[cls_g.class_of]
+            )
+
+
 def test_induce_trivial_is_trivial_plus_lambda():
     t, lam = group_with_lambda(GroupSpec.symmetric(3), "sign")
     ctx = lambda_context(t, lam)
@@ -296,6 +321,19 @@ def test_twist_swaps_omega_characters_of_cyclic3():
     omega2 = VirtualCharacter.unit(ctx.table_h, 2)
     assert conjugate_twist(omega, ctx.emb, b) == omega2
     assert conjugate_twist(omega2, ctx.emb, b) == omega
+
+
+def test_twist_class_map_rejects_outside_elements_and_a_non_normal_subgroup():
+    t, lam = group_with_lambda(GroupSpec.symmetric(3), "sign")
+    emb = lambda_context(t, lam).emb
+    for g in (-1, t.order):
+        with pytest.raises(CharacterTheoryError, match="not in the ambient group"):
+            twist_class_map(emb, g)
+    # <(0 1)> in S3: a 3-cycle conjugates (0 1) out of it.
+    swap = t.element_labels.index("(0 1)")
+    emb = SubgroupEmbedding(build_group(GroupSpec.cyclic(2)), [0, swap], t)
+    with pytest.raises(CharacterTheoryError, match="not normal"):
+        twist_class_map(emb, t.element_labels.index("(0 1 2)"))
 
 
 def test_twist_is_involution_and_b_independent():

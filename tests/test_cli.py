@@ -1,12 +1,8 @@
 """CLI behavior: outputs, exit codes, JSON round trips, byte determinism."""
 
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
-import ksphere
+from conftest import run_cli
 from ksphere import cli
 from ksphere import verification
 from ksphere.verification import CheckReport
@@ -14,28 +10,6 @@ from ksphere.verification import CheckReport
 S3_SPEC = '{"family":"S","n":3,"lambda":{"convention":"sign"}}'
 C6_SPEC = '{"family":"C","n":6,"lambda":{"convention":"onto-pm1"}}'
 D4_SPEC = '{"family":"D","n":4,"lambda":{"convention":"reflection-sign"}}'
-
-
-# The directory that holds the ksphere this process imported. CLI subprocesses
-# put it first on PYTHONPATH, so they run the same code as the test process
-# whether ksphere is installed or reached through PYTHONPATH, from any cwd.
-KSPHERE_ROOT = str(Path(ksphere.__file__).resolve().parents[1])
-
-
-def run_cli(args, env=None):
-    """Run ``python -m ksphere.cli`` in a fresh process; ``env`` sets variables
-    on top of this process's environment."""
-    child_env = dict(os.environ)
-    child_env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [KSPHERE_ROOT, child_env.get("PYTHONPATH")])
-    )
-    child_env.update(env or {})
-    return subprocess.run(
-        [sys.executable, "-m", "ksphere.cli", *args],
-        capture_output=True,
-        text=True,
-        env=child_env,
-    )
 
 
 def test_chartab_inline(capsys):
@@ -118,6 +92,19 @@ def test_input_error_exit_codes(tmp_path, monkeypatch, capsys):
     latin1.write_bytes('{"family":"S","n":3,"name":"Gruppe \xfc"}'.encode("latin-1"))
     assert cli.main(["chartab", str(latin1)]) == 2
     assert "'utf-8' codec can't decode" in capsys.readouterr().err
+    # JSON integers only: no booleans, floats or non-unit signs.
+    for command, doc, field in [
+        ("chartab", '{"family":"C","n":true}', "'n'"),
+        ("chartab", '{"generators":[[1.0,0.0,2.0]]}', "'generators[0][0]'"),
+        ("chartab", '{"generators":[[true,false]]}', "'generators[0][0]'"),
+        ("chartab", '{"generators":[3]}', "'generators[0]'"),
+        ("kgroup", '{"family":"D","n":3,"lambda":{"generator_signs":[1.7,-1]}}',
+         "'lambda.generator_signs[0]'"),
+        ("kgroup", '{"family":"D","n":3,"lambda":{"generator_signs":[1,2]}}',
+         "'lambda.generator_signs[1]'"),
+    ]:
+        assert cli.main([command, doc]) == 2, doc
+        assert field in capsys.readouterr().err, doc
     # Rejected before the sweep builds any group below the cap.
     monkeypatch.setenv("KSPHERE_MAX_ORDER", "10")
     assert cli.main(["verify", "--all-upto", "12"]) == 2

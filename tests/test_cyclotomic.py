@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from ksphere.cyclotomic import (
     Cyclotomic,
+    CyclotomicRing,
     cyclotomic_polynomial,
     euler_phi,
     eval_prime,
@@ -186,6 +187,15 @@ def test_mul_tensor_matches_scalar_products():
         bulk = np.einsum("p,q,pqr->r", a, b, ring.mul)
         scalar = Cyclotomic.make(m, a) * Cyclotomic.make(m, b)
         assert Cyclotomic.make(m, bulk) == scalar
+
+
+@pytest.mark.parametrize("m", [1, 2, 12, 34, 64])
+def test_mul_is_built_on_first_read_from_red(m):
+    ring = CyclotomicRing(m)
+    assert "mul" not in vars(ring)
+    p, q = np.meshgrid(np.arange(ring.phi), np.arange(ring.phi), indexing="ij")
+    assert np.array_equal(ring.mul, ring.red[(p + q) % m])
+    assert "mul" in vars(ring)
 
 
 # -- evaluation domain ---------------------------------------------------------

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from ksphere import dixon, kernels
-from ksphere.characters import get_classes
 from ksphere.cyclotomic import is_prime, root_of_unity
 from ksphere.groups import GroupSpec, build_group
 
@@ -97,7 +96,7 @@ def test_eigenvalues_skip_an_irreducible_quadratic_factor(p):
 )
 def test_common_eigenvectors_rejects_a_class_matrix_that_does_not_split(monkeypatch, n, fake):
     table = build_group(GroupSpec.cyclic(n))
-    classes = get_classes(table)
+    classes = table.classes
     p = dixon.choose_prime(n, n)
     monkeypatch.setattr(kernels, "class_matrix", lambda *args: np.asarray(fake, dtype=np.int64))
     with pytest.raises(dixon.CharacterEngineError, match=f"span 1 of {n} dimensions"):
@@ -106,7 +105,7 @@ def test_common_eigenvectors_rejects_a_class_matrix_that_does_not_split(monkeypa
 
 def test_common_eigenvectors_of_cyclic_group_are_its_characters():
     table = build_group(GroupSpec.cyclic(5))
-    classes = get_classes(table)
+    classes = table.classes
     p = dixon.choose_prime(5, 5)
     omega = dixon.common_eigenvectors(table, classes, p)
     z = root_of_unity(5, p)

@@ -1,5 +1,7 @@
 """Group construction, conjugacy classes, sign homomorphisms, catalogs."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -266,6 +268,27 @@ def test_enumerate_sign_homs_counts():
         assert len(homs) == expected, spec.name
         labels = [h.label for h in homs]
         assert len(set(labels)) == len(labels)
+
+
+def _sign_hom_labels_oracle(spec, table) -> set[str]:
+    """Labels of every surjection reached by trying each generator-sign tuple."""
+    labels = set()
+    for signs in itertools.product((1, -1), repeat=len(table.generators)):
+        try:
+            hom = build_sign_hom(table, spec, LambdaSpec(generator_signs=signs))
+        except LambdaSpecError:
+            continue
+        mask = sum(1 << int(i) for i in hom.negative_indices())
+        labels.add(f"neg:{mask:#x}")
+    return labels
+
+
+def test_enumerate_sign_homs_matches_the_generator_sign_oracle():
+    for spec in builtin_specs_upto(64):
+        t = build_group(spec)
+        assert {h.label for h in enumerate_sign_homs(t)} == _sign_hom_labels_oracle(spec, t), (
+            spec.name
+        )
 
 
 def test_enumerated_homs_are_valid_and_complete_for_klein():
