@@ -17,7 +17,7 @@ rounding.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -104,10 +104,6 @@ class CharacterTable:
     def _row_lookup(self) -> dict[bytes, int]:
         return {row.tobytes(): c for c, row in enumerate(self.values)}
 
-    def character_index(self, values_row: np.ndarray) -> int | None:
-        key = np.ascontiguousarray(values_row, dtype=np.int64).tobytes()
-        return self._row_lookup.get(key)
-
 
 @dataclass(eq=False)
 class VirtualCharacter:
@@ -168,11 +164,20 @@ class VirtualCharacter:
 
 @dataclass(eq=False)
 class OrbitData:
-    """Orbits of the coset twist on the irreducible characters of H."""
+    """Orbits of an involution on Irr, in order of their least character."""
 
     orbits: tuple[tuple[int, ...], ...]
     isotropy: tuple[str, ...]  # "G" (fixed) or "H" (swapped)
     representatives: tuple[int, ...]
+
+    @property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        """The swapped orbits (c, pi(c)) with c < pi(c)."""
+        return tuple(o for o in self.orbits if len(o) == 2)
+
+    @property
+    def fixed(self) -> tuple[int, ...]:
+        return tuple(o[0] for o in self.orbits if len(o) == 1)
 
 
 # ---------------------------------------------------------------------------
@@ -522,21 +527,36 @@ def twist_class_map(emb: SubgroupEmbedding, g: int) -> np.ndarray:
     return cls_h.class_of[hidx]
 
 
+def row_permutation(table: CharacterTable, rows: np.ndarray) -> np.ndarray:
+    """The permutation pi of Irr with rows[c] = values[pi(c)], found by row lookup.
+
+    Raises when a row is not an irreducible of the table or two rows coincide.
+    """
+    lookup = table._row_lookup
+    pi = np.asarray([lookup.get(r.tobytes(), -1) for r in np.asarray(rows, np.int64)], np.int64)
+    if not np.array_equal(np.sort(pi), np.arange(table.count)):
+        raise CharacterTheoryError(f"rows are not a permutation of Irr({table.group.name})")
+    pi.setflags(write=False)
+    return pi
+
+
+def involution_orbits(perm: np.ndarray) -> OrbitData:
+    """Orbits (c,) or (c, perm[c]) for c <= perm[c] of an involution perm on Irr."""
+    perm = np.asarray(perm, dtype=np.int64)
+    if not np.array_equal(perm[perm], np.arange(perm.size)):
+        raise CharacterTheoryError("permutation is not an involution")
+    orbits = tuple((c,) if c == t else (c, t) for c, t in enumerate(perm.tolist()) if c <= t)
+    return OrbitData(
+        orbits=orbits,
+        isotropy=tuple("G" if len(o) == 1 else "H" for o in orbits),
+        representatives=tuple(o[0] for o in orbits),
+    )
+
+
 def twist_permutation(emb: SubgroupEmbedding, g: int) -> np.ndarray:
     """Permutation sigma on Irr(H) with (g-twist of chi_c) = chi_sigma(c)."""
     table_h = character_table(emb.subgroup)
-    tw = twist_class_map(emb, g)
-    twisted = table_h.values[:, tw, :]
-    sigma = np.empty(table_h.count, dtype=np.int64)
-    for c in range(table_h.count):
-        target = table_h.character_index(twisted[c])
-        if target is None:
-            raise CharacterTheoryError("twisted irreducible is not in the table")
-        sigma[c] = target
-    if len(set(int(s) for s in sigma)) != table_h.count:
-        raise CharacterTheoryError("twist did not permute the irreducibles")
-    sigma.setflags(write=False)
-    return sigma
+    return row_permutation(table_h, table_h.values[:, twist_class_map(emb, g), :])
 
 
 def conjugate_twist(chi: VirtualCharacter, emb: SubgroupEmbedding, g: int) -> VirtualCharacter:
@@ -544,10 +564,8 @@ def conjugate_twist(chi: VirtualCharacter, emb: SubgroupEmbedding, g: int) -> Vi
     table_h = character_table(emb.subgroup)
     if chi.table is not table_h:
         raise CharacterTheoryError("character does not live on the subgroup")
-    sigma = twist_permutation(emb, g)
-    out = [0] * table_h.count
-    for c, coeff in enumerate(chi.coeffs):
-        out[int(sigma[c])] = coeff
+    out = np.zeros(table_h.count, dtype=np.int64)
+    out[twist_permutation(emb, g)] = chi.coeffs
     return VirtualCharacter(table_h, tuple(out))
 
 
@@ -588,46 +606,23 @@ _ctx_cache: "weakref.WeakKeyDictionary[SignHomomorphism, LambdaContext]" = (
 )
 
 
-def _orbit_data(table_h: CharacterTable, sigma: np.ndarray) -> OrbitData:
-    orbits = []
-    isotropy = []
-    seen = set()
-    for c in range(table_h.count):
-        if c in seen:
-            continue
-        t = int(sigma[c])
-        if t == c:
-            orbits.append((c,))
-            isotropy.append("G")
-            seen.add(c)
-        else:
-            orbits.append((c, t) if c < t else (t, c))
-            isotropy.append("H")
-            seen.update((c, t))
-    return OrbitData(
-        orbits=tuple(orbits),
-        isotropy=tuple(isotropy),
-        representatives=tuple(o[0] for o in orbits),
-    )
-
-
 def lambda_index(table_g: CharacterTable, lam: SignHomomorphism) -> int:
     """Index of the degree-1 character whose values are the signs of lambda."""
     k = table_g.classes.count
     row = np.zeros((k, table_g.ring.phi), dtype=np.int64)
     for j, rep in enumerate(table_g.classes.representatives):
         row[j, 0] = int(lam.values[rep])
-    idx = table_g.character_index(row)
+    idx = table_g._row_lookup.get(row.tobytes())
     if idx is None:
         raise CharacterTheoryError("sign character is not in the table")
     return idx
 
 
-def lambda_context(group: GroupTable, lam: SignHomomorphism, b: int | None = None) -> LambdaContext:
-    """The context of lambda with the canonical coset element, or with `b`.
+def lambda_context(group: GroupTable, lam: SignHomomorphism) -> LambdaContext:
+    """The context of lambda, with the twist by the first coset element.
 
-    Only the canonical context is cached; one for another `b` is built on
-    each call.
+    The twist on Irr(ker lambda) is the same for every coset element
+    (`verification.check_b_independence`), so one context serves lambda.
     """
     ctx = _ctx_cache.get(lam)
     if ctx is None or ctx.group is not group:
@@ -645,16 +640,11 @@ def lambda_context(group: GroupTable, lam: SignHomomorphism, b: int | None = Non
             cosets=cosets,
             b=cosets[0],
             twist=sigma,
-            orbits=_orbit_data(table_h, sigma),
+            orbits=involution_orbits(sigma),
             lambda_index=lambda_index(table_g, lam),
         )
         _ctx_cache[lam] = ctx
-    if b is None or b == ctx.b:
-        return ctx
-    if int(lam.values[b]) != -1:
-        raise CharacterTheoryError("chosen b is not in the nontrivial coset")
-    sigma = twist_permutation(ctx.emb, b)
-    return replace(ctx, b=b, twist=sigma, orbits=_orbit_data(ctx.table_h, sigma))
+    return ctx
 
 
 def g_orbits_on_irr(group: GroupTable, lam: SignHomomorphism) -> OrbitData:

@@ -212,6 +212,10 @@ def _cmd_kgroup(args) -> int:
 
 def _cmd_verify(args) -> int:
     if args.all_upto is not None:
+        if args.groupspec is not None:
+            raise InputError(f"--all-upto takes no group spec, got {args.groupspec!r}")
+        if args.all_upto < 1:
+            raise InputError(f"--all-upto N needs N >= 1, got {args.all_upto}")
         reports = run_verification(args.all_upto)
     else:
         if args.groupspec is None:

@@ -327,7 +327,6 @@ class Cyclotomic:
         ring = get_ring(self.modulus)
         phi = ring.phi
         out = [0] * phi
-        mul = ring.mul
         for p, a in enumerate(self.num):
             if a == 0:
                 continue
@@ -335,7 +334,7 @@ class Cyclotomic:
                 if b == 0:
                     continue
                 ab = a * b
-                row = mul[p, q]
+                row = ring.red[(p + q) % self.modulus]
                 for r in range(phi):
                     c = int(row[r])
                     if c:

@@ -1,11 +1,12 @@
 """Presentations of the reduced equivariant K-groups of the two spheres.
 
-For the sphere with a one-dimensional sign action the group is the ideal
-generated by 1 - lambda in the representation ring; for the two-sphere
-with the extra trivial coordinate it is the span of the differences
-chi - (twist of chi) over Irr(ker lambda), with the coset twist acting
-and an identically zero internal product. Both presentations carry exact
-integer data and are verified against lattice oracles in the test suite.
+Both pair the swapped orbits of an involution on irreducibles. For the sphere
+with a one-dimensional sign action the group is the ideal generated by
+1 - lambda in R(G), spanned by phi - lambda*phi; for the two-sphere with the
+extra trivial coordinate it is the span of chi - (twist of chi) over
+Irr(ker lambda), with an identically zero internal product. The twist does
+not depend on the coset element. Both carry exact integer data and are
+verified against lattice oracles in the test suite.
 """
 
 from __future__ import annotations
@@ -16,13 +17,16 @@ import numpy as np
 
 from . import lattice
 from .characters import (
+    CharacterTable,
     CharacterTheoryError,
     LambdaContext,
     VirtualCharacter,
     decompose_values,
+    involution_orbits,
     lambda_context,
     restrict,
     restrict_values,
+    row_permutation,
     tensor_product,
     _embedded_values,
 )
@@ -147,14 +151,6 @@ class IdealPresentation:
 # ---------------------------------------------------------------------------
 
 
-def _h_pairs(ctx: LambdaContext) -> list[tuple[int, int]]:
-    return [
-        (o[0], o[1])
-        for o, iso in zip(ctx.orbits.orbits, ctx.orbits.isotropy)
-        if iso == "H"
-    ]
-
-
 def _antiinvariant_coords(ctx: LambdaContext, t: np.ndarray) -> np.ndarray:
     """Coordinates of twist-antiinvariant vectors of Z^Irr(H) in the pair basis.
 
@@ -162,68 +158,54 @@ def _antiinvariant_coords(ctx: LambdaContext, t: np.ndarray) -> np.ndarray:
     asymmetric on a pair): such input signals an internal invariant violation.
     """
     t = np.asarray(t, dtype=np.int64)
-    pairs = _h_pairs(ctx)
-    for o, iso in zip(ctx.orbits.orbits, ctx.orbits.isotropy):
-        if iso == "G":
-            if np.any(t[..., o[0]]):
-                raise CharacterTheoryError(
-                    f"vector has weight on twist-fixed character chi{o[0]}"
-                )
-    for rep, partner in pairs:
-        if np.any(t[..., partner] != -t[..., rep]):
-            raise CharacterTheoryError(
-                f"vector is not antiinvariant on the pair ({rep},{partner})"
-            )
-    if not pairs:
-        return np.zeros(t.shape[:-1] + (0,), dtype=np.int64)
-    return t[..., [rep for rep, _ in pairs]]
-
-
-def k_group_s1_lambda(
-    group: GroupTable, lam: SignHomomorphism, b: int | None = None
-) -> KGroupPresentation:
-    """Presentation with basis {chi - twist(chi)} over swapped orbit pairs."""
-    ctx = lambda_context(group, lam, b)
-    table_g, table_h = ctx.table_g, ctx.table_h
-    pairs = _h_pairs(ctx)
-    rank = len(pairs)
-    k_h = table_h.count
-    basis = []
-    coeff_mat = np.zeros((rank, k_h), dtype=np.int64)
-    for e, (rep, partner) in enumerate(pairs):
-        coeff_mat[e, rep] = 1
-        coeff_mat[e, partner] = -1
-        basis.append(
-            BasisElement(
-                rep=rep,
-                partner=partner,
-                character=VirtualCharacter(table_h, tuple(int(c) for c in coeff_mat[e])),
-                label=f"ind(chi{rep}⊗(ζ-1))",
-            )
+    bad = np.any((t[..., ctx.twist] != -t).reshape(-1, t.shape[-1]), axis=0)
+    if bad.any():
+        c = int(np.argmax(bad))
+        s = int(ctx.twist[c])
+        raise CharacterTheoryError(
+            f"vector has weight on twist-fixed character chi{c}"
+            if s == c
+            else f"vector is not antiinvariant on the pair ({min(c, s)},{max(c, s)})"
         )
-    rows = [b.character.coeffs for b in basis]
-    if not lattice.integrally_independent(rows):
-        raise CharacterTheoryError("basis differences are not integrally independent")
-    k_g = table_g.count
+    return t[..., np.asarray([rep for rep, _ in ctx.orbits.pairs], dtype=np.intp)]
+
+
+def _pair_differences(table: CharacterTable, pairs) -> np.ndarray:
+    """Coefficient rows [len(pairs), k] of chi_rep - chi_partner, checked independent."""
+    coeffs = np.zeros((len(pairs), table.count), dtype=np.int64)
+    for e, (rep, partner) in enumerate(pairs):
+        coeffs[e, rep], coeffs[e, partner] = 1, -1
+    if not lattice.integrally_independent(coeffs.tolist()):
+        raise CharacterTheoryError("orbit differences are not integrally independent")
+    return coeffs
+
+
+def k_group_s1_lambda(group: GroupTable, lam: SignHomomorphism) -> KGroupPresentation:
+    """Presentation with basis {chi - twist(chi)} over swapped orbit pairs."""
+    ctx = lambda_context(group, lam)
+    table_g, table_h = ctx.table_g, ctx.table_h
+    pairs = ctx.orbits.pairs
+    rank = len(pairs)
+    coeff_mat = _pair_differences(table_h, pairs)
+    basis = tuple(
+        BasisElement(rep, partner, VirtualCharacter(table_h, row), f"ind(chi{rep}⊗(ζ-1))")
+        for (rep, partner), row in zip(pairs, coeff_mat)
+    )
     if rank:
         ring_g = table_g.ring
-        basis_vals = np.einsum(
-            "ec,cjp->ejp", coeff_mat, _embedded_values(table_h, ring_g)
-        )
+        basis_vals = np.einsum("ec,cjp->ejp", coeff_mat, _embedded_values(table_h, ring_g))
         res_all = restrict_values(ctx.emb, table_g.values)
         # t[a, e] = coordinates of res(phi_a) * basis_e over Irr(H).
         t = decompose_values(table_h, res_all, ring_g, factor=basis_vals)
-        mats = tuple(
-            np.ascontiguousarray(_antiinvariant_coords(ctx, t[a]).T) for a in range(k_g)
-        )
+        mats = tuple(np.ascontiguousarray(m.T) for m in _antiinvariant_coords(ctx, t))
     else:
-        mats = tuple(np.zeros((0, 0), dtype=np.int64) for _ in range(k_g))
+        mats = tuple(np.zeros((0, 0), dtype=np.int64) for _ in range(table_g.count))
     if not np.array_equal(mats[table_g.trivial_index], np.eye(rank, dtype=np.int64)):
         raise CharacterTheoryError("trivial character does not act as the identity")
     return KGroupPresentation(
         sphere=S1_LAMBDA,
         rank=rank,
-        basis=tuple(basis),
+        basis=basis,
         action_names=table_g.names,
         action=mats,
         ctx=ctx,
@@ -271,39 +253,21 @@ def _lambda_tensor_permutation(ctx: LambdaContext) -> np.ndarray:
     the signs of lambda applied, and its index is a row lookup in the table.
     """
     table = ctx.table_g
-    signs = table.values[ctx.lambda_index][:, :1]
-    pi = np.full(table.count, -1, dtype=np.int64)
-    for c in range(table.count):
-        target = table.character_index(table.values[c] * signs)
-        if target is None:
-            raise CharacterTheoryError("tensoring by the sign character is not a permutation")
-        pi[c] = target
-    if np.any(pi[pi] != np.arange(table.count)):
-        raise CharacterTheoryError("sign tensoring is not an involution")
-    return pi
+    return row_permutation(table, table.values * table.values[ctx.lambda_index][:, :1])
 
 
 def k_group_s_lambda(group: GroupTable, lam: SignHomomorphism) -> IdealPresentation:
     """Basis {phi - lambda*phi} over swapped orbits of tensoring by the sign."""
     ctx = lambda_context(group, lam)
     table = ctx.table_g
-    pi = _lambda_tensor_permutation(ctx)
-    pairs = [(c, int(pi[c])) for c in range(table.count) if c < pi[c]]
-    fixed = tuple(c for c in range(table.count) if pi[c] == c)
-    basis = []
-    for rep, partner in pairs:
-        coeffs = [0] * table.count
-        coeffs[rep] = 1
-        coeffs[partner] = -1
-        basis.append(VirtualCharacter(table, tuple(coeffs)))
-    if not lattice.integrally_independent([b.coeffs for b in basis]):
-        raise CharacterTheoryError("ideal basis is not integrally independent")
+    orbits = involution_orbits(_lambda_tensor_permutation(ctx))
+    basis = tuple(VirtualCharacter(table, row) for row in _pair_differences(table, orbits.pairs))
     return IdealPresentation(
         sphere=S_LAMBDA,
-        rank=len(pairs),
-        basis=tuple(basis),
-        pairs=tuple(pairs),
-        fixed=fixed,
+        rank=len(basis),
+        basis=basis,
+        pairs=orbits.pairs,
+        fixed=orbits.fixed,
         lambda_index=ctx.lambda_index,
         ctx=ctx,
     )
@@ -312,6 +276,5 @@ def k_group_s_lambda(group: GroupTable, lam: SignHomomorphism) -> IdealPresentat
 def rank_splitting_report(group: GroupTable, lam: SignHomomorphism) -> dict:
     """Orbit counts by isotropy type and the resulting free rank."""
     ctx = lambda_context(group, lam)
-    n_h = sum(1 for iso in ctx.orbits.isotropy if iso == "H")
-    n_g = sum(1 for iso in ctx.orbits.isotropy if iso == "G")
-    return {"orbits_isotropy_H": n_h, "orbits_isotropy_G": n_g, "rank": n_h}
+    n_h = len(ctx.orbits.pairs)
+    return {"orbits_isotropy_H": n_h, "orbits_isotropy_G": len(ctx.orbits.fixed), "rank": n_h}

@@ -25,6 +25,7 @@ from .characters import (
     induced_values,
     lambda_context,
     restrict_values,
+    twist_permutation,
     values_of_coeffs,
 )
 from .groups import (
@@ -172,6 +173,15 @@ def _element_induction_matrix(ctx: LambdaContext) -> np.ndarray:
     return ew
 
 
+def _element_induced(ctx: LambdaContext, ew: np.ndarray, helem: np.ndarray) -> np.ndarray | None:
+    """Per-element induction of H values [..., |H|, phi] to G, or None if not integral."""
+    numer = np.einsum("ge,...ep->...gp", ew, helem)
+    h_order = ctx.emb.subgroup.order
+    if np.any(numer % h_order):
+        return None
+    return numer // h_order
+
+
 def _h_element_values(ctx: LambdaContext, coeffs: np.ndarray) -> np.ndarray:
     """Per-H-element value arrays of virtual H-characters, in the ambient ring."""
     vals = np.einsum(
@@ -239,34 +249,31 @@ def check_projection_formula(group: GroupTable, lam: SignHomomorphism) -> list[C
     ctx = lambda_context(group, lam)
     ring = ctx.table_g.ring
     k_g, k_h = ctx.table_g.count, ctx.table_h.count
-    h_order = ctx.emb.subgroup.order
     ew = _element_induction_matrix(ctx)
 
     phi_elem = _g_element_values(ctx, np.eye(k_g, dtype=np.int64))  # [k_g, n, phi]
     chi_helem = _h_element_values(ctx, np.eye(k_h, dtype=np.int64))  # [k_h, |H|, phi]
 
-    ind_numer = np.einsum("ge,iep->igp", ew, chi_helem)
-    if np.any(ind_numer % h_order):
+    ind_elem = _element_induced(ctx, ew, chi_helem)  # [k_h, n, phi]
+    if ind_elem is None:
         return [
             CheckReport(
                 "projection-formula", group.name, lam.label, "fail",
                 "element-level induction produced non-integral values",
             )
         ]
-    ind_elem = ind_numer // h_order  # [k_h, n, phi]
     lhs = kernels.pair_products(phi_elem, kernels.mul_into(ind_elem, ring.mul))
 
     res_phi_helem = phi_elem[:, ctx.emb.inclusion, :]  # [k_g, |H|, phi]
     inner = kernels.pair_products(res_phi_helem, kernels.mul_into(chi_helem, ring.mul))
-    rhs_numer = np.einsum("ge,aiep->aigp", ew, inner)
-    if np.any(rhs_numer % h_order):
+    rhs = _element_induced(ctx, ew, inner)
+    if rhs is None:
         return [
             CheckReport(
                 "projection-formula", group.name, lam.label, "fail",
                 "element-level induction of the product is non-integral",
             )
         ]
-    rhs = rhs_numer // h_order
     if np.array_equal(lhs, rhs):
         return [CheckReport("projection-formula", group.name, lam.label, "pass")]
     bad = np.argwhere(np.any(lhs != rhs, axis=(2, 3)))[0]
@@ -285,25 +292,22 @@ def check_mackey_restriction(group: GroupTable, lam: SignHomomorphism) -> list[C
     """res(ind(chi)) = chi + twist(chi) for every irreducible chi of H."""
     ctx = lambda_context(group, lam)
     k_h = ctx.table_h.count
-    h_order = ctx.emb.subgroup.order
-    ew = _element_induction_matrix(ctx)
     chi_helem = _h_element_values(ctx, np.eye(k_h, dtype=np.int64))
-    ind_numer = np.einsum("ge,iep->igp", ew, chi_helem)
-    if np.any(ind_numer % h_order):
+    ind_elem = _element_induced(ctx, _element_induction_matrix(ctx), chi_helem)
+    if ind_elem is None:
         return [
             CheckReport(
                 "mackey-restriction", group.name, lam.label, "fail",
                 "element-level induction produced non-integral values",
             )
         ]
-    res_ind = (ind_numer // h_order)[:, ctx.emb.inclusion, :]
+    res_ind = ind_elem[:, ctx.emb.inclusion, :]
     twisted = _brute_twisted_h_values(ctx, chi_helem, ctx.b)
     value_ok = np.array_equal(res_ind, chi_helem + twisted)
     # Coordinate shadow: T then R must equal I + twist permutation.
     r = _restriction_matrix(ctx)
     t = _induction_matrix(ctx)
-    perm = np.zeros((k_h, k_h), dtype=np.int64)
-    perm[np.arange(k_h), ctx.twist] = 1
+    perm = np.eye(k_h, dtype=np.int64)[ctx.twist]
     coords = t @ r  # coords[i, j] = multiplicity of chi_j in res(ind(chi_i))
     coord_ok = np.array_equal(coords, np.eye(k_h, dtype=np.int64) + perm)
     if value_ok and coord_ok:
@@ -346,20 +350,15 @@ def check_orbit_multiplicities(group: GroupTable, lam: SignHomomorphism) -> list
 
 
 def check_b_independence(group: GroupTable, lam: SignHomomorphism) -> list[CheckReport]:
-    """Twist, orbits, and the whole presentation agree for every coset choice.
+    """The twist agrees for every coset element, by element conjugation and on Irr.
 
-    The twist is compared per coset element both by direct element
-    conjugation and as a permutation of the irreducibles; the presentation
-    (which consumes the coset choice only through its orbit data) is rebuilt
-    once per distinct orbit set encountered.
+    The presentation reads the coset element only through the twist
+    permutation, so equal permutations give the same presentation.
     """
     ctx = lambda_context(group, lam)
-    canonical = k_group_s1_lambda(group, lam).signature()
-    canonical_orbits = (ctx.orbits.orbits, ctx.orbits.isotropy, ctx.orbits.representatives)
     k_h = ctx.table_h.count
     chi_helem = _h_element_values(ctx, np.eye(k_h, dtype=np.int64))
     base_twisted = _brute_twisted_h_values(ctx, chi_helem, ctx.b)
-    seen_orbits = {canonical_orbits}
     for b in ctx.cosets:
         twisted = _brute_twisted_h_values(ctx, chi_helem, b)
         if not np.array_equal(twisted, base_twisted):
@@ -369,24 +368,13 @@ def check_b_independence(group: GroupTable, lam: SignHomomorphism) -> list[Check
                     f"element-level twist differs for coset element {b}",
                 )
             ]
-        bctx = lambda_context(group, lam, b=b)
-        if not np.array_equal(bctx.twist, ctx.twist):
+        if not np.array_equal(twist_permutation(ctx.emb, b), ctx.twist):
             return [
                 CheckReport(
                     "b-independence", group.name, lam.label, "fail",
                     f"twist permutation differs for coset element {b}",
                 )
             ]
-        orbit_key = (bctx.orbits.orbits, bctx.orbits.isotropy, bctx.orbits.representatives)
-        if orbit_key not in seen_orbits:
-            seen_orbits.add(orbit_key)
-            if k_group_s1_lambda(group, lam, b=b).signature() != canonical:
-                return [
-                    CheckReport(
-                        "b-independence", group.name, lam.label, "fail",
-                        f"presentation differs for coset element {b}",
-                    )
-                ]
     return [CheckReport("b-independence", group.name, lam.label, "pass")]
 
 

@@ -20,12 +20,15 @@ from ksphere.characters import (
     g_orbits_on_irr,
     inner_product,
     induce,
+    involution_orbits,
     lambda_context,
     restrict,
     restrict_values,
+    row_permutation,
     table_invariant_failures,
     tensor_product,
     twist_class_map,
+    twist_permutation,
     values_of_coeffs,
 )
 from ksphere.cyclotomic import Cyclotomic, get_ring
@@ -347,8 +350,31 @@ def test_twist_is_involution_and_b_independent():
         sigma = ctx.twist
         assert np.array_equal(sigma[sigma], np.arange(ctx.table_h.count))
         for b in ctx.cosets:
-            other = lambda_context(t, lam, b=b)
-            assert np.array_equal(other.twist, sigma)
+            assert np.array_equal(twist_permutation(ctx.emb, b), sigma)
+
+
+def test_row_permutation_rejects_a_duplicated_and_a_missing_row():
+    table = character_table(build_group(GroupSpec.dihedral(4)))
+    k = table.count
+    shuffled = np.arange(k)[::-1].copy()
+    assert np.array_equal(row_permutation(table, table.values[shuffled]), shuffled)
+    duplicated = table.values[[0] + list(range(k - 1))]
+    with pytest.raises(CharacterTheoryError, match="not a permutation"):
+        row_permutation(table, duplicated)
+    missing = table.values.copy()
+    missing[k - 1, 0, 0] += 1
+    with pytest.raises(CharacterTheoryError, match="not a permutation"):
+        row_permutation(table, missing)
+
+
+def test_involution_orbits_lists_fixed_points_and_pairs_and_rejects_a_3_cycle():
+    data = involution_orbits(np.array([0, 3, 2, 1, 5, 4]))
+    assert data.orbits == ((0,), (1, 3), (2,), (4, 5))
+    assert data.isotropy == ("G", "H", "G", "H")
+    assert data.representatives == (0, 1, 2, 4)
+    assert data.pairs == ((1, 3), (4, 5)) and data.fixed == (0, 2)
+    with pytest.raises(CharacterTheoryError, match="not an involution"):
+        involution_orbits(np.array([1, 2, 0, 3]))
 
 
 def test_twist_matches_brute_value_permutation():

@@ -105,6 +105,16 @@ def test_input_error_exit_codes(tmp_path, monkeypatch, capsys):
     ]:
         assert cli.main([command, doc]) == 2, doc
         assert field in capsys.readouterr().err, doc
+    # A sweep takes no group spec and needs N >= 1.
+    for argv, needle in [
+        (["verify", '{"family":"S","n":5}', "--all-upto", "2"], "--all-upto takes no group spec"),
+        (["verify", "not-a-file", "--all-upto", "2"], "'not-a-file'"),
+        (["verify", "--all-upto", "0"], "--all-upto N needs N >= 1, got 0"),
+        (["verify", "--all-upto", "-3"], "--all-upto N needs N >= 1, got -3"),
+    ]:
+        assert cli.main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and needle in captured.err, argv
     # Rejected before the sweep builds any group below the cap.
     monkeypatch.setenv("KSPHERE_MAX_ORDER", "10")
     assert cli.main(["verify", "--all-upto", "12"]) == 2

@@ -179,7 +179,7 @@ def test_mixed_modulus_arithmetic_is_rejected():
 
 def test_mul_tensor_matches_scalar_products():
     rng = np.random.default_rng(7)
-    for m in (4, 6, 9, 12):
+    for m in (1, 2, 4, 6, 9, 12, 34, 64):
         ring = get_ring(m)
         a = rng.integers(-5, 6, ring.phi)
         b = rng.integers(-5, 6, ring.phi)
@@ -187,6 +187,13 @@ def test_mul_tensor_matches_scalar_products():
         bulk = np.einsum("p,q,pqr->r", a, b, ring.mul)
         scalar = Cyclotomic.make(m, a) * Cyclotomic.make(m, b)
         assert Cyclotomic.make(m, bulk) == scalar
+
+
+def test_scalar_product_does_not_build_the_mul_table():
+    m = 1024
+    product = Cyclotomic.zeta(m) * Cyclotomic.zeta(m, 3)
+    assert product == Cyclotomic.zeta(m, 4)
+    assert "mul" not in vars(get_ring(m))
 
 
 @pytest.mark.parametrize("m", [1, 2, 12, 34, 64])

@@ -15,6 +15,7 @@ from ksphere.characters import (
 )
 from ksphere.groups import GroupSpec, build_group, builtin_specs_upto, enumerate_sign_homs
 from ksphere.ktheory import (
+    _antiinvariant_coords,
     _lambda_tensor_permutation,
     k_group_s1_lambda,
     k_group_s_lambda,
@@ -233,16 +234,53 @@ def test_ring_product_rejects_mixed_presentations():
         ring_product(p1.element([1]), p2.element([1]))
 
 
-def test_presentation_is_b_independent():
-    for spec, conv in [
-        (GroupSpec.symmetric(3), "sign"),
-        (GroupSpec.dihedral(4), "reflection-sign"),
-    ]:
-        t, lam = group_with_lambda(spec, conv)
-        ctx = lambda_context(t, lam)
-        sig = k_group_s1_lambda(t, lam).signature()
-        for b in ctx.cosets:
-            assert k_group_s1_lambda(t, lam, b=b).signature() == sig
+def _antiinvariant_coords_by_orbit(ctx, t):
+    """The per-orbit loop over fixed characters and pairs (oracle)."""
+    pairs = [o for o, iso in zip(ctx.orbits.orbits, ctx.orbits.isotropy) if iso == "H"]
+    for o, iso in zip(ctx.orbits.orbits, ctx.orbits.isotropy):
+        if iso == "G" and np.any(t[..., o[0]]):
+            raise CharacterTheoryError(f"vector has weight on twist-fixed character chi{o[0]}")
+    for rep, partner in pairs:
+        if np.any(t[..., partner] != -t[..., rep]):
+            raise CharacterTheoryError(f"vector is not antiinvariant on the pair ({rep},{partner})")
+    if not pairs:
+        return np.zeros(t.shape[:-1] + (0,), dtype=np.int64)
+    return t[..., [rep for rep, _ in pairs]]
+
+
+def test_antiinvariant_coords_match_the_per_orbit_loop():
+    """Every builtin (group, lambda) of order <= 32, on vectors in and off the span."""
+    rng = np.random.default_rng(11)
+    for spec in builtin_specs_upto(32):
+        t = build_group(spec)
+        for lam in enumerate_sign_homs(t):
+            ctx = lambda_context(t, lam)
+            k_h = ctx.table_h.count
+            pres = k_group_s1_lambda(t, lam)
+            span = rng.integers(-4, 5, (3, pres.rank)) @ np.asarray(
+                [b.character.coeffs for b in pres.basis], dtype=np.int64
+            ).reshape(pres.rank, k_h)
+            assert np.array_equal(
+                _antiinvariant_coords(ctx, span), _antiinvariant_coords_by_orbit(ctx, span)
+            )
+            off = span.copy()
+            off[rng.integers(3), rng.integers(k_h)] += 1
+            with pytest.raises(CharacterTheoryError) as oracle:
+                _antiinvariant_coords_by_orbit(ctx, off)
+            with pytest.raises(CharacterTheoryError) as got:
+                _antiinvariant_coords(ctx, off)
+            assert str(got.value) == str(oracle.value)
+
+
+def test_antiinvariant_coords_reject_a_fixed_weight_and_an_asymmetric_pair():
+    t, lam = group_with_lambda(GroupSpec.symmetric(3), "sign")
+    ctx = lambda_context(t, lam)
+    assert ctx.orbits.orbits == ((0,), (1, 2))
+    assert _antiinvariant_coords(ctx, np.array([0, 3, -3])).tolist() == [3]
+    with pytest.raises(CharacterTheoryError, match="twist-fixed character chi0"):
+        _antiinvariant_coords(ctx, np.array([1, 3, -3]))
+    with pytest.raises(CharacterTheoryError, match=r"not antiinvariant on the pair \(1,2\)"):
+        _antiinvariant_coords(ctx, np.array([0, 3, -2]))
 
 
 # -- the sign sphere -------------------------------------------------------

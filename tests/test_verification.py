@@ -5,7 +5,8 @@ import json
 import pytest
 
 from conftest import group_with_lambda
-from ksphere.characters import character_table
+from ksphere import verification
+from ksphere.characters import character_table, lambda_context, twist_permutation
 from ksphere.groups import GroupSpec, build_group, enumerate_sign_homs
 from ksphere.verification import (
     SCHEMA,
@@ -116,6 +117,24 @@ def test_individual_checks_pass_on_dihedral5():
     ):
         (rep,) = chk(t, lam)
         assert rep.status == "pass", (chk.__name__, rep.details)
+
+
+def test_b_independence_reports_a_wrong_twist_permutation(monkeypatch):
+    t, lam = group_with_lambda(GroupSpec.symmetric(3), "sign")
+    ctx = lambda_context(t, lam)
+    b = ctx.cosets[1]
+    assert b != ctx.b
+
+    def wrong_for_b(emb, g):
+        sigma = twist_permutation(emb, g)
+        return sigma[::-1] if g == b else sigma
+
+    (rep,) = check_b_independence(t, lam)
+    assert rep.status == "pass"  # control
+    monkeypatch.setattr(verification, "twist_permutation", wrong_for_b)
+    (rep,) = check_b_independence(t, lam)
+    assert rep.status == "fail"
+    assert rep.details == f"twist permutation differs for coset element {b}"
 
 
 def test_report_json_is_sorted_and_round_trips():
