@@ -39,6 +39,14 @@ _COEFF_LIMIT = 1 << 20
 _EVAL_PRIME_FLOOR = 1 << 20
 _EVAL_PRIME_CEIL = 1 << 31
 
+# Evaluation-prime indices below ORACLE_PRIME_START serve the library
+# (characters.py counts from 0) and their primes lie below _ORACLE_PRIME_FLOOR;
+# the element-level oracles in verification.py count from ORACLE_PRIME_START,
+# whose primes lie above it. So no prime serves both routes of an identity,
+# whatever their moduli, and a bad prime cannot hide in both.
+ORACLE_PRIME_START = 8
+_ORACLE_PRIME_FLOOR = 1 << 21
+
 
 def factorization(n: int) -> list[tuple[int, int]]:
     """Ascending (prime, exponent) pairs of n >= 1, by trial division."""
@@ -186,19 +194,32 @@ def root_of_unity(m: int, p: int) -> int:
 
 
 @lru_cache(maxsize=None)
+def _eval_modulus(m: int, i: int) -> int:
+    """The i-th evaluation prime p = 1 (mod m): the i-th above 2**20 while
+    i < ORACLE_PRIME_START and below 2**21, then the primes above 2**21."""
+    library = i < ORACLE_PRIME_START
+    if i in (0, ORACLE_PRIME_START):
+        p = ((_EVAL_PRIME_FLOOR if library else _ORACLE_PRIME_FLOOR) // m + 1) * m + 1
+    else:
+        p = _eval_modulus(m, i - 1) + m
+    while not is_prime(p):
+        p += m
+    ceil = _ORACLE_PRIME_FLOOR if library else _EVAL_PRIME_CEIL
+    if p >= ceil:
+        raise ArithmeticError(f"no evaluation prime {i} below {ceil} for modulus {m}")
+    return p
+
+
+@lru_cache(maxsize=None)
 def eval_prime(m: int, i: int) -> tuple[int, np.ndarray, np.ndarray]:
-    """The i-th prime p = 1 (mod m) above 2**20 and its evaluation data.
+    """The i-th evaluation prime p = 1 (mod m) and its evaluation data.
 
     Returns (p, V, neg). With z a primitive m-th root of unity mod p and
     e_0 < e_1 < ... the phi(m) exponents coprime to m, V[s, t] = z**(e_s * t)
     mod p maps power-basis coefficients to the images at the points z**e_s,
     and neg[s] is the index of -e_s: complex conjugation permutes the points.
     """
-    p = eval_prime(m, i - 1)[0] + m if i else (_EVAL_PRIME_FLOOR // m + 1) * m + 1
-    while not is_prime(p):
-        p += m
-    if p >= _EVAL_PRIME_CEIL:
-        raise ArithmeticError(f"no evaluation prime below 2**31 for modulus {m}")
+    p = _eval_modulus(m, i)
     z = root_of_unity(m, p)
     exps = [e for e in range(m) if gcd(e, m) == 1]
     phi = len(exps)
@@ -212,12 +233,22 @@ def eval_prime(m: int, i: int) -> tuple[int, np.ndarray, np.ndarray]:
     return p, v, neg
 
 
-def prime_count(m: int, bound: int) -> int:
-    """Fewest evaluation primes for modulus m whose product exceeds 2 * bound."""
-    count, product = 1, eval_prime(m, 0)[0]
+def prime_count(m: int, bound: int, start: int = 0) -> int:
+    """Fewest evaluation primes for modulus m, from index `start` on, whose
+    product exceeds 2 * bound.
+
+    Raises ArithmeticError when a count from below ORACLE_PRIME_START would
+    reach it, so the library's primes never serve an oracle.
+    """
+    count, product = 1, _eval_modulus(m, start)
     while product <= 2 * bound:
-        product *= eval_prime(m, count)[0]
+        product *= _eval_modulus(m, start + count)
         count += 1
+    if start < ORACLE_PRIME_START < start + count:
+        raise ArithmeticError(
+            f"coefficient bound {bound} needs more than {ORACLE_PRIME_START - start} "
+            f"evaluation primes for modulus {m}"
+        )
     return count
 
 

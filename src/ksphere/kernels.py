@@ -2,8 +2,10 @@
 
 All heavy inner loops of the package live here: reduced row echelon form
 and characteristic polynomials over GF(p), class-sum structure constants,
-the modular matrix products of evaluation-domain table arithmetic, and the
-dense power-basis contractions that the brute-force oracles use.
+the modular matrix products of evaluation-domain arithmetic, and the dense
+power-basis contractions. The brute-force oracles compare in the evaluation
+domain; the dense contractions are the route that names a failing
+projection-formula pair and the reference the tests hold the oracles to.
 
 Every kernel works on ``int64`` arrays, and every contraction is exact by a
 checked bound: before it contracts, it computes in Python ints the largest

@@ -2,15 +2,23 @@
 
 Each check recomputes its identity through a route independent of the
 library's fast path: sums run over raw group elements instead of weighted
-classes, induction uses a per-element transfer matrix instead of the
-class-level one, and twists conjugate elements directly. Checks return
-report entries instead of raising, so failures (including deliberately
-corrupted inputs) surface as data.
+classes, induction runs through the nonzeros of a per-element transfer
+matrix instead of the class-level one, and twists conjugate elements
+directly. The orthogonality, projection and orbit identities are compared
+in the evaluation domain, as images at the primitive roots of unity modulo
+oracle-only primes: indices from `cyclotomic.ORACLE_PRIME_START`, whose
+primes the library never uses. Each check first bounds, in Python ints,
+the coefficients of the difference of its two sides, and takes primes until
+their product exceeds twice that bound, so equal images prove equal
+cyclotomic integers. Every int64 sum has a bound that is checked first.
+Checks return report entries instead of raising, so failures (including
+deliberately corrupted inputs) surface as data.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,6 +36,7 @@ from .characters import (
     twist_permutation,
     values_of_coeffs,
 )
+from .cyclotomic import ORACLE_PRIME_START, eval_prime, prime_count
 from .groups import (
     GroupTable,
     OrderLimitError,
@@ -74,6 +83,25 @@ def _elem_values(class_vals: np.ndarray, class_of: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(class_vals[..., class_of, :])
 
 
+def _l1(values: np.ndarray) -> int:
+    """Largest l1 norm of a power-basis value in [..., phi], as a Python int."""
+    if values.size == 0:
+        return 0
+    peak = max(int(values.max()), -int(values.min()))
+    if peak * values.shape[-1] >= 1 << 63:
+        raise OverflowError(f"l1 norm: worst-case magnitude {peak * values.shape[-1]} reaches 2**63")
+    return int(np.abs(values).sum(axis=-1).max())
+
+
+def _oracle_primes(m: int, bound: int) -> range:
+    """Indices of the oracle-only evaluation primes of modulus m whose product
+    exceeds 2 * bound: equal images there prove equal cyclotomic integers
+    whose coefficient difference is at most bound."""
+    return range(
+        ORACLE_PRIME_START, ORACLE_PRIME_START + prime_count(m, bound, ORACLE_PRIME_START)
+    )
+
+
 # ---------------------------------------------------------------------------
 # character table checks
 # ---------------------------------------------------------------------------
@@ -86,13 +114,14 @@ def check_table(group: GroupTable, table: CharacterTable | None = None) -> list[
     name = group.name
     out = []
     k = table.classes.count
+    r = table.count
     n = group.order
     ring = table.ring
 
-    status = "pass" if table.count == k else "fail"
+    status = "pass" if r == k else "fail"
     out.append(
         CheckReport(
-            "table-class-count", name, "-", status, f"{table.count} rows, {k} classes"
+            "table-class-count", name, "-", status, f"{r} rows, {k} classes"
         )
     )
     dsq = sum(d * d for d in table.degrees)
@@ -106,34 +135,39 @@ def check_table(group: GroupTable, table: CharacterTable | None = None) -> list[
         )
     )
 
-    elem = _elem_values(table.values, table.classes.class_of)  # [k, n, phi]
-    conj_elem = elem @ ring.conj
-    gram = kernels.pair_gram(elem, kernels.mul_into(conj_elem, ring.mul))  # [a, b, phi]
-    expected = np.zeros_like(gram)
-    expected[np.arange(k), np.arange(k), 0] = n
-    if np.array_equal(gram, expected):
+    # Rows: sum_x chi_a(x) conj(chi_b(x)) over the n elements = n delta_ab.
+    # Columns, on class representatives: sum_c chi_c(i) conj(chi_c(j)) =
+    # (n / |C_i|) delta_ij. Both are compared as images at oracle-only primes;
+    # a bound on the coefficients of each side's difference fixes their number.
+    peak_l1 = ring.peak * ring.l1 * _l1(table.values) ** 2
+    row_bound = n * peak_l1 + n
+    col_bound = r * peak_l1 + n
+    row_expected = n * np.eye(r, dtype=np.int64)
+    col_expected = np.diag(n // np.asarray(table.classes.class_sizes, dtype=np.int64))
+    row_bad = np.zeros((r, r), dtype=bool)
+    col_bad = np.zeros((k, k), dtype=bool)
+    for i in _oracle_primes(ring.modulus, max(row_bound, col_bound)):
+        p, _, neg = eval_prime(ring.modulus, i)
+        images = ring.evaluate(table.values, i)  # [r, k, e]
+        elem = _elem_values(images, table.classes.class_of)  # [r, n, e]
+        gram = kernels.weighted_analysis(elem, elem[..., neg], p)
+        row_bad |= np.any(gram != row_expected[..., None] % p, axis=-1)
+        cols = images.transpose(1, 0, 2)
+        col = kernels.weighted_analysis(cols, cols[..., neg], p)
+        col_bad |= np.any(col != col_expected[..., None] % p, axis=-1)
+    if not row_bad.any():
         out.append(CheckReport("table-row-orthogonality", name, "-", "pass"))
     else:
-        bad = np.argwhere(np.any(gram != expected, axis=-1))
-        pairs = ", ".join(f"({a},{b})" for a, b in bad[:5])
+        pairs = ", ".join(f"({a},{b})" for a, b in np.argwhere(row_bad)[:5])
         out.append(
             CheckReport(
                 "table-row-orthogonality", name, "-", "fail", f"offending pairs {pairs}"
             )
         )
-
-    # Column orthogonality over the irreducibles, on class representatives.
-    conj_vals = table.values @ ring.conj
-    cm = kernels.mul_into(conj_vals, ring.mul)
-    col = kernels.pair_gram(table.values.transpose(1, 0, 2), cm.transpose(1, 0, 2, 3))
-    col_expected = np.zeros_like(col)
-    sizes = np.asarray(table.classes.class_sizes, dtype=np.int64)
-    col_expected[np.arange(k), np.arange(k), 0] = n // sizes
-    if np.array_equal(col, col_expected):
+    if not col_bad.any():
         out.append(CheckReport("table-column-orthogonality", name, "-", "pass"))
     else:
-        bad = np.argwhere(np.any(col != col_expected, axis=-1))
-        pairs = ", ".join(f"({i},{j})" for i, j in bad[:5])
+        pairs = ", ".join(f"({i},{j})" for i, j in np.argwhere(col_bad)[:5])
         out.append(
             CheckReport(
                 "table-column-orthogonality", name, "-", "fail", f"offending pairs {pairs}"
@@ -159,42 +193,79 @@ def corrupt_table(table: CharacterTable, char_index: int, class_index: int, delt
 def _element_induction_matrix(ctx: LambdaContext) -> np.ndarray:
     """EW[g, e] = #{x in G : x^-1 g x = (e-th element of H)}, exact transfer data."""
     g = ctx.group
-    n = g.order
-    prod = g.product
-    inv = g.inverse
+    n, h_order = g.order, ctx.emb.subgroup.order
     all_g = np.arange(n, dtype=np.int64)
-    ew = np.zeros((n, ctx.emb.subgroup.order), dtype=np.int64)
-    for gg in range(n):
-        conj = prod[prod[inv[all_g], gg], all_g]
-        inside = ctx.emb.position[conj]
-        hits = inside[inside >= 0]
-        if hits.size:
-            ew[gg] = np.bincount(hits, minlength=ew.shape[1])
-    return ew
+    conj = g.product[g.product[g.inverse[:, None], all_g[None, :]], all_g[:, None]]  # [x, g]
+    inside = ctx.emb.position[conj]
+    hit = inside >= 0
+    keys = np.broadcast_to(all_g * h_order, conj.shape)[hit] + inside[hit]
+    return np.bincount(keys, minlength=n * h_order).reshape(n, h_order)
 
 
-def _element_induced(ctx: LambdaContext, ew: np.ndarray, helem: np.ndarray) -> np.ndarray | None:
+class _Transfer(NamedTuple):
+    """The nonzeros of the transfer matrix EW, in blocks of rows with equally many.
+
+    In a block (rows, cols, weights), row rows[s] of EW has the nonzeros
+    weights[s, t] at the H-elements cols[s, t]. Rows without a nonzero are
+    left out, since induced values vanish on them. There are
+    sum_{h in H} |cl_G(h)| nonzeros, |H| for abelian G. reach is the largest
+    l1 norm of a row.
+    """
+
+    blocks: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+    reach: int
+
+    @staticmethod
+    def of(ew: np.ndarray) -> "_Transfer":
+        counts = np.count_nonzero(ew, axis=1)
+        blocks = []
+        for length in np.unique(counts[counts > 0]):
+            rows = np.flatnonzero(counts == length)
+            cols = np.nonzero(ew[rows])[1].reshape(rows.size, length)
+            blocks.append((rows, cols, np.take_along_axis(ew[rows], cols, axis=1)))
+        return _Transfer(tuple(blocks), int(np.abs(ew).sum(axis=1).max()))
+
+    @property
+    def rows(self) -> np.ndarray:
+        """The rows of EW with a nonzero, in the order `sums` returns them."""
+        return np.concatenate([rows for rows, _, _ in self.blocks])
+
+    def sums(self, vals: np.ndarray, magnitude: int) -> np.ndarray:
+        """out[..., s, :] = sum_x EW[rows[s], x] vals[..., x, :] over the nonzeros.
+
+        `magnitude` bounds every |vals| entry; the int64 sums are exact by
+        a bound checked first.
+        """
+        if self.reach * magnitude >= 1 << 63:
+            raise OverflowError(
+                f"transfer sum: worst-case magnitude {self.reach * magnitude} reaches 2**63"
+            )
+        return np.concatenate(
+            [(vals[..., cols, :] * w[:, :, None]).sum(axis=-2) for _, cols, w in self.blocks],
+            axis=-2,
+        )
+
+
+def _element_induced(ctx: LambdaContext, transfer: _Transfer, helem: np.ndarray) -> np.ndarray | None:
     """Per-element induction of H values [..., |H|, phi] to G, or None if not integral."""
-    numer = np.einsum("ge,...ep->...gp", ew, helem)
+    numer = transfer.sums(helem, int(np.abs(helem).max(initial=0)))
     h_order = ctx.emb.subgroup.order
     if np.any(numer % h_order):
         return None
-    return numer // h_order
+    out = np.zeros(helem.shape[:-2] + (ctx.group.order, helem.shape[-1]), dtype=np.int64)
+    out[..., transfer.rows, :] = numer // h_order
+    return out
 
 
-def _h_element_values(ctx: LambdaContext, coeffs: np.ndarray) -> np.ndarray:
-    """Per-H-element value arrays of virtual H-characters, in the ambient ring."""
-    vals = np.einsum(
-        "bc,cjp->bjp",
-        np.asarray(coeffs, dtype=np.int64),
-        _embedded_values(ctx.table_h, ctx.table_g.ring),
-    )
+def _h_element_values(ctx: LambdaContext) -> np.ndarray:
+    """Per-H-element values [k_H, |H|, phi] of Irr(H), in the ambient ring."""
+    vals = _embedded_values(ctx.table_h, ctx.table_g.ring)
     return _elem_values(vals, ctx.table_h.classes.class_of)
 
 
-def _g_element_values(ctx: LambdaContext, coeffs: np.ndarray) -> np.ndarray:
-    vals = values_of_coeffs(ctx.table_g, coeffs)
-    return _elem_values(vals, ctx.table_g.classes.class_of)
+def _g_element_values(ctx: LambdaContext) -> np.ndarray:
+    """Per-element values [k_G, n, phi] of Irr(G)."""
+    return _elem_values(ctx.table_g.values, ctx.table_g.classes.class_of)
 
 
 def _brute_twisted_h_values(ctx: LambdaContext, helem: np.ndarray, b: int) -> np.ndarray:
@@ -245,16 +316,21 @@ def check_frobenius_reciprocity(group: GroupTable, lam: SignHomomorphism) -> lis
 
 
 def check_projection_formula(group: GroupTable, lam: SignHomomorphism) -> list[CheckReport]:
-    """phi (x) ind(chi) = ind(res(phi) (x) chi), checked per element for all pairs."""
+    """phi (x) ind(chi) = ind(res(phi) (x) chi), checked per element for all pairs.
+
+    ind(chi) is induced in the power basis and tested for integrality. Then
+    numer = sum_x EW[g, x] (res phi_a chi_b)(x) is compared with
+    |H| phi_a(g) ind(chi_b)(g) as images at oracle-only primes: equality
+    proves at once that ind of the product is integral and equals the left
+    side. Offending pairs are rerun in the power basis, which picks the
+    failure message.
+    """
     ctx = lambda_context(group, lam)
     ring = ctx.table_g.ring
-    k_g, k_h = ctx.table_g.count, ctx.table_h.count
-    ew = _element_induction_matrix(ctx)
-
-    phi_elem = _g_element_values(ctx, np.eye(k_g, dtype=np.int64))  # [k_g, n, phi]
-    chi_helem = _h_element_values(ctx, np.eye(k_h, dtype=np.int64))  # [k_h, |H|, phi]
-
-    ind_elem = _element_induced(ctx, ew, chi_helem)  # [k_h, n, phi]
+    h_order = ctx.emb.subgroup.order
+    transfer = _Transfer.of(_element_induction_matrix(ctx))
+    chi_helem = _h_element_values(ctx)  # [k_h, |H|, phi]
+    ind_elem = _element_induced(ctx, transfer, chi_helem)  # [k_h, n, phi]
     if ind_elem is None:
         return [
             CheckReport(
@@ -262,38 +338,60 @@ def check_projection_formula(group: GroupTable, lam: SignHomomorphism) -> list[C
                 "element-level induction produced non-integral values",
             )
         ]
-    lhs = kernels.pair_products(phi_elem, kernels.mul_into(ind_elem, ring.mul))
-
-    res_phi_helem = phi_elem[:, ctx.emb.inclusion, :]  # [k_g, |H|, phi]
-    inner = kernels.pair_products(res_phi_helem, kernels.mul_into(chi_helem, ring.mul))
-    rhs = _element_induced(ctx, ew, inner)
-    if rhs is None:
-        return [
-            CheckReport(
-                "projection-formula", group.name, lam.label, "fail",
-                "element-level induction of the product is non-integral",
-            )
-        ]
-    if np.array_equal(lhs, rhs):
+    rows = transfer.rows
+    ind_rows = ind_elem[:, rows]  # both sides vanish on the other rows
+    phi_vals = ctx.table_g.values  # per class
+    chi_vals = _embedded_values(ctx.table_h, ring)  # per class
+    bound = ring.peak * _l1(phi_vals) * (
+        h_order * _l1(ind_rows) + transfer.reach * _l1(chi_vals)
+    )
+    g_class_of = ctx.table_g.classes.class_of
+    res_classes = g_class_of[ctx.emb.inclusion]
+    bad = np.zeros((ctx.table_g.count, ctx.table_h.count), dtype=bool)
+    for i in _oracle_primes(ring.modulus, bound):
+        p = eval_prime(ring.modulus, i)[0]
+        phi_img = ring.evaluate(phi_vals, i)
+        chi_img = _elem_values(ring.evaluate(chi_vals, i), ctx.table_h.classes.class_of)
+        product = phi_img[:, None, res_classes] * chi_img[None]  # [k_g, k_h, |H|, e]
+        numer = transfer.sums(product, (p - 1) ** 2)
+        ind_img = ring.evaluate(ind_rows, i) * h_order % p
+        lhs = phi_img[:, None, g_class_of[rows]] * ind_img[None]
+        bad |= np.any((numer - lhs) % p, axis=(2, 3))
+    if not bad.any():
         return [CheckReport("projection-formula", group.name, lam.label, "pass")]
-    bad = np.argwhere(np.any(lhs != rhs, axis=(2, 3)))[0]
     return [
         CheckReport(
-            "projection-formula",
-            group.name,
-            lam.label,
-            "fail",
-            f"sides differ for (phi=chi{bad[0]}, chi=chi{bad[1]})",
+            "projection-formula", group.name, lam.label, "fail",
+            _projection_failure(ctx, transfer, chi_helem, np.argwhere(bad)),
         )
     ]
+
+
+def _projection_failure(ctx, transfer, chi_helem, pairs) -> str:
+    """The power-basis route on the offending (a, b) pairs only.
+
+    Every pair whose product induces to a non-integral value is offending,
+    since |H| phi_a ind(chi_b) is divisible by |H|; every other offending
+    pair has sides that differ.
+    """
+    res_phi = _g_element_values(ctx)[:, ctx.emb.inclusion]
+    mul = ctx.table_g.ring.mul
+    for a, b in pairs:
+        inner = kernels.pair_products(
+            res_phi[a : a + 1], kernels.mul_into(chi_helem[b : b + 1], mul)
+        )
+        if _element_induced(ctx, transfer, inner) is None:
+            return "element-level induction of the product is non-integral"
+    a, b = pairs[0]
+    return f"sides differ for (phi=chi{a}, chi=chi{b})"
 
 
 def check_mackey_restriction(group: GroupTable, lam: SignHomomorphism) -> list[CheckReport]:
     """res(ind(chi)) = chi + twist(chi) for every irreducible chi of H."""
     ctx = lambda_context(group, lam)
     k_h = ctx.table_h.count
-    chi_helem = _h_element_values(ctx, np.eye(k_h, dtype=np.int64))
-    ind_elem = _element_induced(ctx, _element_induction_matrix(ctx), chi_helem)
+    chi_helem = _h_element_values(ctx)
+    ind_elem = _element_induced(ctx, _Transfer.of(_element_induction_matrix(ctx)), chi_helem)
     if ind_elem is None:
         return [
             CheckReport(
@@ -324,27 +422,36 @@ def check_mackey_restriction(group: GroupTable, lam: SignHomomorphism) -> list[C
 
 
 def check_orbit_multiplicities(group: GroupTable, lam: SignHomomorphism) -> list[CheckReport]:
-    """Restriction multiplicities are constant along twist orbits."""
+    """Restriction multiplicities are constant along twist orbits.
+
+    sum_h res phi_a(h) conj(chi_b(h)) is compared with the same sum over the
+    element-twisted chi_b, as images at oracle-only primes.
+    """
     ctx = lambda_context(group, lam)
     ring = ctx.table_g.ring
-    k_g, k_h = ctx.table_g.count, ctx.table_h.count
-    phi_elem = _g_element_values(ctx, np.eye(k_g, dtype=np.int64))
-    chi_helem = _h_element_values(ctx, np.eye(k_h, dtype=np.int64))
-    res_phi = phi_elem[:, ctx.emb.inclusion, :]
-    twisted = _brute_twisted_h_values(ctx, chi_helem, ctx.b)
-    conj = lambda arr: arr @ ring.conj  # noqa: E731
-    lhs = kernels.pair_gram(res_phi, kernels.mul_into(conj(chi_helem), ring.mul))
-    rhs = kernels.pair_gram(res_phi, kernels.mul_into(conj(twisted), ring.mul))
-    if np.array_equal(lhs, rhs):
+    phi_vals = ctx.table_g.values
+    chi_vals = _embedded_values(ctx.table_h, ring)
+    res_classes = ctx.table_g.classes.class_of[ctx.emb.inclusion]
+    bound = 2 * ctx.emb.subgroup.order * ring.peak * _l1(phi_vals) * ring.l1 * _l1(chi_vals)
+    bad = np.zeros((ctx.table_g.count, ctx.table_h.count), dtype=bool)
+    for i in _oracle_primes(ring.modulus, bound):
+        p, _, neg = eval_prime(ring.modulus, i)
+        res_phi = ring.evaluate(phi_vals, i)[:, res_classes]
+        chi_conj = _elem_values(ring.evaluate(chi_vals, i), ctx.table_h.classes.class_of)[..., neg]
+        twisted = _brute_twisted_h_values(ctx, chi_conj, ctx.b)
+        lhs = kernels.weighted_analysis(res_phi, chi_conj, p)
+        rhs = kernels.weighted_analysis(res_phi, twisted, p)
+        bad |= np.any(lhs != rhs, axis=-1)
+    if not bad.any():
         return [CheckReport("orbit-multiplicities", group.name, lam.label, "pass")]
-    bad = np.argwhere(np.any(lhs != rhs, axis=-1))[0]
+    a, b = np.argwhere(bad)[0]
     return [
         CheckReport(
             "orbit-multiplicities",
             group.name,
             lam.label,
             "fail",
-            f"<res phi{bad[0]}, chi{bad[1]}> differs from the twisted multiplicity",
+            f"<res phi{a}, chi{b}> differs from the twisted multiplicity",
         )
     ]
 
@@ -356,8 +463,7 @@ def check_b_independence(group: GroupTable, lam: SignHomomorphism) -> list[Check
     permutation, so equal permutations give the same presentation.
     """
     ctx = lambda_context(group, lam)
-    k_h = ctx.table_h.count
-    chi_helem = _h_element_values(ctx, np.eye(k_h, dtype=np.int64))
+    chi_helem = _h_element_values(ctx)
     base_twisted = _brute_twisted_h_values(ctx, chi_helem, ctx.b)
     for b in ctx.cosets:
         twisted = _brute_twisted_h_values(ctx, chi_helem, b)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ksphere.cyclotomic import (
+    ORACLE_PRIME_START,
     Cyclotomic,
     CyclotomicRing,
     cyclotomic_polynomial,
@@ -257,6 +258,17 @@ def test_prime_count_is_the_fewest_primes_covering_twice_the_bound(m):
     assert prime_count(m, (p0 * p1 - 1) // 2) == 2
     assert prime_count(m, p0 * p1 // 2 + 1) == 3
     assert p0 * p1 * p2 > 2 * (p0 * p1 // 2 + 1)
+
+
+@pytest.mark.parametrize("m", [1, 3, 34, 720])
+def test_prime_count_from_the_oracle_start_and_the_library_limit(m):
+    library = [eval_prime(m, i)[0] for i in range(ORACLE_PRIME_START)]
+    oracle = [eval_prime(m, ORACLE_PRIME_START + i)[0] for i in range(2)]
+    assert max(library) < 1 << 21 < oracle[0] < oracle[1]
+    assert prime_count(m, oracle[0] // 2 + 1, ORACLE_PRIME_START) == 2
+    assert prime_count(m, (math.prod(library) - 1) // 2) == ORACLE_PRIME_START
+    with pytest.raises(ArithmeticError, match="needs more than 8 evaluation primes"):
+        prime_count(m, math.prod(library) // 2 + 1)
 
 
 @pytest.mark.parametrize("count", [1, 2, 3])
