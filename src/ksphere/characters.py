@@ -519,9 +519,8 @@ def twist_class_map(emb: SubgroupEmbedding, g: int) -> np.ndarray:
     if not 0 <= g < ambient.order:
         raise CharacterTheoryError(f"element {g} is not in the ambient group")
     cls_h = emb.subgroup.classes
-    prod = ambient.product
     reps = np.asarray(cls_h.representatives, dtype=np.int64)
-    hidx = emb.position[prod[prod[ambient.inverse[g], emb.inclusion[reps]], g]]
+    hidx = emb.position[ambient.conjugate(g, emb.inclusion[reps])]
     if np.any(hidx < 0):
         raise CharacterTheoryError("subgroup is not normal under this element")
     return cls_h.class_of[hidx]

@@ -159,6 +159,10 @@ class GroupTable:
     def is_abelian(self) -> bool:
         return bool(np.array_equal(self.product, self.product.T))
 
+    def conjugate(self, x, g) -> np.ndarray:
+        """x^-1 g x, elementwise over broadcast index arrays."""
+        return self.product[self.product[self.inverse[x], g], x]
+
     @cached_property
     def classes(self) -> "ConjugacyClasses":
         """The conjugacy classes, computed on first read."""
@@ -243,14 +247,12 @@ class SubgroupEmbedding:
         Finite Groups, 1976, Definition 5.1).
         """
         g, cls_g, cls_h = self.ambient, self.ambient.classes, self.subgroup.classes
-        prod = g.product
-        all_g = np.arange(g.order, dtype=np.int64)
-        w = np.zeros((cls_g.count, cls_h.count), dtype=np.int64)
-        for a, rep in enumerate(cls_g.representatives):
-            inside = self.position[prod[prod[g.inverse[all_g], rep], all_g]]
-            hits = inside[inside >= 0]
-            if hits.size:
-                w[a] = np.bincount(cls_h.class_of[hits], minlength=cls_h.count)
+        k_g, k_h = cls_g.count, cls_h.count
+        reps = np.asarray(cls_g.representatives, dtype=np.int64)
+        inside = self.position[g.conjugate(np.arange(g.order), reps[:, None])]  # [a, x]
+        hit = inside >= 0
+        keys = np.broadcast_to(np.arange(k_g)[:, None] * k_h, inside.shape)[hit]
+        w = np.bincount(keys + cls_h.class_of[inside[hit]], minlength=k_g * k_h).reshape(k_g, k_h)
         w.setflags(write=False)
         return w
 
@@ -550,16 +552,13 @@ def build_group(spec: GroupSpec, cap: int | None = None) -> GroupTable:
 def conjugacy_classes(table: GroupTable) -> ConjugacyClasses:
     """Conjugacy classes ordered by (representative order, size, min index)."""
     n = table.order
-    prod = table.product
-    inv = table.inverse
     all_g = np.arange(n, dtype=np.int64)
-    inv_all = inv[all_g]
     class_of = np.full(n, -1, dtype=np.int64)
     raw_classes: list[tuple[int, ...]] = []
     for x in range(n):
         if class_of[x] >= 0:
             continue
-        orbit = np.unique(prod[prod[all_g, x], inv_all])
+        orbit = np.unique(table.conjugate(all_g, x))
         cid = len(raw_classes)
         raw_classes.append(tuple(int(v) for v in orbit))
         class_of[orbit] = cid
@@ -650,22 +649,39 @@ def _signs_from_generators(table: GroupTable, signs: tuple[int, ...], label: str
         frontier = nxt
     if np.any(vals == 0):
         raise LambdaSpecError("listed generators do not generate the group")
+    gens = np.asarray(table.generators, dtype=np.int64)
+    wrong = np.flatnonzero(vals[gens] != np.asarray(signs, dtype=np.int8))
+    if wrong.size:
+        i = int(wrong[0])
+        g = int(gens[i])
+        raise LambdaSpecError(
+            f"generator_signs[{i}] = {signs[i]:+d} is not realised by a homomorphism: "
+            f"generator {i} ({table.element_labels[g]}) is a product of generators "
+            f"with sign {int(vals[g]):+d}"
+        )
     return make_sign_hom(table, vals, label)
 
 
+def _onto_pm1_cyclic(spec: GroupSpec) -> tuple[int, ...]:
+    if spec.n % 2 != 0:
+        raise LambdaSpecError("onto-pm1 requires an even cyclic group")
+    return (-1,)
+
+
+def _generator_parities(spec: GroupSpec) -> tuple[int, ...]:
+    return tuple(_perm_parity(g) for g in _generator_perms(spec))
+
+
+# The generator signs of each named convention, on `GroupTable.generators`.
 _CONVENTIONS = {
-    "cyclic": ("onto-pm1",),
-    "dihedral": ("reflection-sign",),
-    "quaternion": ("onto-pm1",),
-    "symmetric": ("sign",),
-    "alternating": ("sign",),
-    "permutation_generators": ("sign",),
-    "direct_product": (),
+    "cyclic": {"onto-pm1": _onto_pm1_cyclic},
+    "dihedral": {"reflection-sign": lambda spec: (1, -1)},  # (r, s)
+    "quaternion": {"onto-pm1": lambda spec: (1, -1)},  # (i, j)
+    "symmetric": {"sign": _generator_parities},
+    "alternating": {"sign": _generator_parities},
+    "permutation_generators": {"sign": _generator_parities},
+    "direct_product": {},
 }
-
-
-def lambda_conventions(kind: str) -> tuple[str, ...]:
-    return _CONVENTIONS.get(kind, ())
 
 
 def build_sign_hom(table: GroupTable, spec: GroupSpec, lam: LambdaSpec) -> SignHomomorphism:
@@ -675,42 +691,23 @@ def build_sign_hom(table: GroupTable, spec: GroupSpec, lam: LambdaSpec) -> SignH
     conv = lam.convention
     if conv is None:
         raise LambdaSpecError("lambda spec needs a convention or generator_signs")
-    if conv not in lambda_conventions(spec.kind):
-        avail = ", ".join(lambda_conventions(spec.kind)) or "generator_signs only"
+    conventions = _CONVENTIONS.get(spec.kind, {})
+    if conv not in conventions:
+        avail = ", ".join(conventions) or "generator_signs only"
         raise LambdaSpecError(
             f"convention {conv!r} is not defined for family {spec.kind!r} (available: {avail})"
         )
-    if conv == "onto-pm1":
-        if spec.kind == "cyclic":
-            if spec.n % 2 != 0:
-                raise LambdaSpecError("onto-pm1 requires an even cyclic group")
-            vals = np.where(np.arange(table.order) % 2 == 0, 1, -1)
-        else:  # quaternion presented as x^a y^b with index a + 4b
-            vals = np.where(np.arange(8) < 4, 1, -1)
-        return make_sign_hom(table, vals, conv)
-    if conv == "reflection-sign":
-        n = spec.n
-        vals = np.where(np.arange(2 * n) < n, 1, -1)
-        return make_sign_hom(table, vals, conv)
-    if conv == "sign":
-        parities = tuple(_perm_parity(g) for g in _generator_perms(spec))
-        return _signs_from_generators(table, parities, conv)
-    raise LambdaSpecError(f"unhandled convention {conv!r}")
+    return _signs_from_generators(table, conventions[conv](spec), conv)
 
 
-def _subgroup_closure(table: GroupTable, seed: set[int]) -> list[int]:
-    members = {table.identity} | set(seed)
-    frontier = list(members)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for y in list(members):
-                for z in (int(table.product[x, y]), int(table.product[y, x])):
-                    if z not in members:
-                        members.add(z)
-                        nxt.append(z)
-        frontier = nxt
-    return sorted(members)
+def _subgroup_closure(table: GroupTable, seed: np.ndarray) -> np.ndarray:
+    """The subgroup generated by the identity and seed, ascending."""
+    members = np.union1d([table.identity], seed)
+    while True:
+        grown = np.union1d(members, table.product[np.ix_(members, members)])
+        if grown.size == members.size:
+            return members
+        members = grown
 
 
 def enumerate_sign_homs(table: GroupTable) -> list[SignHomomorphism]:
@@ -723,9 +720,7 @@ def enumerate_sign_homs(table: GroupTable) -> list[SignHomomorphism]:
     prod = table.product
     # The squares alone generate <squares, commutators>: every commutator is
     # a product of squares, a^-1 b^-1 a b = a^-2 (a b^-1)^2 b^2.
-    nsub = _subgroup_closure(table, set(np.diagonal(prod).tolist()))
-    nset = np.zeros(n, dtype=bool)
-    nset[nsub] = True
+    nsub = _subgroup_closure(table, np.diagonal(prod))
     coset_of = np.full(n, -1, dtype=np.int64)
     coset_reps: list[int] = []
     for x in range(n):

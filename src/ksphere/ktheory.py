@@ -56,7 +56,6 @@ class KGroupPresentation:
     action_names: tuple[str, ...]
     action: tuple[np.ndarray, ...]
     ctx: LambdaContext
-    product_is_zero: bool = True
 
     def zero(self) -> "KElement":
         return KElement(self, (0,) * self.rank)
@@ -76,15 +75,6 @@ class KGroupPresentation:
             if c:
                 out += c * a
         return out
-
-    def signature(self) -> tuple:
-        return (
-            self.sphere,
-            self.rank,
-            tuple((b.rep, b.partner, b.character.coeffs, b.label) for b in self.basis),
-            self.action_names,
-            tuple(tuple(map(tuple, a.tolist())) for a in self.action),
-        )
 
     def to_jsonable(self) -> dict:
         return {

@@ -4,8 +4,9 @@ Each check recomputes its identity through a route independent of the
 library's fast path: sums run over raw group elements instead of weighted
 classes, induction runs through the nonzeros of a per-element transfer
 matrix instead of the class-level one, and twists conjugate elements
-directly. The orthogonality, projection and orbit identities are compared
-in the evaluation domain, as images at the primitive roots of unity modulo
+through `GroupTable.conjugate` instead of permuting Irr. The
+orthogonality, projection and orbit identities are compared in the
+evaluation domain, as images at the primitive roots of unity modulo
 oracle-only primes: indices from `cyclotomic.ORACLE_PRIME_START`, whose
 primes the library never uses. Each check first bounds, in Python ints,
 the coefficients of the difference of its two sides, and takes primes until
@@ -33,7 +34,6 @@ from .characters import (
     induced_values,
     lambda_context,
     restrict_values,
-    twist_permutation,
     values_of_coeffs,
 )
 from .cyclotomic import ORACLE_PRIME_START, eval_prime, prime_count
@@ -195,10 +195,9 @@ def _element_induction_matrix(ctx: LambdaContext) -> np.ndarray:
     g = ctx.group
     n, h_order = g.order, ctx.emb.subgroup.order
     all_g = np.arange(n, dtype=np.int64)
-    conj = g.product[g.product[g.inverse[:, None], all_g[None, :]], all_g[:, None]]  # [x, g]
-    inside = ctx.emb.position[conj]
+    inside = ctx.emb.position[g.conjugate(all_g[:, None], all_g[None, :])]  # [x, g]
     hit = inside >= 0
-    keys = np.broadcast_to(all_g * h_order, conj.shape)[hit] + inside[hit]
+    keys = np.broadcast_to(all_g * h_order, inside.shape)[hit] + inside[hit]
     return np.bincount(keys, minlength=n * h_order).reshape(n, h_order)
 
 
@@ -268,13 +267,17 @@ def _g_element_values(ctx: LambdaContext) -> np.ndarray:
     return _elem_values(ctx.table_g.values, ctx.table_g.classes.class_of)
 
 
-def _brute_twisted_h_values(ctx: LambdaContext, helem: np.ndarray, b: int) -> np.ndarray:
-    """Values of h -> f(b^-1 h b) by direct element conjugation."""
-    g = ctx.group
-    conj = ctx.emb.position[g.product[g.product[g.inverse[b], ctx.emb.inclusion], b]]
+def _twisted_positions(ctx: LambdaContext, b) -> np.ndarray:
+    """H-index of b^-1 h b for each element h of H, elementwise over broadcast b."""
+    conj = ctx.emb.position[ctx.group.conjugate(b, ctx.emb.inclusion)]
     if np.any(conj < 0):
         raise ValueError("kernel is not normal (impossible at index 2)")
-    return helem[..., conj, :]
+    return conj
+
+
+def _brute_twisted_h_values(ctx: LambdaContext, helem: np.ndarray, b: int) -> np.ndarray:
+    """Values of h -> f(b^-1 h b) by direct element conjugation."""
+    return helem[..., _twisted_positions(ctx, b), :]
 
 
 def _restriction_matrix(ctx: LambdaContext) -> np.ndarray:
@@ -457,30 +460,29 @@ def check_orbit_multiplicities(group: GroupTable, lam: SignHomomorphism) -> list
 
 
 def check_b_independence(group: GroupTable, lam: SignHomomorphism) -> list[CheckReport]:
-    """The twist agrees for every coset element, by element conjugation and on Irr.
+    """The twist agrees for every coset element, by element conjugation.
 
-    The presentation reads the coset element only through the twist
-    permutation, so equal permutations give the same presentation.
+    For each coset element b, the H-classes of b^-1 h b over all h in H form
+    one row of a single gather, compared with the row of the canonical b.
+    Equal rows give equal values f(b^-1 h b) for every class function f of
+    H, so the element-level twists of all of Irr(H) agree. They also give
+    equal twist permutations on Irr: `characters.twist_permutation` for b is
+    a row lookup of exactly these classes at the class representatives. The
+    presentation reads the coset element only through that permutation, so
+    every coset element gives the same presentation. The comparison reads no
+    character table.
     """
     ctx = lambda_context(group, lam)
-    chi_helem = _h_element_values(ctx)
-    base_twisted = _brute_twisted_h_values(ctx, chi_helem, ctx.b)
-    for b in ctx.cosets:
-        twisted = _brute_twisted_h_values(ctx, chi_helem, b)
-        if not np.array_equal(twisted, base_twisted):
-            return [
-                CheckReport(
-                    "b-independence", group.name, lam.label, "fail",
-                    f"element-level twist differs for coset element {b}",
-                )
-            ]
-        if not np.array_equal(twist_permutation(ctx.emb, b), ctx.twist):
-            return [
-                CheckReport(
-                    "b-independence", group.name, lam.label, "fail",
-                    f"twist permutation differs for coset element {b}",
-                )
-            ]
+    elems = np.asarray([ctx.b, *ctx.cosets], dtype=np.int64)
+    classes = ctx.emb.subgroup.classes.class_of[_twisted_positions(ctx, elems[:, None])]
+    differs = np.flatnonzero(np.any(classes[1:] != classes[0], axis=1))
+    if differs.size:
+        return [
+            CheckReport(
+                "b-independence", group.name, lam.label, "fail",
+                f"element-level twist differs for coset element {ctx.cosets[differs[0]]}",
+            )
+        ]
     return [CheckReport("b-independence", group.name, lam.label, "pass")]
 
 
@@ -488,12 +490,9 @@ def check_corollary(group: GroupTable, lam: SignHomomorphism) -> list[CheckRepor
     """Commuting coset element forces rank 0 (sufficient direction only)."""
     ctx = lambda_context(group, lam)
     h_idx = ctx.emb.inclusion
-    prod = group.product
-    commuting = None
-    for b in ctx.cosets:
-        if np.array_equal(prod[b, h_idx], prod[h_idx, b]):
-            commuting = b
-            break
+    cosets = np.asarray(ctx.cosets, dtype=np.int64)
+    fixes = np.all(group.conjugate(cosets[:, None], h_idx[None, :]) == h_idx, axis=1)
+    commuting = int(cosets[fixes.argmax()]) if fixes.any() else None
     rank = k_group_s1_lambda(group, lam).rank
     if commuting is not None:
         status = "pass" if rank == 0 else "fail"
@@ -525,7 +524,7 @@ def check_ideal_lattice(group: GroupTable, lam: SignHomomorphism) -> list[CheckR
     # Row c decomposes (1 - lambda) * chi_c.
     one_minus_vals = values_of_coeffs(table, one_minus)
     gen_rows = decompose_values(table, table.values, factor=one_minus_vals)[:, 0]
-    oracle = lattice.hermite_normal_form([tuple(int(v) for v in row) for row in gen_rows])
+    oracle = lattice.hermite_normal_form(gen_rows.tolist())
     emitted = lattice.hermite_normal_form([b.coeffs for b in ideal.basis])
     if oracle == emitted and len(oracle) == ideal.rank:
         return [

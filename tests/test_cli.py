@@ -102,6 +102,13 @@ def test_input_error_exit_codes(tmp_path, monkeypatch, capsys):
          "'lambda.generator_signs[0]'"),
         ("kgroup", '{"family":"D","n":3,"lambda":{"generator_signs":[1,2]}}',
          "'lambda.generator_signs[1]'"),
+        # Signs that no homomorphism realises: the first generator is the
+        # identity, and then two equal generators with opposite signs.
+        ("kgroup", '{"generators":[[0,1],[1,0]],"lambda":{"generator_signs":[-1,-1]}}',
+         "generator_signs[0] = -1 is not realised"),
+        ("kgroup",
+         '{"generators":[[1,0,2],[1,0,2],[1,2,0]],"lambda":{"generator_signs":[-1,1,1]}}',
+         "generator_signs[1] = +1 is not realised"),
     ]:
         assert cli.main([command, doc]) == 2, doc
         assert field in capsys.readouterr().err, doc

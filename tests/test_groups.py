@@ -107,6 +107,36 @@ def test_conjugacy_classes_match_brute_oracle():
             assert cls.representatives[cid] == min(c)
 
 
+def _conjugate_oracle(prod, x, g):
+    """The unique y with x y = g x in the table rows prod, by search; reads no inverse."""
+    (y,) = [y for y in range(len(prod)) if prod[x][y] == prod[g][x]]
+    return y
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        GroupSpec.symmetric(4),
+        GroupSpec.quaternion(8),
+        GroupSpec.dihedral(5),
+        GroupSpec.direct_product(GroupSpec.cyclic(2), GroupSpec.cyclic(4)),
+    ],
+    ids=lambda s: s.name,
+)
+def test_conjugate_matches_the_search_oracle(spec):
+    t = build_group(spec)
+    n = t.order
+    prod = t.product.tolist()
+    oracle = np.asarray([[_conjugate_oracle(prod, x, g) for g in range(n)] for x in range(n)])
+    for x, g in itertools.product(range(n), repeat=2):
+        assert t.conjugate(x, g) == oracle[x, g]
+    all_g = np.arange(n)
+    for e in range(n):
+        assert np.array_equal(t.conjugate(all_g, e), oracle[:, e])
+        assert np.array_equal(t.conjugate(e, all_g), oracle[e])
+    assert np.array_equal(t.conjugate(all_g[:, None], all_g[None, :]), oracle)
+
+
 def test_symmetric3_class_sizes():
     t = build_group(GroupSpec.symmetric(3))
     cls = conjugacy_classes(t)
@@ -230,6 +260,23 @@ def test_sign_convention_is_the_parity_of_every_element(spec):
         return
     lam = build_sign_hom(t, spec, LambdaSpec(convention="sign"))
     assert lam.values.tolist() == parities and lam.label == "sign"
+
+
+def test_named_conventions_match_their_closed_forms():
+    # Oracle: each convention's values in closed form, in table order.
+    cases = [
+        (GroupSpec.cyclic(n), "onto-pm1", np.where(np.arange(n) % 2 == 0, 1, -1))
+        for n in range(2, 65, 2)
+    ]
+    cases += [
+        (GroupSpec.dihedral(n), "reflection-sign", np.where(np.arange(2 * n) < n, 1, -1))
+        for n in range(2, 33)
+    ]
+    # Q8 presented as x^a y^b with index a + 4b.
+    cases.append((GroupSpec.quaternion(8), "onto-pm1", np.where(np.arange(8) < 4, 1, -1)))
+    for spec, conv, expected in cases:
+        lam = build_sign_hom(build_group(spec), spec, LambdaSpec(convention=conv))
+        assert lam.values.tolist() == expected.tolist() and lam.label == conv, spec.name
 
 
 def test_lambda_must_be_surjective():

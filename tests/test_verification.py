@@ -1,13 +1,15 @@
 """The brute-force check suite: passes on valid inputs, fails on corrupted ones."""
 
+import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from conftest import group_with_lambda
 from ksphere import verification
-from ksphere.characters import character_table, lambda_context, twist_permutation
-from ksphere.groups import GroupSpec, build_group, enumerate_sign_homs
+from ksphere.characters import character_table, lambda_context
+from ksphere.groups import GroupSpec, build_group, builtin_specs_upto, enumerate_sign_homs
 from ksphere.verification import (
     SCHEMA,
     check_b_independence,
@@ -119,22 +121,37 @@ def test_individual_checks_pass_on_dihedral5():
         assert rep.status == "pass", (chk.__name__, rep.details)
 
 
-def test_b_independence_reports_a_wrong_twist_permutation(monkeypatch):
+def test_b_independence_reports_a_coset_element_with_another_twist(monkeypatch):
     t, lam = group_with_lambda(GroupSpec.symmetric(3), "sign")
     ctx = lambda_context(t, lam)
-    b = ctx.cosets[1]
-    assert b != ctx.b
-
-    def wrong_for_b(emb, g):
-        sigma = twist_permutation(emb, g)
-        return sigma[::-1] if g == b else sigma
+    h = int(ctx.emb.inclusion[1])  # a 3-cycle: it centralises the kernel C3, b does not
+    assert lam.values[h] == 1
 
     (rep,) = check_b_independence(t, lam)
     assert rep.status == "pass"  # control
-    monkeypatch.setattr(verification, "twist_permutation", wrong_for_b)
+    bad = dataclasses.replace(ctx, cosets=[ctx.b, h])
+    monkeypatch.setattr(verification, "lambda_context", lambda group, hom: bad)
     (rep,) = check_b_independence(t, lam)
     assert rep.status == "fail"
-    assert rep.details == f"twist permutation differs for coset element {b}"
+    assert rep.details == f"element-level twist differs for coset element {h}"
+
+
+def test_corollary_reports_the_first_commuting_coset_element():
+    # Oracle: the first coset element b with b h = h b for every h in ker lambda.
+    for spec in builtin_specs_upto(32):
+        t = build_group(spec)
+        for lam in enumerate_sign_homs(t):
+            ctx = lambda_context(t, lam)
+            h = ctx.emb.inclusion
+            commuting = (b for b in ctx.cosets if np.array_equal(t.product[b, h], t.product[h, b]))
+            first = next(commuting, None)
+            (rep,) = check_corollary(t, lam)
+            if first is None:
+                assert "without a commuting" in rep.details or rep.details.startswith(
+                    "no commuting"
+                ), (spec.name, lam.label)
+            else:
+                assert rep.details.startswith(f"element {first} commutes"), (spec.name, lam.label)
 
 
 def test_report_json_is_sorted_and_round_trips():
