@@ -167,8 +167,15 @@ class OrbitData:
     """Orbits of an involution on Irr, in order of their least character."""
 
     orbits: tuple[tuple[int, ...], ...]
-    isotropy: tuple[str, ...]  # "G" (fixed) or "H" (swapped)
-    representatives: tuple[int, ...]
+
+    @property
+    def isotropy(self) -> tuple[str, ...]:
+        """"G" for each fixed orbit, "H" for each swapped one."""
+        return tuple("G" if len(o) == 1 else "H" for o in self.orbits)
+
+    @property
+    def representatives(self) -> tuple[int, ...]:
+        return tuple(o[0] for o in self.orbits)
 
     @property
     def pairs(self) -> tuple[tuple[int, int], ...]:
@@ -252,11 +259,7 @@ def _assemble_table(group, classes, degrees, values, modulus) -> CharacterTable:
     values.setflags(write=False)
     trivial_row = np.zeros((classes.count, ring.phi), dtype=np.int64)
     trivial_row[:, 0] = 1
-    trivial_index = -1
-    for c in range(len(degrees)):
-        if np.array_equal(values[c], trivial_row):
-            trivial_index = c
-            break
+    hits = np.flatnonzero((values == trivial_row).all(axis=(1, 2)))
     return CharacterTable(
         group=group,
         classes=classes,
@@ -264,7 +267,7 @@ def _assemble_table(group, classes, degrees, values, modulus) -> CharacterTable:
         degrees=tuple(int(d) for d in degrees),
         values=values,
         names=tuple(f"chi{c}" for c in range(len(degrees))),
-        trivial_index=trivial_index,
+        trivial_index=int(hits[0]) if hits.size else -1,
     )
 
 
@@ -545,11 +548,7 @@ def involution_orbits(perm: np.ndarray) -> OrbitData:
     if not np.array_equal(perm[perm], np.arange(perm.size)):
         raise CharacterTheoryError("permutation is not an involution")
     orbits = tuple((c,) if c == t else (c, t) for c, t in enumerate(perm.tolist()) if c <= t)
-    return OrbitData(
-        orbits=orbits,
-        isotropy=tuple("G" if len(o) == 1 else "H" for o in orbits),
-        representatives=tuple(o[0] for o in orbits),
-    )
+    return OrbitData(orbits)
 
 
 def twist_permutation(emb: SubgroupEmbedding, g: int) -> np.ndarray:
@@ -609,8 +608,7 @@ def lambda_index(table_g: CharacterTable, lam: SignHomomorphism) -> int:
     """Index of the degree-1 character whose values are the signs of lambda."""
     k = table_g.classes.count
     row = np.zeros((k, table_g.ring.phi), dtype=np.int64)
-    for j, rep in enumerate(table_g.classes.representatives):
-        row[j, 0] = int(lam.values[rep])
+    row[:, 0] = lam.values[list(table_g.classes.representatives)]
     idx = table_g._row_lookup.get(row.tobytes())
     if idx is None:
         raise CharacterTheoryError("sign character is not in the table")

@@ -6,9 +6,12 @@ m the group exponent, and p*p > 4|G|:
 1. build the class-sum structure-constant matrices M_i,
 2. split the common eigenspaces of the M_i over GF(p) (they are exactly
    the lines spanned by the central characters, since p does not divide
-   the group order). The class algebra is split semisimple mod p, so a
-   restriction of M_i to a subspace has one eigenvalue only when it is
-   scalar; such a subspace waits for the next class without further work,
+   the group order), with one nullspace per eigenvalue. Every pending
+   basis carries an identity block at known rows, so the restriction of
+   the next M_i is read off those rows without a second row reduction.
+   The class algebra is split semisimple mod p, so a restriction of M_i
+   to a subspace has one eigenvalue only when it is scalar; such a
+   subspace waits for the next class without further work,
 3. find the eigenvalues of every other restriction as the roots of its
    characteristic polynomial, by evaluating it at all of GF(p) (p is
    small), and require the eigenspaces to fill the subspace,
@@ -16,7 +19,8 @@ m the group exponent, and p*p > 4|G|:
    d in [1, isqrt(|G|)] whose square matches mod p (the bound on p makes
    it unique), a bounded search rather than a modular square root,
 5. lift each character value to an exact cyclotomic integer by counting
-   root-of-unity eigenvalues with a discrete Fourier sum mod p.
+   root-of-unity eigenvalues with a discrete Fourier sum mod p over the
+   power map of each class, read from the group's `GroupTable.powers`.
 
 No floating point and no tolerances appear anywhere; every lifted value
 is later certified by exact orthogonality checks in characters.py.
@@ -66,12 +70,6 @@ def eigenvalues_mod(t: np.ndarray, p: int) -> list[int]:
     return np.flatnonzero(acc == 0).tolist()
 
 
-def _column_rref(b: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Canonical column-reduced basis (pivot rows carry an identity block)."""
-    r, pivots = kernels.rref_mod(np.ascontiguousarray(b.T), p)
-    return np.ascontiguousarray(r[: len(pivots)].T), pivots
-
-
 def common_eigenvectors(table: GroupTable, classes: ConjugacyClasses, p: int) -> np.ndarray:
     """One normalized central-character vector per irreducible, mod p."""
     k = classes.count
@@ -92,6 +90,8 @@ def common_eigenvectors(table: GroupTable, classes: ConjugacyClasses, p: int) ->
             % p
         )
         pending = []
+        # Each pending (basis, pivots) has basis[pivots] = I. So when the
+        # span is invariant, mat @ basis = basis @ t has the rows t at pivots.
         for basis, pivots in active:
             mb = mat @ basis % p
             t = mb[pivots, :]
@@ -107,13 +107,15 @@ def common_eigenvectors(table: GroupTable, classes: ConjugacyClasses, p: int) ->
                 continue
             split = 0
             for lam in eigenvalues_mod(t, p):
-                null = kernels.nullspace_mod((t - lam * eye_d) % p, p)
-                split += null.shape[1]
-                sub, sub_piv = _column_rref(basis @ null % p, p)
-                if sub.shape[1] == 1:
+                null, free = kernels.nullspace_mod((t - lam * eye_d) % p, p)
+                split += free.size
+                # basis[pivots] = I and null[free] = I, so
+                # sub[pivots[free]] = basis[pivots[free]] @ null = null[free] = I.
+                sub = basis @ null % p
+                if free.size == 1:
                     finished.append(sub[:, 0])
                 else:
-                    pending.append((sub, sub_piv))
+                    pending.append((sub, pivots[free]))
             if split != d:
                 raise CharacterEngineError(
                     f"eigenspaces of a class matrix span {split} of {d} dimensions"
@@ -123,12 +125,10 @@ def common_eigenvectors(table: GroupTable, classes: ConjugacyClasses, p: int) ->
         raise CharacterEngineError("class matrices failed to separate all eigenspaces")
     if len(finished) != k:
         raise CharacterEngineError(f"found {len(finished)} eigenvectors, expected {k}")
-    out = np.zeros((k, k), dtype=np.int64)
-    for idx, v in enumerate(finished):
-        if v[0] == 0:
-            raise CharacterEngineError("central character vanishes on the identity class")
-        out[idx] = v * pow(int(v[0]), p - 2, p) % p
-    return out
+    out = np.asarray(finished)
+    if np.any(out[:, 0] == 0):
+        raise CharacterEngineError("central character vanishes on the identity class")
+    return out * np.asarray([pow(int(v), p - 2, p) for v in out[:, 0]])[:, None] % p
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +142,7 @@ def character_table_data(
     """Unsorted exact character data: (degrees, values[k, k, phi], exponent)."""
     n = table.order
     k = classes.count
-    reps = classes.representatives
+    reps = np.asarray(classes.representatives, dtype=np.int64)
     sizes = classes.class_sizes
     m = lcm(*classes.orders)
     ring = get_ring(m)
@@ -151,54 +151,41 @@ def character_table_data(
 
     omega = common_eigenvectors(table, classes, p)
     inv_sizes = np.asarray([pow(s, p - 2, p) for s in sizes], dtype=np.int64)
-    invcls = np.asarray(
-        [int(classes.class_of[table.inverse[r]]) for r in reps], dtype=np.int64
-    )
+    invcls = classes.class_of[table.inverse[reps]]
 
     # A degree d divides n, so 1 <= d <= isqrt(n); two such d with equal
     # squares mod p would have p | (d - d')(d + d'), impossible as
     # 0 < d + d' <= 2 isqrt(n) < p because 4n < p*p. So d**2 mod p decides d.
     degree_of_square = {d * d % p: d for d in range(1, isqrt(n) + 1)}
-    degrees = []
-    for c in range(k):
-        s = int(np.sum(omega[c] * omega[c, invcls] % p * inv_sizes % p) % p)
-        if s == 0:
-            raise CharacterEngineError("degenerate central character norm")
-        d = degree_of_square.get(n * pow(s, p - 2, p) % p)
-        if d is None:
-            raise CharacterEngineError("degree recovery failed")
-        degrees.append(d)
+    norms = (omega * omega[:, invcls] % p * inv_sizes % p).sum(axis=1) % p
+    if np.any(norms == 0):
+        raise CharacterEngineError("degenerate central character norm")
+    degrees = [degree_of_square.get(n * pow(int(s), p - 2, p) % p) for s in norms]
+    if None in degrees:
+        raise CharacterEngineError("degree recovery failed")
     if sum(d * d for d in degrees) != n:
         raise CharacterEngineError("degree squares do not sum to the group order")
 
     degree_arr = np.asarray(degrees, dtype=np.int64)
     chibar = omega * inv_sizes % p * degree_arr[:, None] % p
 
-    # Power maps: class of rep_j ** s for 0 <= s < order(rep_j).
+    # z**-e for 0 <= e < m; the r-th roots of unity sit at e = s * m // r.
+    z_inv_pow = np.asarray([pow(z, -e, p) for e in range(m)], dtype=np.int64)
     values = np.zeros((k, k, ring.phi), dtype=np.int64)
     for j in range(k):
         r = classes.orders[j]
-        power_classes = np.empty(r, dtype=np.int64)
-        y = table.identity
-        for s in range(r):
-            power_classes[s] = classes.class_of[y]
-            y = int(table.product[y, reps[j]])
-        if y != table.identity:
-            raise CharacterEngineError("representative order mismatch")
-        zr_inv = pow(pow(z, m // r, p), p - 2, p)
+        power_classes = classes.class_of[table.powers[:r, reps[j]]]
         st = np.arange(r, dtype=np.int64)
-        zpow = np.asarray([pow(zr_inv, e, p) for e in range(r)], dtype=np.int64)
-        dft = zpow[(st[:, None] * st[None, :]) % r]
+        exps = st * (m // r)
+        dft = z_inv_pow[exps[(st[:, None] * st[None, :]) % r]]
         inv_r = pow(r, p - 2, p)
         counts = chibar[:, power_classes] @ dft % p * inv_r % p
         if np.any(counts.sum(axis=1) != degree_arr):
             raise CharacterEngineError("root-of-unity multiplicities do not sum to the degree")
         if np.any(counts > degree_arr[:, None]):
             raise CharacterEngineError("root-of-unity multiplicity exceeds the degree")
-        exps = (st * (m // r)) % m
         values[:, j, :] = counts @ ring.red[exps]
 
-    for c in range(k):
-        if values[c, 0, 0] != degrees[c] or np.any(values[c, 0, 1:]):
-            raise CharacterEngineError("identity-class value disagrees with the degree")
+    if np.any(values[:, 0, 0] != degree_arr) or np.any(values[:, 0, 1:]):
+        raise CharacterEngineError("identity-class value disagrees with the degree")
     return degrees, values, m

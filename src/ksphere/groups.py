@@ -148,20 +148,23 @@ class GroupTable:
     def fingerprint(self) -> bytes:
         return self.product.tobytes()
 
-    def element_order(self, x: int) -> int:
-        k = 1
-        y = x
-        while y != self.identity:
-            y = int(self.product[y, x])
-            k += 1
-        return k
-
     def is_abelian(self) -> bool:
         return bool(np.array_equal(self.product, self.product.T))
 
     def conjugate(self, x, g) -> np.ndarray:
         """x^-1 g x, elementwise over broadcast index arrays."""
         return self.product[self.product[self.inverse[x], g], x]
+
+    @cached_property
+    def powers(self) -> np.ndarray:
+        """powers[s, x] = x**s for 0 <= s <= exponent, one gather per power."""
+        x = np.arange(self.order, dtype=np.int64)
+        rows = [np.full_like(x, self.identity), x]
+        while np.any(rows[-1] != self.identity):
+            rows.append(self.product[rows[-1], x])
+        out = np.stack(rows)
+        out.setflags(write=False)
+        return out
 
     @cached_property
     def classes(self) -> "ConjugacyClasses":
@@ -562,14 +565,13 @@ def conjugacy_classes(table: GroupTable) -> ConjugacyClasses:
         cid = len(raw_classes)
         raw_classes.append(tuple(int(v) for v in orbit))
         class_of[orbit] = cid
+    order_of = (np.argmax(table.powers[1:] == table.identity, axis=0) + 1).tolist()
     keys = sorted(
-        (table.element_order(cls[0]), len(cls), cls[0], cid)
-        for cid, cls in enumerate(raw_classes)
+        (order_of[cls[0]], len(cls), cls[0], cid) for cid, cls in enumerate(raw_classes)
     )
     order_perm = [k[3] for k in keys]
-    remap = {old: new for new, old in enumerate(order_perm)}
     classes = tuple(raw_classes[old] for old in order_perm)
-    class_of = np.asarray([remap[int(c)] for c in class_of], dtype=np.int64)
+    class_of = np.argsort(order_perm)[class_of]
     return ConjugacyClasses(
         classes=classes,
         class_of=class_of,
@@ -919,7 +921,10 @@ def parse_group_document(obj: dict) -> tuple[GroupSpec, LambdaSpec | None]:
     if not isinstance(lam_obj, dict):
         raise GroupSpecError("field 'lambda' must be an object")
     if "convention" in lam_obj:
-        return spec, LambdaSpec(convention=str(lam_obj["convention"]))
+        convention = lam_obj["convention"]
+        if not isinstance(convention, str):
+            raise GroupSpecError(f"field 'lambda.convention' must be a string, got {convention!r}")
+        return spec, LambdaSpec(convention=convention)
     if "generator_signs" in lam_obj:
         signs = lam_obj["generator_signs"]
         if not isinstance(signs, list):

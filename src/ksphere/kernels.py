@@ -176,16 +176,16 @@ def pair_gram(a: np.ndarray, bm: np.ndarray) -> np.ndarray:
     return np.einsum("axp,bxpr->abr", a, bm)
 
 
-def nullspace_mod(a: np.ndarray, p: int) -> np.ndarray:
-    """Canonical kernel basis of ``a`` over GF(p), one column per free variable."""
-    a = np.ascontiguousarray(a, dtype=np.int64)
-    n_cols = a.shape[1]
+def nullspace_mod(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Canonical kernel basis of ``a`` over GF(p) and the free columns of its rref.
+
+    One basis column per free column, and ``basis[free]`` is the identity.
+    """
     r, pivots = rref_mod(a, p)
-    pivot_set = set(int(c) for c in pivots)
-    free = [c for c in range(n_cols) if c not in pivot_set]
-    basis = np.zeros((n_cols, len(free)), dtype=np.int64)
-    for idx, c in enumerate(free):
-        basis[c, idx] = 1
-        for i, pc in enumerate(pivots):
-            basis[int(pc), idx] = (-int(r[i, c])) % p
-    return basis
+    is_free = np.ones(r.shape[1], dtype=bool)
+    is_free[pivots] = False
+    free = np.flatnonzero(is_free)
+    basis = np.zeros((r.shape[1], free.size), dtype=np.int64)
+    basis[free, np.arange(free.size)] = 1
+    basis[pivots] = -r[: pivots.size, free] % p
+    return basis, free

@@ -507,6 +507,26 @@ def test_certificate_reports_both_orthogonality_failures(spec, monkeypatch):
         assert any(f.startswith("column orthogonality fails at class pairs") for f in failures)
 
 
+def test_trivial_and_lambda_rows_match_the_loop_reference():
+    for spec in builtin_specs_upto(16):
+        group = build_group(spec)
+        if group.order == 1:
+            continue  # one class: corrupt_table has no class 1 to perturb
+        tab = character_table(group)
+        trivial = np.zeros_like(tab.values[0])
+        trivial[:, 0] = 1
+        loop = next((c for c in range(tab.count) if np.array_equal(tab.values[c], trivial)), -1)
+        assert tab.trivial_index == loop >= 0
+        bad = corrupt_table(tab, tab.trivial_index, 1)
+        assert bad.trivial_index == -1
+        assert "trivial character missing" in table_invariant_failures(bad)
+        for lam in enumerate_sign_homs(group):
+            row = np.zeros_like(trivial)
+            for j, rep in enumerate(tab.classes.representatives):
+                row[j, 0] = int(lam.values[rep])
+            assert np.array_equal(tab.values[characters.lambda_index(tab, lam)], row)
+
+
 def test_certificate_names_the_corrupted_pairs():
     tab = character_table(build_group(GroupSpec.symmetric(3)))
     failures = table_invariant_failures(corrupt_table(tab, 2, 1))

@@ -1,5 +1,9 @@
 """Oracles for the eigenvalue search and the eigenspace splitting of Dixon's algorithm."""
 
+import itertools
+from functools import reduce
+from math import lcm
+
 import numpy as np
 import pytest
 
@@ -104,13 +108,55 @@ def test_common_eigenvectors_rejects_a_class_matrix_that_does_not_split(monkeypa
 
 
 def test_common_eigenvectors_of_cyclic_group_are_its_characters():
-    table = build_group(GroupSpec.cyclic(5))
+    # C2^4 and C3xC3 leave multi-dimensional eigenspaces after the first
+    # class matrix, so their pending bases are split again.
+    for factors in ((5,), (2, 2, 2, 2), (3, 3)):
+        table = build_group(reduce(GroupSpec.direct_product, map(GroupSpec.cyclic, factors)))
+        classes = table.classes
+        n, m = table.order, lcm(*factors)
+        p = dixon.choose_prime(m, n)
+        first = kernels.class_matrix(
+            table.product,
+            table.inverse,
+            classes.class_of,
+            np.asarray(classes.classes[1]),
+            np.asarray(classes.representatives),
+        )
+        assert (len(dixon.eigenvalues_mod(first % p, p)) < n) == (factors != (5,))
+        omega = dixon.common_eigenvectors(table, classes, p)
+        # Closed form on the mixed-radix digits x_i of an element x:
+        # chi_a(x) = z ** sum_i a_i x_i m / n_i.
+        z = root_of_unity(m, p)
+        digits = np.unravel_index(np.asarray(classes.representatives), factors)
+        expect = set()
+        for a in itertools.product(*map(range, factors)):
+            exps = sum(a_i * d * (m // n_i) for a_i, d, n_i in zip(a, digits, factors))
+            expect.add(tuple(pow(z, int(e), p) for e in exps))
+        assert len(expect) == n
+        assert {tuple(int(x) for x in row) for row in omega} == expect
+
+
+def test_common_eigenvectors_rejects_a_class_matrix_that_breaks_an_eigenspace(monkeypatch):
+    # On C2xC2 the first class matrix leaves two planes; a cyclic shift of
+    # the four classes as the second class matrix maps neither into itself.
+    table = build_group(GroupSpec.direct_product(GroupSpec.cyclic(2), GroupSpec.cyclic(2)))
     classes = table.classes
-    p = dixon.choose_prime(5, 5)
-    omega = dixon.common_eigenvectors(table, classes, p)
-    z = root_of_unity(5, p)
-    expect = {tuple(pow(z, j * int(r), p) for r in classes.representatives) for j in range(5)}
-    assert {tuple(int(x) for x in row) for row in omega} == expect
+    p = dixon.choose_prime(2, 4)
+    real = kernels.class_matrix
+    calls = []
+
+    def second_is_a_shift(*args):
+        calls.append(args)
+        if len(calls) == 1:
+            return real(*args)
+        return np.roll(np.eye(4, dtype=np.int64), 1, axis=0)
+
+    monkeypatch.setattr(kernels, "class_matrix", second_is_a_shift)
+    with pytest.raises(
+        dixon.CharacterEngineError, match="subspace is not invariant under a class matrix"
+    ):
+        dixon.common_eigenvectors(table, classes, p)
+    assert len(calls) == 2
 
 
 def _choose_prime_oracle(exponent, order):

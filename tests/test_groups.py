@@ -1,6 +1,7 @@
 """Group construction, conjugacy classes, sign homomorphisms, catalogs."""
 
 import itertools
+from math import lcm
 
 import numpy as np
 import pytest
@@ -137,6 +138,50 @@ def test_conjugate_matches_the_search_oracle(spec):
     assert np.array_equal(t.conjugate(all_g[:, None], all_g[None, :]), oracle)
 
 
+def _power_oracle(prod, identity, x):
+    """[x**0, x**1, ..., x**order] by repeated multiplication in the table rows prod."""
+    walk = [identity, x]
+    while walk[-1] != identity:
+        walk.append(prod[walk[-1]][x])
+    return walk
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        GroupSpec.symmetric(4),
+        GroupSpec.quaternion(8),
+        GroupSpec.dihedral(5),
+        GroupSpec.direct_product(GroupSpec.cyclic(2), GroupSpec.cyclic(4)),
+        GroupSpec.alternating(5),
+        GroupSpec.symmetric(6),
+        GroupSpec.cyclic(1),
+    ],
+    ids=lambda s: s.name,
+)
+def test_powers_and_class_orders_match_repeated_multiplication(spec):
+    t = build_group(spec)
+    prod = t.product.tolist()
+    walks = [_power_oracle(prod, t.identity, x) for x in range(t.order)]
+    order = [len(w) - 1 for w in walks]
+    exponent = lcm(*order)
+    assert t.powers.shape == (exponent + 1, t.order)
+    assert not t.powers.flags.writeable
+    for x, w in enumerate(walks):
+        expect = [w[s % order[x]] for s in range(exponent + 1)]
+        assert t.powers[:, x].tolist() == expect
+    cls = t.classes
+    assert exponent == lcm(*cls.orders)
+    for c, members in enumerate(cls.classes):
+        assert {order[x] for x in members} == {cls.orders[c]}
+
+
+def test_trivial_group_powers_are_one_identity_step():
+    t = build_group(GroupSpec.cyclic(1))
+    assert t.powers.tolist() == [[0], [0]]
+    assert t.classes.orders == (1,)
+
+
 def test_symmetric3_class_sizes():
     t = build_group(GroupSpec.symmetric(3))
     cls = conjugacy_classes(t)
@@ -200,8 +245,7 @@ def test_kernel_of_symmetric3_sign_is_cyclic3():
     lam = build_sign_hom(t, spec, LambdaSpec(convention="sign"))
     emb = kernel_embedding(t, lam)
     assert emb.subgroup.order == 3
-    orders = sorted(emb.subgroup.element_order(x) for x in range(3))
-    assert orders == [1, 3, 3]  # cyclic of order 3
+    assert sorted(emb.subgroup.classes.orders) == [1, 3, 3]  # cyclic of order 3
     assert len(coset_representatives(t, lam)) == 3
 
 
@@ -211,7 +255,7 @@ def test_kernel_of_dihedral4_reflection_sign_is_cyclic4():
     lam = build_sign_hom(t, spec, LambdaSpec(convention="reflection-sign"))
     emb = kernel_embedding(t, lam)
     assert emb.subgroup.order == 4
-    assert max(emb.subgroup.element_order(x) for x in range(4)) == 4  # cyclic
+    assert max(emb.subgroup.classes.orders) == 4  # cyclic
     assert coset_representatives(t, lam) == [4, 5, 6, 7]
 
 
@@ -396,6 +440,13 @@ def test_parse_group_document_errors_name_fields():
         parse_group_document({"family": "product", "factors": [{"family": "C", "n": 2}]})
     with pytest.raises(GroupSpecError, match="lambda"):
         parse_group_document({"family": "C", "n": 2, "lambda": {}})
+    for convention in (None, 5):
+        with pytest.raises(
+            GroupSpecError,
+            match=f"field 'lambda.convention' must be a string, got {convention!r}",
+        ):
+            doc = {"family": "C", "n": 2, "lambda": {"convention": convention}}
+            parse_group_document(doc)
 
 
 def _compose_table_oracle(perms, gen_perms):

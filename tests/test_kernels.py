@@ -74,10 +74,20 @@ def test_nullspace_annihilates():
     p = 97
     for n, m in [(4, 6), (6, 4), (5, 5)]:
         a = _random_matrix(rng, n, m, p)
-        ns = kernels.nullspace_mod(a, p)
+        ns, free = kernels.nullspace_mod(a, p)
         assert np.all((a @ ns) % p == 0)
         r, pivots = kernels.rref_mod(a.copy(), p)
         assert ns.shape[1] == m - len(pivots)
+        assert free.tolist() == sorted(set(range(m)) - set(pivots.tolist()))
+        assert np.array_equal(ns[free], np.eye(free.size, dtype=np.int64))
+    # Full column rank: no free column and an empty basis.
+    full = np.triu(_random_matrix(rng, 4, 4, p), 1) + 3 * np.eye(4, dtype=np.int64)
+    ns, free = kernels.nullspace_mod(full, p)
+    assert ns.shape == (4, 0) and free.size == 0
+    # Zero matrix: every column is free and the basis is the identity.
+    ns, free = kernels.nullspace_mod(np.zeros((3, 5), dtype=np.int64), p)
+    assert free.tolist() == [0, 1, 2, 3, 4]
+    assert np.array_equal(ns, np.eye(5, dtype=np.int64))
 
 
 @pytest.mark.parametrize("p", PRIMES)
