@@ -57,7 +57,7 @@ class InputError(Exception):
 
 def _load_document(arg: str) -> dict:
     text = arg
-    if not arg.lstrip().startswith("{"):
+    if not arg.lstrip().startswith(("{", "[")):
         path = Path(arg)
         if not path.exists():
             raise InputError(f"group spec file not found: {arg}")
@@ -92,9 +92,18 @@ def _resolve(arg: str, need_lambda: bool):
     return spec, group, lam
 
 
+def _check_json_path(path: str) -> None:
+    """Reject a --json path that cannot be written, before any group is built."""
+    if not path or Path(path).is_dir() or not Path(path).parent.is_dir():
+        raise InputError(f"--json path {path!r} must name a file in an existing directory")
+
+
 def _dump_json(doc: dict, path: str) -> None:
     data = json.dumps(doc, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
-    Path(path).write_text(data + "\n", encoding="utf-8")
+    try:
+        Path(path).write_text(data + "\n", encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"cannot write --json path {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +289,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.json is not None:
+            _check_json_path(args.json)
         return args.func(args)
     except (InputError, GroupSpecError, LambdaSpecError) as exc:
         print(f"error: {exc}", file=sys.stderr)

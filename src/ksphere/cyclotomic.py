@@ -21,7 +21,7 @@ as well: `factorization`, `is_prime` and `root_of_unity`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import gcd
 
 import numpy as np
@@ -29,8 +29,8 @@ import numpy as np
 from . import kernels
 
 # Largest reduction coefficient accepted for a modulus. It keeps the entries
-# of `red`, `mul` and `conj` small; it does not by itself keep a contraction
-# exact. The dense kernels check their own worst-case int64 output, and the
+# of `red` and `conj` small; it does not by itself keep a product exact.
+# `CyclotomicRing.multiply` checks its own worst-case int64 output, and the
 # evaluation-domain path checks a coefficient bound before it picks primes.
 _COEFF_LIMIT = 1 << 20
 
@@ -120,9 +120,10 @@ class CyclotomicRing:
         peak = max((abs(c) for row in red for c in row), default=0)
         if peak >= _COEFF_LIMIT:
             raise ValueError(f"reduction coefficients too large for modulus {m}")
-        # Every row of `mul` and `conj` is a row of `red`, so for power-basis
-        # vectors a, b: |a*b|_inf <= |a|_1 |b|_1 peak, |a*b|_1 <= |a|_1 |b|_1 l1
-        # and |conj a|_1 <= |a|_1 l1.
+        # `multiply` sums products a[p] b[q] red[(p + q) % m], and every row of
+        # `conj` is a row of `red`, so for power-basis vectors a, b:
+        # |a*b|_inf <= |a|_1 |b|_1 peak, |a*b|_1 <= |a|_1 |b|_1 l1 and
+        # |conj a|_1 <= |a|_1 l1.
         self.peak = peak
         self.l1 = max((sum(abs(c) for c in row) for row in red), default=0)
         self.red = np.asarray(red, dtype=np.int64)
@@ -131,13 +132,30 @@ class CyclotomicRing:
         self.conj = np.ascontiguousarray(self.red[conj_idx])
         self.conj.setflags(write=False)
 
-    @cached_property
-    def mul(self) -> np.ndarray:
-        """mul[p, q] = z**(p + q) in the power basis: 8 phi**3 bytes, built on first read."""
-        idx = (np.arange(self.phi)[:, None] + np.arange(self.phi)[None, :]) % self.modulus
-        mul = self.red[idx]
-        mul.setflags(write=False)
-        return mul
+    def multiply(self, a, b) -> np.ndarray:
+        """Products of power-basis values a [..., phi] and b [..., phi], broadcast
+        over the leading axes.
+
+        The polynomial product of the coefficient vectors, with each power
+        z**s replaced by red[s % m]; only the nonzero coefficients of a and
+        the nonzero powers are visited. Python-int (object) input gives exact
+        results at any size; int64 input raises OverflowError unless
+        (2 phi - 1) phi |a| |b| peak < 2**63.
+        """
+        a, b = np.asarray(a), np.asarray(b)
+        exact = object in (a.dtype, b.dtype)
+        dtype = object if exact else np.int64
+        a, b = a.astype(dtype), b.astype(dtype)
+        phi = self.phi
+        if not exact:
+            bound = (2 * phi - 1) * phi * kernels._magnitude(a) * kernels._magnitude(b) * self.peak
+            kernels._require_int64(bound, "power-basis product")
+        lead = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
+        poly = np.zeros(lead + (2 * phi - 1,), dtype=dtype)
+        for p in np.flatnonzero((a != 0).reshape(-1, phi).any(axis=0)):
+            poly[..., p : p + phi] += a[..., p : p + 1] * b
+        powers = np.flatnonzero((poly != 0).reshape(-1, 2 * phi - 1).any(axis=0))
+        return poly[..., powers] @ self.red[powers % self.modulus].astype(dtype)
 
     def embed_matrix(self, target: CyclotomicRing) -> np.ndarray:
         """Basis-change matrix into a ring whose modulus is a multiple of ours."""
@@ -271,20 +289,10 @@ def symmetric_lift(residues: list[np.ndarray], m: int) -> np.ndarray:
 def _normalize(num: tuple[int, ...], den: int) -> tuple[tuple[int, ...], int]:
     if den == 0:
         raise ZeroDivisionError("zero denominator")
-    if den < 0:
-        num = tuple(-c for c in num)
-        den = -den
-    g = den
-    for c in num:
-        g = gcd(g, c)
-        if g == 1:
-            break
-    if g > 1:
-        num = tuple(c // g for c in num)
-        den //= g
-    if all(c == 0 for c in num):
-        den = 1
-    return num, den
+    if not any(num):
+        return num, 1
+    g = gcd(den, *num) * (1 if den > 0 else -1)
+    return (num, den) if g == 1 else (tuple(c // g for c in num), den // g)
 
 
 @dataclass(frozen=True)
@@ -297,24 +305,20 @@ class Cyclotomic:
 
     @staticmethod
     def make(m: int, coeffs, den: int = 1) -> "Cyclotomic":
-        ring = get_ring(m)
-        coeffs = tuple(int(c) for c in coeffs)
-        if len(coeffs) != ring.phi:
-            raise ValueError(f"expected {ring.phi} coefficients, got {len(coeffs)}")
+        phi = get_ring(m).phi
+        coeffs = tuple(map(int, coeffs))
+        if len(coeffs) != phi:
+            raise ValueError(f"expected {phi} coefficients, got {len(coeffs)}")
         num, den = _normalize(coeffs, int(den))
         return Cyclotomic(m, num, den)
 
     @staticmethod
     def integer(m: int, value: int) -> "Cyclotomic":
-        ring = get_ring(m)
-        coeffs = [0] * ring.phi
-        coeffs[0] = int(value)
-        return Cyclotomic.make(m, coeffs)
+        return Cyclotomic.make(m, [value] + [0] * (get_ring(m).phi - 1))
 
     @staticmethod
     def zeta(m: int, power: int = 1) -> "Cyclotomic":
-        ring = get_ring(m)
-        return Cyclotomic.make(m, [int(c) for c in ring.red[power % m]])
+        return Cyclotomic.make(m, get_ring(m).red[power % m])
 
     # -- ring operations ----------------------------------------------------
 
@@ -331,16 +335,13 @@ class Cyclotomic:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        d = self.den * other.den
-        coeffs = tuple(
-            a * other.den + b * self.den for a, b in zip(self.num, other.num)
-        )
-        return Cyclotomic.make(self.modulus, coeffs, d)
+        num = self._coeffs() * other.den + other._coeffs() * self.den
+        return Cyclotomic.make(self.modulus, num, self.den * other.den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclotomic(self.modulus, tuple(-c for c in self.num), self.den)
+        return Cyclotomic.make(self.modulus, -self._coeffs(), self.den)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -355,53 +356,24 @@ class Cyclotomic:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        ring = get_ring(self.modulus)
-        phi = ring.phi
-        out = [0] * phi
-        for p, a in enumerate(self.num):
-            if a == 0:
-                continue
-            for q, b in enumerate(other.num):
-                if b == 0:
-                    continue
-                ab = a * b
-                row = ring.red[(p + q) % self.modulus]
-                for r in range(phi):
-                    c = int(row[r])
-                    if c:
-                        out[r] += ab * c
+        out = get_ring(self.modulus).multiply(self._coeffs(), other._coeffs())
         return Cyclotomic.make(self.modulus, out, self.den * other.den)
 
     __rmul__ = __mul__
 
     def conjugate(self) -> "Cyclotomic":
-        ring = get_ring(self.modulus)
-        out = [0] * ring.phi
-        for s, a in enumerate(self.num):
-            if a == 0:
-                continue
-            row = ring.conj[s]
-            for r in range(ring.phi):
-                c = int(row[r])
-                if c:
-                    out[r] += a * c
+        out = self._coeffs() @ get_ring(self.modulus).conj
         return Cyclotomic.make(self.modulus, out, self.den)
 
     def embed(self, target_modulus: int) -> "Cyclotomic":
         if target_modulus == self.modulus:
             return self
-        ring = get_ring(self.modulus)
-        target = get_ring(target_modulus)
-        emb = ring.embed_matrix(target)
-        out = [0] * target.phi
-        for s, a in enumerate(self.num):
-            if a == 0:
-                continue
-            for r in range(target.phi):
-                c = int(emb[s, r])
-                if c:
-                    out[r] += a * c
-        return Cyclotomic.make(target_modulus, out, self.den)
+        emb = get_ring(self.modulus).embed_matrix(get_ring(target_modulus))
+        return Cyclotomic.make(target_modulus, self._coeffs() @ emb, self.den)
+
+    def _coeffs(self) -> np.ndarray:
+        """The numerator as a Python-int array: exact products at any size."""
+        return np.asarray(self.num, dtype=object)
 
     def divide_exact(self, k: int) -> "Cyclotomic":
         return Cyclotomic.make(self.modulus, self.num, self.den * int(k))

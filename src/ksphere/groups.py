@@ -247,15 +247,16 @@ class SubgroupEmbedding:
 
         Induction of a subgroup class function f is then
         ind(f)(g_a) = |H|^-1 sum_i W[a, i] f(i) (Isaacs, Character Theory of
-        Finite Groups, 1976, Definition 5.1).
+        Finite Groups, 1976, Definition 5.1). The subgroup is normal (index 2),
+        so subgroup class i lies inside the one class a = class_map[i]; as x
+        runs over G, x^-1 g_a x covers cl(g_a) |C_G(g_a)| = |G| / |cl(g_a)|
+        times. So W[a, i] = |G| |class i| / |cl(g_a)|, and W is zero elsewhere.
         """
-        g, cls_g, cls_h = self.ambient, self.ambient.classes, self.subgroup.classes
-        k_g, k_h = cls_g.count, cls_h.count
-        reps = np.asarray(cls_g.representatives, dtype=np.int64)
-        inside = self.position[g.conjugate(np.arange(g.order), reps[:, None])]  # [a, x]
-        hit = inside >= 0
-        keys = np.broadcast_to(np.arange(k_g)[:, None] * k_h, inside.shape)[hit]
-        w = np.bincount(keys + cls_h.class_of[inside[hit]], minlength=k_g * k_h).reshape(k_g, k_h)
+        cmap = self.class_map
+        sizes_g = np.asarray(self.ambient.classes.class_sizes, dtype=np.int64)
+        sizes_h = np.asarray(self.subgroup.classes.class_sizes, dtype=np.int64)
+        w = np.zeros((sizes_g.size, sizes_h.size), dtype=np.int64)
+        w[cmap, np.arange(sizes_h.size)] = self.ambient.order // sizes_g[cmap] * sizes_h
         w.setflags(write=False)
         return w
 

@@ -3,9 +3,9 @@
 All heavy inner loops of the package live here: reduced row echelon form
 and characteristic polynomials over GF(p), class-sum structure constants,
 the modular matrix products of evaluation-domain arithmetic, and the dense
-power-basis contractions. The brute-force oracles compare in the evaluation
-domain; the dense contractions are the route that names a failing
-projection-formula pair and the reference the tests hold the oracles to.
+power-basis contractions. The library no longer calls the dense ones: it
+multiplies through `CyclotomicRing.multiply` and checks in the evaluation
+domain. They stay as the tests' reference, and perfbench/'s tracer wraps them.
 
 Every kernel works on ``int64`` arrays, and every contraction is exact by a
 checked bound: before it contracts, it computes in Python ints the largest
@@ -145,7 +145,7 @@ def weighted_analysis(v: np.ndarray, w: np.ndarray, p: int) -> np.ndarray:
     return matmul_mod(a, b.transpose(0, 2, 1), p).transpose(1, 2, 0)
 
 
-def mul_into(bf: np.ndarray, mul: np.ndarray) -> np.ndarray:
+def mul_into(bf: np.ndarray, tensor: np.ndarray) -> np.ndarray:
     """Partially apply the ring multiplication tensor to a batch of values.
 
     For each value vector ``b`` in the batch the result slice satisfies
@@ -153,9 +153,9 @@ def mul_into(bf: np.ndarray, mul: np.ndarray) -> np.ndarray:
     Leading dimensions are arbitrary; the last axis is the coefficient axis.
     """
     lead = bf.shape[:-1]
-    flat, mul = _dense_checked(bf.reshape(-1, bf.shape[-1]), mul, bf.shape[-1], "mul_into")
-    out = np.einsum("nq,pqr->npr", flat, mul)
-    return out.reshape(*lead, mul.shape[0], mul.shape[2])
+    flat, tensor = _dense_checked(bf.reshape(-1, bf.shape[-1]), tensor, bf.shape[-1], "mul_into")
+    out = np.einsum("nq,pqr->npr", flat, tensor)
+    return out.reshape(*lead, tensor.shape[0], tensor.shape[2])
 
 
 def pair_products(a: np.ndarray, bm: np.ndarray) -> np.ndarray:

@@ -170,12 +170,28 @@ def _pair_differences(table: CharacterTable, pairs) -> np.ndarray:
     return coeffs
 
 
+def _check_class_count_rank(ctx: LambdaContext, sphere: str, rank: int) -> None:
+    """Raise unless `rank` is k_G - c_H (s-lambda) or 2 c_H - k_G (s1-lambda),
+    c_H being the number of G-classes inside H = ker lambda.
+
+    The orbit sums chi + lambda*chi are a basis of the class functions that
+    vanish off H, so there are c_H orbits, k_G - c_H of them swapped pairs.
+    By Clifford theory for index 2 (Isaacs 1976, ch. 6) the 2 c_H - k_G fixed
+    characters of G match the swapped pairs of the twist on Irr(H).
+    """
+    k_g, c_h = ctx.table_g.count, np.unique(ctx.emb.class_map).size
+    expected = k_g - c_h if sphere == S_LAMBDA else 2 * c_h - k_g
+    if rank != expected:
+        raise CharacterTheoryError(f"{sphere} rank {rank}, but the class counts give {expected}")
+
+
 def k_group_s1_lambda(group: GroupTable, lam: SignHomomorphism) -> KGroupPresentation:
     """Presentation with basis {chi - twist(chi)} over swapped orbit pairs."""
     ctx = lambda_context(group, lam)
     table_g, table_h = ctx.table_g, ctx.table_h
     pairs = ctx.orbits.pairs
     rank = len(pairs)
+    _check_class_count_rank(ctx, S1_LAMBDA, rank)
     coeff_mat = _pair_differences(table_h, pairs)
     basis = tuple(
         BasisElement(rep, partner, VirtualCharacter(table_h, row), f"ind(chi{rep}⊗(ζ-1))")
@@ -251,6 +267,7 @@ def k_group_s_lambda(group: GroupTable, lam: SignHomomorphism) -> IdealPresentat
     ctx = lambda_context(group, lam)
     table = ctx.table_g
     orbits = involution_orbits(_lambda_tensor_permutation(ctx))
+    _check_class_count_rank(ctx, S_LAMBDA, len(orbits.pairs))
     basis = tuple(VirtualCharacter(table, row) for row in _pair_differences(table, orbits.pairs))
     return IdealPresentation(
         sphere=S_LAMBDA,

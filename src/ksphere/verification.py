@@ -378,11 +378,8 @@ def _projection_failure(ctx, transfer, chi_helem, pairs) -> str:
     pair has sides that differ.
     """
     res_phi = _g_element_values(ctx)[:, ctx.emb.inclusion]
-    mul = ctx.table_g.ring.mul
     for a, b in pairs:
-        inner = kernels.pair_products(
-            res_phi[a : a + 1], kernels.mul_into(chi_helem[b : b + 1], mul)
-        )
+        inner = ctx.table_g.ring.multiply(res_phi[a], chi_helem[b])  # [|H|, phi]
         if _element_induced(ctx, transfer, inner) is None:
             return "element-level induction of the product is non-integral"
     a, b = pairs[0]

@@ -3,8 +3,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import ksphere
 from ksphere.groups import GroupSpec, LambdaSpec, build_group, build_sign_hom
+
+
+def dense_mul(ring):
+    """The dense reference tensor mul[p, q] = z**(p + q) = red[(p + q) % m]: 8 phi**3 bytes."""
+    p = np.arange(ring.phi)
+    return ring.red[(p[:, None] + p[None, :]) % ring.modulus]
 
 
 def group_with_lambda(spec: GroupSpec, convention: str):

@@ -7,7 +7,7 @@ never the batched kernel engine, so the two arithmetic paths check each other.
 import numpy as np
 import pytest
 
-from conftest import group_with_lambda
+from conftest import dense_mul, group_with_lambda
 from ksphere import characters
 from ksphere.characters import (
     CharacterTheoryError,
@@ -455,10 +455,10 @@ def test_virtual_character_algebra():
 
 
 def dense_decompose(table, varr, ring):
-    """Oracle: the power-basis contraction against ring.mul, divided by |G|."""
+    """Oracle: the power-basis contraction against the dense mul tensor, divided by |G|."""
     sizes = np.asarray(table.classes.class_sizes, dtype=np.int64)
     weighted = (_embedded_values(table, ring) @ ring.conj) * sizes[None, :, None]
-    at = np.einsum("ijq,pqr->ijpr", weighted, ring.mul)
+    at = np.einsum("ijq,pqr->ijpr", weighted, dense_mul(ring))
     x = np.einsum("bjp,ijpr->bir", np.asarray(varr, dtype=np.int64), at)
     assert not np.any(x[..., 1:]) and not np.any(x[..., 0] % table.group.order)
     return x[..., 0] // table.group.order
@@ -579,7 +579,7 @@ def test_s1_lambda_products_on_d17_need_two_primes_and_match_dense_oracle(monkey
     coeffs = np.asarray([b.character.coeffs for b in pres.basis], dtype=np.int64)
     basis = values_of_coeffs(ctx.table_h, coeffs) @ ctx.table_h.ring.embed_matrix(ring)
     res = restrict_values(ctx.emb, ctx.table_g.values)
-    prods = np.einsum("ajp,ejq,pqr->aejr", res, basis, ring.mul)
+    prods = np.einsum("ajp,ejq,pqr->aejr", res, basis, dense_mul(ring))
     t = dense_decompose(ctx.table_h, prods.reshape(-1, *prods.shape[2:]), ring)
     t = t.reshape(ctx.table_g.count, pres.rank, ctx.table_h.count)
     reps = [b.rep for b in pres.basis]
@@ -599,12 +599,12 @@ def test_s1_lambda_products_on_d17_need_two_primes_and_match_dense_oracle(monkey
 )
 def test_tensor_product_matches_dense_oracle(spec, monkeypatch):
     tab = character_table(build_group(spec))
-    ring = tab.ring
+    ring, mul = tab.ring, dense_mul(tab.ring)
     calls = _prime_spy(monkeypatch)
     for a in range(tab.count):
         for b in range(tab.count):
             got = tensor_product(VirtualCharacter.unit(tab, a), VirtualCharacter.unit(tab, b))
-            prod = np.einsum("jp,jq,pqr->jr", tab.values[a], tab.values[b], ring.mul)
+            prod = np.einsum("jp,jq,pqr->jr", tab.values[a], tab.values[b], mul)
             assert list(got.coeffs) == dense_decompose(tab, prod[None], ring)[0].tolist()
     if spec == GroupSpec.dihedral(17):
         assert max(count for _, _, count in calls) == 2

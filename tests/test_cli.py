@@ -122,6 +122,29 @@ def test_input_error_exit_codes(tmp_path, monkeypatch, capsys):
         assert cli.main(argv) == 2, argv
         captured = capsys.readouterr()
         assert captured.out == "" and needle in captured.err, argv
+    # An inline JSON array is parsed, not taken for a file name.
+    assert cli.main(["chartab", "[1]"]) == 2
+    assert "group spec must be a JSON object" in capsys.readouterr().err
+    # A --json path that cannot be written is rejected before any group is built.
+    c3 = '{"family":"C","n":3}'
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "build_group", None)  # calling it would raise TypeError
+        for argv in [
+            ["chartab", c3, "--json", str(tmp_path)],
+            ["chartab", c3, "--json", str(tmp_path / "no" / "x.json")],
+            ["chartab", c3, "--json", ""],
+            ["kgroup", c3, "--json", str(tmp_path)],
+            ["verify", "--all-upto", "2", "--json", ""],
+        ]:
+            assert cli.main(argv) == 2, argv
+            captured = capsys.readouterr()
+            needle = f"--json path {argv[-1]!r} must name a file in an existing directory"
+            assert captured.out == "" and needle in captured.err, argv
+    # A write that fails anyway (a symlink into a missing directory) also exits 2.
+    dangling = tmp_path / "dangling.json"
+    dangling.symlink_to(tmp_path / "missing" / "x.json")
+    assert cli.main(["chartab", c3, "--json", str(dangling)]) == 2
+    assert f"cannot write --json path {dangling}" in capsys.readouterr().err
     # Rejected before the sweep builds any group below the cap.
     monkeypatch.setenv("KSPHERE_MAX_ORDER", "10")
     assert cli.main(["verify", "--all-upto", "12"]) == 2

@@ -1,6 +1,7 @@
 """Exactness of the cyclotomic layer, checked against naive polynomial math."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,10 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import dense_mul
+
 from ksphere.cyclotomic import (
     ORACLE_PRIME_START,
     Cyclotomic,
-    CyclotomicRing,
     cyclotomic_polynomial,
     euler_phi,
     eval_prime,
@@ -184,26 +186,54 @@ def test_mul_tensor_matches_scalar_products():
         ring = get_ring(m)
         a = rng.integers(-5, 6, ring.phi)
         b = rng.integers(-5, 6, ring.phi)
-        # bulk path through the tensor
-        bulk = np.einsum("p,q,pqr->r", a, b, ring.mul)
+        # bulk path through the dense tensor
+        bulk = np.einsum("p,q,pqr->r", a, b, dense_mul(ring))
         scalar = Cyclotomic.make(m, a) * Cyclotomic.make(m, b)
         assert Cyclotomic.make(m, bulk) == scalar
 
 
-def test_scalar_product_does_not_build_the_mul_table():
+@pytest.mark.parametrize("m", [1, 2, 4, 6, 9, 12, 34, 64])
+def test_multiply_matches_the_dense_tensor(m):
+    ring = get_ring(m)
+    mul = dense_mul(ring)
+    rng = np.random.default_rng(m)
+    a = rng.integers(-9, 10, (3, 1, ring.phi))
+    b = rng.integers(-9, 10, (4, ring.phi))
+    b[0] = 0  # a zero operand, and sparse ones
+    a[1, 0, 1:] = 0
+    dense = np.einsum("...p,...q,pqr->...r", a, b, mul)
+    got = ring.multiply(a, b)
+    assert got.dtype == np.int64 and got.shape == (3, 4, ring.phi)
+    assert np.array_equal(got, dense)
+    # Python ints: exact past 2**63, equal to the dense product scaled back.
+    big = 1 << 70
+    exact = ring.multiply(a.astype(object) * big, b)
+    assert exact.dtype == object
+    assert exact.tolist() == (dense.astype(object) * big).tolist()
+
+
+def test_multiply_checks_its_int64_bound():
+    ring = get_ring(4)  # phi 2, peak 1: the bound is 6 |a| |b|
+    assert (ring.phi, ring.peak) == (2, 1)
+    below = ((1 << 63) - 1) // 6
+    assert ring.multiply([below, 0], [0, 1]).tolist() == [0, below]
+    with pytest.raises(OverflowError, match="2\\*\\*63"):
+        ring.multiply([below + 1, 0], [0, 1])
+    exact = ring.multiply(np.asarray([below + 1, 0], dtype=object), [0, 1])
+    assert exact.tolist() == [0, below + 1]
+
+
+def test_scalar_product_in_a_large_ring_stays_small():
     m = 1024
-    product = Cyclotomic.zeta(m) * Cyclotomic.zeta(m, 3)
+    a, b = Cyclotomic.zeta(m), Cyclotomic.zeta(m, 3)
+    tracemalloc.start()
+    try:
+        product = a * b
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert product == Cyclotomic.zeta(m, 4)
-    assert "mul" not in vars(get_ring(m))
-
-
-@pytest.mark.parametrize("m", [1, 2, 12, 34, 64])
-def test_mul_is_built_on_first_read_from_red(m):
-    ring = CyclotomicRing(m)
-    assert "mul" not in vars(ring)
-    p, q = np.meshgrid(np.arange(ring.phi), np.arange(ring.phi), indexing="ij")
-    assert np.array_equal(ring.mul, ring.red[(p + q) % m])
-    assert "mul" in vars(ring)
+    assert peak < 1 << 20
 
 
 # -- evaluation domain ---------------------------------------------------------

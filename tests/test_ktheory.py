@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from conftest import group_with_lambda
+from ksphere import ktheory
 from ksphere.characters import (
     CharacterTheoryError,
     VirtualCharacter,
     character_table,
+    involution_orbits,
     lambda_context,
     tensor_product,
 )
@@ -107,6 +109,42 @@ def test_rank_halves_the_unfixed_characters():
         ctx = lambda_context(t, lam)
         fixed = int(np.sum(ctx.twist == np.arange(ctx.table_h.count)))
         assert k_group_s1_lambda(t, lam).rank == (ctx.table_h.count - fixed) // 2
+
+
+def _class_counts(group, lam):
+    """(k_G, number of G-classes whose representative lies in ker lambda)."""
+    reps = np.asarray(group.classes.representatives)
+    return group.classes.count, int(np.sum(lam.values[reps] > 0))
+
+
+def test_ranks_are_given_by_class_counts():
+    for spec in builtin_specs_upto(64):
+        group = build_group(spec)
+        for lam in enumerate_sign_homs(group):
+            k_g, c_h = _class_counts(group, lam)
+            assert k_group_s_lambda(group, lam).rank == k_g - c_h, (spec.name, lam.label)
+            assert len(lambda_context(group, lam).orbits.pairs) == 2 * c_h - k_g
+            if group.order <= 32:
+                assert k_group_s1_lambda(group, lam).rank == 2 * c_h - k_g
+            if group.is_abelian():
+                assert 2 * c_h == k_g
+
+
+def test_rank_checks_reject_wrong_orbits(monkeypatch):
+    # S3 with the sign: k_G = 3, c_H = 2, so both ranks are 1.
+    t, lam = group_with_lambda(GroupSpec.symmetric(3), "sign")
+    ctx = lambda_context(t, lam)
+    assert k_group_s_lambda(t, lam).rank == k_group_s1_lambda(t, lam).rank == 1
+    fixed = replace(ctx, orbits=involution_orbits(np.arange(ctx.table_h.count)))
+    monkeypatch.setattr(ktheory, "lambda_context", lambda group, lam: fixed)
+    with pytest.raises(CharacterTheoryError, match="s1-lambda rank 0, but the class counts give 1"):
+        k_group_s1_lambda(t, lam)
+    monkeypatch.undo()
+    monkeypatch.setattr(
+        ktheory, "_lambda_tensor_permutation", lambda ctx: np.arange(ctx.table_g.count)
+    )
+    with pytest.raises(CharacterTheoryError, match="s-lambda rank 0, but the class counts give 1"):
+        k_group_s_lambda(t, lam)
 
 
 def test_splitting_reports():

@@ -12,7 +12,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import group_with_lambda
+from conftest import dense_mul, group_with_lambda
 from ksphere import characters, cyclotomic, kernels, verification
 from ksphere.characters import _assemble_table, _embedded_values, character_table, lambda_context
 from ksphere.cyclotomic import ORACLE_PRIME_START, eval_prime
@@ -38,10 +38,10 @@ def _elem(vals, class_of):
 def dense_table_grams(table):
     ring = table.ring
     elem = _elem(table.values, table.classes.class_of)
-    gram = kernels.pair_gram(elem, kernels.mul_into(elem @ ring.conj, ring.mul))
+    gram = kernels.pair_gram(elem, kernels.mul_into(elem @ ring.conj, dense_mul(ring)))
     col = kernels.pair_gram(
         table.values.transpose(1, 0, 2),
-        kernels.mul_into(table.values @ ring.conj, ring.mul).transpose(1, 0, 2, 3),
+        kernels.mul_into(table.values @ ring.conj, dense_mul(ring)).transpose(1, 0, 2, 3),
     )
     return gram, col
 
@@ -93,7 +93,7 @@ def dense_projection_terms(ctx):
     phi_elem = _elem(ctx.table_g.values, ctx.table_g.classes.class_of)
     chi_helem = _elem(_embedded_values(ctx.table_h, ring), ctx.table_h.classes.class_of)
     inner = kernels.pair_products(
-        phi_elem[:, ctx.emb.inclusion], kernels.mul_into(chi_helem, ring.mul)
+        phi_elem[:, ctx.emb.inclusion], kernels.mul_into(chi_helem, dense_mul(ring))
     )
     return ew, phi_elem, dense_induced(ctx, ew, chi_helem), inner
 
@@ -102,7 +102,8 @@ def dense_projection(ctx):
     ew, phi_elem, ind_elem, inner = dense_projection_terms(ctx)
     if ind_elem is None:
         return "element-level induction produced non-integral values"
-    lhs = kernels.pair_products(phi_elem, kernels.mul_into(ind_elem, ctx.table_g.ring.mul))
+    mul = dense_mul(ctx.table_g.ring)
+    lhs = kernels.pair_products(phi_elem, kernels.mul_into(ind_elem, mul))
     rhs = dense_induced(ctx, ew, inner)
     if rhs is None:
         return "element-level induction of the product is non-integral"
@@ -118,8 +119,8 @@ def dense_orbit_sides(ctx):
     chi_helem = _elem(_embedded_values(ctx.table_h, ring), ctx.table_h.classes.class_of)
     res_phi = phi_elem[:, ctx.emb.inclusion]
     twisted = verification._brute_twisted_h_values(ctx, chi_helem, ctx.b)
-    lhs = kernels.pair_gram(res_phi, kernels.mul_into(chi_helem @ ring.conj, ring.mul))
-    rhs = kernels.pair_gram(res_phi, kernels.mul_into(twisted @ ring.conj, ring.mul))
+    lhs = kernels.pair_gram(res_phi, kernels.mul_into(chi_helem @ ring.conj, dense_mul(ring)))
+    rhs = kernels.pair_gram(res_phi, kernels.mul_into(twisted @ ring.conj, dense_mul(ring)))
     return lhs, rhs
 
 
@@ -270,7 +271,8 @@ def test_oracle_bounds_cover_the_coefficients_they_certify(monkeypatch):
             check_projection_formula(group, lam)
             ew, phi_elem, ind_elem, inner = dense_projection_terms(ctx)
             numer = np.einsum("ge,...ep->...gp", ew, inner)
-            lhs = kernels.pair_products(phi_elem, kernels.mul_into(ind_elem, ctx.table_g.ring.mul))
+            mul = dense_mul(ctx.table_g.ring)
+            lhs = kernels.pair_products(phi_elem, kernels.mul_into(ind_elem, mul))
             assert bounds.pop() >= _peak(numer) + ctx.emb.subgroup.order * _peak(lhs)
             check_orbit_multiplicities(group, lam)
             assert bounds.pop() >= sum(map(_peak, dense_orbit_sides(ctx)))
