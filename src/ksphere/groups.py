@@ -10,7 +10,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import permutations
 from math import factorial
 
 import numpy as np
@@ -266,11 +265,6 @@ class SubgroupEmbedding:
 # ---------------------------------------------------------------------------
 
 
-def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    # (p * q)(i) = p(q(i)): apply q first.
-    return tuple(p[q[i]] for i in range(len(p)))
-
-
 def _perm_parity(p: tuple[int, ...]) -> int:
     seen = [False] * len(p)
     parity = 1
@@ -320,56 +314,49 @@ def row_keys(rows: np.ndarray) -> np.ndarray:
     return rows.view(np.dtype((np.void, 8 * rows.shape[-1]))).reshape(rows.shape[:-1])
 
 
-def _table_from_perms(perms: list[tuple[int, ...]], gen_perms) -> tuple[np.ndarray, list[int]]:
-    n, degree = len(perms), len(perms[0])
+def _perm_closure(gens: list[tuple[int, ...]], degree: int, cap: int):
+    """The group generated by `gens`, found by one breadth-first orbit pass.
 
-    def as_rows(ps) -> np.ndarray:
-        # A degree-0 permutation acts as the identity on one point.
-        rows = np.zeros((len(ps), max(degree, 1)), dtype=np.int64)
-        rows[:, :degree] = np.asarray(ps, dtype=np.int64).reshape(len(ps), degree)
-        return rows
-
-    arr = as_rows(perms)
-    keys = row_keys(arr)
-    order = np.argsort(keys)
-    sorted_keys = keys[order]
-
-    def index(rows: np.ndarray) -> np.ndarray:
-        wanted = row_keys(rows)
-        pos = np.minimum(np.searchsorted(sorted_keys, wanted), n - 1)
-        missing = np.flatnonzero(sorted_keys[pos] != wanted)
-        if missing.size:
-            raise KeyError(tuple(int(x) for x in rows[missing[0]]))
-        return order[pos]
-
-    product = np.empty((n, n), dtype=np.int64)
-    for i in range(n):
-        # Row i holds perms[i] * q = perms[i](q(.)) for every q.
-        product[i] = index(arr[i][arr])
-    return product, index(as_rows(gen_perms)).tolist()
-
-
-def _perm_closure(gens: list[tuple[int, ...]], cap: int) -> list[tuple[int, ...]]:
-    degree = len(gens[0])
+    Returns the elements in breadth-first order from the identity and
+    `right[i, s]`, the index of elems[i] * gens[s] (gens[s] applied first):
+    the Cayley graph, as in the orbit algorithm with Schreier vectors (Holt,
+    Eick & O'Brien, Handbook of Computational Group Theory, 2005, 4.1).
+    """
     identity = tuple(range(degree))
     elems = [identity]
     index = {identity: 0}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = _compose(x, g)
-                if y not in index:
-                    if len(elems) >= cap:
-                        raise OrderLimitError(
-                            f"generated group exceeds the order cap {cap}"
-                        )
-                    index[y] = len(elems)
-                    elems.append(y)
-                    nxt.append(y)
-        frontier = nxt
-    return elems
+    right = []
+    for x in elems:  # grows while it is walked: a breadth-first queue
+        row = []
+        for g in gens:
+            y = tuple(x[j] for j in g)
+            if y not in index:
+                if len(elems) >= cap:
+                    raise OrderLimitError(f"generated group exceeds the order cap {cap}")
+                index[y] = len(elems)
+                elems.append(y)
+            row.append(index[y])
+        right.append(row)
+    return elems, np.asarray(right, dtype=np.int64)
+
+
+def _walk(right: np.ndarray) -> tuple[list[tuple[int, int, int]], np.ndarray]:
+    """Breadth-first walk from element 0 along the edges x -> right[x, s].
+
+    Returns the step (y, x, s) that first reached each element y after the
+    first, in order of discovery, and a mask of the elements reached.
+    """
+    rows = right.tolist()
+    reached = [True] + [False] * (len(rows) - 1)
+    queue = [0]
+    steps = []
+    for x in queue:
+        for s, y in enumerate(rows[x]):
+            if not reached[y]:
+                reached[y] = True
+                queue.append(y)
+                steps.append((y, x, s))
+    return steps, np.asarray(reached)
 
 
 # ---------------------------------------------------------------------------
@@ -437,10 +424,6 @@ def _build_quaternion(n: int) -> GroupTable:
     )
 
 
-def _symmetric_perms(n: int) -> list[tuple[int, ...]]:
-    return sorted(permutations(range(n)))
-
-
 def _generator_perms(spec: GroupSpec) -> list[tuple[int, ...]]:
     """The generators of a permutation family, in the order of `GroupTable.generators`."""
     n = spec.n
@@ -462,18 +445,33 @@ def _generator_perms(spec: GroupSpec) -> list[tuple[int, ...]]:
     return [_validate_permutation(g, i, degree) for i, g in enumerate(spec.generators)]
 
 
-def _build_permutation_group(perms, gen_perms, name: str, cap: int) -> GroupTable:
-    if len(perms) > cap:
-        raise OrderLimitError(f"group of order {len(perms)} exceeds the order cap {cap}")
-    product, gen_idx = _table_from_perms(perms, gen_perms)
-    labels = tuple(_cycle_notation(p) for p in perms)
+def _build_permutation_group(spec: GroupSpec, degree: int, cap: int) -> GroupTable:
+    """The closure of the spec's generators, its table unrolled along the Cayley graph.
+
+    perms[i] * y = (perms[i] * x) * g_s for each walk step (y, x, s), so
+    column y of the product is column x sent through `right[:, s]`. S_n and
+    A_n are relabelled into lexicographic order; generated groups keep the
+    breadth-first order.
+    """
+    perms, right = _perm_closure(_generator_perms(spec), degree, cap)
+    n = len(perms)
+    cols = np.empty((n, n), dtype=np.int64)  # cols[y] is column y of the product
+    cols[0] = np.arange(n)
+    for y, x, s in _walk(right)[0]:
+        cols[y] = right[cols[x], s]
+    product, gens = cols.T, right[0]
+    if spec.kind != "permutation_generators":
+        order = sorted(range(n), key=perms.__getitem__)
+        rank = np.argsort(order)
+        product, gens = rank[product[np.ix_(order, order)]], rank[gens]
+        perms = [perms[i] for i in order]
     return GroupTable(
-        len(perms),
+        n,
         product,
         _inverse_from_product(product),
-        labels,
-        generators=tuple(gen_idx),
-        name=name,
+        tuple(_cycle_notation(p) for p in perms),
+        generators=tuple(gens.tolist()),
+        name=spec.name,
     )
 
 
@@ -518,21 +516,13 @@ def build_group(spec: GroupSpec, cap: int | None = None) -> GroupTable:
         if spec.n > cap:
             raise OrderLimitError(f"group of order {spec.n} exceeds the order cap {cap}")
         return _build_quaternion(spec.n)
-    if spec.kind == "symmetric":
+    if spec.kind in ("symmetric", "alternating"):
         if not 1 <= spec.n <= 6:
-            raise GroupSpecError(f"symmetric parameter must be in 1..6, got {spec.n}")
-        if factorial(spec.n) > cap:
-            raise OrderLimitError(
-                f"group of order {factorial(spec.n)} exceeds the order cap {cap}"
-            )
-        return _build_permutation_group(
-            _symmetric_perms(spec.n), _generator_perms(spec), f"S{spec.n}", cap
-        )
-    if spec.kind == "alternating":
-        if not 1 <= spec.n <= 6:
-            raise GroupSpecError(f"alternating parameter must be in 1..6, got {spec.n}")
-        perms = [p for p in _symmetric_perms(spec.n) if _perm_parity(p) == 1]
-        return _build_permutation_group(perms, _generator_perms(spec), f"A{spec.n}", cap)
+            raise GroupSpecError(f"{spec.kind} parameter must be in 1..6, got {spec.n}")
+        order = factorial(spec.n) if spec.kind == "symmetric" else max(factorial(spec.n) // 2, 1)
+        if order > cap:
+            raise OrderLimitError(f"group of order {order} exceeds the order cap {cap}")
+        return _build_permutation_group(spec, spec.n, cap)
     if spec.kind == "direct_product":
         if len(spec.factors) != 2:
             raise GroupSpecError("direct_product requires exactly two factors")
@@ -542,9 +532,7 @@ def build_group(spec: GroupSpec, cap: int | None = None) -> GroupTable:
     if spec.kind == "permutation_generators":
         if not spec.generators:
             raise GroupSpecError("permutation_generators requires at least one generator")
-        gens = _generator_perms(spec)
-        perms = _perm_closure(gens, cap)
-        return _build_permutation_group(perms, gens, spec.name, cap)
+        return _build_permutation_group(spec, len(spec.generators[0]), cap)
     raise GroupSpecError(f"unknown group kind {spec.kind!r}")
 
 
@@ -555,30 +543,22 @@ def build_group(spec: GroupSpec, cap: int | None = None) -> GroupTable:
 
 def conjugacy_classes(table: GroupTable) -> ConjugacyClasses:
     """Conjugacy classes ordered by (representative order, size, min index)."""
-    n = table.order
-    all_g = np.arange(n, dtype=np.int64)
-    class_of = np.full(n, -1, dtype=np.int64)
-    raw_classes: list[tuple[int, ...]] = []
-    for x in range(n):
-        if class_of[x] >= 0:
-            continue
-        orbit = np.unique(table.conjugate(all_g, x))
-        cid = len(raw_classes)
-        raw_classes.append(tuple(int(v) for v in orbit))
-        class_of[orbit] = cid
-    order_of = (np.argmax(table.powers[1:] == table.identity, axis=0) + 1).tolist()
-    keys = sorted(
-        (order_of[cls[0]], len(cls), cls[0], cid) for cid, cls in enumerate(raw_classes)
-    )
-    order_perm = [k[3] for k in keys]
-    classes = tuple(raw_classes[old] for old in order_perm)
-    class_of = np.argsort(order_perm)[class_of]
+    g = np.arange(table.order, dtype=np.int64)
+    # Each class is found at its least element, so np.unique lists the classes
+    # in the order of their least elements.
+    least = table.conjugate(g[:, None], g[None, :]).min(axis=0)
+    reps, class_of = np.unique(least, return_inverse=True)
+    sizes = np.bincount(class_of)
+    orders = np.argmax(table.powers[1:, reps] == table.identity, axis=0) + 1
+    perm = np.lexsort((reps, sizes, orders))
+    class_of = np.argsort(perm)[class_of]
+    members = np.split(np.argsort(class_of, kind="stable"), np.cumsum(sizes[perm])[:-1])
     return ConjugacyClasses(
-        classes=classes,
+        classes=tuple(tuple(m.tolist()) for m in members),
         class_of=class_of,
-        representatives=tuple(c[0] for c in classes),
-        class_sizes=tuple(len(c) for c in classes),
-        orders=tuple(k[0] for k in keys),
+        representatives=tuple(reps[perm].tolist()),
+        class_sizes=tuple(sizes[perm].tolist()),
+        orders=tuple(orders[perm].tolist()),
     )
 
 
@@ -638,21 +618,14 @@ def _signs_from_generators(table: GroupTable, signs: tuple[int, ...], label: str
         )
     if any(s not in (1, -1) for s in signs):
         raise LambdaSpecError("generator_signs entries must be +1 or -1")
-    vals = np.zeros(table.order, dtype=np.int8)
-    vals[table.identity] = 1
-    frontier = [table.identity]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for s, g in zip(signs, table.generators):
-                y = int(table.product[x, g])
-                if vals[y] == 0:
-                    vals[y] = vals[x] * s
-                    nxt.append(y)
-        frontier = nxt
-    if np.any(vals == 0):
-        raise LambdaSpecError("listed generators do not generate the group")
     gens = np.asarray(table.generators, dtype=np.int64)
+    steps, reached = _walk(table.product[:, gens])
+    if not reached.all():
+        raise LambdaSpecError("listed generators do not generate the group")
+    vals = [1] * table.order
+    for y, x, s in steps:
+        vals[y] = vals[x] * signs[s]
+    vals = np.asarray(vals, dtype=np.int8)
     wrong = np.flatnonzero(vals[gens] != np.asarray(signs, dtype=np.int8))
     if wrong.size:
         i = int(wrong[0])
@@ -887,6 +860,8 @@ def _json_int(value, field: str) -> int:
 def _group_spec_from_obj(obj: dict) -> GroupSpec:
     if not isinstance(obj, dict):
         raise GroupSpecError("group spec must be a JSON object")
+    if "generators" in obj and "family" in obj:
+        raise GroupSpecError("group spec takes 'family' or 'generators', not both")
     if "generators" in obj:
         gens = obj["generators"]
         if not isinstance(gens, list) or not gens:
@@ -921,6 +896,8 @@ def parse_group_document(obj: dict) -> tuple[GroupSpec, LambdaSpec | None]:
         return spec, None
     if not isinstance(lam_obj, dict):
         raise GroupSpecError("field 'lambda' must be an object")
+    if "convention" in lam_obj and "generator_signs" in lam_obj:
+        raise GroupSpecError("field 'lambda' takes 'convention' or 'generator_signs', not both")
     if "convention" in lam_obj:
         convention = lam_obj["convention"]
         if not isinstance(convention, str):

@@ -102,6 +102,11 @@ def test_input_error_exit_codes(tmp_path, monkeypatch, capsys):
          "'lambda.generator_signs[0]'"),
         ("kgroup", '{"family":"D","n":3,"lambda":{"generator_signs":[1,2]}}',
          "'lambda.generator_signs[1]'"),
+        # A spec that names two things is refused, not resolved silently.
+        ("chartab", '{"family":"C","n":4,"generators":[[1,0]]}',
+         "group spec takes 'family' or 'generators', not both"),
+        ("kgroup", '{"family":"C","n":4,"lambda":{"convention":"onto-pm1","generator_signs":[1]}}',
+         "field 'lambda' takes 'convention' or 'generator_signs', not both"),
         # Signs that no homomorphism realises: the first generator is the
         # identity, and then two equal generators with opposite signs.
         ("kgroup", '{"generators":[[0,1],[1,0]],"lambda":{"generator_signs":[-1,-1]}}',

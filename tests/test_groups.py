@@ -42,6 +42,38 @@ def brute_closure(gens):
         elems |= new
 
 
+def _compose(p, q):
+    """(p * q)(i) = p(q(i)): apply q first."""
+    return tuple(p[q[i]] for i in range(len(p)))
+
+
+def _bfs_closure(gens, degree):
+    """Reference: the elements generated by gens, frontier by frontier from the identity."""
+    identity = tuple(range(degree))
+    elems, seen, frontier = [identity], {identity}, [identity]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in gens:
+                y = _compose(x, g)
+                if y not in seen:
+                    seen.add(y)
+                    elems.append(y)
+                    nxt.append(y)
+        frontier = nxt
+    return elems
+
+
+def _oracle_perms(spec):
+    """Reference element list in table order: S_n and A_n sorted, generated groups by BFS."""
+    if spec.kind == "symmetric":
+        return sorted(itertools.permutations(range(spec.n)))
+    if spec.kind == "alternating":
+        return [p for p in sorted(itertools.permutations(range(spec.n)))
+                if groups._perm_parity(p) == 1]
+    return _bfs_closure(spec.generators, len(spec.generators[0]))
+
+
 def brute_classes(table):
     """Oracle: conjugacy classes via direct elementwise conjugation."""
     n = table.order
@@ -96,16 +128,36 @@ def test_group_axioms_exhaustively(spec):
     assert group_axiom_violations(t) == []
 
 
-def test_conjugacy_classes_match_brute_oracle():
-    for spec in [GroupSpec.symmetric(3), GroupSpec.dihedral(4), GroupSpec.quaternion(8),
-                 GroupSpec.symmetric(4), GroupSpec.alternating(4)]:
+def _class_oracle_tables():
+    """Every builtin group of order <= 32 (S3, D4, Q8, S4 and A4 among them) and its kernels."""
+    tables = []
+    for spec in builtin_specs_upto(32):
         t = build_group(spec)
+        tables.append(t)
+        tables += [kernel_embedding(t, lam).subgroup for lam in enumerate_sign_homs(t)]
+    return tables
+
+
+def _order_oracle(table, x):
+    k, y = 1, x
+    while y != table.identity:
+        k, y = k + 1, int(table.product[y, x])
+    return k
+
+
+def test_conjugacy_classes_match_brute_oracle():
+    for t in _class_oracle_tables():
         cls = conjugacy_classes(t)
-        assert {frozenset(c) for c in cls.classes} == brute_classes(t)
+        assert {frozenset(c) for c in cls.classes} == brute_classes(t), t.name
         assert sum(cls.class_sizes) == t.order
         assert cls.classes[0] == (0,)
         for cid, c in enumerate(cls.classes):
             assert cls.representatives[cid] == min(c)
+            assert c == tuple(sorted(c)) and cls.class_sizes[cid] == len(c)
+            assert cls.orders[cid] == _order_oracle(t, c[0])
+            assert all(cls.class_of[x] == cid for x in c)
+        keys = list(zip(cls.orders, cls.class_sizes, cls.representatives))
+        assert keys == sorted(keys), t.name
 
 
 def _conjugate_oracle(prod, x, g):
@@ -219,6 +271,30 @@ def test_order_cap_enforced():
         build_group(GroupSpec.symmetric(6), cap=100)
 
 
+_TWENTY_CYCLE = tuple((i + 1) % 20 for i in range(20))
+_TWENTY_FLIP = tuple((-i) % 20 for i in range(20))
+
+
+@pytest.mark.parametrize(
+    "spec, order, message",
+    [
+        (GroupSpec.symmetric(6), 720, "group of order 720 exceeds the order cap 719"),
+        (GroupSpec.alternating(6), 360, "group of order 360 exceeds the order cap 359"),
+        (
+            GroupSpec.permutation_generators([_TWENTY_CYCLE, _TWENTY_FLIP]),
+            40,
+            "generated group exceeds the order cap 39",
+        ),
+    ],
+    ids=["S6", "A6", "degree20"],
+)
+def test_order_cap_boundary(spec, order, message):
+    assert build_group(spec, cap=order).order == order
+    with pytest.raises(OrderLimitError) as info:
+        build_group(spec, cap=order - 1)
+    assert str(info.value) == message
+
+
 def test_invalid_specs_rejected():
     with pytest.raises(GroupSpecError):
         build_group(GroupSpec.quaternion(16))
@@ -290,13 +366,7 @@ _SIGN_SPECS = (
 @pytest.mark.parametrize("spec", _SIGN_SPECS, ids=lambda s: s.name)
 def test_sign_convention_is_the_parity_of_every_element(spec):
     # Oracle: the parity of each element's permutation, in table order.
-    if spec.kind == "symmetric":
-        perms = groups._symmetric_perms(spec.n)
-    elif spec.kind == "alternating":
-        perms = [p for p in groups._symmetric_perms(spec.n) if groups._perm_parity(p) == 1]
-    else:
-        perms = groups._perm_closure(list(spec.generators), 1024)
-    parities = [groups._perm_parity(p) for p in perms]
+    parities = [groups._perm_parity(p) for p in _oracle_perms(spec)]
     t = build_group(spec)
     if -1 not in parities:
         with pytest.raises(LambdaSpecError, match="'sign' is not surjective"):
@@ -304,6 +374,61 @@ def test_sign_convention_is_the_parity_of_every_element(spec):
         return
     lam = build_sign_hom(t, spec, LambdaSpec(convention="sign"))
     assert lam.values.tolist() == parities and lam.label == "sign"
+
+
+def _signs_oracle(table, signs, label):
+    """Reference: generator signs spread by a frontier BFS over table.product[x, g].
+
+    Returns the values of the homomorphism, or the message it is refused with.
+    """
+    vals = np.zeros(table.order, dtype=np.int8)
+    vals[table.identity] = 1
+    frontier = [table.identity]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for s, g in zip(signs, table.generators):
+                y = int(table.product[x, g])
+                if vals[y] == 0:
+                    vals[y] = vals[x] * s
+                    nxt.append(y)
+        frontier = nxt
+    if np.any(vals == 0):
+        return "listed generators do not generate the group"
+    for i, g in enumerate(table.generators):
+        if vals[g] != signs[i]:
+            return (
+                f"generator_signs[{i}] = {signs[i]:+d} is not realised by a homomorphism: "
+                f"generator {i} ({table.element_labels[g]}) is a product of generators "
+                f"with sign {int(vals[g]):+d}"
+            )
+    try:
+        return make_sign_hom(table, vals, label).values.tolist()
+    except LambdaSpecError as exc:
+        return str(exc)
+
+
+def test_generator_signs_match_the_frontier_bfs_oracle():
+    # Repeated and identity generators: which of them the walk reaches first
+    # decides the message of an unrealised sign.
+    repeated = [
+        GroupSpec.permutation_generators(gens)
+        for gens in ([(0, 1), (1, 0)], [(1, 0, 2), (1, 0, 2), (1, 2, 0)],
+                     [(1, 2, 0), (0, 1, 2), (2, 0, 1), (1, 2, 0)])
+    ]
+    specs = builtin_specs_upto(32) + list(_SIGN_SPECS) + repeated
+    cases = 0
+    for spec in specs:
+        t = build_group(spec)
+        for signs in itertools.product((1, -1), repeat=len(t.generators)):
+            lam = LambdaSpec(generator_signs=signs)
+            try:
+                got = build_sign_hom(t, spec, lam).values.tolist()
+            except LambdaSpecError as exc:
+                got = str(exc)
+            assert got == _signs_oracle(t, signs, lam.label), (spec.name, signs)
+            cases += 1
+    assert cases == 444  # every sign vector of every spec above
 
 
 def test_named_conventions_match_their_closed_forms():
@@ -440,6 +565,13 @@ def test_parse_group_document_errors_name_fields():
         parse_group_document({"family": "product", "factors": [{"family": "C", "n": 2}]})
     with pytest.raises(GroupSpecError, match="lambda"):
         parse_group_document({"family": "C", "n": 2, "lambda": {}})
+    with pytest.raises(GroupSpecError, match="group spec takes 'family' or 'generators', not both"):
+        parse_group_document({"family": "C", "n": 4, "generators": [[1, 0]]})
+    with pytest.raises(
+        GroupSpecError, match="field 'lambda' takes 'convention' or 'generator_signs', not both"
+    ):
+        lam = {"convention": "onto-pm1", "generator_signs": [1]}
+        parse_group_document({"family": "C", "n": 4, "lambda": lam})
     for convention in (None, 5):
         with pytest.raises(
             GroupSpecError,
@@ -449,41 +581,24 @@ def test_parse_group_document_errors_name_fields():
             parse_group_document(doc)
 
 
-def _compose_table_oracle(perms, gen_perms):
-    index = {p: i for i, p in enumerate(perms)}
-    product = np.asarray([[index[groups._compose(p, q)] for q in perms] for p in perms])
-    return product, [index[g] for g in gen_perms]
-
-
-_TWENTY_CYCLE = tuple((i + 1) % 20 for i in range(20))
-_TWENTY_FLIP = tuple((-i) % 20 for i in range(20))
-
-
 @pytest.mark.parametrize(
-    "perms, gen_perms",
+    "spec",
     [
-        (groups._symmetric_perms(5), groups._generator_perms(GroupSpec.symmetric(5))),
-        (
-            [p for p in groups._symmetric_perms(5) if groups._perm_parity(p) == 1],
-            groups._generator_perms(GroupSpec.alternating(5)),
-        ),
-        (
-            groups._perm_closure([_TWENTY_CYCLE, _TWENTY_FLIP], 1024),
-            [_TWENTY_CYCLE, _TWENTY_FLIP],
-        ),
+        GroupSpec.symmetric(5),
+        GroupSpec.alternating(5),
+        GroupSpec.symmetric(6),
+        GroupSpec.alternating(6),
+        GroupSpec.permutation_generators([_TWENTY_CYCLE, _TWENTY_FLIP]),
     ],
-    ids=["S5", "A5", "degree20"],
+    ids=["S5", "A5", "S6", "A6", "degree20"],
 )
-def test_table_from_perms_matches_compose_oracle(perms, gen_perms):
-    product, gen_idx = groups._table_from_perms(perms, gen_perms)
-    expect_product, expect_gens = _compose_table_oracle(perms, gen_perms)
-    assert np.array_equal(product, expect_product)
-    assert gen_idx == expect_gens
-
-
-def test_table_from_perms_rejects_a_set_that_is_not_closed():
-    with pytest.raises(KeyError):
-        groups._table_from_perms([(0, 1, 2), (1, 2, 0)], [])
+def test_build_group_matches_compose_oracle(spec):
+    perms = _oracle_perms(spec)
+    index = {p: i for i, p in enumerate(perms)}
+    t = build_group(spec)
+    assert t.product.tolist() == [[index[_compose(p, q)] for q in perms] for p in perms]
+    assert t.element_labels == tuple(groups._cycle_notation(p) for p in perms)
+    assert t.generators == tuple(index[g] for g in groups._generator_perms(spec))
 
 
 def test_degree_zero_generators_give_the_trivial_group():
