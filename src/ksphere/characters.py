@@ -1,5 +1,21 @@
 """Character tables and representation-ring operations, all exact.
 
+A table's raw data comes by one of three routes (`_table_data`):
+- a cyclic group of order n, one with an element of order n, gets
+  chi_a(x) = zeta_n**(a log x) in closed form, the log read off the powers
+  of that element. This covers cyclic kernels, which have no spec;
+- a group built as A x B gets chi_(alpha, beta)(x, y) = alpha(x) beta(y)
+  from the certified tables of A and B. These products are exactly Irr(A x B)
+  (Isaacs, Character Theory of Finite Groups, 1976, Thm 4.21): each has
+  norm <alpha, alpha> <beta, beta> = 1 and two of them are orthogonal unless
+  both factors agree, so they are |Irr(A)| |Irr(B)| = k(A x B) distinct
+  irreducibles, all of them;
+- every other group goes to Dixon's algorithm (dixon.py).
+Once the class order is fixed, Irr(G) is a set of class functions and each
+value has one power-basis vector, so the routes differ only in row order.
+`_canonical_order` sorts the rows, so every route gives the same bytes, and
+every fresh table passes the same orthogonality certificate.
+
 Class-function values live in one cyclotomic ring per group (modulus =
 group exponent); subgroup values embed into the ambient modulus when the
 two interact, and tables, inputs and outputs stay int64 power-basis arrays.
@@ -19,6 +35,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
+from math import lcm
 
 import numpy as np
 
@@ -222,23 +239,70 @@ def character_table(group: GroupTable) -> CharacterTable:
     data = _table_data_cache.get(key)
     fresh = data is None
     if fresh:
-        degrees_raw, values_raw, modulus = dixon.character_table_data(group, classes)
+        degrees_raw, values_raw, modulus = _table_data(group, classes)
         order = _canonical_order(degrees_raw, values_raw)
         degrees = tuple(degrees_raw[c] for c in order)
         values = np.ascontiguousarray(values_raw[order])
         data = (degrees, values, modulus)
-        _table_data_cache[key] = data
     degrees, values, modulus = data
     table = _assemble_table(group, classes, degrees, values, modulus)
     if fresh:
-        # Identical table bytes were already certified on the first build.
+        # Only certified data is cached, so a cache hit needs no certificate.
         failures = table_invariant_failures(table)
         if failures:
             raise dixon.CharacterEngineError(
                 f"character table of {group.name} failed self-checks: {failures}"
             )
+        _table_data_cache[key] = data
     _table_cache[group] = table
     return table
+
+
+def _table_data(group: GroupTable, classes: ConjugacyClasses) -> tuple[list[int], np.ndarray, int]:
+    """Unsorted exact character data (degrees, values[k, k, phi], exponent).
+
+    The cyclic route comes first, so a cyclic product such as C2 x C3 takes
+    it too; then products; Dixon serves the rest (module docstring).
+    """
+    if group.order in classes.orders:
+        return _cyclic_table_data(group, classes)
+    if group.factors:
+        return _product_table_data(group, classes)
+    return dixon.character_table_data(group, classes)
+
+
+def _cyclic_table_data(group: GroupTable, classes: ConjugacyClasses):
+    """chi_a(x) = zeta_n**(a log x) on a cyclic group of order n.
+
+    The discrete log is read off the powers of an element of order n.
+    """
+    n = group.order
+    ring = get_ring(n)
+    generator = classes.representatives[classes.orders.index(n)]
+    log = np.empty(n, dtype=np.int64)
+    log[group.powers[:n, generator]] = np.arange(n)
+    logs = log[np.asarray(classes.representatives)]
+    values = ring.red[np.arange(n)[:, None] * logs[None, :] % n]
+    return [1] * n, values, n
+
+
+def _product_table_data(group: GroupTable, classes: ConjugacyClasses):
+    """chi_(alpha, beta)(x, y) = alpha(x) beta(y) on A x B (Isaacs 1976, Thm 4.21).
+
+    The factor tables come through `character_table`, so they are cached and
+    certified. Class j of A x B, with least element r = x |B| + y, lies over
+    the classes of x in A and y in B; the products are taken in the ring of
+    m = lcm of the factor moduli, the exponent of A x B.
+    """
+    a, b = group.factors
+    table_a, table_b = character_table(a), character_table(b)
+    ring = get_ring(lcm(table_a.modulus, table_b.modulus))
+    reps = np.asarray(classes.representatives, dtype=np.int64)
+    va = _embedded_values(table_a, ring)[:, a.classes.class_of[reps // b.order]]
+    vb = _embedded_values(table_b, ring)[:, b.classes.class_of[reps % b.order]]
+    values = ring.multiply(va[:, None], vb[None]).reshape(-1, classes.count, ring.phi)
+    degrees = [da * db for da in table_a.degrees for db in table_b.degrees]
+    return degrees, values, ring.modulus
 
 
 def _canonical_order(degrees: list[int], values: np.ndarray) -> np.ndarray:

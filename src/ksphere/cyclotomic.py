@@ -137,9 +137,11 @@ class CyclotomicRing:
         over the leading axes.
 
         The polynomial product of the coefficient vectors, with each power
-        z**s replaced by red[s % m]; only the nonzero coefficients of a and
-        the nonzero powers are visited. Python-int (object) input gives exact
-        results at any size; int64 input raises OverflowError unless
+        z**s replaced by red[s % m]. red[s] is the unit vector e_s for
+        s < phi, so those powers are already reduced, and only the nonzero
+        powers s >= phi go through `red`; only the nonzero coefficients of a
+        are visited. Python-int (object) input gives exact results at any
+        size; int64 input raises OverflowError unless
         (2 phi - 1) phi |a| |b| peak < 2**63.
         """
         a, b = np.asarray(a), np.asarray(b)
@@ -154,8 +156,11 @@ class CyclotomicRing:
         poly = np.zeros(lead + (2 * phi - 1,), dtype=dtype)
         for p in np.flatnonzero((a != 0).reshape(-1, phi).any(axis=0)):
             poly[..., p : p + phi] += a[..., p : p + 1] * b
-        powers = np.flatnonzero((poly != 0).reshape(-1, 2 * phi - 1).any(axis=0))
-        return poly[..., powers] @ self.red[powers % self.modulus].astype(dtype)
+        low = poly[..., :phi]
+        high = phi + np.flatnonzero(np.any(poly[..., phi:] != 0, axis=tuple(range(len(lead)))))
+        if high.size:
+            low += poly[..., high] @ self.red[high % self.modulus].astype(dtype)
+        return np.ascontiguousarray(low)
 
     def embed_matrix(self, target: CyclotomicRing) -> np.ndarray:
         """Basis-change matrix into a ring whose modulus is a multiple of ours."""

@@ -128,7 +128,11 @@ class LambdaSpec:
 
 @dataclass(eq=False)
 class GroupTable:
-    """A finite group as a dense multiplication table over indices 0..n-1."""
+    """A finite group as a dense multiplication table over indices 0..n-1.
+
+    `factors` is (A, B) when the group was built as A x B, with element
+    (x, y) at index x * |B| + y; it is empty for every other group.
+    """
 
     order: int
     product: np.ndarray
@@ -137,6 +141,7 @@ class GroupTable:
     identity: int = 0
     generators: tuple[int, ...] = ()
     name: str = "G"
+    factors: tuple["GroupTable", ...] = ()
 
     def __post_init__(self):
         self.product = np.ascontiguousarray(self.product, dtype=np.int64)
@@ -493,6 +498,7 @@ def _build_direct_product(a: GroupTable, b: GroupTable, cap: int) -> GroupTable:
         labels,
         generators=gens,
         name=f"{a.name}x{b.name}",
+        factors=(a, b),
     )
 
 
@@ -543,10 +549,17 @@ def build_group(spec: GroupSpec, cap: int | None = None) -> GroupTable:
 
 def conjugacy_classes(table: GroupTable) -> ConjugacyClasses:
     """Conjugacy classes ordered by (representative order, size, min index)."""
-    g = np.arange(table.order, dtype=np.int64)
     # Each class is found at its least element, so np.unique lists the classes
-    # in the order of their least elements.
-    least = table.conjugate(g[:, None], g[None, :]).min(axis=0)
+    # in the order of their least elements. A class of A x B is clA x clB, whose
+    # least element pairs the least elements of clA and clB.
+    if table.factors:
+        a, b = table.factors
+        least_a = np.asarray(a.classes.representatives)[a.classes.class_of]
+        least_b = np.asarray(b.classes.representatives)[b.classes.class_of]
+        least = (least_a[:, None] * b.order + least_b[None, :]).reshape(-1)
+    else:
+        g = np.arange(table.order, dtype=np.int64)
+        least = table.conjugate(g[:, None], g[None, :]).min(axis=0)
     reps, class_of = np.unique(least, return_inverse=True)
     sizes = np.bincount(class_of)
     orders = np.argmax(table.powers[1:, reps] == table.identity, axis=0) + 1

@@ -212,6 +212,22 @@ def test_multiply_matches_the_dense_tensor(m):
     assert exact.tolist() == (dense.astype(object) * big).tolist()
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 8, 9, 12])
+def test_multiply_reduces_only_the_powers_past_phi(m):
+    """Products with no power >= phi, with only such powers, and scalar operands."""
+    ring = get_ring(m)
+    phi, mul = ring.phi, dense_mul(ring)
+    unit = np.eye(phi, dtype=np.int64)
+    low = ring.multiply(unit[0], unit)  # 1 * z**s: nothing to reduce
+    assert np.array_equal(low, unit) and low.flags.c_contiguous
+    top = ring.multiply(unit[phi - 1], unit[phi - 1])  # z**(2 phi - 2) alone
+    assert np.array_equal(top, ring.red[(2 * phi - 2) % m])
+    rng = np.random.default_rng(m)
+    a, b = rng.integers(-9, 10, (2, phi))
+    assert np.array_equal(ring.multiply(a, b), np.einsum("p,q,pqr->r", a, b, mul))
+    assert ring.multiply(a[None, None], b).shape == (1, 1, phi)
+
+
 def test_multiply_checks_its_int64_bound():
     ring = get_ring(4)  # phi 2, peak 1: the bound is 6 |a| |b|
     assert (ring.phi, ring.peak) == (2, 1)

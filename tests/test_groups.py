@@ -160,6 +160,32 @@ def test_conjugacy_classes_match_brute_oracle():
         assert keys == sorted(keys), t.name
 
 
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (GroupSpec.cyclic(2), GroupSpec.dihedral(3)),
+        (GroupSpec.quaternion(8), GroupSpec.symmetric(4)),
+        (GroupSpec.symmetric(4), GroupSpec.symmetric(4)),
+        (GroupSpec.dihedral(8), GroupSpec.dihedral(4)),
+        (GroupSpec.alternating(5), GroupSpec.cyclic(6)),
+    ],
+    ids=["C2xD3", "Q8xS4", "S4xS4", "D8xD4", "A5xC6"],
+)
+def test_product_classes_match_the_all_pairs_gather(a, b):
+    """Classes read off the factors equal those of the same table with no factors."""
+    table = build_group(GroupSpec.direct_product(a, b))
+    assert [f.name for f in table.factors] == [a.name, b.name]
+    plain = groups.GroupTable(table.order, table.product, table.inverse, table.element_labels)
+    got, want = table.classes, plain.classes
+    assert got.classes == want.classes
+    assert np.array_equal(got.class_of, want.class_of)
+    assert (got.representatives, got.class_sizes, got.orders) == (
+        want.representatives,
+        want.class_sizes,
+        want.orders,
+    )
+
+
 def _conjugate_oracle(prod, x, g):
     """The unique y with x y = g x in the table rows prod, by search; reads no inverse."""
     (y,) = [y for y in range(len(prod)) if prod[x][y] == prod[g][x]]

@@ -1,0 +1,159 @@
+"""The three routes to a character table agree with Dixon byte for byte.
+
+Cyclic groups get their tables in closed form and groups built as A x B
+from their factors; Dixon's algorithm is the oracle of both. Once the class
+order is fixed a table is unique up to its row order, so after the
+canonical sort the bytes must be equal.
+"""
+
+import json
+import weakref
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from ksphere import characters, dixon
+from ksphere.characters import _canonical_order, _table_data, character_table
+from ksphere.dixon import CharacterEngineError
+from ksphere.groups import (
+    GroupSpec,
+    abelian_specs_upto,
+    build_group,
+    builtin_specs_upto,
+    enumerate_sign_homs,
+    kernel_embedding,
+    parse_group_document,
+)
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.json"
+
+
+def _workload_groups(*names):
+    """The distinct groups of the named workloads, in file order, by spec name."""
+    doc = json.loads(WORKLOADS.read_text())
+    specs = {}
+    for name in names:
+        for item in doc[name]:
+            spec, _ = parse_group_document(json.loads(item["argv"][1]))
+            specs.setdefault(spec.name, spec)
+    return list(specs.values())
+
+
+WORKLOAD_GROUPS = _workload_groups("chartab-many-classes", "kgroup-wide")
+KGROUP_GROUPS = _workload_groups("kgroup-wide")
+# S6, A6, D48 and D32 have no route but Dixon; their cyclic kernels are tested below.
+ROUTED_GROUPS = [s for s in WORKLOAD_GROUPS if s.kind in ("cyclic", "direct_product")]
+
+
+def _sorted_bytes(data):
+    degrees, values, modulus = data
+    order = _canonical_order(degrees, values)
+    return [degrees[c] for c in order], np.ascontiguousarray(values[order]).tobytes(), modulus
+
+
+def _assert_matches_dixon(group):
+    got = _sorted_bytes(_table_data(group, group.classes))
+    assert got == _sorted_bytes(dixon.character_table_data(group, group.classes)), group.name
+
+
+@pytest.fixture
+def fresh_caches(monkeypatch):
+    """Empty table caches, so every table in the test is built afresh."""
+    monkeypatch.setattr(characters, "_table_cache", weakref.WeakKeyDictionary())
+    monkeypatch.setattr(characters, "_table_data_cache", {})
+
+
+def test_cyclic_and_product_routes_match_dixon_on_small_builtins():
+    specs = [s for s in builtin_specs_upto(32) if s.kind in ("cyclic", "direct_product")]
+    assert len(specs) == len(abelian_specs_upto(32))
+    for spec in specs:
+        _assert_matches_dixon(build_group(spec))
+
+
+def test_workload_groups_are_the_sixteen_named():
+    assert len({spec.name for spec in WORKLOAD_GROUPS}) == 16
+    names = {spec.name for spec in ROUTED_GROUPS}
+    assert len(names) == 12
+    assert {"Q8xS4", "S4xS4", "D8xD4", "Q8xC8", "C64"} <= names
+
+
+@pytest.mark.parametrize("spec", ROUTED_GROUPS, ids=lambda s: s.name)
+def test_routes_match_dixon_on_the_workload_groups(spec):
+    _assert_matches_dixon(build_group(spec))
+
+
+def test_cyclic_route_matches_dixon_on_the_cyclic_kernels():
+    cyclic = []
+    for spec in KGROUP_GROUPS:
+        group = build_group(spec)
+        for lam in enumerate_sign_homs(group):
+            sub = kernel_embedding(group, lam).subgroup
+            if sub.order in sub.classes.orders:
+                cyclic.append(sub)
+                _assert_matches_dixon(sub)
+    # Among them the kernel C32 of C64, and the rotations of D48 and D32.
+    assert {sub.order for sub in cyclic} >= {32, 48}
+    assert any(sub.name.endswith("<C64") for sub in cyclic)
+
+
+def test_dixon_never_runs_on_a_builtin_abelian_group(fresh_caches, monkeypatch):
+    calls = []
+    certified = []
+    real_dixon = dixon.character_table_data
+    real_certificate = characters.table_invariant_failures
+
+    def counting_dixon(group, classes):
+        calls.append(group.name)
+        return real_dixon(group, classes)
+
+    def counting_certificate(table):
+        certified.append(table.group.name)
+        return real_certificate(table)
+
+    monkeypatch.setattr(dixon, "character_table_data", counting_dixon)
+    monkeypatch.setattr(characters, "table_invariant_failures", counting_certificate)
+    specs = abelian_specs_upto(64)
+    for spec in specs:
+        assert character_table(build_group(spec)).count == build_group(spec).order
+    assert calls == []
+    # Every freshly built table, factor tables included, passed the certificate.
+    assert len(certified) == len(characters._table_data_cache) >= len(specs)
+    # The counter sees Dixon where it still runs.
+    character_table(build_group(GroupSpec.symmetric(3)))
+    assert calls == ["S3"]
+
+
+def _corrupting(route):
+    def corrupted(group, classes):
+        degrees, values, modulus = route(group, classes)
+        values = values.copy()
+        values[1, 1, 0] += 1
+        return degrees, values, modulus
+
+    return corrupted
+
+
+@pytest.mark.parametrize(
+    "route, spec",
+    [
+        ("_product_table_data", GroupSpec.direct_product(GroupSpec.cyclic(2), GroupSpec.cyclic(2))),
+        (
+            "_product_table_data",
+            GroupSpec.direct_product(GroupSpec.quaternion(8), GroupSpec.symmetric(3)),
+        ),
+        ("_cyclic_table_data", GroupSpec.cyclic(5)),
+    ],
+    ids=["C2xC2", "Q8xS3", "C5"],
+)
+def test_certificate_rejects_a_corrupted_value_on_the_new_routes(
+    route, spec, fresh_caches, monkeypatch
+):
+    monkeypatch.setattr(characters, route, _corrupting(getattr(characters, route)))
+    group = build_group(spec)
+    message = rf"^character table of {group.name} failed self-checks: .*row orthogonality fails"
+    with pytest.raises(CharacterEngineError, match=message):
+        character_table(group)
+    # The rejected data was not cached: an equal group is built and rejected again.
+    with pytest.raises(CharacterEngineError, match=message):
+        character_table(build_group(spec))
