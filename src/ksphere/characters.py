@@ -5,16 +5,17 @@ A table's raw data comes by one of three routes (`_table_data`):
   chi_a(x) = zeta_n**(a log x) in closed form, the log read off the powers
   of that element. This covers cyclic kernels, which have no spec;
 - a group built as A x B gets chi_(alpha, beta)(x, y) = alpha(x) beta(y)
-  from the certified tables of A and B. These products are exactly Irr(A x B)
-  (Isaacs, Character Theory of Finite Groups, 1976, Thm 4.21): each has
-  norm <alpha, alpha> <beta, beta> = 1 and two of them are orthogonal unless
-  both factors agree, so they are |Irr(A)| |Irr(B)| = k(A x B) distinct
-  irreducibles, all of them;
+  from the raw data of A and B, built by the same routes. These products
+  are exactly Irr(A x B) (Isaacs, Character Theory of Finite Groups, 1976,
+  Thm 4.21): each has norm <alpha, alpha> <beta, beta> = 1 and two of them
+  are orthogonal unless both factors agree, so they are
+  |Irr(A)| |Irr(B)| = k(A x B) distinct irreducibles, all of them;
 - every other group goes to Dixon's algorithm (dixon.py).
 Once the class order is fixed, Irr(G) is a set of class functions and each
 value has one power-basis vector, so the routes differ only in row order.
-`_canonical_order` sorts the rows, so every route gives the same bytes, and
-every fresh table passes the same orthogonality certificate.
+`_table_data` recurses into the factors and never calls `character_table`,
+the one place that sorts (`_canonical_order`, so every route gives the same
+bytes), certifies and caches: only served tables are certified.
 
 Class-function values live in one cyclotomic ring per group (modulus =
 group exponent); subgroup values embed into the ambient modulus when the
@@ -33,7 +34,7 @@ rounding.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from math import lcm
 
@@ -100,6 +101,10 @@ class CharacterTable:
     values: np.ndarray
     names: tuple[str, ...]
     trivial_index: int
+    # Derived arrays: modulus -> values in that ring; modulus -> weights of the
+    # coefficient bound, and (modulus, prime index) -> evaluation weights.
+    _embedded: dict = field(default_factory=dict, init=False, repr=False)
+    _weights: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def modulus(self) -> int:
@@ -212,16 +217,9 @@ class OrbitData:
 _table_cache: "weakref.WeakKeyDictionary[GroupTable, CharacterTable]" = (
     weakref.WeakKeyDictionary()
 )
-# Hit by group objects with equal tables: equal kernels, repeated CLI items.
+# Certified data, hit by group objects with equal tables: equal kernels,
+# repeated CLI items.
 _table_data_cache: dict[bytes, tuple[tuple[int, ...], np.ndarray, int]] = {}
-# Per table: modulus -> per-class weights of the coefficient bound, and
-# (modulus, prime index) -> evaluation weights. Hit by every decomposition
-# against the same table.
-_analysis_cache: "weakref.WeakKeyDictionary[CharacterTable, dict]" = weakref.WeakKeyDictionary()
-# Hit by each restriction to and induction from a kernel in the ambient ring.
-_embedded_values_cache: "weakref.WeakKeyDictionary[CharacterTable, dict]" = (
-    weakref.WeakKeyDictionary()
-)
 
 
 # ---------------------------------------------------------------------------
@@ -261,8 +259,9 @@ def character_table(group: GroupTable) -> CharacterTable:
 def _table_data(group: GroupTable, classes: ConjugacyClasses) -> tuple[list[int], np.ndarray, int]:
     """Unsorted exact character data (degrees, values[k, k, phi], exponent).
 
-    The cyclic route comes first, so a cyclic product such as C2 x C3 takes
-    it too; then products; Dixon serves the rest (module docstring).
+    A function of the group alone. The cyclic route comes first, so a cyclic
+    product such as C2 x C3 takes it too; then products; Dixon serves the
+    rest (module docstring).
     """
     if group.order in classes.orders:
         return _cyclic_table_data(group, classes)
@@ -289,20 +288,29 @@ def _cyclic_table_data(group: GroupTable, classes: ConjugacyClasses):
 def _product_table_data(group: GroupTable, classes: ConjugacyClasses):
     """chi_(alpha, beta)(x, y) = alpha(x) beta(y) on A x B (Isaacs 1976, Thm 4.21).
 
-    The factor tables come through `character_table`, so they are cached and
-    certified. Class j of A x B, with least element r = x |B| + y, lies over
-    the classes of x in A and y in B; the products are taken in the ring of
-    m = lcm of the factor moduli, the exponent of A x B.
+    The factors' raw data comes from `_table_data` uncertified: the product
+    table's certificate checks every value built from it. Class j of A x B,
+    with least element r = x |B| + y, lies over the classes of x in A and y
+    in B; the products are taken in the ring of m = lcm of the factor
+    moduli, the exponent of A x B.
     """
     a, b = group.factors
-    table_a, table_b = character_table(a), character_table(b)
-    ring = get_ring(lcm(table_a.modulus, table_b.modulus))
+    degrees_a, values_a, m_a = _table_data(a, a.classes)
+    degrees_b, values_b, m_b = _table_data(b, b.classes)
+    ring = get_ring(lcm(m_a, m_b))
     reps = np.asarray(classes.representatives, dtype=np.int64)
-    va = _embedded_values(table_a, ring)[:, a.classes.class_of[reps // b.order]]
-    vb = _embedded_values(table_b, ring)[:, b.classes.class_of[reps % b.order]]
+    va = _embed(values_a[:, a.classes.class_of[reps // b.order]], m_a, ring)
+    vb = _embed(values_b[:, b.classes.class_of[reps % b.order]], m_b, ring)
     values = ring.multiply(va[:, None], vb[None]).reshape(-1, classes.count, ring.phi)
-    degrees = [da * db for da in table_a.degrees for db in table_b.degrees]
+    degrees = [da * db for da in degrees_a for db in degrees_b]
     return degrees, values, ring.modulus
+
+
+def _embed(values: np.ndarray, modulus: int, ring: CyclotomicRing) -> np.ndarray:
+    """Power-basis values [..., phi] of the ring of `modulus`, in `ring`."""
+    if modulus == ring.modulus:
+        return values
+    return values @ get_ring(modulus).embed_matrix(ring)
 
 
 def _canonical_order(degrees: list[int], values: np.ndarray) -> np.ndarray:
@@ -409,14 +417,9 @@ def values_of_coeffs(table: CharacterTable, coeffs: np.ndarray) -> np.ndarray:
 
 
 def _embedded_values(table: CharacterTable, ring: CyclotomicRing) -> np.ndarray:
-    if ring.modulus == table.modulus:
-        return table.values
-    per = _embedded_values_cache.setdefault(table, {})
-    vals = per.get(ring.modulus)
+    vals = table._embedded.get(ring.modulus)
     if vals is None:
-        emb = table.ring.embed_matrix(ring)
-        vals = np.einsum("cjp,pr->cjr", table.values, emb)
-        per[ring.modulus] = vals
+        vals = table._embedded[ring.modulus] = _embed(table.values, table.modulus, ring)
     return vals
 
 
@@ -428,8 +431,7 @@ def _class_l1(varr: np.ndarray) -> list[int]:
 
 def _analysis_bound(table: CharacterTable, ring: CyclotomicRing, l1: list[int]) -> int:
     """Bound on every coefficient of sum_j |C_j| v(j) conj(chi_i(j)) when |v(j)|_1 <= l1[j]."""
-    per = _analysis_cache.setdefault(table, {})
-    weight = per.get(ring.modulus)
+    weight = table._weights.get(ring.modulus)
     if weight is None:
         # |C_j| * max_i |conj chi_i(j)|_1, with the l1 norms taken in `ring`.
         chi_l1 = np.abs(_embedded_values(table, ring)).sum(axis=-1, dtype=object)
@@ -437,7 +439,7 @@ def _analysis_bound(table: CharacterTable, ring: CyclotomicRing, l1: list[int]) 
             size * ring.l1 * int(c)
             for size, c in zip(table.classes.class_sizes, chi_l1.max(axis=0))
         ]
-        per[ring.modulus] = weight
+        table._weights[ring.modulus] = weight
     return ring.peak * sum(a * b for a, b in zip(l1, weight))
 
 
@@ -449,8 +451,7 @@ def _analysis_tensor(
     `images`, when given, are the images of the table's values in `ring` at
     that prime, already computed by the caller.
     """
-    per = _analysis_cache.setdefault(table, {})
-    w = per.get((ring.modulus, i))
+    w = table._weights.get((ring.modulus, i))
     if w is None:
         p, _, neg = eval_prime(ring.modulus, i)
         if images is None:
@@ -459,7 +460,7 @@ def _analysis_tensor(
         point_major = np.moveaxis(images, -1, 0)[neg]  # [e, c, j], conjugated
         w = np.moveaxis(point_major * sizes % p, 0, -1)
         w.setflags(write=False)
-        per[(ring.modulus, i)] = w
+        table._weights[(ring.modulus, i)] = w
     return w
 
 

@@ -270,37 +270,28 @@ class SubgroupEmbedding:
 # ---------------------------------------------------------------------------
 
 
-def _perm_parity(p: tuple[int, ...]) -> int:
+def _cycles(p: tuple[int, ...]) -> list[list[int]]:
+    """The cycles of p, fixed points included, each from its least point."""
     seen = [False] * len(p)
-    parity = 1
+    cycles = []
     for i in range(len(p)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = p[j]
-            length += 1
-        if length % 2 == 0:
-            parity = -parity
-    return parity
-
-
-def _cycle_notation(p: tuple[int, ...]) -> str:
-    seen = [False] * len(p)
-    parts = []
-    for i in range(len(p)):
-        if seen[i] or p[i] == i:
-            seen[i] = True
-            continue
         cyc = []
         j = i
         while not seen[j]:
             seen[j] = True
             cyc.append(j)
             j = p[j]
-        parts.append("(" + " ".join(str(x) for x in cyc) + ")")
+        if cyc:
+            cycles.append(cyc)
+    return cycles
+
+
+def _perm_parity(p: tuple[int, ...]) -> int:
+    return (-1) ** sum(len(c) - 1 for c in _cycles(p))
+
+
+def _cycle_notation(p: tuple[int, ...]) -> str:
+    parts = ["(" + " ".join(map(str, c)) + ")" for c in _cycles(p) if len(c) > 1]
     return "".join(parts) if parts else "()"
 
 
@@ -705,20 +696,13 @@ def enumerate_sign_homs(table: GroupTable) -> list[SignHomomorphism]:
     They factor through G / <squares, commutators>, an elementary abelian
     2-group, whose nonzero dual functionals are enumerated over an F2 basis.
     """
-    n = table.order
     prod = table.product
     # The squares alone generate <squares, commutators>: every commutator is
     # a product of squares, a^-1 b^-1 a b = a^-2 (a b^-1)^2 b^2.
     nsub = _subgroup_closure(table, np.diagonal(prod))
-    coset_of = np.full(n, -1, dtype=np.int64)
-    coset_reps: list[int] = []
-    for x in range(n):
-        if coset_of[x] >= 0:
-            continue
-        members = prod[x, nsub]
-        coset_of[members] = len(coset_reps)
-        coset_reps.append(x)
-    num_cosets = len(coset_reps)
+    # Cosets x N numbered by their least elements, in ascending order.
+    coset_reps, coset_of = np.unique(prod[:, nsub].min(axis=1), return_inverse=True)
+    num_cosets = coset_reps.size
     if num_cosets == 1:
         return []
     # F2 coordinates on the quotient, built greedily from coset reps.
@@ -734,21 +718,15 @@ def enumerate_sign_homs(table: GroupTable) -> list[SignHomomorphism]:
             if combined not in coords:
                 coords[combined] = vec | bit
     assert len(coords) == num_cosets
-    elem_coords = np.asarray([coords[int(c)] for c in coset_of], dtype=np.int64)
+    elem_coords = np.asarray([coords[c] for c in range(num_cosets)], dtype=np.int64)[coset_of]
+    r = np.arange(len(basis))
+    elem_bits = elem_coords[:, None] >> r & 1  # [n, r]
+    eps_bits = np.arange(1, 1 << r.size)[:, None] >> r & 1  # [2**r - 1, r]
+    negative = (eps_bits @ elem_bits.T % 2).astype(bool)  # [hom, n]
     homs = []
-    r = len(basis)
-    for eps in range(1, 1 << r):
-        par = np.zeros(n, dtype=np.int64)
-        masked = elem_coords & eps
-        while np.any(masked):
-            par += masked & 1
-            masked >>= 1
-        vals = np.where(par % 2 == 0, 1, -1)
-        neg = np.nonzero(vals < 0)[0]
-        mask = 0
-        for i in neg:
-            mask |= 1 << int(i)
-        homs.append(make_sign_hom(table, vals, f"neg:{mask:#x}"))
+    for neg in negative:
+        mask = int.from_bytes(np.packbits(neg, bitorder="little").tobytes(), "little")
+        homs.append(make_sign_hom(table, np.where(neg, -1, 1), f"neg:{mask:#x}"))
     return homs
 
 

@@ -87,9 +87,7 @@ def _l1(values: np.ndarray) -> int:
     """Largest l1 norm of a power-basis value in [..., phi], as a Python int."""
     if values.size == 0:
         return 0
-    peak = max(int(values.max()), -int(values.min()))
-    if peak * values.shape[-1] >= 1 << 63:
-        raise OverflowError(f"l1 norm: worst-case magnitude {peak * values.shape[-1]} reaches 2**63")
+    kernels._require_int64(max(int(values.max()), -int(values.min())) * values.shape[-1], "l1 norm")
     return int(np.abs(values).sum(axis=-1).max())
 
 
@@ -235,10 +233,7 @@ class _Transfer(NamedTuple):
         `magnitude` bounds every |vals| entry; the int64 sums are exact by
         a bound checked first.
         """
-        if self.reach * magnitude >= 1 << 63:
-            raise OverflowError(
-                f"transfer sum: worst-case magnitude {self.reach * magnitude} reaches 2**63"
-            )
+        kernels._require_int64(self.reach * magnitude, "transfer sum")
         return np.concatenate(
             [(vals[..., cols, :] * w[:, :, None]).sum(axis=-2) for _, cols, w in self.blocks],
             axis=-2,
@@ -254,6 +249,23 @@ def _element_induced(ctx: LambdaContext, transfer: _Transfer, helem: np.ndarray)
     out = np.zeros(helem.shape[:-2] + (ctx.group.order, helem.shape[-1]), dtype=np.int64)
     out[..., transfer.rows, :] = numer // h_order
     return out
+
+
+def _element_induction(ctx: LambdaContext, check: str):
+    """(transfer data, Irr(H) per H-element [k_h, |H|, phi], their induction [k_h, n, phi]).
+
+    Induction runs through the element transfer matrix; when it gives a
+    non-integral value, the failing report of `check` is returned instead.
+    """
+    transfer = _Transfer.of(_element_induction_matrix(ctx))
+    chi_helem = _h_element_values(ctx)
+    ind_elem = _element_induced(ctx, transfer, chi_helem)
+    if ind_elem is None:
+        return CheckReport(
+            check, ctx.group.name, ctx.lam.label, "fail",
+            "element-level induction produced non-integral values",
+        )
+    return transfer, chi_helem, ind_elem
 
 
 def _h_element_values(ctx: LambdaContext) -> np.ndarray:
@@ -331,16 +343,10 @@ def check_projection_formula(group: GroupTable, lam: SignHomomorphism) -> list[C
     ctx = lambda_context(group, lam)
     ring = ctx.table_g.ring
     h_order = ctx.emb.subgroup.order
-    transfer = _Transfer.of(_element_induction_matrix(ctx))
-    chi_helem = _h_element_values(ctx)  # [k_h, |H|, phi]
-    ind_elem = _element_induced(ctx, transfer, chi_helem)  # [k_h, n, phi]
-    if ind_elem is None:
-        return [
-            CheckReport(
-                "projection-formula", group.name, lam.label, "fail",
-                "element-level induction produced non-integral values",
-            )
-        ]
+    induced = _element_induction(ctx, "projection-formula")
+    if isinstance(induced, CheckReport):
+        return [induced]
+    transfer, chi_helem, ind_elem = induced
     rows = transfer.rows
     ind_rows = ind_elem[:, rows]  # both sides vanish on the other rows
     phi_vals = ctx.table_g.values  # per class
@@ -390,15 +396,10 @@ def check_mackey_restriction(group: GroupTable, lam: SignHomomorphism) -> list[C
     """res(ind(chi)) = chi + twist(chi) for every irreducible chi of H."""
     ctx = lambda_context(group, lam)
     k_h = ctx.table_h.count
-    chi_helem = _h_element_values(ctx)
-    ind_elem = _element_induced(ctx, _Transfer.of(_element_induction_matrix(ctx)), chi_helem)
-    if ind_elem is None:
-        return [
-            CheckReport(
-                "mackey-restriction", group.name, lam.label, "fail",
-                "element-level induction produced non-integral values",
-            )
-        ]
+    induced = _element_induction(ctx, "mackey-restriction")
+    if isinstance(induced, CheckReport):
+        return [induced]
+    _, chi_helem, ind_elem = induced
     res_ind = ind_elem[:, ctx.emb.inclusion, :]
     twisted = _brute_twisted_h_values(ctx, chi_helem, ctx.b)
     value_ok = np.array_equal(res_ind, chi_helem + twisted)

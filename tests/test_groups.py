@@ -525,12 +525,49 @@ def _sign_hom_labels_oracle(spec, table) -> set[str]:
     return labels
 
 
+def _sign_hom_labels_loop_reference(t) -> list[str]:
+    """Labels in enumeration order, by the coset and parity loops of the former code."""
+    n, prod = t.order, t.product
+    nsub = groups._subgroup_closure(t, np.diagonal(prod))
+    coset_of = np.full(n, -1, dtype=np.int64)
+    coset_reps = []
+    for x in range(n):
+        if coset_of[x] < 0:
+            coset_of[prod[x, nsub]] = len(coset_reps)
+            coset_reps.append(x)
+    coords = {0: 0}
+    basis = []
+    for cid in range(len(coset_reps)):
+        if cid in coords:
+            continue
+        bit = 1 << len(basis)
+        basis.append(cid)
+        for known, vec in list(coords.items()):
+            combined = int(coset_of[prod[coset_reps[cid], coset_reps[known]]])
+            if combined not in coords:
+                coords[combined] = vec | bit
+    elem_coords = [coords[int(c)] for c in coset_of]
+    labels = []
+    for eps in range(1, 1 << len(basis)):
+        mask = sum(1 << x for x, c in enumerate(elem_coords) if bin(c & eps).count("1") % 2)
+        labels.append(f"neg:{mask:#x}")
+    return labels
+
+
 def test_enumerate_sign_homs_matches_the_generator_sign_oracle():
-    for spec in builtin_specs_upto(64):
+    extra = [
+        GroupSpec.symmetric(6),
+        GroupSpec.direct_product(GroupSpec.symmetric(4), GroupSpec.cyclic(6)),
+    ]
+    for spec in builtin_specs_upto(64) + extra:
         t = build_group(spec)
-        assert {h.label for h in enumerate_sign_homs(t)} == _sign_hom_labels_oracle(spec, t), (
-            spec.name
-        )
+        homs = enumerate_sign_homs(t)
+        labels = [h.label for h in homs]
+        assert set(labels) == _sign_hom_labels_oracle(spec, t), spec.name
+        assert labels == _sign_hom_labels_loop_reference(t), spec.name
+        for h in homs:
+            mask = sum(1 << int(x) for x in h.negative_indices())
+            assert h.label == f"neg:{mask:#x}", spec.name
 
 
 def test_enumerated_homs_are_valid_and_complete_for_klein():
@@ -625,6 +662,16 @@ def test_build_group_matches_compose_oracle(spec):
     assert t.product.tolist() == [[index[_compose(p, q)] for q in perms] for p in perms]
     assert t.element_labels == tuple(groups._cycle_notation(p) for p in perms)
     assert t.generators == tuple(index[g] for g in groups._generator_perms(spec))
+
+
+def test_one_cycle_walk_gives_parity_and_notation():
+    for p in itertools.permutations(range(5)):
+        inversions = sum(p[i] > p[j] for i in range(5) for j in range(i + 1, 5))
+        assert groups._perm_parity(p) == (-1) ** inversions
+    assert groups._cycle_notation((1, 2, 0, 4, 3, 5)) == "(0 1 2)(3 4)"
+    assert groups._cycle_notation((3, 1, 0, 2)) == "(0 3 2)"
+    assert groups._cycle_notation((0, 1, 2)) == groups._cycle_notation(()) == "()"
+    assert groups._perm_parity(()) == 1
 
 
 def test_degree_zero_generators_give_the_trivial_group():

@@ -13,8 +13,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ksphere import characters, dixon
-from ksphere.characters import _canonical_order, _table_data, character_table
+from ksphere import characters, cli, dixon
+from ksphere.characters import (
+    _analysis_tensor,
+    _canonical_order,
+    _table_data,
+    character_table,
+    table_invariant_failures,
+)
 from ksphere.dixon import CharacterEngineError
 from ksphere.groups import (
     GroupSpec,
@@ -25,6 +31,7 @@ from ksphere.groups import (
     kernel_embedding,
     parse_group_document,
 )
+from ksphere.verification import corrupt_table
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.json"
 
@@ -64,6 +71,20 @@ def fresh_caches(monkeypatch):
     monkeypatch.setattr(characters, "_table_data_cache", {})
 
 
+@pytest.fixture
+def certified(monkeypatch):
+    """The names of the groups whose tables run the certificate, in call order."""
+    names = []
+    real_certificate = characters.table_invariant_failures
+
+    def counting_certificate(table):
+        names.append(table.group.name)
+        return real_certificate(table)
+
+    monkeypatch.setattr(characters, "table_invariant_failures", counting_certificate)
+    return names
+
+
 def test_cyclic_and_product_routes_match_dixon_on_small_builtins():
     specs = [s for s in builtin_specs_upto(32) if s.kind in ("cyclic", "direct_product")]
     assert len(specs) == len(abelian_specs_upto(32))
@@ -97,28 +118,21 @@ def test_cyclic_route_matches_dixon_on_the_cyclic_kernels():
     assert any(sub.name.endswith("<C64") for sub in cyclic)
 
 
-def test_dixon_never_runs_on_a_builtin_abelian_group(fresh_caches, monkeypatch):
+def test_dixon_never_runs_on_a_builtin_abelian_group(fresh_caches, certified, monkeypatch):
     calls = []
-    certified = []
     real_dixon = dixon.character_table_data
-    real_certificate = characters.table_invariant_failures
 
     def counting_dixon(group, classes):
         calls.append(group.name)
         return real_dixon(group, classes)
 
-    def counting_certificate(table):
-        certified.append(table.group.name)
-        return real_certificate(table)
-
     monkeypatch.setattr(dixon, "character_table_data", counting_dixon)
-    monkeypatch.setattr(characters, "table_invariant_failures", counting_certificate)
     specs = abelian_specs_upto(64)
     for spec in specs:
         assert character_table(build_group(spec)).count == build_group(spec).order
     assert calls == []
-    # Every freshly built table, factor tables included, passed the certificate.
-    assert len(certified) == len(characters._table_data_cache) >= len(specs)
+    # Every served table passed the certificate once, and no factor was served.
+    assert len(certified) == len(characters._table_data_cache) == len(specs)
     # The counter sees Dixon where it still runs.
     character_table(build_group(GroupSpec.symmetric(3)))
     assert calls == ["S3"]
@@ -157,3 +171,42 @@ def test_certificate_rejects_a_corrupted_value_on_the_new_routes(
     # The rejected data was not cached: an equal group is built and rejected again.
     with pytest.raises(CharacterEngineError, match=message):
         character_table(build_group(spec))
+
+
+def test_chartab_of_a_nested_product_certifies_only_the_served_table(
+    fresh_caches, certified, capsys
+):
+    c2 = {"family": "cyclic", "n": 2}
+    c2xc2 = {"family": "direct_product", "factors": [c2, c2]}
+    spec = {"family": "direct_product", "factors": [c2, c2xc2]}
+    assert cli.main(["chartab", json.dumps(spec)]) == 0
+    assert "group C2xC2xC2" in capsys.readouterr().out
+    assert certified == ["C2xC2xC2"]
+
+
+def test_a_product_table_leaves_no_table_of_its_factors(fresh_caches):
+    group = build_group(GroupSpec.direct_product(GroupSpec.cyclic(2), GroupSpec.cyclic(128)))
+    character_table(group)
+    a, b = group.factors
+    assert group in characters._table_cache
+    assert a not in characters._table_cache and b not in characters._table_cache
+    assert len(characters._table_data_cache) == 1
+
+
+def test_a_corrupted_copy_computes_its_own_analysis_weights():
+    table = character_table(build_group(GroupSpec.symmetric(3)))
+    assert table_invariant_failures(table) == []
+    weights = dict(table._weights)
+    bad = corrupt_table(table, 1, 1)
+    assert bad._weights == {} and bad._embedded == {}
+    assert any("row orthogonality fails" in f for f in table_invariant_failures(bad))
+    assert bad._weights.keys() == weights.keys()
+    tensors = [key for key in weights if isinstance(key, tuple)]
+    assert tensors
+    fresh = corrupt_table(table, 1, 1)
+    for key in tensors:
+        assert not np.array_equal(bad._weights[key], weights[key])
+        # The copy's weights are those of its own values, computed afresh.
+        assert np.array_equal(_analysis_tensor(fresh, fresh.ring, key[1]), bad._weights[key])
+    # The source table's weights are untouched.
+    assert all(table._weights[key] is weights[key] for key in weights)

@@ -172,3 +172,32 @@ def test_run_verification_small_sweep():
     assert "S3" in groups and "Q8" in groups and "D6" in groups
     keys = [(r.check, r.group, r.lam) for r in reports]
     assert keys == sorted(keys)
+
+
+def test_both_element_level_checks_report_a_non_integral_induction(monkeypatch):
+    t, lam = group_with_lambda(GroupSpec.symmetric(3), "sign")
+    bad = verification._element_induction_matrix(lambda_context(t, lam)).copy()
+    bad[0, 0] += 1  # ind(trivial)(e) = (6 + 1) / 3
+    monkeypatch.setattr(verification, "_element_induction_matrix", lambda ctx: bad)
+    message = "element-level induction produced non-integral values"
+    for check, name in (
+        (check_projection_formula, "projection-formula"),
+        (check_mackey_restriction, "mackey-restriction"),
+    ):
+        assert check(t, lam) == [verification.CheckReport(name, t.name, lam.label, "fail", message)]
+
+
+def test_int64_guards_keep_their_messages():
+    with pytest.raises(
+        OverflowError, match=r"^l1 norm: worst-case magnitude 9223372036854775808 reaches 2\*\*63$"
+    ):
+        verification._l1(np.array([[1 << 62, 0]], dtype=np.int64))
+    assert verification._l1(np.array([[(1 << 62) - 1, 1]], dtype=np.int64)) == 1 << 62
+    transfer = verification._Transfer.of(np.array([[2, 1], [0, 1]], dtype=np.int64))
+    with pytest.raises(
+        OverflowError,
+        match=r"^transfer sum: worst-case magnitude 13835058055282163712 reaches 2\*\*63$",
+    ):
+        transfer.sums(np.zeros((2, 1), dtype=np.int64), 1 << 62)
+    assert transfer.rows.tolist() == [1, 0]  # blocks by ascending nonzero count
+    assert transfer.sums(np.ones((2, 1), dtype=np.int64), 1).tolist() == [[1], [3]]
