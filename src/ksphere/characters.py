@@ -22,13 +22,49 @@ group exponent); subgroup values embed into the ambient modulus when the
 two interact, and tables, inputs and outputs stay int64 power-basis arrays.
 Bulk operations that sum over classes (the orthogonality certificate and
 decomposition, including of pointwise products) run in the evaluation
-domain: each value is mapped to its images at the phi primitive roots of
-unity modulo primes p = 1 (mod m), the class sums become one k x k modular
-matrix product per evaluation point, and a coefficient bound computed
-beforehand fixes how many primes make the CRT lift exact. Every
-decomposition is checked for exact integrality: a non-rational or
+domain: a value x of Z[zeta_m] maps to its images iota_t(x) = x(z**t) at
+the phi primitive m-th roots of unity z**t modulo primes p = 1 (mod m),
+the class sums become k x k modular matrix products, and a coefficient
+bound computed beforehand fixes how many primes make the CRT lift exact.
+Every decomposition is checked for exact integrality: a non-rational or
 non-integer multiplicity anywhere aborts with a diagnostic rather than
 rounding.
+
+One point per prime, z itself, is enough when the rows are Galois-closed.
+Let sigma_t be the automorphism zeta -> zeta**t of Z[zeta_m], t a unit mod
+m. Then iota_t = iota_1 o sigma_t, and sigma_t commutes with complex
+conjugation, which is sigma_-1. Suppose that for each generator t of
+(Z/m)^* (`CyclotomicRing.unit_generators`) there is a permutation pi_t of
+Irr with sigma_t chi_a = chi_pi_t(a) exactly, checked in the power basis
+(`CyclotomicRing.galois`, rows found by `row_permutation`). Composing them
+gives such a permutation pi_t for every unit t. A table of modulus m' | m,
+embedded in Z[zeta_m], is permuted by sigma_t as by sigma_(t mod m'), since
+sigma_t restricts to sigma_(t mod m') on Z[zeta_m'].
+- Certificate. Let g_ab = sum_j |C_j| chi_a(j) conj(chi_b(j)). Then
+  sigma_t g_ab = g_pi_t(a)pi_t(b), so iota_t(g_ab) = iota_1(g_pi_t(a)pi_t(b)).
+  If iota_1(g) = n I mod p for every pair, then iota_t(g_ab) =
+  n delta_pi_t(a)pi_t(b) = n delta_ab at every point, pi_t being a
+  bijection. The column sums s_ij = sum_c chi_c(i) conj(chi_c(j)) |C_j| are
+  fixed by each sigma_t, which only reorders the sum over c, so
+  iota_t(s_ij) = iota_1(s_ij). So both Grams equal n I at every point of
+  p exactly when they do at z, and the one-point certificate gives the
+  all-points verdict.
+- Decomposition. Let the batch be closed up to sign, sigma_t v_b =
+  eps_t(b) v_tau_t(b) with eps = +-1 (and likewise any factor). Then
+  x_bi = sum_j |C_j| v_b(j) conj(chi_i(j)) satisfies sigma_t x_bi =
+  eps_t(b) x_tau_t(b)pi_t(i), so iota_t(x_bi) = eps_t(b)
+  iota_1(x_tau_t(b)pi_t(i)). The all-points route calls x rational when
+  iota_t(x) = iota_1(x) at every point. That holds for every entry exactly
+  when eps_t(b) iota_1(x_tau_t(b)pi_t(i)) = iota_1(x_bi) for every entry
+  and every generator t: if t = g h with g a generator, iota_t(x_bi) =
+  iota_h(sigma_g x_bi) = eps_g(b) iota_h(x_tau_g(b)pi_g(i)), which by
+  induction on the word length of h is eps_g(b) iota_1(x_tau_g(b)pi_g(i))
+  = iota_1(x_bi). So the one-point route accepts exactly the batches the
+  all-points route accepts, with the same residues at z.
+In both, conj(chi_i) at z is read off as chi_pi_-1(i) at z. When a row is
+not closed or a one-point check fails, the all-points route runs, so every
+verdict and message is the one it gives. Where phi <= 2 there is at most
+one point to save, and the all-points route runs.
 """
 
 from __future__ import annotations
@@ -102,9 +138,12 @@ class CharacterTable:
     names: tuple[str, ...]
     trivial_index: int
     # Derived arrays: modulus -> values in that ring; modulus -> weights of the
-    # coefficient bound, and (modulus, prime index) -> evaluation weights.
+    # coefficient bound, (modulus, prime index) -> evaluation weights and
+    # (modulus, prime index, "z") -> their first point; unit t mod modulus ->
+    # pi with sigma_t chi_c = chi_pi(c), or None when sigma_t does not permute Irr.
     _embedded: dict = field(default_factory=dict, init=False, repr=False)
     _weights: dict = field(default_factory=dict, init=False, repr=False)
+    _galois: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def modulus(self) -> int:
@@ -344,7 +383,17 @@ def _assemble_table(group, classes, degrees, values, modulus) -> CharacterTable:
 
 
 def table_invariant_failures(table: CharacterTable) -> list[str]:
-    """Exact structural checks; returns one message per violated invariant."""
+    """Exact structural checks; returns one message per violated invariant.
+
+    Orthogonality is checked mod every prime the coefficient bound asks for.
+    Where phi > 2 and sigma_-1 and each generator t of (Z/m)^* permute Irr,
+    sigma_t chi_a = chi_pi_t(a), only the point z is computed:
+    iota_t(g_ab) = iota_1(g_pi_t(a)pi_t(b)) for the row Gram g and
+    iota_t(s_ij) = iota_1(s_ij) for the column Gram s, and pi_t is a
+    bijection, so both equal n I at every point exactly when they do at z
+    (module docstring). Otherwise, and whenever z finds a failure, every
+    point is computed, so the messages do not depend on the route.
+    """
     out: list[str] = []
     k = table.classes.count
     n = table.group.order
@@ -378,24 +427,12 @@ def table_invariant_failures(table: CharacterTable) -> list[str]:
     # Row orthogonality: sum_j |C_j| chi_a(j) conj(chi_b(j)) = n delta_ab.
     # Column orthogonality, scaled by |C_j|: sum_c chi_c(i) conj(chi_c(j)) |C_j|
     # = n delta_ij. Both sums are k x k products of the same two tensors.
-    ring = table.ring
-    chi_l1 = np.abs(table.values).sum(axis=-1, dtype=object)  # |chi_c(j)|_1, [c, j]
-    row_bound = _analysis_bound(table, ring, chi_l1.max(axis=0).tolist()) + n
-    col_bound = ring.peak * ring.l1 * max(table.classes.class_sizes) * (
-        chi_l1.max(axis=1) ** 2
-    ).sum() + n
-    row_bad = np.zeros((k, k), dtype=bool)
-    col_bad = np.zeros((k, k), dtype=bool)
-    for i in range(prime_count(ring.modulus, max(row_bound, col_bound))):
-        p = eval_prime(ring.modulus, i)[0]
-        images = ring.evaluate(table.values, i)
-        weights = _analysis_tensor(table, ring, i, images)
-        expected = np.zeros((k, k, 1), dtype=np.int64)
-        expected[np.arange(k), np.arange(k)] = n % p
-        gram = kernels.weighted_analysis(images, weights, p)
-        row_bad |= np.any(gram != expected, axis=-1)
-        col = kernels.weighted_analysis(images.transpose(1, 0, 2), weights.transpose(1, 0, 2), p)
-        col_bad |= np.any(col != expected, axis=-1)
+    primes = _certificate_primes(table)
+    one_point = table.ring.phi > 2 and _galois_closed(table)
+    row_bad, col_bad = _orthogonality_failures(table, primes, one_point)
+    if one_point and (row_bad.any() or col_bad.any()):
+        # Every point names the failing pairs, so they do not depend on the route.
+        row_bad, col_bad = _orthogonality_failures(table, primes, one_point=False)
     if row_bad.any():
         pairs = ", ".join(f"({a},{b})" for a, b in np.argwhere(row_bad)[:5])
         out.append(f"row orthogonality fails at character pairs {pairs}")
@@ -403,6 +440,59 @@ def table_invariant_failures(table: CharacterTable) -> list[str]:
         pairs = ", ".join(f"({i},{j})" for i, j in np.argwhere(col_bad)[:5])
         out.append(f"column orthogonality fails at class pairs {pairs}")
     return out
+
+
+def _certificate_primes(table: CharacterTable) -> int:
+    """How many evaluation primes make the lift of both Grams exact."""
+    ring, n = table.ring, table.group.order
+    chi_l1 = _l1_norms(table.values)  # |chi_c(j)|_1, [c, j]
+    row_bound = _analysis_bound(table, ring, chi_l1.max(axis=0).tolist()) + n
+    col_bound = ring.peak * ring.l1 * max(table.classes.class_sizes) * sum(
+        c * c for c in chi_l1.max(axis=1).tolist()
+    ) + n
+    return prime_count(ring.modulus, max(row_bound, col_bound))
+
+
+def _orthogonality_failures(table: CharacterTable, primes: int, one_point: bool):
+    """The (row, column) pairs [k, k] whose Gram entry differs from n delta at
+    some point of one of the first `primes` primes, or at z alone.
+
+    At z alone, for a Galois-closed table, there is a failure exactly when
+    there is one at some point (module docstring), though it may name fewer
+    pairs.
+    """
+    ring, k, n = table.ring, table.count, table.group.order
+    row_bad = np.zeros((k, k), dtype=bool)
+    col_bad = np.zeros((k, k), dtype=bool)
+    for i in range(primes):
+        p = eval_prime(ring.modulus, i)[0]
+        images = ring.evaluate(table.values, i, one_point)
+        weights = (_point_weights if one_point else _analysis_tensor)(table, ring, i, images)
+        expected = (n % p) * np.eye(k, dtype=np.int64)[..., None]
+        gram = kernels.weighted_analysis(images, weights, p)
+        row_bad |= np.any(gram != expected, axis=-1)
+        col = kernels.weighted_analysis(images.transpose(1, 0, 2), weights.transpose(1, 0, 2), p)
+        col_bad |= np.any(col != expected, axis=-1)
+    return row_bad, col_bad
+
+
+def _galois_closed(table: CharacterTable) -> bool:
+    """Whether sigma_-1 and each generator of (Z/m)^* permute Irr."""
+    units = (-1, *table.ring.unit_generators)
+    return all(_galois_permutation(table, t) is not None for t in units)
+
+
+def _galois_permutation(table: CharacterTable, t: int) -> np.ndarray | None:
+    """pi with sigma_t chi_c = chi_pi(c) exactly, t taken mod the table's
+    modulus, or None when sigma_t does not permute the rows."""
+    t %= table.modulus
+    if t not in table._galois:
+        try:
+            pi = row_permutation(table, table.ring.galois(table.values, t))
+        except CharacterTheoryError:
+            pi = None
+        table._galois[t] = pi
+    return table._galois[t]
 
 
 # ---------------------------------------------------------------------------
@@ -423,10 +513,18 @@ def _embedded_values(table: CharacterTable, ring: CyclotomicRing) -> np.ndarray:
     return vals
 
 
+def _l1_norms(varr: np.ndarray) -> np.ndarray:
+    """|v|_1 of each power-basis value v in varr [..., phi], in int64 under a checked bound."""
+    varr = np.asarray(varr, dtype=np.int64)
+    kernels._require_int64(varr.shape[-1] * kernels._magnitude(varr), "l1 norm")
+    return np.abs(varr).sum(axis=-1)
+
+
 def _class_l1(varr: np.ndarray) -> list[int]:
     """Per class j, a bound on the l1 norm of varr[b, j] over every b (Python ints)."""
-    peaks = np.abs(np.asarray(varr, dtype=np.int64)).max(axis=0, initial=0)
-    return [int(c) for c in peaks.sum(axis=-1, dtype=object)]
+    varr = np.asarray(varr, dtype=np.int64)
+    kernels._require_int64(varr.shape[-1] * kernels._magnitude(varr), "l1 norm")
+    return np.abs(varr).max(axis=0, initial=0).sum(axis=-1).tolist()
 
 
 def _analysis_bound(table: CharacterTable, ring: CyclotomicRing, l1: list[int]) -> int:
@@ -434,11 +532,8 @@ def _analysis_bound(table: CharacterTable, ring: CyclotomicRing, l1: list[int]) 
     weight = table._weights.get(ring.modulus)
     if weight is None:
         # |C_j| * max_i |conj chi_i(j)|_1, with the l1 norms taken in `ring`.
-        chi_l1 = np.abs(_embedded_values(table, ring)).sum(axis=-1, dtype=object)
-        weight = [
-            size * ring.l1 * int(c)
-            for size, c in zip(table.classes.class_sizes, chi_l1.max(axis=0))
-        ]
+        chi_l1 = _l1_norms(_embedded_values(table, ring)).max(axis=0).tolist()
+        weight = [size * ring.l1 * c for size, c in zip(table.classes.class_sizes, chi_l1)]
         table._weights[ring.modulus] = weight
     return ring.peak * sum(a * b for a, b in zip(l1, weight))
 
@@ -464,6 +559,49 @@ def _analysis_tensor(
     return w
 
 
+def _point_weights(
+    table: CharacterTable, ring: CyclotomicRing, i: int, images: np.ndarray | None = None
+) -> np.ndarray:
+    """The weights of `_analysis_tensor` at z alone, [k, k, 1], for a table
+    that sigma_-1 permutes: conj(chi_c) at z is chi_pi(c) at z.
+
+    `images`, when given, are the images of the table's values in `ring` at z.
+    """
+    key = (ring.modulus, i, "z")
+    w = table._weights.get(key)
+    if w is None:
+        p = eval_prime(ring.modulus, i)[0]
+        if images is None:
+            images = ring.evaluate(_embedded_values(table, ring), i, one_point=True)
+        sizes = np.asarray(table.classes.class_sizes, dtype=np.int64) % p
+        w = images[_galois_permutation(table, -1)] * sizes[:, None] % p
+        w.setflags(write=False)
+        table._weights[key] = w
+    return w
+
+
+def _signed_galois_images(ring: CyclotomicRing, rows: np.ndarray):
+    """[G, B] arrays (tau, eps) with sigma_t rows[b] = eps rows[tau] for the
+    G generators t of (Z/m)^* and eps = +-1, or None when some image is not
+    a row up to sign."""
+    where = {row.tobytes(): b for b, row in enumerate(rows)}
+    tau, eps = [], []
+    for t in ring.unit_generators:
+        for image in ring.galois(rows, t):
+            b, sign = where.get(image.tobytes()), 1
+            if b is None:
+                b, sign = where.get((-image).tobytes()), -1
+            if b is None:
+                return None
+            tau.append(b)
+            eps.append(sign)
+    shape = (len(ring.unit_generators), len(rows))
+    return (
+        np.asarray(tau, dtype=np.intp).reshape(shape),
+        np.asarray(eps, dtype=np.int64).reshape(shape),
+    )
+
+
 def decompose_values(
     table: CharacterTable,
     varr: np.ndarray,
@@ -474,7 +612,11 @@ def decompose_values(
 
     With `factor` [F, k, phi], decomposes every pointwise product
     varr[b] * factor[f] instead and returns [B, F, ki]; the products are
-    formed only in the evaluation domain.
+    formed only in the evaluation domain. Where phi > 2, sigma_-1 and each
+    generator of (Z/m)^* permute Irr, and each generator maps the rows of
+    `varr` (and of `factor`) to rows up to sign, one point per prime
+    decides (module docstring); otherwise, or when z finds a non-rational
+    multiplicity, every point is computed.
 
     Raises CharacterTheoryError when any multiplicity fails to be a rational
     integer: that always signals an internal bug or corrupted input, never a
@@ -482,32 +624,87 @@ def decompose_values(
     """
     ring = table.ring if ring is None else ring
     varr = np.asarray(varr, dtype=np.int64)
-    l1 = _class_l1(varr)
     if factor is not None:
         factor = np.asarray(factor, dtype=np.int64)
+    primes = _analysis_primes(table, ring, varr, factor)
+    residues = _one_point_residues(table, ring, varr, factor, primes) if ring.phi > 2 else None
+    if residues is None:
+        return _decompose_at_all_points(table, ring, varr, factor, primes)
+    return _exact_multiplicities(table, ring, residues)
+
+
+def _analysis_primes(table, ring, varr, factor) -> int:
+    """How many evaluation primes make the lift of the analysis sums exact."""
+    l1 = _class_l1(varr)
+    if factor is not None:
         l1 = [a * b * ring.l1 for a, b in zip(l1, _class_l1(factor))]
-    bound = _analysis_bound(table, ring, l1)
-    order = table.group.order
-    lead = varr.shape[:1] if factor is None else (varr.shape[0], factor.shape[0])
-    irrational = np.zeros(lead + (table.count,), dtype=bool)
+    return prime_count(ring.modulus, _analysis_bound(table, ring, l1))
+
+
+def _one_point_residues(table, ring, varr, factor, primes) -> list[np.ndarray] | None:
+    """The analysis sums at z, one array [B, (F,) ki] per prime, or None when
+    the batch is not Galois-closed or a sum is not rational at some prime."""
+    if not _galois_closed(table):
+        return None
+    batches = [_signed_galois_images(ring, rows) for rows in (varr, factor) if rows is not None]
+    if any(batch is None for batch in batches):
+        return None
+    # For each generator g and entry e: the entry that iota_g(x_e) is read
+    # from, index[g][e], and whether it enters with sign -1, negative[g][e].
+    pi = np.asarray([_galois_permutation(table, t) for t in ring.unit_generators], dtype=np.intp)
+    pi = pi.reshape(-1, table.count)
+    (tau, eps), *factor_images = batches
+    if factor is None:
+        index = (tau[:, :, None], pi[:, None, :])
+        negative = eps[:, :, None] < 0
+    else:
+        tau_f, eps_f = factor_images[0]
+        index = (tau[:, :, None, None], tau_f[:, None, :, None], pi[:, None, None, :])
+        negative = (eps[:, :, None] * eps_f[:, None, :])[..., None] < 0
     residues = []
-    for i in range(prime_count(ring.modulus, bound)):
+    for i in range(primes):
         p = eval_prime(ring.modulus, i)[0]
-        images = ring.evaluate(varr, i)
-        if factor is not None:
-            images = images[:, None] * ring.evaluate(factor, i)[None] % p
-        x = kernels.weighted_analysis(
-            images.reshape((-1,) + images.shape[-2:]), _analysis_tensor(table, ring, i), p
-        ).reshape(irrational.shape + (ring.phi,))
+        x = _analysis_sums(table, ring, varr, factor, i, one_point=True)[..., 0]
+        # iota_g(x) = eps iota_1(x at the image entry); rational means equal to iota_1(x).
+        moved = x[index]
+        if np.any(np.where(negative, -moved % p, moved) != x):
+            return None
+        residues.append(x)
+    return residues
+
+
+def _decompose_at_all_points(table, ring, varr, factor, primes) -> np.ndarray:
+    """`decompose_values` with the analysis sums taken at every point of each prime."""
+    irrational, residues = False, []
+    for i in range(primes):
+        x = _analysis_sums(table, ring, varr, factor, i)
         # A rational integer has the same image at every evaluation point.
         irrational |= np.any(x != x[..., :1], axis=-1)
         residues.append(x[..., 0])
-    if irrational.any():
+    if np.any(irrational):
         where = np.argwhere(irrational)[0]
         raise CharacterTheoryError(
             f"non-rational multiplicity on {table.group.name}: "
             f"function {', '.join(str(w) for w in where[:-1])}, irreducible chi{where[-1]}"
         )
+    return _exact_multiplicities(table, ring, residues)
+
+
+def _analysis_sums(table, ring, varr, factor, i, one_point=False) -> np.ndarray:
+    """x[b, (f,) c, e] = sum_j |C_j| varr[b, j] (factor[f, j]) conj(chi_c(j))
+    mod the i-th prime of `ring`, at every point e or at z alone."""
+    p = eval_prime(ring.modulus, i)[0]
+    images = ring.evaluate(varr, i, one_point)
+    if factor is not None:
+        images = images[:, None] * ring.evaluate(factor, i, one_point)[None] % p
+    weights = (_point_weights if one_point else _analysis_tensor)(table, ring, i)
+    x = kernels.weighted_analysis(images.reshape((-1,) + images.shape[-2:]), weights, p)
+    return x.reshape(images.shape[:-2] + x.shape[-2:])
+
+
+def _exact_multiplicities(table, ring, residues) -> np.ndarray:
+    """|G|^-1 times the CRT lift of the rational analysis sums, checked integral."""
+    order = table.group.order
     c0 = symmetric_lift(residues, ring.modulus)
     if np.any(c0 % order):
         where = np.argwhere(c0 % order)[0]

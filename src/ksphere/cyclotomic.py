@@ -21,7 +21,7 @@ as well: `factorization`, `is_prime` and `root_of_unity`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd
 
 import numpy as np
@@ -131,6 +131,26 @@ class CyclotomicRing:
         conj_idx = (m - np.arange(self.phi)) % m
         self.conj = np.ascontiguousarray(self.red[conj_idx])
         self.conj.setflags(write=False)
+        self._gathers: dict[int, tuple[np.ndarray, np.ndarray, int]] = {}  # t -> galois data
+
+    @cached_property
+    def unit_generators(self) -> tuple[int, ...]:
+        """Generators of (Z/m)^*: each least unit t >= 2 that the ones before
+        it do not generate (none for m <= 2)."""
+        m = self.modulus
+        gens, reached = [], {1 % m}
+        for t in range(2, m):
+            if gcd(t, m) != 1 or t in reached:
+                continue
+            gens.append(t)
+            # Join the cosets H t, H t^2, ... of the subgroup H reached so far,
+            # until the next power of t lies in H.
+            coset, power = reached, t
+            while power not in reached:
+                coset = {h * t % m for h in coset}
+                reached = reached | coset
+                power = power * t % m
+        return tuple(gens)
 
     def multiply(self, a, b) -> np.ndarray:
         """Products of power-basis values a [..., phi] and b [..., phi], broadcast
@@ -171,17 +191,53 @@ class CyclotomicRing:
         idx = (np.arange(self.phi) * scale) % big
         return target.red[idx]
 
-    def evaluate(self, values: np.ndarray, i: int) -> np.ndarray:
+    def galois(self, values, t: int) -> np.ndarray:
+        """sigma_t(x), the automorphism zeta -> zeta**t (t a unit mod m), of
+        power-basis values [..., phi], exact in int64.
+
+        sigma_t x = sum_s x_s red[s t mod m] = x @ S with S[s] = red[s t mod m].
+        Each output coefficient is gathered from the nonzeros of its column
+        of S alone: one gather per nonzero of the fullest column, never a
+        dense [phi, phi] product. That is one (S is a signed permutation) when
+        m is a power of 2, at most two when m has one odd prime factor, and
+        more with several (6 for m = 15 or 60, 26 for m = 105). Raises
+        OverflowError unless |x|_inf times the largest column l1 norm of S is
+        below 2**63.
+        """
+        t %= self.modulus
+        if t not in self._gathers:
+            s = self.red[np.arange(self.phi) * t % self.modulus]
+            nonzero = s != 0
+            depth = int(nonzero.sum(axis=0).max())
+            rows = np.argsort(~nonzero, axis=0, kind="stable")[:depth]  # [depth, phi]
+            coef = np.take_along_axis(s, rows, axis=0)  # zero where a column ran out
+            self._gathers[t] = rows, coef, int(np.abs(s).sum(axis=0).max())
+        rows, coef, col_l1 = self._gathers[t]
+        x = np.asarray(values, dtype=np.int64)
+        kernels._require_int64(kernels._magnitude(x) * col_l1, "Galois image")
+        out = np.take(x, rows[0], axis=-1)
+        out *= coef[0]
+        term = np.empty_like(out) if len(rows) > 1 else None
+        for r in range(1, len(rows)):
+            np.take(x, rows[r], axis=-1, out=term)
+            term *= coef[r]
+            out += term
+        return out
+
+    def evaluate(self, values: np.ndarray, i: int, one_point: bool = False) -> np.ndarray:
         """Images [..., e] of power-basis values [..., phi] mod the i-th evaluation prime.
 
+        With `one_point`, only the image at z itself (e = 1, the first point).
         The result is a view of a point-major array (e is the slowest axis in
         memory), the layout in which kernels.weighted_analysis contracts.
         """
         p, v, _ = eval_prime(self.modulus, i)
+        if one_point:
+            v = v[:1]
         values = np.asarray(values, dtype=np.int64)
         flat = values.reshape(-1, self.phi)
         images = kernels.matmul_mod(v, flat.T, p)  # [e, N]
-        return np.moveaxis(images.reshape((self.phi,) + values.shape[:-1]), 0, -1)
+        return np.moveaxis(images.reshape((v.shape[0],) + values.shape[:-1]), 0, -1)
 
 
 @lru_cache(maxsize=None)

@@ -549,8 +549,11 @@ def conjugacy_classes(table: GroupTable) -> ConjugacyClasses:
         least_b = np.asarray(b.classes.representatives)[b.classes.class_of]
         least = (least_a[:, None] * b.order + least_b[None, :]).reshape(-1)
     else:
-        g = np.arange(table.order, dtype=np.int64)
-        least = table.conjugate(g[:, None], g[None, :]).min(axis=0)
+        # Row x holds x^-1 g x for every g: (x^-1 g) x read along row x of the
+        # transposed table, so every gather runs along contiguous rows.
+        product = table.product
+        right = np.ascontiguousarray(product.T)  # right[x, y] = y x
+        least = np.take_along_axis(right, product[table.inverse], axis=1).min(axis=0)
     reps, class_of = np.unique(least, return_inverse=True)
     sizes = np.bincount(class_of)
     orders = np.argmax(table.powers[1:, reps] == table.identity, axis=0) + 1

@@ -29,6 +29,7 @@ from .characters import (
     LambdaContext,
     _assemble_table,
     _embedded_values,
+    _l1_norms,
     character_table,
     decompose_values,
     induced_values,
@@ -85,10 +86,7 @@ def _elem_values(class_vals: np.ndarray, class_of: np.ndarray) -> np.ndarray:
 
 def _l1(values: np.ndarray) -> int:
     """Largest l1 norm of a power-basis value in [..., phi], as a Python int."""
-    if values.size == 0:
-        return 0
-    kernels._require_int64(max(int(values.max()), -int(values.min())) * values.shape[-1], "l1 norm")
-    return int(np.abs(values).sum(axis=-1).max())
+    return int(_l1_norms(values).max(initial=0))
 
 
 def _oracle_primes(m: int, bound: int) -> range:

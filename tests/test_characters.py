@@ -608,3 +608,14 @@ def test_tensor_product_matches_dense_oracle(spec, monkeypatch):
             assert list(got.coeffs) == dense_decompose(tab, prod[None], ring)[0].tolist()
     if spec == GroupSpec.dihedral(17):
         assert max(count for _, _, count in calls) == 2
+
+
+def test_l1_bounds_are_int64_under_a_checked_bound():
+    edge = np.array([[[(1 << 62) - 1, 1]], [[-5, 0]]], dtype=np.int64)  # [B, k, phi]
+    assert characters._l1_norms(edge).tolist() == [[1 << 62], [5]]
+    assert characters._class_l1(edge) == [1 << 62] and type(characters._class_l1(edge)[0]) is int
+    over = np.array([[[1 << 62, 0]]], dtype=np.int64)
+    message = r"^l1 norm: worst-case magnitude 9223372036854775808 reaches 2\*\*63$"
+    for bound in (characters._l1_norms, characters._class_l1):
+        with pytest.raises(OverflowError, match=message):
+            bound(over)

@@ -1,5 +1,6 @@
 """CLI behavior: outputs, exit codes, JSON round trips, byte determinism."""
 
+import hashlib
 import json
 
 from conftest import run_cli
@@ -217,3 +218,29 @@ def test_version_and_help():
     assert proc.returncode == 0 and "ksphere" in proc.stdout
     proc = run_cli(["--help"])
     assert proc.returncode == 0 and "reflection-sign" in proc.stdout
+
+
+def test_verify_all_upto_32_json_is_byte_identical(tmp_path, capsys):
+    path = tmp_path / "verify32.json"
+    assert cli.main(["verify", "--all-upto", "32", "--json", str(path)]) == 0
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "06d20efc6fdc5ecaa68bdbcbdea2c80bd090f1ad82598bfc97502777dd2ffe65"
+
+
+def test_the_parser_is_built_once_on_first_use(monkeypatch, capsys):
+    built = []
+    real = cli.build_parser
+
+    def counting():
+        built.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    try:
+        assert cli.main(["chartab", '{"family":"C","n":3}']) == 0
+        assert cli.main(["chartab", '{"family":"C","n":4}']) == 0
+    finally:
+        cli._parser.cache_clear()
+    assert built == [1]
+    assert "group C4" in capsys.readouterr().out

@@ -355,3 +355,46 @@ def test_factorization_multiplies_back_and_lists_only_primes(n):
     assert primes == sorted(set(primes))
     assert all(is_prime(q) and e >= 1 for q, e in pairs)
     assert math.prod(q**e for q, e in pairs) == n
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 8, 12, 15, 28, 35, 60, 64, 105, 256, 720])
+def test_unit_generators_generate_the_unit_group(m):
+    gens = get_ring(m).unit_generators
+    reached, frontier = {1 % m}, [1 % m]
+    while frontier:
+        x = frontier.pop()
+        for t in gens:
+            if x * t % m not in reached:
+                reached.add(x * t % m)
+                frontier.append(x * t % m)
+    assert reached == {t for t in range(m) if math.gcd(t, m) == 1}
+    assert all(t >= 2 for t in gens) and list(gens) == sorted(gens)
+
+
+@pytest.mark.parametrize("m", [1, 3, 5, 8, 12, 15, 35, 64, 105])
+def test_galois_is_the_dense_substitution_and_a_ring_automorphism(m):
+    ring = get_ring(m)
+    rng = np.random.default_rng(m)
+    a, b = rng.integers(-9, 10, (2, 4, 3, ring.phi))
+    for t in [t for t in range(-1, m) if math.gcd(t, m) == 1]:
+        dense = a @ ring.red[np.arange(ring.phi) * t % m]  # sum_s a_s zeta**(s t)
+        assert np.array_equal(ring.galois(a, t), dense)
+        assert np.array_equal(
+            ring.galois(ring.multiply(a, b), t), ring.multiply(ring.galois(a, t), ring.galois(b, t))
+        )
+        # iota_t = iota_1 o sigma_t: the image at z**t is that of sigma_t a at z.
+        e = [u for u in range(m) if math.gcd(u, m) == 1].index(t % m)
+        at_z = ring.evaluate(ring.galois(a, t), 0, one_point=True)
+        assert np.array_equal(ring.evaluate(a, 0)[..., e : e + 1], at_z)
+    assert np.array_equal(ring.galois(a, -1), a @ ring.conj)
+
+
+def test_galois_checks_its_int64_bound():
+    ring = get_ring(15)  # red has rows with several nonzeros, so columns of S do too
+    big = np.zeros((1, ring.phi), dtype=np.int64)
+    big[0, :] = 1 << 61
+    with pytest.raises(OverflowError, match="Galois image"):
+        ring.galois(big, 2)
+    ring = get_ring(64)  # a signed permutation of the basis: no sum, no bound to reach
+    top = np.full((1, ring.phi), (1 << 63) - 1, dtype=np.int64)
+    assert np.array_equal(np.abs(ring.galois(top, 3)), top)

@@ -719,3 +719,20 @@ def test_direct_product_table_matches_pair_loop_oracle(a, b):
 
     table = build_group(GroupSpec.direct_product(a, b))
     assert np.array_equal(table.product, _loop_table(ta.order * tb.order, law))
+
+
+def test_conjugacy_classes_match_the_all_pairs_conjugation():
+    """Each element's class representative is its least conjugate, as the
+    [x, g] table of every x^-1 g x gives it, on the builtins of order <= 64,
+    their kernels, S6, A6, D512 and C1024."""
+    tables = []
+    for spec in builtin_specs_upto(64):
+        t = build_group(spec)
+        tables += [t] + [kernel_embedding(t, lam).subgroup for lam in enumerate_sign_homs(t)]
+    tables += [build_group(GroupSpec.symmetric(6)), build_group(GroupSpec.alternating(6))]
+    tables += [build_group(GroupSpec.dihedral(512)), build_group(GroupSpec.cyclic(1024))]
+    for t in tables:
+        g = np.arange(t.order, dtype=np.int64)
+        least = t.conjugate(g[:, None], g[None, :]).min(axis=0)
+        cls = conjugacy_classes(t)
+        assert np.array_equal(np.asarray(cls.representatives)[cls.class_of], least), t.name

@@ -1,0 +1,183 @@
+"""The one-point route of the certificate and of decomposition.
+
+When each generator of Gal(Q(zeta_m)/Q) permutes the rows, the Grams and
+analysis sums at z itself decide what every point decides (characters.py
+module docstring). These tests check that the route is taken wherever it
+applies, that it agrees with the all-points route called directly, and
+that a table or batch it does not cover falls back to the all-points
+route with the same messages.
+"""
+
+import weakref
+
+import numpy as np
+import pytest
+
+from ksphere import characters
+from ksphere.characters import (
+    _analysis_primes,
+    _certificate_primes,
+    _decompose_at_all_points,
+    _embedded_values,
+    _exact_multiplicities,
+    _galois_closed,
+    _one_point_residues,
+    _orthogonality_failures,
+    character_table,
+    induced_values,
+    lambda_context,
+    restrict_values,
+    table_invariant_failures,
+    values_of_coeffs,
+)
+from ksphere.groups import GroupSpec, build_group, builtin_specs_upto, enumerate_sign_homs
+from ksphere.verification import corrupt_table
+
+SMALL = [build_group(spec) for spec in builtin_specs_upto(64)]
+
+
+@pytest.fixture
+def routes(monkeypatch):
+    """Fresh table caches, and (group, phi, route) for every orthogonality
+    check the certificate runs: "one-point" or "all-points"."""
+    monkeypatch.setattr(characters, "_table_cache", weakref.WeakKeyDictionary())
+    monkeypatch.setattr(characters, "_table_data_cache", {})
+    log = []
+    real = characters._orthogonality_failures
+
+    def spy(table, primes, one_point):
+        log.append((table.group.name, table.ring.phi, "one-point" if one_point else "all-points"))
+        return real(table, primes, one_point)
+
+    monkeypatch.setattr(characters, "_orthogonality_failures", spy)
+    return log
+
+
+def _fails_at_one_point(table):
+    row_bad, col_bad = _orthogonality_failures(table, _certificate_primes(table), one_point=True)
+    return row_bad.any() or col_bad.any()
+
+
+def test_every_certified_builtin_table_takes_the_one_point_route(routes):
+    for group in SMALL:
+        character_table(group)
+        for lam in enumerate_sign_homs(group):
+            lambda_context(group, lam)
+    assert len(routes) > 100
+    big = [route for _, phi, route in routes if phi > 2]
+    assert big and set(big) == {"one-point"}  # and no fallback to every point
+    # Where phi <= 2 there is at most one point to save, and all points are taken.
+    assert {route for _, phi, route in routes if phi <= 2} == {"all-points"}
+
+
+def test_a_rational_corruption_keeps_closure_but_fails_the_one_point_gram(routes):
+    s3 = character_table(build_group(GroupSpec.symmetric(3)))
+    bad = corrupt_table(s3, 2, 1)  # a rational value changed: every sigma_t still permutes
+    assert _galois_closed(bad)
+    assert _fails_at_one_point(bad)
+    # The certificate of S4 (phi = 4) tries z first, then names the pairs from every point.
+    s4 = character_table(build_group(GroupSpec.symmetric(4)))
+    bad = corrupt_table(s4, 2, 1)
+    assert _galois_closed(bad)
+    del routes[:]
+    failures = table_invariant_failures(bad)
+    assert routes == [("S4", 4, "one-point"), ("S4", 4, "all-points")]
+    assert failures == [
+        "row orthogonality fails at character pairs (0,2), (1,2), (2,0), (2,1), (2,2)",
+        "column orthogonality fails at class pairs (0,1), (1,0), (1,1), (1,3), (3,1)",
+    ]
+
+
+# 1 added to an irrational value, chi_1 of C5 and chi_2 of D17 at a rotation
+# class, and the certificate's messages as every point gives them.
+IRRATIONAL = [
+    (
+        GroupSpec.cyclic(5),
+        (1, 1),
+        [
+            "characters are not in canonical order",
+            "row orthogonality fails at character pairs (0,1), (1,0), (1,1), (1,2), (1,3)",
+            "column orthogonality fails at class pairs (0,1), (1,0), (1,1), (1,2), (1,3)",
+        ],
+    ),
+    (
+        GroupSpec.dihedral(17),
+        (2, 2),
+        [
+            "row orthogonality fails at character pairs (0,2), (1,2), (2,0), (2,1), (2,2)",
+            "column orthogonality fails at class pairs (0,2), (2,0), (2,2), (2,3), (2,4)",
+        ],
+    ),
+]
+
+
+@pytest.mark.parametrize("spec, where, messages", IRRATIONAL, ids=["C5", "D17"])
+def test_an_irrational_corruption_breaks_closure_and_falls_back(spec, where, messages, routes):
+    table = character_table(build_group(spec))
+    assert table_invariant_failures(table) == []
+    bad = corrupt_table(table, *where)
+    assert bad.values[where][1:].any()  # the corrupted value is irrational
+    assert not _galois_closed(bad)
+    del routes[:]
+    assert table_invariant_failures(bad) == messages
+    assert routes == [(table.group.name, table.ring.phi, "all-points")]
+
+
+def _closed_batches(group, lam):
+    """The restriction, induction, ideal-generator and s1-lambda product
+    batches of (group, lam), as (table, ring, values, factor)."""
+    ctx = lambda_context(group, lam)
+    table_g, table_h, ring = ctx.table_g, ctx.table_h, ctx.table_g.ring
+    res_all = restrict_values(ctx.emb, table_g.values)
+    h_in_g = _embedded_values(table_h, ring)
+    one_minus = np.zeros((1, table_g.count), dtype=np.int64)
+    one_minus[0, table_g.trivial_index] = 1
+    one_minus[0, ctx.lambda_index] -= 1
+    batches = [
+        (table_h, ring, res_all, None),
+        (table_g, ring, induced_values(ctx.emb, h_in_g), None),
+        (table_g, ring, table_g.values, values_of_coeffs(table_g, one_minus)),
+    ]
+    pairs = ctx.orbits.pairs
+    if pairs:
+        diffs = np.zeros((len(pairs), table_h.count), dtype=np.int64)
+        for e, (rep, partner) in enumerate(pairs):
+            diffs[e, rep], diffs[e, partner] = 1, -1
+        batches.append((table_h, ring, res_all, np.einsum("ec,cjp->ejp", diffs, h_in_g)))
+    return batches
+
+
+def test_one_point_decompositions_equal_the_all_points_helper():
+    kinds = 0
+    for group in SMALL:
+        for lam in enumerate_sign_homs(group):
+            for table, ring, varr, factor in _closed_batches(group, lam):
+                primes = _analysis_primes(table, ring, varr, factor)
+                residues = _one_point_residues(table, ring, varr, factor, primes)
+                assert residues is not None, (group.name, lam.label)
+                got = _exact_multiplicities(table, ring, residues)
+                expected = _decompose_at_all_points(table, ring, varr, factor, primes)
+                assert np.array_equal(got, expected), (group.name, lam.label)
+                kinds += ring.phi > 2
+    assert kinds > 100
+
+
+def test_a_batch_not_closed_up_to_sign_takes_every_point():
+    table = character_table(build_group(GroupSpec.cyclic(5)))
+    varr = table.values[1:2]  # chi_1 alone: sigma_2 chi_1 = chi_2 is not in the batch
+    primes = _analysis_primes(table, table.ring, varr, None)
+    assert _one_point_residues(table, table.ring, varr, None, primes) is None
+    got = characters.decompose_values(table, varr)
+    assert got.tolist() == [[0, 1, 0, 0, 0]]
+
+
+def test_a_closed_batch_with_irrational_multiplicities_is_reported_from_every_point():
+    table = character_table(build_group(GroupSpec.cyclic(5)))
+    ring = table.ring
+    varr = np.zeros((4, table.count, ring.phi), dtype=np.int64)
+    varr[:, 0] = ring.red[1:5]  # zeta**a at the identity class, a = 1..4: sigma_t permutes them
+    primes = _analysis_primes(table, ring, varr, None)
+    assert _one_point_residues(table, ring, varr, None, primes) is None
+    message = "^non-rational multiplicity on C5: function 0, irreducible chi0$"
+    with pytest.raises(characters.CharacterTheoryError, match=message):
+        characters.decompose_values(table, varr)
