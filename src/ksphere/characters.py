@@ -1,16 +1,21 @@
 """Character tables and representation-ring operations, all exact.
 
 A table's raw data comes by one of three routes (`_table_data`):
-- a cyclic group of order n, one with an element of order n, gets
-  chi_a(x) = zeta_n**(a log x) in closed form, the log read off the powers
-  of that element. This covers cyclic kernels, which have no spec;
-- a group built as A x B gets chi_(alpha, beta)(x, y) = alpha(x) beta(y)
-  from the raw data of A and B, built by the same routes. These products
-  are exactly Irr(A x B) (Isaacs, Character Theory of Finite Groups, 1976,
-  Thm 4.21): each has norm <alpha, alpha> <beta, beta> = 1 and two of them
-  are orthogonal unless both factors agree, so they are
-  |Irr(A)| |Irr(B)| = k(A x B) distinct irreducibles, all of them;
-- every other group goes to Dixon's algorithm (dixon.py).
+- an abelian group, one with k = |G| classes, gets its dual group in
+  closed form: every value is zeta_m**e with m the exponent, and the
+  integer exponents e are extended along a chain of subgroups, one
+  generator at a time, read off `GroupTable.powers`
+  (`_abelian_table_data`; Isaacs, Character Theory of Finite Groups, 1976,
+  ch. 2). This covers abelian kernels, which have no spec or factors, and
+  a cyclic group is the case of one generator;
+- a nonabelian group built as A x B gets chi_(alpha, beta)(x, y) =
+  alpha(x) beta(y) from the raw data of A and B, built by the same routes.
+  These products are exactly Irr(A x B) (Isaacs 1976, Thm 4.21): each has
+  norm <alpha, alpha> <beta, beta> = 1 and two of them are orthogonal
+  unless both factors agree, so they are |Irr(A)| |Irr(B)| = k(A x B)
+  distinct irreducibles, all of them;
+- every other group, which is nonabelian, goes to Dixon's algorithm
+  (dixon.py).
 Once the class order is fixed, Irr(G) is a set of class functions and each
 value has one power-basis vector, so the routes differ only in row order.
 `_table_data` recurses into the factors and never calls `character_table`,
@@ -162,8 +167,19 @@ class CharacterTable:
         )
 
     @cached_property
-    def _row_lookup(self) -> dict[bytes, int]:
-        return {row.tobytes(): c for c, row in enumerate(self.values)}
+    def _row_lookup(self) -> dict[int, list[int]]:
+        """The rows by the hash of their bytes, which alone are not kept."""
+        lookup: dict[int, list[int]] = {}
+        for c, row in enumerate(self.values):
+            lookup.setdefault(hash(row.tobytes()), []).append(c)
+        return lookup
+
+    def row_index(self, row: np.ndarray) -> int | None:
+        """The c with values[c] equal to `row` exactly, or None."""
+        for c in self._row_lookup.get(hash(row.tobytes()), ()):
+            if np.array_equal(self.values[c], row):
+                return c
+        return None
 
 
 @dataclass(eq=False)
@@ -298,36 +314,69 @@ def character_table(group: GroupTable) -> CharacterTable:
 def _table_data(group: GroupTable, classes: ConjugacyClasses) -> tuple[list[int], np.ndarray, int]:
     """Unsorted exact character data (degrees, values[k, k, phi], exponent).
 
-    A function of the group alone. The cyclic route comes first, so a cyclic
-    product such as C2 x C3 takes it too; then products; Dixon serves the
-    rest (module docstring).
+    A function of the group alone. The abelian route comes first, so an
+    abelian product such as C2 x C2 takes it too; a product that reaches
+    the product route has a nonabelian factor; Dixon serves the rest
+    (module docstring).
     """
-    if group.order in classes.orders:
-        return _cyclic_table_data(group, classes)
+    if classes.count == group.order:
+        return _abelian_table_data(group, classes)
     if group.factors:
         return _product_table_data(group, classes)
     return dixon.character_table_data(group, classes)
 
 
-def _cyclic_table_data(group: GroupTable, classes: ConjugacyClasses):
-    """chi_a(x) = zeta_n**(a log x) on a cyclic group of order n.
+def _abelian_table_data(group: GroupTable, classes: ConjugacyClasses):
+    """Irr of an abelian group as integer exponents of zeta_m, m the exponent.
 
-    The discrete log is read off the powers of an element of order n.
+    Irr(G) is the dual group, built along a chain 1 = H_0 < ... < H_r = G.
+    H_(i+1) = <H_i, g> for an element g outside H_i of largest order (the
+    least such index), and d = min{s : g**s in H_i} is read off the powers
+    of g, so H_(i+1) is the disjoint union of the cosets H_i g**j, j < d.
+    Each character e of H_i (chi = zeta_m**e) extends in d ways,
+    e'(h g**j) = e(h) + j w with w = e(g**d)/d + s m/d, s = 0..d-1: then
+    d w = e(g**d) mod m, so e' is a homomorphism, and the d extensions
+    differ at g. d divides ord(g), as the s with g**s in H_i are the
+    multiples of d, and ord(g) divides m. e(g**d) (taken mod m) is divisible
+    by d: chi(g**d) has order dividing ord(g**d) = ord(g)/d, so m d / ord(g)
+    divides e(g**d), and d divides that as ord(g) divides m. That gives
+    |H_i| d = |H_(i+1)| distinct characters, all of Irr(H_(i+1)). With one
+    generator (a cyclic group) this is chi_s(g**j) = zeta_n**(s j).
     """
-    n = group.order
-    ring = get_ring(n)
-    generator = classes.representatives[classes.orders.index(n)]
-    log = np.empty(n, dtype=np.int64)
-    log[group.powers[:n, generator]] = np.arange(n)
-    logs = log[np.asarray(classes.representatives)]
-    values = ring.red[np.arange(n)[:, None] * logs[None, :] % n]
-    return [1] * n, values, n
+    n, m = group.order, lcm(*classes.orders)
+    element_orders = np.asarray(classes.orders, dtype=np.int64)[classes.class_of]
+    pos = np.full(n, -1, dtype=np.int64)  # column of each element of H_i
+    members = np.asarray([group.identity], dtype=np.int64)
+    pos[members] = 0
+    exps = np.zeros((1, 1), dtype=np.int64)  # exps[c, pos[h]] = e_c(h)
+    while members.size < n:
+        outside = np.flatnonzero(pos < 0)
+        g = int(outside[np.argmax(element_orders[outside])])
+        steps = group.powers[1 : element_orders[g] + 1, g]
+        d = int(np.argmax(pos[steps] >= 0)) + 1
+        base = exps[:, pos[steps[d - 1]]]
+        if np.any(base % d):
+            raise dixon.CharacterEngineError(
+                f"exponent of a character of a subgroup of {group.name} at g**{d} "
+                f"is not divisible by {d}"
+            )
+        j = np.arange(d)
+        w = (base // d)[None, :] + (m // d) * j[:, None]  # [s, c], s = 0..d-1
+        # e + j w < m + d (m/d + m) <= 3 m**2 before the reduction, far below 2**63.
+        exps = (exps[None, :, None, :] + j[None, None, :, None] * w[:, :, None, None]) % m
+        exps = exps.reshape(members.size * d, members.size * d)
+        members = group.product[members[None, :], group.powers[j, g][:, None]].reshape(-1)
+        pos[members] = np.arange(members.size)
+    values = get_ring(m).red[exps[:, pos[np.asarray(classes.representatives)]]]
+    return [1] * n, values, m
 
 
 def _product_table_data(group: GroupTable, classes: ConjugacyClasses):
     """chi_(alpha, beta)(x, y) = alpha(x) beta(y) on A x B (Isaacs 1976, Thm 4.21).
 
-    The factors' raw data comes from `_table_data` uncertified: the product
+    `_table_data` sends abelian products to `_abelian_table_data`, so at
+    least one factor here is nonabelian. The factors' raw data comes from
+    `_table_data` uncertified: the product
     table's certificate checks every value built from it. Class j of A x B,
     with least element r = x |B| + y, lies over the classes of x in A and y
     in B; the products are taken in the ring of m = lcm of the factor
@@ -796,8 +845,8 @@ def row_permutation(table: CharacterTable, rows: np.ndarray) -> np.ndarray:
 
     Raises when a row is not an irreducible of the table or two rows coincide.
     """
-    lookup = table._row_lookup
-    pi = np.asarray([lookup.get(r.tobytes(), -1) for r in np.asarray(rows, np.int64)], np.int64)
+    found = (table.row_index(r) for r in np.asarray(rows, np.int64))
+    pi = np.asarray([-1 if c is None else c for c in found], np.int64)
     if not np.array_equal(np.sort(pi), np.arange(table.count)):
         raise CharacterTheoryError(f"rows are not a permutation of Irr({table.group.name})")
     pi.setflags(write=False)
@@ -859,6 +908,22 @@ class LambdaContext:
     orbits: OrbitData
     lambda_index: int
 
+    @cached_property
+    def restriction(self) -> np.ndarray:
+        """R[a, i] = multiplicity of chi_i in res(phi_a), decomposed on first read."""
+        res_vals = restrict_values(self.emb, self.table_g.values)
+        r = decompose_values(self.table_h, res_vals, self.table_g.ring)
+        r.setflags(write=False)
+        return r
+
+    @cached_property
+    def induction(self) -> np.ndarray:
+        """T[i, a] = multiplicity of phi_a in ind(chi_i), decomposed on first read."""
+        hvals = _embedded_values(self.table_h, self.table_g.ring)
+        t = decompose_values(self.table_g, induced_values(self.emb, hvals), self.table_g.ring)
+        t.setflags(write=False)
+        return t
+
 
 # Hit by every check, K-group and CLI command on the same lambda.
 _ctx_cache: "weakref.WeakKeyDictionary[SignHomomorphism, LambdaContext]" = (
@@ -871,7 +936,7 @@ def lambda_index(table_g: CharacterTable, lam: SignHomomorphism) -> int:
     k = table_g.classes.count
     row = np.zeros((k, table_g.ring.phi), dtype=np.int64)
     row[:, 0] = lam.values[list(table_g.classes.representatives)]
-    idx = table_g._row_lookup.get(row.tobytes())
+    idx = table_g.row_index(row)
     if idx is None:
         raise CharacterTheoryError("sign character is not in the table")
     return idx

@@ -32,9 +32,7 @@ from .characters import (
     _l1_norms,
     character_table,
     decompose_values,
-    induced_values,
     lambda_context,
-    restrict_values,
     values_of_coeffs,
 )
 from .cyclotomic import ORACLE_PRIME_START, eval_prime, prime_count
@@ -290,19 +288,6 @@ def _brute_twisted_h_values(ctx: LambdaContext, helem: np.ndarray, b: int) -> np
     return helem[..., _twisted_positions(ctx, b), :]
 
 
-def _restriction_matrix(ctx: LambdaContext) -> np.ndarray:
-    """R[a, i] = multiplicity of chi_i in res(phi_a)."""
-    res_vals = restrict_values(ctx.emb, ctx.table_g.values)
-    return decompose_values(ctx.table_h, res_vals, ctx.table_g.ring)
-
-
-def _induction_matrix(ctx: LambdaContext) -> np.ndarray:
-    """T[i, a] = multiplicity of phi_a in ind(chi_i)."""
-    hvals = _embedded_values(ctx.table_h, ctx.table_g.ring)
-    ind_vals = induced_values(ctx.emb, hvals)
-    return decompose_values(ctx.table_g, ind_vals, ctx.table_g.ring)
-
-
 # ---------------------------------------------------------------------------
 # lambda-dependent checks
 # ---------------------------------------------------------------------------
@@ -311,8 +296,7 @@ def _induction_matrix(ctx: LambdaContext) -> np.ndarray:
 def check_frobenius_reciprocity(group: GroupTable, lam: SignHomomorphism) -> list[CheckReport]:
     """<ind chi, phi>_G = <chi, res phi>_H for all irreducibles, via both matrices."""
     ctx = lambda_context(group, lam)
-    r = _restriction_matrix(ctx)
-    t = _induction_matrix(ctx)
+    r, t = ctx.restriction, ctx.induction
     if np.array_equal(t, r.T):
         return [CheckReport("frobenius-reciprocity", group.name, lam.label, "pass")]
     bad = np.argwhere(t != r.T)[0]
@@ -402,8 +386,7 @@ def check_mackey_restriction(group: GroupTable, lam: SignHomomorphism) -> list[C
     twisted = _brute_twisted_h_values(ctx, chi_helem, ctx.b)
     value_ok = np.array_equal(res_ind, chi_helem + twisted)
     # Coordinate shadow: T then R must equal I + twist permutation.
-    r = _restriction_matrix(ctx)
-    t = _induction_matrix(ctx)
+    r, t = ctx.restriction, ctx.induction
     perm = np.eye(k_h, dtype=np.int64)[ctx.twist]
     coords = t @ r  # coords[i, j] = multiplicity of chi_j in res(ind(chi_i))
     coord_ok = np.array_equal(coords, np.eye(k_h, dtype=np.int64) + perm)

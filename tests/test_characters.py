@@ -367,6 +367,27 @@ def test_row_permutation_rejects_a_duplicated_and_a_missing_row():
         row_permutation(table, missing)
 
 
+def test_row_lookup_keeps_hashes_and_stays_exact_when_every_hash_collides(monkeypatch):
+    group, lam = group_with_lambda(GroupSpec.dihedral(4), "reflection-sign")
+    table = character_table(group)
+    assert all(isinstance(key, int) for key in table._row_lookup)
+    sign = characters.lambda_index(table, lam)
+    # A fresh copy of the table, whose lookup is built while all rows collide.
+    monkeypatch.setattr(characters, "hash", lambda key: 0, raising=False)
+    fresh = corrupt_table(table, 0, 0, delta=0)
+    assert list(fresh._row_lookup) == [0]
+    shuffled = np.arange(table.count)[::-1].copy()
+    assert np.array_equal(row_permutation(fresh, table.values[shuffled]), shuffled)
+    assert characters.lambda_index(fresh, lam) == sign
+    missing = table.values.copy()
+    missing[0, 0, 0] += 1
+    assert fresh.row_index(missing[0]) is None
+    with pytest.raises(CharacterTheoryError, match="not a permutation"):
+        row_permutation(fresh, missing)
+    with pytest.raises(CharacterTheoryError, match="not a permutation"):
+        row_permutation(fresh, table.values[[0] * table.count])
+
+
 def test_involution_orbits_lists_fixed_points_and_pairs_and_rejects_a_3_cycle():
     data = involution_orbits(np.array([0, 3, 2, 1, 5, 4]))
     assert data.orbits == ((0,), (1, 3), (2,), (4, 5))

@@ -1,9 +1,9 @@
 """The three routes to a character table agree with Dixon byte for byte.
 
-Cyclic groups get their tables in closed form and groups built as A x B
-from their factors; Dixon's algorithm is the oracle of both. Once the class
-order is fixed a table is unique up to its row order, so after the
-canonical sort the bytes must be equal.
+Abelian groups get their tables in closed form and nonabelian groups built
+as A x B from their factors; Dixon's algorithm is the oracle of both. Once
+the class order is fixed a table is unique up to its row order, so after
+the canonical sort the bytes must be equal.
 """
 
 import json
@@ -15,6 +15,7 @@ import pytest
 
 from ksphere import characters, cli, dixon
 from ksphere.characters import (
+    _abelian_table_data,
     _analysis_tensor,
     _canonical_order,
     _table_data,
@@ -26,12 +27,13 @@ from ksphere.groups import (
     GroupSpec,
     abelian_specs_upto,
     build_group,
+    build_sign_hom,
     builtin_specs_upto,
     enumerate_sign_homs,
     kernel_embedding,
     parse_group_document,
 )
-from ksphere.verification import corrupt_table
+from ksphere.verification import corrupt_table, run_verification
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.json"
 
@@ -59,9 +61,16 @@ def _sorted_bytes(data):
     return [degrees[c] for c in order], np.ascontiguousarray(values[order]).tobytes(), modulus
 
 
-def _assert_matches_dixon(group):
-    got = _sorted_bytes(_table_data(group, group.classes))
+def _assert_matches_dixon(group, route=_table_data):
+    got = _sorted_bytes(route(group, group.classes))
     assert got == _sorted_bytes(dixon.character_table_data(group, group.classes)), group.name
+
+
+C8xC64_SIGNS = {
+    "family": "direct_product",
+    "factors": [{"family": "cyclic", "n": 8}, {"family": "cyclic", "n": 64}],
+    "lambda": {"generator_signs": [-1, -1]},
+}
 
 
 @pytest.fixture
@@ -118,12 +127,56 @@ def test_cyclic_route_matches_dixon_on_the_cyclic_kernels():
     assert any(sub.name.endswith("<C64") for sub in cyclic)
 
 
+def test_abelian_route_matches_dixon_on_every_abelian_kernel_upto_64():
+    kernels = {}
+    for spec in builtin_specs_upto(64):
+        group = build_group(spec)
+        for lam in enumerate_sign_homs(group):
+            sub = kernel_embedding(group, lam).subgroup
+            if sub.classes.count == sub.order:
+                kernels.setdefault(sub.fingerprint(), sub)
+    for sub in kernels.values():
+        _assert_matches_dixon(sub, _abelian_table_data)
+    noncyclic = [sub for sub in kernels.values() if sub.order not in sub.classes.orders]
+    assert (len(kernels), len(noncyclic)) == (96, 46)
+
+
+def _c8xc64_kernel():
+    spec, lam_spec = parse_group_document(C8xC64_SIGNS)
+    group = build_group(spec)
+    return kernel_embedding(group, build_sign_hom(group, spec, lam_spec)).subgroup
+
+
+def _cyclic_product(*orders):
+    spec = GroupSpec.cyclic(orders[-1])
+    for n in reversed(orders[:-1]):
+        spec = GroupSpec.direct_product(GroupSpec.cyclic(n), spec)
+    return build_group(spec)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        _c8xc64_kernel,
+        lambda: _cyclic_product(*[2] * 7),
+        lambda: _cyclic_product(3, 3, 3, 6),
+        lambda: _cyclic_product(256),
+    ],
+    ids=["ker<C8xC64", "C2^7", "C3xC3xC3xC6", "C256"],
+)
+def test_abelian_route_matches_dixon_on_large_abelian_groups(make):
+    group = make()
+    assert group.order in (128, 162, 256)
+    _assert_matches_dixon(group, _abelian_table_data)
+
+
 def test_dixon_never_runs_on_a_builtin_abelian_group(fresh_caches, certified, monkeypatch):
-    calls = []
+    calls, abelian = [], []
     real_dixon = dixon.character_table_data
 
     def counting_dixon(group, classes):
         calls.append(group.name)
+        abelian.append(classes.count == group.order)
         return real_dixon(group, classes)
 
     monkeypatch.setattr(dixon, "character_table_data", counting_dixon)
@@ -136,6 +189,25 @@ def test_dixon_never_runs_on_a_builtin_abelian_group(fresh_caches, certified, mo
     # The counter sees Dixon where it still runs.
     character_table(build_group(GroupSpec.symmetric(3)))
     assert calls == ["S3"]
+    # Over the whole sweep, Dixon runs on nonabelian groups only.
+    run_verification(64)
+    assert len(calls) > 1 and not any(abelian)
+
+
+def test_abelian_route_rejects_a_power_map_no_character_extends_along():
+    group = build_group(GroupSpec.direct_product(GroupSpec.cyclic(2), GroupSpec.cyclic(2)))
+    # The chain adjoins h = 1 first, then g = 2. A power map claiming g**2 = h
+    # asks for chi(g) with chi(g)**2 = chi(h) = -1 for the sign chi of <h>,
+    # and no square root of unity is one.
+    classes = group.classes
+    powers = group.powers.copy()
+    powers[2, 2] = 1
+    group.__dict__["powers"] = powers
+    with pytest.raises(
+        CharacterEngineError,
+        match=r"^exponent of a character of a subgroup of C2xC2 at g\*\*2 is not divisible by 2$",
+    ):
+        _abelian_table_data(group, classes)
 
 
 def _corrupting(route):
@@ -151,12 +223,12 @@ def _corrupting(route):
 @pytest.mark.parametrize(
     "route, spec",
     [
-        ("_product_table_data", GroupSpec.direct_product(GroupSpec.cyclic(2), GroupSpec.cyclic(2))),
+        ("_abelian_table_data", GroupSpec.direct_product(GroupSpec.cyclic(2), GroupSpec.cyclic(2))),
         (
             "_product_table_data",
             GroupSpec.direct_product(GroupSpec.quaternion(8), GroupSpec.symmetric(3)),
         ),
-        ("_cyclic_table_data", GroupSpec.cyclic(5)),
+        ("_abelian_table_data", GroupSpec.cyclic(5)),
     ],
     ids=["C2xC2", "Q8xS3", "C5"],
 )

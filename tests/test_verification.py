@@ -2,12 +2,13 @@
 
 import dataclasses
 import json
+import weakref
 
 import numpy as np
 import pytest
 
 from conftest import group_with_lambda
-from ksphere import verification
+from ksphere import characters, ktheory, verification
 from ksphere.characters import character_table, lambda_context
 from ksphere.groups import GroupSpec, build_group, builtin_specs_upto, enumerate_sign_homs
 from ksphere.verification import (
@@ -201,3 +202,27 @@ def test_int64_guards_keep_their_messages():
         transfer.sums(np.zeros((2, 1), dtype=np.int64), 1 << 62)
     assert transfer.rows.tolist() == [1, 0]  # blocks by ascending nonzero count
     assert transfer.sums(np.ones((2, 1), dtype=np.int64), 1).tolist() == [[1], [3]]
+
+
+def test_each_lambda_decomposes_its_restriction_and_induction_once(monkeypatch):
+    monkeypatch.setattr(characters, "_ctx_cache", weakref.WeakKeyDictionary())
+    calls = []
+    real = characters.decompose_values
+
+    def counting(table, varr, *args, **kwargs):
+        calls.append("G" if table.group is group else "H")
+        return real(table, varr, *args, **kwargs)
+
+    for module in (characters, ktheory, verification):
+        monkeypatch.setattr(module, "decompose_values", counting)
+    group = build_group(GroupSpec.symmetric(4))
+    (lam,) = enumerate_sign_homs(group)
+    assert all(r.ok for r in verify_group(group, lam))
+    # R and T once each, the s1-lambda action and the ideal-lattice oracle.
+    assert sorted(calls) == ["G", "G", "H", "H"]
+    calls.clear()
+    check_frobenius_reciprocity(group, lam)
+    check_mackey_restriction(group, lam)
+    assert calls == []
+    ctx = lambda_context(group, lam)
+    assert not ctx.restriction.flags.writeable and not ctx.induction.flags.writeable
