@@ -99,12 +99,20 @@ def _check_json_path(path: str) -> None:
         raise InputError(f"--json path {path!r} must name a file in an existing directory")
 
 
-def _dump_json(doc: dict, path: str) -> None:
-    data = json.dumps(doc, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+def _encode(obj) -> str:
+    """The one JSON encoding of every report, and of every fragment of one."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+
+
+def _write_json(text: str, path: str) -> None:
     try:
-        Path(path).write_text(data + "\n", encoding="utf-8")
+        Path(path).write_text(text + "\n", encoding="utf-8")
     except OSError as exc:
         raise InputError(f"cannot write --json path {path}: {exc}") from exc
+
+
+def _dump_json(doc: dict, path: str) -> None:
+    _write_json(_encode(doc), path)
 
 
 # ---------------------------------------------------------------------------
@@ -112,68 +120,70 @@ def _dump_json(doc: dict, path: str) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _chartab_json(group, table, value_json: np.ndarray) -> str:
+    """The chartab report, spliced from encoded parts in sorted key order.
+
+    `value_json[c, j]` is chi_c's value at class j, already encoded, so each
+    distinct value is encoded once rather than once per table cell. The bytes
+    equal `_encode` of the whole document: keys are spliced in the order
+    `sort_keys` gives (classes, group, irreducibles, modulus, schema; degree,
+    name, values), and every other part goes through `_encode`.
+    """
+    classes = table.classes
+    class_doc = [
+        {
+            "label": group.element_labels[rep],
+            "size": classes.class_sizes[j],
+            "element_order": classes.orders[j],
+        }
+        for j, rep in enumerate(classes.representatives)
+    ]
+    irreducibles = ",".join(
+        f'{{"degree":{_encode(degree)},"name":{_encode(name)},'
+        f'"values":[{",".join(row)}]}}'
+        for degree, name, row in zip(table.degrees, table.names, value_json)
+    )
+    return (
+        f'{{"classes":{_encode(class_doc)},'
+        f'"group":{_encode({"name": group.name, "order": group.order})},'
+        f'"irreducibles":[{irreducibles}],'
+        f'"modulus":{_encode(table.modulus)},'
+        f'"schema":{_encode(CHARTAB_SCHEMA)}}}'
+    )
+
+
 def _cmd_chartab(args) -> int:
     spec, group, lam = _resolve(args.groupspec, need_lambda=False)
     table = character_table(group)
     classes = table.classes
     k, m = table.count, table.modulus
-    # Render each distinct value once; `which[c, j]` picks chi_c's value at class j.
+    # Render and encode each distinct value once; `which[c, j]` picks chi_c's
+    # value at class j.
     flat = table.values.reshape(k * k, table.ring.phi)
     _, first, which = np.unique(row_keys(flat), return_index=True, return_inverse=True)
-    rendered = [Cyclotomic.make(m, flat[i]) for i in first]
-    texts = [str(v) for v in rendered]
     which = which.reshape(k, k)
-    header = ["class", "size", "order"]
-    cols = []
-    for j, rep in enumerate(classes.representatives):
-        cols.append(
-            [
-                group.element_labels[rep],
-                str(classes.class_sizes[j]),
-                str(classes.orders[j]),
-            ]
-        )
-    rows = []
-    for c in range(k):
-        rows.append([table.names[c]] + [texts[u] for u in which[c]])
-    print(f"group {group.name}: order {group.order}, exponent {m}, "
-          f"{classes.count} classes")
-    name_w = max(len(r[0]) for r in rows + [["class"]])
-    col_w = [max(len(cols[j][t]) for t in range(3)) for j in range(len(cols))]
-    for j in range(len(cols)):
-        col_w[j] = max(col_w[j], max(len(rows[c][j + 1]) for c in range(len(rows))))
-    for t, label in enumerate(header):
-        line = label.ljust(name_w + 2)
-        line += "  ".join(cols[j][t].rjust(col_w[j]) for j in range(len(cols)))
-        print(line)
-    for row in rows:
-        line = row[0].ljust(name_w + 2)
-        line += "  ".join(row[j + 1].rjust(col_w[j]) for j in range(len(cols)))
-        print(line)
+    rendered = [Cyclotomic.make(m, flat[i]) for i in first]
+    texts = np.array([str(v) for v in rendered], dtype=object)
+    lens = np.array(list(map(len, texts)), dtype=np.int64)
+    cols = [
+        [group.element_labels[rep] for rep in classes.representatives],
+        [str(s) for s in classes.class_sizes],
+        [str(o) for o in classes.orders],
+    ]
+    header_w = [max(map(len, cells)) for cells in zip(*cols)]
+    col_w = np.maximum(lens[which].max(axis=0), header_w).tolist()
+    name_w = max(len(name) for name in (*table.names, "class")) + 2
+
+    def line(first: str, cells) -> str:
+        return first.ljust(name_w) + "  ".join([t.rjust(w) for t, w in zip(cells, col_w)])
+
+    lines = [f"group {group.name}: order {group.order}, exponent {m}, {classes.count} classes"]
+    lines += [line(label, row) for label, row in zip(("class", "size", "order"), cols)]
+    lines += [line(name, row) for name, row in zip(table.names, texts[which])]
+    print("\n".join(lines))
     if args.json:
-        as_json = [v.to_json() for v in rendered]
-        doc = {
-            "schema": CHARTAB_SCHEMA,
-            "group": {"name": group.name, "order": group.order},
-            "modulus": m,
-            "classes": [
-                {
-                    "label": group.element_labels[rep],
-                    "size": classes.class_sizes[j],
-                    "element_order": classes.orders[j],
-                }
-                for j, rep in enumerate(classes.representatives)
-            ],
-            "irreducibles": [
-                {
-                    "name": table.names[c],
-                    "degree": table.degrees[c],
-                    "values": [as_json[u] for u in which[c]],
-                }
-                for c in range(k)
-            ],
-        }
-        _dump_json(doc, args.json)
+        value_json = np.array([_encode(v.to_json()) for v in rendered], dtype=object)
+        _write_json(_chartab_json(group, table, value_json[which]), args.json)
     return 0
 
 

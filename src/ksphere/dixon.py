@@ -188,7 +188,7 @@ def character_table_data(
         exps = st * (m // r)
         dft = z_inv_pow[exps[(st[:, None] * st[None, :]) % r]]
         inv_r = pow(r, p - 2, p)
-        counts = chibar[:, power_classes] @ dft % p * inv_r % p
+        counts = kernels.matmul_mod(chibar[:, power_classes], dft, p) * inv_r % p
         if np.any(counts.sum(axis=1) != degree_arr):
             raise CharacterEngineError("root-of-unity multiplicities do not sum to the degree")
         if np.any(counts > degree_arr[:, None]):

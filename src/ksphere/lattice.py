@@ -52,33 +52,6 @@ def lattice_rank(rows) -> int:
     return len(hermite_normal_form(rows))
 
 
-def same_span(rows_a, rows_b) -> bool:
-    return hermite_normal_form(rows_a) == hermite_normal_form(rows_b)
-
-
-def in_span(vector, hnf: tuple[tuple[int, ...], ...]) -> bool:
-    """Exact membership of an integer vector in the row span of an HNF."""
-    v = [int(x) for x in vector]
-    pivots = {}
-    for i, row in enumerate(hnf):
-        for c, x in enumerate(row):
-            if x != 0:
-                pivots[c] = i
-                break
-    for c in range(len(v)):
-        if v[c] == 0:
-            continue
-        i = pivots.get(c)
-        if i is None:
-            return False
-        piv = hnf[i][c]
-        if v[c] % piv != 0:
-            return False
-        q = v[c] // piv
-        v = [a - q * b for a, b in zip(v, hnf[i])]
-    return all(x == 0 for x in v)
-
-
 def integrally_independent(rows) -> bool:
     rows = list(rows)
     return lattice_rank(rows) == len(rows)

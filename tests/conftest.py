@@ -6,13 +6,75 @@ from pathlib import Path
 import numpy as np
 
 import ksphere
+from ksphere.cli import CHARTAB_SCHEMA
+from ksphere.cyclotomic import Cyclotomic
 from ksphere.groups import GroupSpec, LambdaSpec, build_group, build_sign_hom
+from ksphere.lattice import hermite_normal_form
 
 
 def dense_mul(ring):
     """The dense reference tensor mul[p, q] = z**(p + q) = red[(p + q) % m]: 8 phi**3 bytes."""
     p = np.arange(ring.phi)
     return ring.red[(p[:, None] + p[None, :]) % ring.modulus]
+
+
+def same_span(rows_a, rows_b) -> bool:
+    """Whether two integer row sets span the same lattice: equal canonical HNFs."""
+    return hermite_normal_form(rows_a) == hermite_normal_form(rows_b)
+
+
+def in_span(vector, hnf: tuple[tuple[int, ...], ...]) -> bool:
+    """Exact membership of an integer vector in the row span of an HNF."""
+    v = [int(x) for x in vector]
+    pivots = {}
+    for i, row in enumerate(hnf):
+        for c, x in enumerate(row):
+            if x != 0:
+                pivots[c] = i
+                break
+    for c in range(len(v)):
+        if v[c] == 0:
+            continue
+        i = pivots.get(c)
+        if i is None:
+            return False
+        piv = hnf[i][c]
+        if v[c] % piv != 0:
+            return False
+        q = v[c] // piv
+        v = [a - q * b for a, b in zip(v, hnf[i])]
+    return all(x == 0 for x in v)
+
+
+def chartab_reference_doc(group, table) -> dict:
+    """The chartab report as one document of dicts, one value dict per table cell.
+
+    `ksphere chartab --json` writes `json.dumps(doc, sort_keys=True,
+    separators=(",", ":"), ensure_ascii=True)` of this document, spliced from
+    per-value strings.
+    """
+    classes, m = table.classes, table.modulus
+    return {
+        "schema": CHARTAB_SCHEMA,
+        "group": {"name": group.name, "order": group.order},
+        "modulus": m,
+        "classes": [
+            {
+                "label": group.element_labels[rep],
+                "size": classes.class_sizes[j],
+                "element_order": classes.orders[j],
+            }
+            for j, rep in enumerate(classes.representatives)
+        ],
+        "irreducibles": [
+            {
+                "name": table.names[c],
+                "degree": table.degrees[c],
+                "values": [Cyclotomic.make(m, v).to_json() for v in row],
+            }
+            for c, row in enumerate(table.values)
+        ],
+    }
 
 
 def group_with_lambda(spec: GroupSpec, convention: str):

@@ -2,9 +2,16 @@
 
 import hashlib
 import json
+from functools import reduce
 
-from conftest import run_cli
+import numpy as np
+import pytest
+
+from conftest import chartab_reference_doc, run_cli
 from ksphere import cli
+from ksphere.characters import character_table
+from ksphere.cyclotomic import Cyclotomic
+from ksphere.groups import build_group, parse_group_document
 from ksphere import verification
 from ksphere.verification import CheckReport
 
@@ -24,6 +31,48 @@ def test_chartab_from_file(tmp_path, capsys):
     path.write_text(S3_SPEC, encoding="utf-8")
     assert cli.main(["chartab", str(path)]) == 0
     assert "chi2" in capsys.readouterr().out
+
+
+def _product(a: str, b: str) -> str:
+    return f'{{"family":"product","factors":[{a},{b}]}}'
+
+
+C2 = '{"family":"C","n":2}'
+# k = 1; phi = 1; phi = 8 with several nonzero coefficients; a product of
+# two Dixon tables; k = 128, an abelian product of seven factors.
+CHARTAB_REFERENCE_SPECS = {
+    "C1": '{"family":"C","n":1}',
+    "S3": '{"family":"S","n":3}',
+    "A5xC6": _product('{"family":"A","n":5}', '{"family":"C","n":6}'),
+    "D8xD4": _product('{"family":"D","n":8}', '{"family":"D","n":4}'),
+    "C2^7": reduce(_product, [C2] * 7),
+}
+
+
+@pytest.mark.parametrize(
+    "spec", CHARTAB_REFERENCE_SPECS.values(), ids=CHARTAB_REFERENCE_SPECS.keys()
+)
+def test_chartab_report_is_the_reference_document_encoded(spec, tmp_path, capsys):
+    path = tmp_path / "chartab.json"
+    assert cli.main(["chartab", spec, "--json", str(path)]) == 0, capsys.readouterr().err
+    group = build_group(parse_group_document(json.loads(spec))[0])
+    table = character_table(group)
+    reference = json.dumps(
+        chartab_reference_doc(group, table),
+        sort_keys=True,
+        separators=(",", ":"),
+        ensure_ascii=True,
+    )
+    raw = path.read_bytes()
+    assert raw == (reference + "\n").encode("ascii")
+    doc = json.loads(raw)
+    values = [
+        [Cyclotomic.from_json(v) for v in irr["values"]] for irr in doc["irreducibles"]
+    ]
+    assert all(v.modulus == table.modulus and v.den == 1 for row in values for v in row)
+    assert np.array_equal(
+        np.array([[v.num for v in row] for row in values], dtype=np.int64), table.values
+    )
 
 
 def test_kgroup_s1_lambda_s3(tmp_path, capsys):

@@ -177,3 +177,20 @@ def test_choose_prime_matches_the_step_one_scan(exponent, order):
     p = dixon.choose_prime(exponent, order)
     assert p == _choose_prime_oracle(exponent, order)
     assert is_prime(p) and p % exponent == 1 % exponent and p * p > 4 * order
+
+
+def test_every_class_lifts_its_values_through_the_checked_product(monkeypatch):
+    # The per-class root-of-unity counts are an int64 product whose bound
+    # `kernels.matmul_mod` checks: one call per class, no unchecked `@`.
+    calls = []
+    matmul_mod = kernels.matmul_mod
+
+    def counting(a, b, p):
+        calls.append(a.shape)
+        return matmul_mod(a, b, p)
+
+    monkeypatch.setattr(kernels, "matmul_mod", counting)
+    s4 = build_group(GroupSpec.symmetric(4))
+    degrees, values, m = dixon.character_table_data(s4, s4.classes)
+    assert len(calls) == s4.classes.count == 5
+    assert sorted(degrees) == [1, 1, 2, 3, 3] and m == 12

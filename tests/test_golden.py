@@ -3,7 +3,8 @@
 Every item of `perfbench/workloads.json` (read only) is a CLI argv with the
 sha256 of the `--json` report it must produce. Running them all in-process
 makes the byte-identical contract part of the test suite, as does one
-larger report beyond that set.
+larger report beyond that set. The text tables that `chartab` prints for
+the items of `chartab-many-classes` are pinned here too.
 """
 
 import hashlib
@@ -15,7 +16,26 @@ import pytest
 from ksphere import cli
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.json"
-ITEMS = [item for items in json.loads(WORKLOADS.read_text()).values() for item in items]
+WORKLOAD_ITEMS = json.loads(WORKLOADS.read_text())
+ITEMS = [item for items in WORKLOAD_ITEMS.values() for item in items]
+
+
+# sha256 of the stdout of each `chartab-many-classes` item.
+CHARTAB_STDOUT_SHA256 = {
+    "chartab:S6": "21210276c7ffcfc6e4e2440c3b3c8d07332dfc1510374246ff0f54c39a61b7d3",
+    "chartab:A6": "5642658a86ef756e53f1f86bf2dabc8b7a997f15b7da34090fbd36a0fa9cd3ec",
+    "chartab:S5xC2": "b98c7dd9849602df539cb1309166dd97b6d9bb8383f69122a8bd822219281446",
+    "chartab:S4xS4": "43ecc23b5bbba309d1e031c11c96350a8e15c701949032069fe62de0a2db5776",
+    "chartab:C2xC2xC2xC2xC2xC2xC2": (
+        "5a0fa1c29cbadc38695f7091caed95b9a992bbc46441e895ece9de7290e5b38e"
+    ),
+    "chartab:C3xC3xC3xC6": "8361ce9f2b186b6f6c10ebe8846f161ba5a2372e1fc1a352427320649c8371dd",
+    "chartab:A5xC6": "7ea5c388a7ba0dade992a366fc8a3609b151d6c54d0e57369061aef7673bad9c",
+    "chartab:S4xD6": "c795b4d4603053875492a3efb436719e66fa7f36a2778e4ac84728ee50fdc36c",
+    "chartab:Q8xS4": "822c1dc197f937d847b138ab94684a5061a3edffb5f471c66d7510c4fdb73456",
+    "chartab:D8xD4": "855521a48200dd291ba67e40dcf29b30bc799c019048ac51ac59d0f18c59574c",
+}
+CHARTAB_ITEMS = WORKLOAD_ITEMS["chartab-many-classes"]
 
 
 def test_every_workload_item_has_a_digest():
@@ -28,6 +48,17 @@ def test_json_report_matches_golden_digest(item, tmp_path, capsys):
     path = tmp_path / "report.json"
     assert cli.main(item["argv"] + ["--json", str(path)]) == 0, capsys.readouterr().err
     assert hashlib.sha256(path.read_bytes()).hexdigest() == item["sha256"]
+
+
+def test_every_chartab_item_has_a_stdout_digest():
+    assert sorted(item["id"] for item in CHARTAB_ITEMS) == sorted(CHARTAB_STDOUT_SHA256)
+
+
+@pytest.mark.parametrize("item", CHARTAB_ITEMS, ids=[item["id"] for item in CHARTAB_ITEMS])
+def test_chartab_stdout_matches_golden_digest(item, capsys):
+    assert cli.main(item["argv"]) == 0, capsys.readouterr().err
+    stdout = capsys.readouterr().out.encode()
+    assert hashlib.sha256(stdout).hexdigest() == CHARTAB_STDOUT_SHA256[item["id"]]
 
 
 # The order-256 kernel of C8 x C64 under generator signs (-1, -1) is abelian

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import group_with_lambda
+from conftest import group_with_lambda, in_span
 from ksphere import ktheory
 from ksphere.characters import (
     CharacterTheoryError,
@@ -25,7 +25,7 @@ from ksphere.ktheory import (
     rank_splitting_report,
     ring_product,
 )
-from ksphere.lattice import hermite_normal_form, in_span, integrally_independent
+from ksphere.lattice import hermite_normal_form, integrally_independent
 from ksphere.verification import corrupt_table
 
 

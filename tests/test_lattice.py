@@ -4,13 +4,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ksphere.lattice import (
-    hermite_normal_form,
-    in_span,
-    integrally_independent,
-    lattice_rank,
-    same_span,
-)
+from conftest import in_span, same_span
+from ksphere.lattice import hermite_normal_form, integrally_independent, lattice_rank
 
 small_matrix = st.lists(
     st.lists(st.integers(min_value=-9, max_value=9), min_size=4, max_size=4),
