@@ -22,6 +22,14 @@ value has one power-basis vector, so the routes differ only in row order.
 the one place that sorts (`_canonical_order`, so every route gives the same
 bytes), certifies and caches: only served tables are certified.
 
+Every route gives its data in index form: the D distinct values as rows of
+`distinct` [D, phi] and `which` [k, k] with values = distinct[which]. The
+abelian route has it already (`red` and the exponent table), a product
+multiplies each pair of distinct factor values once, and Dixon's values
+take one np.unique. A table has few distinct values (m on an abelian table
+of exponent m, against k**2 entries), so whatever acts on each value alone
+is done on `distinct`, and rows are compared as integer rows of `which`.
+
 Class-function values live in one cyclotomic ring per group (modulus =
 group exponent); subgroup values embed into the ambient modulus when the
 two interact, and tables, inputs and outputs stay int64 power-basis arrays.
@@ -40,12 +48,18 @@ Let sigma_t be the automorphism zeta -> zeta**t of Z[zeta_m], t a unit mod
 m. Then iota_t = iota_1 o sigma_t, and sigma_t commutes with complex
 conjugation, which is sigma_-1. Suppose that for each generator t of
 (Z/m)^* (`CyclotomicRing.unit_generators`) there is a permutation pi_t of
-Irr with sigma_t chi_a = chi_pi_t(a) exactly, checked in the power basis
-(`CyclotomicRing.galois`, rows found by `row_permutation`). Composing them
+Irr with sigma_t chi_a = chi_pi_t(a) exactly. It is checked in the power
+basis on the distinct values alone: sigma_t acts on each value, so with
+tau_t the lookup of the D images sigma_t(distinct) among the rows of
+`distinct` (`CyclotomicRing.galois`), sigma_t(values) = distinct[tau_t[which]]
+exactly, and pi_t is the lookup of the k integer rows tau_t[which] among
+the rows of `which` (`row_permutation`). A row not found (an image not
+found is the entry -1) means sigma_t does not permute Irr. Composing them
 gives such a permutation pi_t for every unit t. A table of modulus m' | m,
 embedded in Z[zeta_m], is permuted by sigma_t as by sigma_(t mod m'), since
 sigma_t restricts to sigma_(t mod m') on Z[zeta_m'].
-- Certificate. Let g_ab = sum_j |C_j| chi_a(j) conj(chi_b(j)). Then
+- Certificate. The images of the table are those of its distinct values,
+  iota(distinct)[which]. Let g_ab = sum_j |C_j| chi_a(j) conj(chi_b(j)). Then
   sigma_t g_ab = g_pi_t(a)pi_t(b), so iota_t(g_ab) = iota_1(g_pi_t(a)pi_t(b)).
   If iota_1(g) = n I mod p for every pair, then iota_t(g_ab) =
   n delta_pi_t(a)pi_t(b) = n delta_ab at every point, pi_t being a
@@ -97,6 +111,7 @@ from .groups import (
     SubgroupEmbedding,
     coset_representatives,
     kernel_embedding,
+    row_keys,
 )
 
 
@@ -133,6 +148,12 @@ class CharacterTable:
     the coefficient vectors of the value row (so the trivial character
     comes first). `values[c, j]` holds the coefficients of character c at
     class j in the ring of `modulus`.
+
+    Index form: the table's values are few, so each is kept once, as a row
+    of `distinct` [D, phi] (pairwise distinct rows), and `which[c, j]` [k, k]
+    names the row of chi_c at class j: values == distinct[which]. Every
+    permutation of Irr is a lookup of integer rows of `which`
+    (`row_permutation`).
     """
 
     group: GroupTable
@@ -140,6 +161,8 @@ class CharacterTable:
     ring: CyclotomicRing
     degrees: tuple[int, ...]
     values: np.ndarray
+    distinct: np.ndarray
+    which: np.ndarray
     names: tuple[str, ...]
     trivial_index: int
     # Derived arrays: modulus -> values in that ring; modulus -> weights of the
@@ -167,19 +190,17 @@ class CharacterTable:
         )
 
     @cached_property
-    def _row_lookup(self) -> dict[int, list[int]]:
-        """The rows by the hash of their bytes, which alone are not kept."""
-        lookup: dict[int, list[int]] = {}
-        for c, row in enumerate(self.values):
-            lookup.setdefault(hash(row.tobytes()), []).append(c)
-        return lookup
+    def _distinct_keys(self) -> tuple[np.ndarray, np.ndarray]:
+        return _sorted_keys(self.distinct)
 
-    def row_index(self, row: np.ndarray) -> int | None:
-        """The c with values[c] equal to `row` exactly, or None."""
-        for c in self._row_lookup.get(hash(row.tobytes()), ()):
-            if np.array_equal(self.values[c], row):
-                return c
-        return None
+    @cached_property
+    def _which_keys(self) -> tuple[np.ndarray, np.ndarray]:
+        return _sorted_keys(self.which)
+
+    def value_indices(self, values: np.ndarray) -> np.ndarray:
+        """The d with distinct[d] equal to v exactly, for each value v of
+        `values` [..., phi], or -1 where v is not a value of the table."""
+        return _find_rows(self._distinct_keys, values)
 
 
 @dataclass(eq=False)
@@ -272,9 +293,9 @@ class OrbitData:
 _table_cache: "weakref.WeakKeyDictionary[GroupTable, CharacterTable]" = (
     weakref.WeakKeyDictionary()
 )
-# Certified data, hit by group objects with equal tables: equal kernels,
-# repeated CLI items.
-_table_data_cache: dict[bytes, tuple[tuple[int, ...], np.ndarray, int]] = {}
+# Certified data (degrees, values, distinct, which, modulus), hit by group
+# objects with equal tables: equal kernels, repeated CLI items.
+_table_data_cache: dict[bytes, tuple] = {}
 
 
 # ---------------------------------------------------------------------------
@@ -292,13 +313,13 @@ def character_table(group: GroupTable) -> CharacterTable:
     data = _table_data_cache.get(key)
     fresh = data is None
     if fresh:
-        degrees_raw, values_raw, modulus = _table_data(group, classes)
-        order = _canonical_order(degrees_raw, values_raw)
+        degrees_raw, distinct, which_raw, modulus = _table_data(group, classes)
+        order = _canonical_order(degrees_raw, distinct, which_raw)
         degrees = tuple(degrees_raw[c] for c in order)
-        values = np.ascontiguousarray(values_raw[order])
-        data = (degrees, values, modulus)
-    degrees, values, modulus = data
-    table = _assemble_table(group, classes, degrees, values, modulus)
+        which = np.ascontiguousarray(which_raw[order])
+        data = (degrees, distinct[which], distinct, which, modulus)
+    degrees, values, distinct, which, modulus = data
+    table = _assemble_table(group, classes, degrees, values, modulus, (distinct, which))
     if fresh:
         # Only certified data is cached, so a cache hit needs no certificate.
         failures = table_invariant_failures(table)
@@ -311,8 +332,9 @@ def character_table(group: GroupTable) -> CharacterTable:
     return table
 
 
-def _table_data(group: GroupTable, classes: ConjugacyClasses) -> tuple[list[int], np.ndarray, int]:
-    """Unsorted exact character data (degrees, values[k, k, phi], exponent).
+def _table_data(group: GroupTable, classes: ConjugacyClasses):
+    """Unsorted exact character data in index form: (degrees, distinct [D, phi],
+    which [k, k], exponent), the values being distinct[which].
 
     A function of the group alone. The abelian route comes first, so an
     abelian product such as C2 x C2 takes it too; a product that reaches
@@ -323,7 +345,16 @@ def _table_data(group: GroupTable, classes: ConjugacyClasses) -> tuple[list[int]
         return _abelian_table_data(group, classes)
     if group.factors:
         return _product_table_data(group, classes)
-    return dixon.character_table_data(group, classes)
+    degrees, values, modulus = dixon.character_table_data(group, classes)
+    return (degrees, *_index_form(values), modulus)
+
+
+def _index_form(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(distinct, which) with values [..., phi] == distinct[which] and the rows
+    of distinct pairwise distinct: one np.unique over the value keys."""
+    flat = values.reshape(-1, values.shape[-1])
+    _, first, which = np.unique(row_keys(flat), return_index=True, return_inverse=True)
+    return np.ascontiguousarray(flat[first]), which.reshape(values.shape[:-1])
 
 
 def _abelian_table_data(group: GroupTable, classes: ConjugacyClasses):
@@ -342,6 +373,9 @@ def _abelian_table_data(group: GroupTable, classes: ConjugacyClasses):
     divides e(g**d), and d divides that as ord(g) divides m. That gives
     |H_i| d = |H_(i+1)| distinct characters, all of Irr(H_(i+1)). With one
     generator (a cyclic group) this is chi_s(g**j) = zeta_n**(s j).
+
+    The index form is the exponent table itself: distinct is `red`, whose
+    row e is zeta_m**e, and which holds the exponents.
     """
     n, m = group.order, lcm(*classes.orders)
     element_orders = np.asarray(classes.orders, dtype=np.int64)[classes.class_of]
@@ -367,8 +401,7 @@ def _abelian_table_data(group: GroupTable, classes: ConjugacyClasses):
         exps = exps.reshape(members.size * d, members.size * d)
         members = group.product[members[None, :], group.powers[j, g][:, None]].reshape(-1)
         pos[members] = np.arange(members.size)
-    values = get_ring(m).red[exps[:, pos[np.asarray(classes.representatives)]]]
-    return [1] * n, values, m
+    return [1] * n, get_ring(m).red, exps[:, pos[np.asarray(classes.representatives)]], m
 
 
 def _product_table_data(group: GroupTable, classes: ConjugacyClasses):
@@ -380,18 +413,23 @@ def _product_table_data(group: GroupTable, classes: ConjugacyClasses):
     table's certificate checks every value built from it. Class j of A x B,
     with least element r = x |B| + y, lies over the classes of x in A and y
     in B; the products are taken in the ring of m = lcm of the factor
-    moduli, the exponent of A x B.
+    moduli, the exponent of A x B, once for each pair of distinct factor
+    values.
     """
     a, b = group.factors
-    degrees_a, values_a, m_a = _table_data(a, a.classes)
-    degrees_b, values_b, m_b = _table_data(b, b.classes)
+    degrees_a, distinct_a, which_a, m_a = _table_data(a, a.classes)
+    degrees_b, distinct_b, which_b, m_b = _table_data(b, b.classes)
     ring = get_ring(lcm(m_a, m_b))
     reps = np.asarray(classes.representatives, dtype=np.int64)
-    va = _embed(values_a[:, a.classes.class_of[reps // b.order]], m_a, ring)
-    vb = _embed(values_b[:, b.classes.class_of[reps % b.order]], m_b, ring)
-    values = ring.multiply(va[:, None], vb[None]).reshape(-1, classes.count, ring.phi)
+    wa = which_a[:, a.classes.class_of[reps // b.order]]  # [ka, k]
+    wb = which_b[:, b.classes.class_of[reps % b.order]]  # [kb, k]
+    products = ring.multiply(
+        _embed(distinct_a, m_a, ring)[:, None], _embed(distinct_b, m_b, ring)[None]
+    )
+    distinct, pair = _index_form(products)  # pair[u, v]: the row of distinct_a[u] distinct_b[v]
+    which = pair[wa[:, None], wb[None]].reshape(-1, classes.count)
     degrees = [da * db for da in degrees_a for db in degrees_b]
-    return degrees, values, ring.modulus
+    return degrees, distinct, which, ring.modulus
 
 
 def _embed(values: np.ndarray, modulus: int, ring: CyclotomicRing) -> np.ndarray:
@@ -401,31 +439,45 @@ def _embed(values: np.ndarray, modulus: int, ring: CyclotomicRing) -> np.ndarray
     return values @ get_ring(modulus).embed_matrix(ring)
 
 
-def _canonical_order(degrees: list[int], values: np.ndarray) -> np.ndarray:
+def _canonical_order(degrees: list[int], distinct: np.ndarray, which: np.ndarray) -> np.ndarray:
     """Rows by ascending degree, then by descending values read row-major.
 
-    One lexsort, whose last key is primary, over views of ``values``: sorting
-    ascending by (-degree, values, -row) and reversing gives the order, with
-    ties kept in row order.
+    A value row compares as the row of ranks of its values (`_value_ranks`).
+    One lexsort, whose last key is primary: sorting ascending by (-degree,
+    ranks, -row) and reversing gives the order, with ties kept in row order.
     """
-    flat = values.reshape(len(degrees), -1)
-    keys = (-np.arange(len(degrees)), *flat.T[::-1], -np.asarray(degrees, dtype=np.int64))
+    ranks = _value_ranks(distinct)[which]
+    keys = (-np.arange(len(degrees)), *ranks.T[::-1], -np.asarray(degrees, dtype=np.int64))
     return np.lexsort(keys)[::-1]
 
 
-def _assemble_table(group, classes, degrees, values, modulus) -> CharacterTable:
+def _value_ranks(distinct: np.ndarray) -> np.ndarray:
+    """The dense rank of each row of `distinct` in lexicographic order of its
+    coefficients; as the rows are pairwise distinct, two values compare as
+    their ranks do."""
+    ranks = np.empty(len(distinct), dtype=np.int64)
+    ranks[np.lexsort(distinct.T[::-1])] = np.arange(len(distinct))
+    return ranks
+
+
+def _assemble_table(group, classes, degrees, values, modulus, index=None) -> CharacterTable:
+    """The table of `values`; `index` is their index form (distinct, which),
+    found by `_index_form` when not given."""
     ring = get_ring(modulus)
     values = np.ascontiguousarray(values, dtype=np.int64)
-    values.setflags(write=False)
-    trivial_row = np.zeros((classes.count, ring.phi), dtype=np.int64)
-    trivial_row[:, 0] = 1
-    hits = np.flatnonzero((values == trivial_row).all(axis=(1, 2)))
+    distinct, which = _index_form(values) if index is None else index
+    for array in (values, distinct, which):
+        array.setflags(write=False)
+    is_one = (distinct[:, 0] == 1) & ~distinct[:, 1:].any(axis=1)
+    hits = np.flatnonzero(is_one[which].all(axis=1))
     return CharacterTable(
         group=group,
         classes=classes,
         ring=ring,
         degrees=tuple(int(d) for d in degrees),
         values=values,
+        distinct=distinct,
+        which=which,
         names=tuple(f"chi{c}" for c in range(len(degrees))),
         trivial_index=int(hits[0]) if hits.size else -1,
     )
@@ -453,16 +505,13 @@ def table_invariant_failures(table: CharacterTable) -> list[str]:
         out.append("trivial character missing")
     if sum(d * d for d in table.degrees) != n:
         out.append(f"sum of degree squares {sum(d*d for d in table.degrees)} != order {n}")
-    for c in range(k):
-        col0 = table.values[c, 0]
-        if col0[0] != table.degrees[c] or np.any(col0[1:]):
-            out.append(f"value at identity class disagrees with degree for chi{c}")
+    degrees = np.asarray(table.degrees, dtype=np.int64)
+    col0 = table.distinct[table.which[:, 0]]
+    for c in np.flatnonzero((col0[:, 0] != degrees) | col0[:, 1:].any(axis=1)):
+        out.append(f"value at identity class disagrees with degree for chi{c}")
+    # Values compare as their ranks do, so rows compare as their rank rows.
     key_mat = np.concatenate(
-        [
-            np.asarray(table.degrees, dtype=np.int64)[:, None],
-            -table.values.reshape(k, -1),
-        ],
-        axis=1,
+        [degrees[:, None], -_value_ranks(table.distinct)[table.which]], axis=1
     )
     diff = key_mat[1:] != key_mat[:-1]
     if k > 1:
@@ -494,7 +543,7 @@ def table_invariant_failures(table: CharacterTable) -> list[str]:
 def _certificate_primes(table: CharacterTable) -> int:
     """How many evaluation primes make the lift of both Grams exact."""
     ring, n = table.ring, table.group.order
-    chi_l1 = _l1_norms(table.values)  # |chi_c(j)|_1, [c, j]
+    chi_l1 = _l1_norms(table.distinct)[table.which]  # |chi_c(j)|_1, [c, j]
     row_bound = _analysis_bound(table, ring, chi_l1.max(axis=0).tolist()) + n
     col_bound = ring.peak * ring.l1 * max(table.classes.class_sizes) * sum(
         c * c for c in chi_l1.max(axis=1).tolist()
@@ -515,7 +564,7 @@ def _orthogonality_failures(table: CharacterTable, primes: int, one_point: bool)
     col_bad = np.zeros((k, k), dtype=bool)
     for i in range(primes):
         p = eval_prime(ring.modulus, i)[0]
-        images = ring.evaluate(table.values, i, one_point)
+        images = ring.evaluate(table.distinct, i, one_point)[table.which]
         weights = (_point_weights if one_point else _analysis_tensor)(table, ring, i, images)
         expected = (n % p) * np.eye(k, dtype=np.int64)[..., None]
         gram = kernels.weighted_analysis(images, weights, p)
@@ -536,8 +585,11 @@ def _galois_permutation(table: CharacterTable, t: int) -> np.ndarray | None:
     modulus, or None when sigma_t does not permute the rows."""
     t %= table.modulus
     if t not in table._galois:
+        # sigma_t acts on each value alone: sigma_t distinct[d] = distinct[tau[d]],
+        # so sigma_t chi_c has the index row tau[which[c]].
+        tau = table.value_indices(table.ring.galois(table.distinct, t))
         try:
-            pi = row_permutation(table, table.ring.galois(table.values, t))
+            pi = row_permutation(table, tau[table.which])
         except CharacterTheoryError:
             pi = None
         table._galois[t] = pi
@@ -581,7 +633,8 @@ def _analysis_bound(table: CharacterTable, ring: CyclotomicRing, l1: list[int]) 
     weight = table._weights.get(ring.modulus)
     if weight is None:
         # |C_j| * max_i |conj chi_i(j)|_1, with the l1 norms taken in `ring`.
-        chi_l1 = _l1_norms(_embedded_values(table, ring)).max(axis=0).tolist()
+        distinct = _embed(table.distinct, table.modulus, ring)
+        chi_l1 = _l1_norms(distinct)[table.which].max(axis=0).tolist()
         weight = [size * ring.l1 * c for size, c in zip(table.classes.class_sizes, chi_l1)]
         table._weights[ring.modulus] = weight
     return ring.peak * sum(a * b for a, b in zip(l1, weight))
@@ -599,7 +652,8 @@ def _analysis_tensor(
     if w is None:
         p, _, neg = eval_prime(ring.modulus, i)
         if images is None:
-            images = ring.evaluate(_embedded_values(table, ring), i)
+            distinct = _embed(table.distinct, table.modulus, ring)
+            images = ring.evaluate(distinct, i)[table.which]
         sizes = np.asarray(table.classes.class_sizes, dtype=np.int64) % p
         point_major = np.moveaxis(images, -1, 0)[neg]  # [e, c, j], conjugated
         w = np.moveaxis(point_major * sizes % p, 0, -1)
@@ -621,7 +675,8 @@ def _point_weights(
     if w is None:
         p = eval_prime(ring.modulus, i)[0]
         if images is None:
-            images = ring.evaluate(_embedded_values(table, ring), i, one_point=True)
+            distinct = _embed(table.distinct, table.modulus, ring)
+            images = ring.evaluate(distinct, i, one_point=True)[table.which]
         sizes = np.asarray(table.classes.class_sizes, dtype=np.int64) % p
         w = images[_galois_permutation(table, -1)] * sizes[:, None] % p
         w.setflags(write=False)
@@ -841,16 +896,32 @@ def twist_class_map(emb: SubgroupEmbedding, g: int) -> np.ndarray:
 
 
 def row_permutation(table: CharacterTable, rows: np.ndarray) -> np.ndarray:
-    """The permutation pi of Irr with rows[c] = values[pi(c)], found by row lookup.
+    """The permutation pi of Irr with rows[c] = which[pi(c)], for integer rows
+    [k, k] naming values of `table.distinct`, found by one sorted lookup.
 
-    Raises when a row is not an irreducible of the table or two rows coincide.
+    Raises when a row is not a row of `which` (an entry -1 names no value) or
+    two rows coincide.
     """
-    found = (table.row_index(r) for r in np.asarray(rows, np.int64))
-    pi = np.asarray([-1 if c is None else c for c in found], np.int64)
+    pi = _find_rows(table._which_keys, rows)
     if not np.array_equal(np.sort(pi), np.arange(table.count)):
         raise CharacterTheoryError(f"rows are not a permutation of Irr({table.group.name})")
     pi.setflags(write=False)
     return pi
+
+
+def _sorted_keys(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The row keys of `rows` [N, w], a view, and the order that sorts them."""
+    keys = row_keys(rows)
+    return keys, np.argsort(keys, kind="stable")
+
+
+def _find_rows(sorted_keys: tuple[np.ndarray, np.ndarray], rows: np.ndarray) -> np.ndarray:
+    """For each row of `rows` [..., w], the least index of an equal row among
+    the rows keyed by `sorted_keys` (`_sorted_keys`), or -1 when none is."""
+    keys, order = sorted_keys
+    wanted = row_keys(rows)
+    at = order[np.minimum(np.searchsorted(keys, wanted, sorter=order), len(keys) - 1)]
+    return np.where(keys[at] == wanted, at, -1)
 
 
 def involution_orbits(perm: np.ndarray) -> OrbitData:
@@ -865,7 +936,7 @@ def involution_orbits(perm: np.ndarray) -> OrbitData:
 def twist_permutation(emb: SubgroupEmbedding, g: int) -> np.ndarray:
     """Permutation sigma on Irr(H) with (g-twist of chi_c) = chi_sigma(c)."""
     table_h = character_table(emb.subgroup)
-    return row_permutation(table_h, table_h.values[:, twist_class_map(emb, g), :])
+    return row_permutation(table_h, table_h.which[:, twist_class_map(emb, g)])
 
 
 def conjugate_twist(chi: VirtualCharacter, emb: SubgroupEmbedding, g: int) -> VirtualCharacter:
@@ -933,11 +1004,12 @@ _ctx_cache: "weakref.WeakKeyDictionary[SignHomomorphism, LambdaContext]" = (
 
 def lambda_index(table_g: CharacterTable, lam: SignHomomorphism) -> int:
     """Index of the degree-1 character whose values are the signs of lambda."""
-    k = table_g.classes.count
-    row = np.zeros((k, table_g.ring.phi), dtype=np.int64)
-    row[:, 0] = lam.values[list(table_g.classes.representatives)]
-    idx = table_g.row_index(row)
-    if idx is None:
+    signs = np.zeros((2, table_g.ring.phi), dtype=np.int64)
+    signs[:, 0] = (1, -1)
+    plus, minus = table_g.value_indices(signs)
+    row = np.where(lam.values[list(table_g.classes.representatives)] < 0, minus, plus)
+    idx = int(_find_rows(table_g._which_keys, row))
+    if idx < 0:
         raise CharacterTheoryError("sign character is not in the table")
     return idx
 

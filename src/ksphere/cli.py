@@ -31,7 +31,6 @@ from .groups import (
     build_group,
     build_sign_hom,
     parse_group_document,
-    row_keys,
 )
 from .ktheory import S1_LAMBDA, S_LAMBDA, k_group_s1_lambda, k_group_s_lambda
 from .verification import reports_to_jsonable, run_verification, verify_group
@@ -156,13 +155,10 @@ def _cmd_chartab(args) -> int:
     spec, group, lam = _resolve(args.groupspec, need_lambda=False)
     table = character_table(group)
     classes = table.classes
-    k, m = table.count, table.modulus
-    # Render and encode each distinct value once; `which[c, j]` picks chi_c's
-    # value at class j.
-    flat = table.values.reshape(k * k, table.ring.phi)
-    _, first, which = np.unique(row_keys(flat), return_index=True, return_inverse=True)
-    which = which.reshape(k, k)
-    rendered = [Cyclotomic.make(m, flat[i]) for i in first]
+    m, which = table.modulus, table.which
+    # Render and encode each distinct value of the table once; `which[c, j]`
+    # picks chi_c's value at class j.
+    rendered = [Cyclotomic.make(m, v) for v in table.distinct]
     texts = np.array([str(v) for v in rendered], dtype=object)
     lens = np.array(list(map(len, texts)), dtype=np.int64)
     cols = [

@@ -161,12 +161,19 @@ class GroupTable:
 
     @cached_property
     def powers(self) -> np.ndarray:
-        """powers[s, x] = x**s for 0 <= s <= exponent, one gather per power."""
+        """powers[s, x] = x**s for 0 <= s <= exponent, by doubling: with the
+        rows s < L known, the rows x**(L + i) = x**L x**i are one block
+        gather, so ceil(log2(exponent + 1)) blocks in all."""
         x = np.arange(self.order, dtype=np.int64)
-        rows = [np.full_like(x, self.identity), x]
-        while np.any(rows[-1] != self.identity):
-            rows.append(self.product[rows[-1], x])
-        out = np.stack(rows)
+        out = np.stack([np.full_like(x, self.identity), x])
+        # The rows s >= 1 found so far with x**s = 1 for every x.
+        done = 1 + np.flatnonzero((out[1:] == self.identity).all(axis=1))
+        while not done.size:
+            top = self.product[out[-1], x]  # x**L, L = len(out)
+            block = self.product[top[None, :], out]
+            done = len(out) + np.flatnonzero((block == self.identity).all(axis=1))
+            out = np.concatenate([out, block])
+        out = np.ascontiguousarray(out[: done[0] + 1])
         out.setflags(write=False)
         return out
 
@@ -548,6 +555,8 @@ def conjugacy_classes(table: GroupTable) -> ConjugacyClasses:
         least_a = np.asarray(a.classes.representatives)[a.classes.class_of]
         least_b = np.asarray(b.classes.representatives)[b.classes.class_of]
         least = (least_a[:, None] * b.order + least_b[None, :]).reshape(-1)
+    elif table.is_abelian():
+        least = np.arange(table.order)  # every class is a singleton
     else:
         # Row x holds x^-1 g x for every g: (x^-1 g) x read along row x of the
         # transposed table, so every gather runs along contiguous rows.
@@ -559,9 +568,10 @@ def conjugacy_classes(table: GroupTable) -> ConjugacyClasses:
     orders = np.argmax(table.powers[1:, reps] == table.identity, axis=0) + 1
     perm = np.lexsort((reps, sizes, orders))
     class_of = np.argsort(perm)[class_of]
-    members = np.split(np.argsort(class_of, kind="stable"), np.cumsum(sizes[perm])[:-1])
+    members = np.argsort(class_of, kind="stable").tolist()
+    ends = np.cumsum(sizes[perm]).tolist()
     return ConjugacyClasses(
-        classes=tuple(tuple(m.tolist()) for m in members),
+        classes=tuple(tuple(members[a:b]) for a, b in zip([0, *ends], ends)),
         class_of=class_of,
         representatives=tuple(reps[perm].tolist()),
         class_sizes=tuple(sizes[perm].tolist()),

@@ -256,10 +256,14 @@ def _lambda_tensor_permutation(ctx: LambdaContext) -> np.ndarray:
     """Permutation pi of Irr(G) with lambda * chi_c = chi_pi(c).
 
     lambda is +-1 on every class, so lambda * chi_c is chi_c's value row with
-    the signs of lambda applied, and its index is a row lookup in the table.
+    its values negated where lambda = -1: in index form, the row of `which`
+    with nu applied on those classes, nu the negation map on the distinct
+    values, and its index is a lookup of that integer row.
     """
     table = ctx.table_g
-    return row_permutation(table, table.values * table.values[ctx.lambda_index][:, :1])
+    nu = table.value_indices(-table.distinct)  # -distinct[d] = distinct[nu[d]], or -1
+    flip = table.values[ctx.lambda_index, :, 0] < 0
+    return row_permutation(table, np.where(flip, nu[table.which], table.which))
 
 
 def k_group_s_lambda(group: GroupTable, lam: SignHomomorphism) -> IdealPresentation:

@@ -46,6 +46,15 @@ def in_span(vector, hnf: tuple[tuple[int, ...], ...]) -> bool:
     return all(x == 0 for x in v)
 
 
+def galois_permutation_oracle(table, t):
+    """pi with sigma_t chi_c = chi_pi(c), or None when some image is not a row:
+    sigma_t of the whole power-basis values array, then a lookup of each image
+    row by its bytes."""
+    where = {row.tobytes(): c for c, row in enumerate(table.values)}
+    found = [where.get(row.tobytes()) for row in table.ring.galois(table.values, t)]
+    return None if None in found else found
+
+
 def chartab_reference_doc(group, table) -> dict:
     """The chartab report as one document of dicts, one value dict per table cell.
 

@@ -133,7 +133,8 @@ def test_canonical_order_matches_sorted_key_oracle():
             range(k),
             key=lambda c: (degrees[c], tuple(int(-v) for v in values[c].reshape(-1))),
         )
-        assert characters._canonical_order(degrees, values).tolist() == expect
+        distinct, which = characters._index_form(values)
+        assert characters._canonical_order(degrees, distinct, which).tolist() == expect
 
 
 @pytest.mark.parametrize("n", range(1, 13))
@@ -357,35 +358,45 @@ def test_row_permutation_rejects_a_duplicated_and_a_missing_row():
     table = character_table(build_group(GroupSpec.dihedral(4)))
     k = table.count
     shuffled = np.arange(k)[::-1].copy()
-    assert np.array_equal(row_permutation(table, table.values[shuffled]), shuffled)
-    duplicated = table.values[[0] + list(range(k - 1))]
+    assert np.array_equal(row_permutation(table, table.which[shuffled]), shuffled)
+    duplicated = table.which[[0] + list(range(k - 1))]
     with pytest.raises(CharacterTheoryError, match="not a permutation"):
         row_permutation(table, duplicated)
-    missing = table.values.copy()
-    missing[k - 1, 0, 0] += 1
+    missing = table.which.copy()
+    missing[k - 1, 0] = -1  # a value the table does not have
     with pytest.raises(CharacterTheoryError, match="not a permutation"):
         row_permutation(table, missing)
 
 
-def test_row_lookup_keeps_hashes_and_stays_exact_when_every_hash_collides(monkeypatch):
+def test_integer_row_lookup_finds_shuffled_rows_and_rejects_bad_ones():
     group, lam = group_with_lambda(GroupSpec.dihedral(4), "reflection-sign")
     table = character_table(group)
-    assert all(isinstance(key, int) for key in table._row_lookup)
+    k = table.count
     sign = characters.lambda_index(table, lam)
-    # A fresh copy of the table, whose lookup is built while all rows collide.
-    monkeypatch.setattr(characters, "hash", lambda key: 0, raising=False)
-    fresh = corrupt_table(table, 0, 0, delta=0)
-    assert list(fresh._row_lookup) == [0]
-    shuffled = np.arange(table.count)[::-1].copy()
-    assert np.array_equal(row_permutation(fresh, table.values[shuffled]), shuffled)
-    assert characters.lambda_index(fresh, lam) == sign
-    missing = table.values.copy()
-    missing[0, 0, 0] += 1
-    assert fresh.row_index(missing[0]) is None
+    # Rows are found wherever they are, by the bytes of the whole integer row.
+    rng = np.random.default_rng(4)
+    for _ in range(10):
+        shuffled = rng.permutation(k)
+        assert np.array_equal(row_permutation(table, table.which[shuffled]), shuffled)
+    assert characters.lambda_index(table, lam) == sign
+    assert characters._find_rows(table._which_keys, table.which).tolist() == list(range(k))
+    # A row that differs from a row of the table in one entry is not found.
+    corrupted = table.which.copy()
+    corrupted[0, k - 1] = (corrupted[0, k - 1] + 1) % len(table.distinct)
+    assert characters._find_rows(table._which_keys, corrupted[0]) == -1
+    for bad in (corrupted, table.which[[0] * k]):
+        with pytest.raises(CharacterTheoryError, match="not a permutation"):
+            row_permutation(table, bad)
+    missing = table.which.copy()
+    missing[1, 1] = len(table.distinct)
     with pytest.raises(CharacterTheoryError, match="not a permutation"):
-        row_permutation(fresh, missing)
+        row_permutation(table, missing)
+    # A table whose rows repeat: the lookup finds the first of the two.
+    values = table.values[[2, 0, 0, 3, 4]]
+    duplicated = _assemble_table(group, table.classes, table.degrees, values, table.modulus)
+    assert characters._find_rows(duplicated._which_keys, duplicated.which[2]) == 1
     with pytest.raises(CharacterTheoryError, match="not a permutation"):
-        row_permutation(fresh, table.values[[0] * table.count])
+        row_permutation(duplicated, duplicated.which)
 
 
 def test_involution_orbits_lists_fixed_points_and_pairs_and_rejects_a_3_cycle():

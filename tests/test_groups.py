@@ -254,6 +254,23 @@ def test_powers_and_class_orders_match_repeated_multiplication(spec):
         assert {order[x] for x in members} == {cls.orders[c]}
 
 
+def _naive_powers(t):
+    """[x**s for 0 <= s <= exponent] per element, one row gather per power."""
+    x = np.arange(t.order)
+    rows = [np.full_like(x, t.identity), x]
+    while np.any(rows[-1] != t.identity):
+        rows.append(t.product[rows[-1], x])
+    return np.stack(rows)
+
+
+def test_doubled_powers_equal_the_row_by_row_loop():
+    specs = builtin_specs_upto(64) + [GroupSpec.cyclic(n) for n in (1, 64, 256)]
+    for spec in specs:
+        t = build_group(spec)
+        assert np.array_equal(t.powers, _naive_powers(t)), t.name
+        assert t.powers.flags.c_contiguous
+
+
 def test_trivial_group_powers_are_one_identity_step():
     t = build_group(GroupSpec.cyclic(1))
     assert t.powers.tolist() == [[0], [0]]
