@@ -27,8 +27,10 @@ Every route gives its data in index form: the D distinct values as rows of
 abelian route has it already (`red` and the exponent table), a product
 multiplies each pair of distinct factor values once, and Dixon's values
 take one np.unique. A table has few distinct values (m on an abelian table
-of exponent m, against k**2 entries), so whatever acts on each value alone
-is done on `distinct`, and rows are compared as integer rows of `which`.
+of exponent m, against k**2 entries), so the index form is all a table
+stores: whatever acts on each value alone is done on `distinct`, rows are
+compared as integer rows of `which`, and the dense values are gathered only
+for a consumer that reads them.
 
 Class-function values live in one cyclotomic ring per group (modulus =
 group exponent); subgroup values embed into the ambient modulus when the
@@ -146,29 +148,28 @@ class CharacterTable:
 
     Ordering: ascending degree, then descending lexicographic comparison of
     the coefficient vectors of the value row (so the trivial character
-    comes first). `values[c, j]` holds the coefficients of character c at
-    class j in the ring of `modulus`.
+    comes first).
 
-    Index form: the table's values are few, so each is kept once, as a row
-    of `distinct` [D, phi] (pairwise distinct rows), and `which[c, j]` [k, k]
-    names the row of chi_c at class j: values == distinct[which]. Every
-    permutation of Irr is a lookup of integer rows of `which`
-    (`row_permutation`).
+    The table is held in index form alone: its values are few, so each is
+    kept once, as a row of `distinct` [D, phi] (pairwise distinct rows), and
+    `which[c, j]` [k, k] names the row of chi_c at class j. Every permutation
+    of Irr is a lookup of integer rows of `which` (`row_permutation`). The
+    dense `values` [k, k, phi], the coefficients of chi_c at class j in the
+    ring of `modulus`, are gathered on first read.
     """
 
     group: GroupTable
     classes: ConjugacyClasses
     ring: CyclotomicRing
     degrees: tuple[int, ...]
-    values: np.ndarray
     distinct: np.ndarray
     which: np.ndarray
     names: tuple[str, ...]
     trivial_index: int
-    # Derived arrays: modulus -> values in that ring; modulus -> weights of the
-    # coefficient bound, (modulus, prime index) -> evaluation weights and
-    # (modulus, prime index, "z") -> their first point; unit t mod modulus ->
-    # pi with sigma_t chi_c = chi_pi(c), or None when sigma_t does not permute Irr.
+    # Derived arrays: another modulus -> values in that ring; modulus -> weights
+    # of the coefficient bound, (modulus, prime index, one_point) -> evaluation
+    # weights at every point or at z alone; unit t mod modulus -> pi with
+    # sigma_t chi_c = chi_pi(c), or None when sigma_t does not permute Irr.
     _embedded: dict = field(default_factory=dict, init=False, repr=False)
     _weights: dict = field(default_factory=dict, init=False, repr=False)
     _galois: dict = field(default_factory=dict, init=False, repr=False)
@@ -180,6 +181,13 @@ class CharacterTable:
     @property
     def count(self) -> int:
         return len(self.degrees)
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """distinct[which], read-only."""
+        values = self.distinct[self.which]
+        values.setflags(write=False)
+        return values
 
     @cached_property
     def irreducibles(self) -> tuple[ClassFunction, ...]:
@@ -293,8 +301,8 @@ class OrbitData:
 _table_cache: "weakref.WeakKeyDictionary[GroupTable, CharacterTable]" = (
     weakref.WeakKeyDictionary()
 )
-# Certified data (degrees, values, distinct, which, modulus), hit by group
-# objects with equal tables: equal kernels, repeated CLI items.
+# Certified data (degrees, distinct, which, modulus), hit by group objects
+# with equal tables: equal kernels, repeated CLI items.
 _table_data_cache: dict[bytes, tuple] = {}
 
 
@@ -316,10 +324,8 @@ def character_table(group: GroupTable) -> CharacterTable:
         degrees_raw, distinct, which_raw, modulus = _table_data(group, classes)
         order = _canonical_order(degrees_raw, distinct, which_raw)
         degrees = tuple(degrees_raw[c] for c in order)
-        which = np.ascontiguousarray(which_raw[order])
-        data = (degrees, distinct[which], distinct, which, modulus)
-    degrees, values, distinct, which, modulus = data
-    table = _assemble_table(group, classes, degrees, values, modulus, (distinct, which))
+        data = (degrees, distinct, np.ascontiguousarray(which_raw[order]), modulus)
+    table = _assemble_table(group, classes, *data)
     if fresh:
         # Only certified data is cached, so a cache hit needs no certificate.
         failures = table_invariant_failures(table)
@@ -460,13 +466,10 @@ def _value_ranks(distinct: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def _assemble_table(group, classes, degrees, values, modulus, index=None) -> CharacterTable:
-    """The table of `values`; `index` is their index form (distinct, which),
-    found by `_index_form` when not given."""
+def _assemble_table(group, classes, degrees, distinct, which, modulus) -> CharacterTable:
+    """The table with values distinct[which], the rows of `distinct` pairwise distinct."""
     ring = get_ring(modulus)
-    values = np.ascontiguousarray(values, dtype=np.int64)
-    distinct, which = _index_form(values) if index is None else index
-    for array in (values, distinct, which):
+    for array in (distinct, which):
         array.setflags(write=False)
     is_one = (distinct[:, 0] == 1) & ~distinct[:, 1:].any(axis=1)
     hits = np.flatnonzero(is_one[which].all(axis=1))
@@ -475,7 +478,6 @@ def _assemble_table(group, classes, degrees, values, modulus, index=None) -> Cha
         classes=classes,
         ring=ring,
         degrees=tuple(int(d) for d in degrees),
-        values=values,
         distinct=distinct,
         which=which,
         names=tuple(f"chi{c}" for c in range(len(degrees))),
@@ -565,7 +567,7 @@ def _orthogonality_failures(table: CharacterTable, primes: int, one_point: bool)
     for i in range(primes):
         p = eval_prime(ring.modulus, i)[0]
         images = ring.evaluate(table.distinct, i, one_point)[table.which]
-        weights = (_point_weights if one_point else _analysis_tensor)(table, ring, i, images)
+        weights = _analysis_weights(table, ring, i, one_point)
         expected = (n % p) * np.eye(k, dtype=np.int64)[..., None]
         gram = kernels.weighted_analysis(images, weights, p)
         row_bad |= np.any(gram != expected, axis=-1)
@@ -608,10 +610,13 @@ def values_of_coeffs(table: CharacterTable, coeffs: np.ndarray) -> np.ndarray:
 
 
 def _embedded_values(table: CharacterTable, ring: CyclotomicRing) -> np.ndarray:
-    vals = table._embedded.get(ring.modulus)
-    if vals is None:
-        vals = table._embedded[ring.modulus] = _embed(table.values, table.modulus, ring)
-    return vals
+    """The table's values [k, k, phi] in `ring`: its D distinct values
+    embedded once and gathered by `which`."""
+    if ring.modulus == table.modulus:
+        return table.values
+    if ring.modulus not in table._embedded:
+        table._embedded[ring.modulus] = _embed(table.distinct, table.modulus, ring)[table.which]
+    return table._embedded[ring.modulus]
 
 
 def _l1_norms(varr: np.ndarray) -> np.ndarray:
@@ -619,13 +624,6 @@ def _l1_norms(varr: np.ndarray) -> np.ndarray:
     varr = np.asarray(varr, dtype=np.int64)
     kernels._require_int64(varr.shape[-1] * kernels._magnitude(varr), "l1 norm")
     return np.abs(varr).sum(axis=-1)
-
-
-def _class_l1(varr: np.ndarray) -> list[int]:
-    """Per class j, a bound on the l1 norm of varr[b, j] over every b (Python ints)."""
-    varr = np.asarray(varr, dtype=np.int64)
-    kernels._require_int64(varr.shape[-1] * kernels._magnitude(varr), "l1 norm")
-    return np.abs(varr).max(axis=0, initial=0).sum(axis=-1).tolist()
 
 
 def _analysis_bound(table: CharacterTable, ring: CyclotomicRing, l1: list[int]) -> int:
@@ -640,45 +638,22 @@ def _analysis_bound(table: CharacterTable, ring: CyclotomicRing, l1: list[int]) 
     return ring.peak * sum(a * b for a, b in zip(l1, weight))
 
 
-def _analysis_tensor(
-    table: CharacterTable, ring: CyclotomicRing, i: int, images: np.ndarray | None = None
-) -> np.ndarray:
-    """Evaluation weights [k, k, e] = conj(chi_c(j)) |C_j| mod the i-th prime of `ring`.
-
-    `images`, when given, are the images of the table's values in `ring` at
-    that prime, already computed by the caller.
-    """
-    w = table._weights.get((ring.modulus, i))
-    if w is None:
-        p, _, neg = eval_prime(ring.modulus, i)
-        if images is None:
-            distinct = _embed(table.distinct, table.modulus, ring)
-            images = ring.evaluate(distinct, i)[table.which]
-        sizes = np.asarray(table.classes.class_sizes, dtype=np.int64) % p
-        point_major = np.moveaxis(images, -1, 0)[neg]  # [e, c, j], conjugated
-        w = np.moveaxis(point_major * sizes % p, 0, -1)
-        w.setflags(write=False)
-        table._weights[(ring.modulus, i)] = w
-    return w
-
-
-def _point_weights(
-    table: CharacterTable, ring: CyclotomicRing, i: int, images: np.ndarray | None = None
-) -> np.ndarray:
-    """The weights of `_analysis_tensor` at z alone, [k, k, 1], for a table
-    that sigma_-1 permutes: conj(chi_c) at z is chi_pi(c) at z.
-
-    `images`, when given, are the images of the table's values in `ring` at z.
-    """
-    key = (ring.modulus, i, "z")
+def _analysis_weights(table, ring, i: int, one_point: bool) -> np.ndarray:
+    """Evaluation weights conj(chi_c(j)) |C_j| mod the i-th prime of `ring`:
+    [k, k, e] at every point, or [k, k, 1] at z alone, where the table must
+    be one that sigma_-1 permutes: conj(chi_c) at z is chi_pi(c) at z."""
+    key = (ring.modulus, i, one_point)
     w = table._weights.get(key)
     if w is None:
-        p = eval_prime(ring.modulus, i)[0]
-        if images is None:
-            distinct = _embed(table.distinct, table.modulus, ring)
-            images = ring.evaluate(distinct, i, one_point=True)[table.which]
+        p, _, neg = eval_prime(ring.modulus, i)
+        distinct = _embed(table.distinct, table.modulus, ring)
+        images = ring.evaluate(distinct, i, one_point)[table.which]
         sizes = np.asarray(table.classes.class_sizes, dtype=np.int64) % p
-        w = images[_galois_permutation(table, -1)] * sizes[:, None] % p
+        if one_point:
+            w = images[_galois_permutation(table, -1)] * sizes[:, None] % p
+        else:
+            point_major = np.moveaxis(images, -1, 0)[neg]  # [e, c, j], conjugated
+            w = np.moveaxis(point_major * sizes % p, 0, -1)
         w.setflags(write=False)
         table._weights[key] = w
     return w
@@ -739,9 +714,10 @@ def decompose_values(
 
 def _analysis_primes(table, ring, varr, factor) -> int:
     """How many evaluation primes make the lift of the analysis sums exact."""
-    l1 = _class_l1(varr)
+    l1 = _l1_norms(varr).max(axis=0, initial=0).tolist()  # per class j, max_b |varr[b, j]|_1
     if factor is not None:
-        l1 = [a * b * ring.l1 for a, b in zip(l1, _class_l1(factor))]
+        factor_l1 = _l1_norms(factor).max(axis=0, initial=0).tolist()
+        l1 = [a * b * ring.l1 for a, b in zip(l1, factor_l1)]
     return prime_count(ring.modulus, _analysis_bound(table, ring, l1))
 
 
@@ -801,7 +777,7 @@ def _analysis_sums(table, ring, varr, factor, i, one_point=False) -> np.ndarray:
     images = ring.evaluate(varr, i, one_point)
     if factor is not None:
         images = images[:, None] * ring.evaluate(factor, i, one_point)[None] % p
-    weights = (_point_weights if one_point else _analysis_tensor)(table, ring, i)
+    weights = _analysis_weights(table, ring, i, one_point)
     x = kernels.weighted_analysis(images.reshape((-1,) + images.shape[-2:]), weights, p)
     return x.reshape(images.shape[:-2] + x.shape[-2:])
 

@@ -103,15 +103,18 @@ def _encode(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
 
 
-def _write_json(text: str, path: str) -> None:
+def _write_json(parts, path: str) -> None:
+    """Write the encoded parts of one report in turn, then a newline."""
     try:
-        Path(path).write_text(text + "\n", encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as out:
+            out.writelines(parts)
+            out.write("\n")
     except OSError as exc:
         raise InputError(f"cannot write --json path {path}: {exc}") from exc
 
 
 def _dump_json(doc: dict, path: str) -> None:
-    _write_json(_encode(doc), path)
+    _write_json([_encode(doc)], path)
 
 
 # ---------------------------------------------------------------------------
@@ -119,14 +122,15 @@ def _dump_json(doc: dict, path: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _chartab_json(group, table, value_json: np.ndarray) -> str:
-    """The chartab report, spliced from encoded parts in sorted key order.
+def _chartab_json(group, table, value_json: np.ndarray):
+    """The chartab report as encoded parts in sorted key order: a head, one
+    part per irreducible and a tail, written in turn by `_write_json`.
 
-    `value_json[c, j]` is chi_c's value at class j, already encoded, so each
-    distinct value is encoded once rather than once per table cell. The bytes
-    equal `_encode` of the whole document: keys are spliced in the order
-    `sort_keys` gives (classes, group, irreducibles, modulus, schema; degree,
-    name, values), and every other part goes through `_encode`.
+    `value_json[d]` is `table.distinct[d]` encoded, so each distinct value is
+    encoded once rather than once per table cell. The joined parts equal
+    `_encode` of the whole document: keys are spliced in the order `sort_keys`
+    gives (classes, group, irreducibles, modulus, schema; degree, name,
+    values), and every other part goes through `_encode`.
     """
     classes = table.classes
     class_doc = [
@@ -137,18 +141,17 @@ def _chartab_json(group, table, value_json: np.ndarray) -> str:
         }
         for j, rep in enumerate(classes.representatives)
     ]
-    irreducibles = ",".join(
-        f'{{"degree":{_encode(degree)},"name":{_encode(name)},'
-        f'"values":[{",".join(row)}]}}'
-        for degree, name, row in zip(table.degrees, table.names, value_json)
-    )
-    return (
+    yield (
         f'{{"classes":{_encode(class_doc)},'
         f'"group":{_encode({"name": group.name, "order": group.order})},'
-        f'"irreducibles":[{irreducibles}],'
-        f'"modulus":{_encode(table.modulus)},'
-        f'"schema":{_encode(CHARTAB_SCHEMA)}}}'
+        f'"irreducibles":['
     )
+    for c, (degree, name, row) in enumerate(zip(table.degrees, table.names, table.which)):
+        yield (
+            f'{"," if c else ""}{{"degree":{_encode(degree)},"name":{_encode(name)},'
+            f'"values":[{",".join(value_json[row])}]}}'
+        )
+    yield f'],"modulus":{_encode(table.modulus)},"schema":{_encode(CHARTAB_SCHEMA)}}}'
 
 
 def _cmd_chartab(args) -> int:
@@ -179,7 +182,7 @@ def _cmd_chartab(args) -> int:
     print("\n".join(lines))
     if args.json:
         value_json = np.array([_encode(v.to_json()) for v in rendered], dtype=object)
-        _write_json(_chartab_json(group, table, value_json[which]), args.json)
+        _write_json(_chartab_json(group, table, value_json), args.json)
     return 0
 
 

@@ -262,7 +262,7 @@ def _lambda_tensor_permutation(ctx: LambdaContext) -> np.ndarray:
     """
     table = ctx.table_g
     nu = table.value_indices(-table.distinct)  # -distinct[d] = distinct[nu[d]], or -1
-    flip = table.values[ctx.lambda_index, :, 0] < 0
+    flip = table.distinct[table.which[ctx.lambda_index], 0] < 0
     return row_permutation(table, np.where(flip, nu[table.which], table.which))
 
 

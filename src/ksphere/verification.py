@@ -29,6 +29,7 @@ from .characters import (
     LambdaContext,
     _assemble_table,
     _embedded_values,
+    _index_form,
     _l1_norms,
     character_table,
     decompose_values,
@@ -175,7 +176,7 @@ def corrupt_table(table: CharacterTable, char_index: int, class_index: int, delt
     values = table.values.copy()
     values[char_index, class_index, 0] += delta
     return _assemble_table(
-        table.group, table.classes, table.degrees, values, table.modulus
+        table.group, table.classes, table.degrees, *_index_form(values), table.modulus
     )
 
 

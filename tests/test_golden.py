@@ -2,9 +2,10 @@
 
 Every item of `perfbench/workloads.json` (read only) is a CLI argv with the
 sha256 of the `--json` report it must produce. Running them all in-process
-makes the byte-identical contract part of the test suite, as does one
-larger report beyond that set. The text tables that `chartab` prints for
-the items of `chartab-many-classes` are pinned here too.
+makes the byte-identical contract part of the test suite, as do two
+larger reports beyond that set (`kgroup` of C8 x C64, `chartab` of C256).
+The text tables that `chartab` prints for the items of
+`chartab-many-classes` and for C256 are pinned here too.
 """
 
 import hashlib
@@ -80,4 +81,19 @@ def test_kgroup_report_of_the_large_abelian_kernel_matches_golden_digest(tmp_pat
     stdout = capsys.readouterr().out.encode()
     assert hashlib.sha256(stdout).hexdigest() == (
         "1924f2c608b1b165808edd18bbe90b2708b834b9e2e5631e6f9b405b8e992ad3"
+    )
+
+
+# C256 has the largest table the tests build (k = 256, phi = 128): its
+# 19 MB report is written one irreducible at a time.
+def test_chartab_of_c256_matches_golden_digests(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    argv = ["chartab", '{"family":"C","n":256}', "--json", str(path)]
+    assert cli.main(argv) == 0, capsys.readouterr().err
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "69fd80e509c0816eebdec7261244a7ec7fefa24ec77f372f5d53cf77bc353d02"
+    )
+    stdout = capsys.readouterr().out.encode()
+    assert hashlib.sha256(stdout).hexdigest() == (
+        "a071cd25ae5d9f9936fc7b9a942ff5eddcc46fe0226c9427eee489cf98eb9e0d"
     )

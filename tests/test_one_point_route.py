@@ -16,6 +16,7 @@ import pytest
 from ksphere import characters
 from ksphere.characters import (
     _analysis_primes,
+    _analysis_weights,
     _certificate_primes,
     _decompose_at_all_points,
     _embedded_values,
@@ -51,6 +52,22 @@ def routes(monkeypatch):
 
     monkeypatch.setattr(characters, "_orthogonality_failures", spy)
     return log
+
+
+def test_one_point_weights_are_the_first_point_of_the_all_points_weights():
+    """conj(chi_c) at z read as chi_pi_-1(c) at z equals z's column of the
+    conjugated images, on every certified builtin table with phi > 2."""
+    checked = 0
+    for group in SMALL:
+        table = character_table(group)
+        if table.ring.phi <= 2:
+            continue
+        one = _analysis_weights(table, table.ring, 0, True)
+        every = _analysis_weights(table, table.ring, 0, False)
+        assert one.shape == (table.count, table.count, 1)
+        assert np.array_equal(one[..., 0], every[..., 0]), group.name
+        checked += 1
+    assert checked > 20
 
 
 def _fails_at_one_point(table):

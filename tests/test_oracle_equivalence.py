@@ -14,7 +14,13 @@ import pytest
 
 from conftest import dense_mul, group_with_lambda
 from ksphere import characters, cyclotomic, kernels, verification
-from ksphere.characters import _assemble_table, _embedded_values, character_table, lambda_context
+from ksphere.characters import (
+    _assemble_table,
+    _embedded_values,
+    _index_form,
+    character_table,
+    lambda_context,
+)
 from ksphere.cyclotomic import ORACLE_PRIME_START, eval_prime
 from ksphere.groups import GroupSpec, build_group, builtin_specs_upto, enumerate_sign_homs
 from ksphere.verification import (
@@ -182,9 +188,12 @@ def test_check_table_equals_dense_route_on_builtins_and_corruptions():
 def test_check_table_reports_short_and_long_tables():
     group = build_group(GroupSpec.symmetric(3))
     t = character_table(group)
-    short = _assemble_table(group, t.classes, t.degrees[:2], t.values[:2], t.modulus)
+    short = _assemble_table(group, t.classes, t.degrees[:2], *_index_form(t.values[:2]), t.modulus)
     long = _assemble_table(
-        group, t.classes, t.degrees + t.degrees[:1], np.concatenate([t.values, t.values[:1]]),
+        group,
+        t.classes,
+        t.degrees + t.degrees[:1],
+        *_index_form(np.concatenate([t.values, t.values[:1]])),
         t.modulus,
     )
     for table, rows in ((short, 2), (long, 4)):

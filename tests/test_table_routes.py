@@ -18,7 +18,7 @@ import pytest
 from ksphere import characters, cli, dixon
 from ksphere.characters import (
     _abelian_table_data,
-    _analysis_tensor,
+    _analysis_weights,
     _canonical_order,
     _index_form,
     _table_data,
@@ -37,6 +37,7 @@ from ksphere.groups import (
     kernel_embedding,
     parse_group_document,
 )
+from ksphere.ktheory import k_group_s_lambda
 from ksphere.verification import corrupt_table, run_verification
 
 from conftest import galois_permutation_oracle
@@ -205,6 +206,29 @@ def test_index_form_gives_the_values_on_every_route():
     assert {table.group.name for table in _index_form_tables()} >= {"C256", "S6", "Q8xS4"}
 
 
+def test_certificate_and_s_lambda_never_gather_the_dense_values(fresh_caches, certified):
+    """A table stores only its index form: certifying C2 x C48 at one point
+    and building every s-lambda presentation on it read no dense values."""
+    group = build_group(GroupSpec.direct_product(GroupSpec.cyclic(2), GroupSpec.cyclic(48)))
+    table = character_table(group)
+    assert certified == ["C2xC48"] and table.ring.phi > 2
+    assert characters._galois_closed(table)  # so the certificate took the one-point route
+    tables = [table]
+    for lam in enumerate_sign_homs(group):
+        tables.append(k_group_s_lambda(group, lam).ctx.table_h)
+    assert len(tables) == 4
+    assert all("values" not in vars(t) for t in tables)
+
+
+def test_dense_values_are_gathered_once_and_read_only():
+    table = character_table(build_group(GroupSpec.symmetric(4)))
+    values = table.values
+    assert table.values is values and np.array_equal(values, table.distinct[table.which])
+    assert not values.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        values[0, 0, 0] = 2
+
+
 def test_galois_permutations_from_integer_rows_equal_the_power_basis_oracle():
     """Every unit t, except on C256, whose 67 MB values take the oracle 0.2 s a
     unit: there the units below 32 (among them the generators 3 and 5) and -1."""
@@ -332,6 +356,6 @@ def test_a_corrupted_copy_computes_its_own_analysis_weights():
     for key in tensors:
         assert not np.array_equal(bad._weights[key], weights[key])
         # The copy's weights are those of its own values, computed afresh.
-        assert np.array_equal(_analysis_tensor(fresh, fresh.ring, key[1]), bad._weights[key])
+        assert np.array_equal(_analysis_weights(fresh, fresh.ring, *key[1:]), bad._weights[key])
     # The source table's weights are untouched.
     assert all(table._weights[key] is weights[key] for key in weights)
