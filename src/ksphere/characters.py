@@ -28,9 +28,11 @@ abelian route has it already (`red` and the exponent table), a product
 multiplies each pair of distinct factor values once, and Dixon's values
 take one np.unique. A table has few distinct values (m on an abelian table
 of exponent m, against k**2 entries), so the index form is all a table
-stores: whatever acts on each value alone is done on `distinct`, rows are
-compared as integer rows of `which`, and the dense values are gathered only
-for a consumer that reads them.
+stores: whatever acts on each value alone is done on `distinct` (evaluated,
+embedded or bounded once per value, then gathered by `which`), and rows are
+compared as integer rows of `which`. No dense copy of a table is kept: a
+consumer gathers only the rows and classes it reads, and a whole-table
+gather lives as long as the decomposition or oracle that reads it.
 
 Class-function values live in one cyclotomic ring per group (modulus =
 group exponent); subgroup values embed into the ambient modulus when the
@@ -152,10 +154,10 @@ class CharacterTable:
 
     The table is held in index form alone: its values are few, so each is
     kept once, as a row of `distinct` [D, phi] (pairwise distinct rows), and
-    `which[c, j]` [k, k] names the row of chi_c at class j. Every permutation
-    of Irr is a lookup of integer rows of `which` (`row_permutation`). The
-    dense `values` [k, k, phi], the coefficients of chi_c at class j in the
-    ring of `modulus`, are gathered on first read.
+    `which[c, j]` [k, k] names the row of chi_c at class j, so the
+    coefficients of chi_c at class j in the ring of `modulus` are
+    distinct[which[c, j]]. Every permutation of Irr is a lookup of integer
+    rows of `which` (`row_permutation`).
     """
 
     group: GroupTable
@@ -166,11 +168,10 @@ class CharacterTable:
     which: np.ndarray
     names: tuple[str, ...]
     trivial_index: int
-    # Derived arrays: another modulus -> values in that ring; modulus -> weights
-    # of the coefficient bound, (modulus, prime index, one_point) -> evaluation
-    # weights at every point or at z alone; unit t mod modulus -> pi with
-    # sigma_t chi_c = chi_pi(c), or None when sigma_t does not permute Irr.
-    _embedded: dict = field(default_factory=dict, init=False, repr=False)
+    # Derived arrays: modulus -> weights of the coefficient bound, (modulus,
+    # prime index, one_point) -> evaluation weights at every point or at z
+    # alone; unit t mod modulus -> pi with sigma_t chi_c = chi_pi(c), or None
+    # when sigma_t does not permute Irr.
     _weights: dict = field(default_factory=dict, init=False, repr=False)
     _galois: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -183,18 +184,11 @@ class CharacterTable:
         return len(self.degrees)
 
     @cached_property
-    def values(self) -> np.ndarray:
-        """distinct[which], read-only."""
-        values = self.distinct[self.which]
-        values.setflags(write=False)
-        return values
-
-    @cached_property
     def irreducibles(self) -> tuple[ClassFunction, ...]:
-        m = self.modulus
+        made = [Cyclotomic.make(self.modulus, v) for v in self.distinct]
         return tuple(
-            ClassFunction(self.group, self.classes, tuple(Cyclotomic.make(m, v) for v in row))
-            for row in self.values
+            ClassFunction(self.group, self.classes, tuple(made[d] for d in row))
+            for row in self.which.tolist()
         )
 
     @cached_property
@@ -604,19 +598,17 @@ def _galois_permutation(table: CharacterTable, t: int) -> np.ndarray | None:
 
 
 def values_of_coeffs(table: CharacterTable, coeffs: np.ndarray) -> np.ndarray:
-    """Class-function value arrays [B, k, phi] of virtual characters [B, k]."""
+    """Class-function value arrays [B, k, phi] of virtual characters [B, k],
+    gathered from the rows of Irr with a nonzero coefficient only."""
     coeffs = np.asarray(coeffs, dtype=np.int64)
-    return np.einsum("bc,cjp->bjp", coeffs, table.values)
+    rows = np.flatnonzero(coeffs.any(axis=0))
+    return np.einsum("bc,cjp->bjp", coeffs[:, rows], table.distinct[table.which[rows]])
 
 
 def _embedded_values(table: CharacterTable, ring: CyclotomicRing) -> np.ndarray:
     """The table's values [k, k, phi] in `ring`: its D distinct values
     embedded once and gathered by `which`."""
-    if ring.modulus == table.modulus:
-        return table.values
-    if ring.modulus not in table._embedded:
-        table._embedded[ring.modulus] = _embed(table.distinct, table.modulus, ring)[table.which]
-    return table._embedded[ring.modulus]
+    return _embed(table.distinct, table.modulus, ring)[table.which]
 
 
 def _l1_norms(varr: np.ndarray) -> np.ndarray:
@@ -850,9 +842,7 @@ def induce(chi: VirtualCharacter, emb: SubgroupEmbedding) -> VirtualCharacter:
     table_h = character_table(emb.subgroup)
     if chi.table is not table_h:
         raise CharacterTheoryError("character does not live on the subgroup")
-    hvals = np.einsum(
-        "bc,cjp->bjp", np.asarray([chi.coeffs], dtype=np.int64), _embedded_values(table_h, table_g.ring)
-    )
+    hvals = _embed(values_of_coeffs(table_h, [chi.coeffs]), table_h.modulus, table_g.ring)
     gvals = induced_values(emb, hvals)
     coeffs = decompose_values(table_g, gvals, table_g.ring)[0]
     return VirtualCharacter(table_g, tuple(int(c) for c in coeffs))
@@ -958,8 +948,9 @@ class LambdaContext:
     @cached_property
     def restriction(self) -> np.ndarray:
         """R[a, i] = multiplicity of chi_i in res(phi_a), decomposed on first read."""
-        res_vals = restrict_values(self.emb, self.table_g.values)
-        r = decompose_values(self.table_h, res_vals, self.table_g.ring)
+        table_g = self.table_g
+        res_vals = table_g.distinct[table_g.which[:, self.emb.class_map]]  # [k_G, k_H, phi]
+        r = decompose_values(self.table_h, res_vals, table_g.ring)
         r.setflags(write=False)
         return r
 

@@ -25,10 +25,9 @@ from .characters import (
     involution_orbits,
     lambda_context,
     restrict,
-    restrict_values,
     row_permutation,
     tensor_product,
-    _embedded_values,
+    _embed,
 )
 from .groups import GroupTable, SignHomomorphism
 
@@ -199,8 +198,11 @@ def k_group_s1_lambda(group: GroupTable, lam: SignHomomorphism) -> KGroupPresent
     )
     if rank:
         ring_g = table_g.ring
-        basis_vals = np.einsum("ec,cjp->ejp", coeff_mat, _embedded_values(table_h, ring_g))
-        res_all = restrict_values(ctx.emb, table_g.values)
+        # basis_e = chi_rep - chi_partner, gathered from the embedded distinct values.
+        distinct_h = _embed(table_h.distinct, table_h.modulus, ring_g)
+        reps, partners = np.asarray(pairs, dtype=np.intp).T
+        basis_vals = distinct_h[table_h.which[reps]] - distinct_h[table_h.which[partners]]
+        res_all = table_g.distinct[table_g.which[:, ctx.emb.class_map]]  # [k_G, k_H, phi]
         # t[a, e] = coordinates of res(phi_a) * basis_e over Irr(H).
         t = decompose_values(table_h, res_all, ring_g, factor=basis_vals)
         mats = tuple(np.ascontiguousarray(m.T) for m in _antiinvariant_coords(ctx, t))

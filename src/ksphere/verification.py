@@ -28,13 +28,12 @@ from .characters import (
     CharacterTable,
     LambdaContext,
     _assemble_table,
-    _embedded_values,
+    _embed,
     _index_form,
     _l1_norms,
     character_table,
     decompose_values,
     lambda_context,
-    values_of_coeffs,
 )
 from .cyclotomic import ORACLE_PRIME_START, eval_prime, prime_count
 from .groups import (
@@ -78,9 +77,9 @@ def reports_to_jsonable(reports) -> dict:
     return {"schema": SCHEMA, "checks": [r.to_jsonable() for r in ordered]}
 
 
-def _elem_values(class_vals: np.ndarray, class_of: np.ndarray) -> np.ndarray:
-    """Expand class-function values [..., k, phi] to per-element values."""
-    return np.ascontiguousarray(class_vals[..., class_of, :])
+def _h_distinct(ctx: LambdaContext) -> np.ndarray:
+    """The distinct values of Irr(H) [D_H, phi], embedded in the ambient ring."""
+    return _embed(ctx.table_h.distinct, ctx.table_h.modulus, ctx.table_g.ring)
 
 
 def _l1(values: np.ndarray) -> int:
@@ -134,20 +133,23 @@ def check_table(group: GroupTable, table: CharacterTable | None = None) -> list[
     # Columns, on class representatives: sum_c chi_c(i) conj(chi_c(j)) =
     # (n / |C_i|) delta_ij. Both are compared as images at oracle-only primes;
     # a bound on the coefficients of each side's difference fixes their number.
-    peak_l1 = ring.peak * ring.l1 * _l1(table.values) ** 2
+    # Every value of the table is a row of `distinct`, so that is what is bounded
+    # and evaluated; the images are gathered by `which`.
+    peak_l1 = ring.peak * ring.l1 * _l1(table.distinct) ** 2
     row_bound = n * peak_l1 + n
     col_bound = r * peak_l1 + n
     row_expected = n * np.eye(r, dtype=np.int64)
     col_expected = np.diag(n // np.asarray(table.classes.class_sizes, dtype=np.int64))
     row_bad = np.zeros((r, r), dtype=bool)
     col_bad = np.zeros((k, k), dtype=bool)
+    elem_which = table.which[:, table.classes.class_of]  # [r, n]
     for i in _oracle_primes(ring.modulus, max(row_bound, col_bound)):
         p, _, neg = eval_prime(ring.modulus, i)
-        images = ring.evaluate(table.values, i)  # [r, k, e]
-        elem = _elem_values(images, table.classes.class_of)  # [r, n, e]
+        images = ring.evaluate(table.distinct, i)  # [D, e]
+        elem = images[elem_which]  # [r, n, e]
         gram = kernels.weighted_analysis(elem, elem[..., neg], p)
         row_bad |= np.any(gram != row_expected[..., None] % p, axis=-1)
-        cols = images.transpose(1, 0, 2)
+        cols = images[table.which.T]  # [k, r, e]
         col = kernels.weighted_analysis(cols, cols[..., neg], p)
         col_bad |= np.any(col != col_expected[..., None] % p, axis=-1)
     if not row_bad.any():
@@ -173,7 +175,7 @@ def check_table(group: GroupTable, table: CharacterTable | None = None) -> list[
 
 def corrupt_table(table: CharacterTable, char_index: int, class_index: int, delta: int = 1):
     """A copy of the table with one value perturbed (negative-control input)."""
-    values = table.values.copy()
+    values = table.distinct[table.which]
     values[char_index, class_index, 0] += delta
     return _assemble_table(
         table.group, table.classes, table.degrees, *_index_form(values), table.modulus
@@ -267,13 +269,13 @@ def _element_induction(ctx: LambdaContext, check: str):
 
 def _h_element_values(ctx: LambdaContext) -> np.ndarray:
     """Per-H-element values [k_H, |H|, phi] of Irr(H), in the ambient ring."""
-    vals = _embedded_values(ctx.table_h, ctx.table_g.ring)
-    return _elem_values(vals, ctx.table_h.classes.class_of)
+    return _h_distinct(ctx)[ctx.table_h.which[:, ctx.table_h.classes.class_of]]
 
 
 def _g_element_values(ctx: LambdaContext) -> np.ndarray:
     """Per-element values [k_G, n, phi] of Irr(G)."""
-    return _elem_values(ctx.table_g.values, ctx.table_g.classes.class_of)
+    table = ctx.table_g
+    return table.distinct[table.which[:, table.classes.class_of]]
 
 
 def _twisted_positions(ctx: LambdaContext, b) -> np.ndarray:
@@ -332,18 +334,19 @@ def check_projection_formula(group: GroupTable, lam: SignHomomorphism) -> list[C
     transfer, chi_helem, ind_elem = induced
     rows = transfer.rows
     ind_rows = ind_elem[:, rows]  # both sides vanish on the other rows
-    phi_vals = ctx.table_g.values  # per class
-    chi_vals = _embedded_values(ctx.table_h, ring)  # per class
-    bound = ring.peak * _l1(phi_vals) * (
-        h_order * _l1(ind_rows) + transfer.reach * _l1(chi_vals)
+    table_g, table_h = ctx.table_g, ctx.table_h
+    chi_distinct = _h_distinct(ctx)
+    bound = ring.peak * _l1(table_g.distinct) * (
+        h_order * _l1(ind_rows) + transfer.reach * _l1(chi_distinct)
     )
-    g_class_of = ctx.table_g.classes.class_of
+    g_class_of = table_g.classes.class_of
     res_classes = g_class_of[ctx.emb.inclusion]
-    bad = np.zeros((ctx.table_g.count, ctx.table_h.count), dtype=bool)
+    chi_elem = table_h.which[:, table_h.classes.class_of]  # [k_h, |H|]
+    bad = np.zeros((table_g.count, table_h.count), dtype=bool)
     for i in _oracle_primes(ring.modulus, bound):
         p = eval_prime(ring.modulus, i)[0]
-        phi_img = ring.evaluate(phi_vals, i)
-        chi_img = _elem_values(ring.evaluate(chi_vals, i), ctx.table_h.classes.class_of)
+        phi_img = ring.evaluate(table_g.distinct, i)[table_g.which]
+        chi_img = ring.evaluate(chi_distinct, i)[chi_elem]
         product = phi_img[:, None, res_classes] * chi_img[None]  # [k_g, k_h, |H|, e]
         numer = transfer.sums(product, (p - 1) ** 2)
         ind_img = ring.evaluate(ind_rows, i) * h_order % p
@@ -411,16 +414,19 @@ def check_orbit_multiplicities(group: GroupTable, lam: SignHomomorphism) -> list
     element-twisted chi_b, as images at oracle-only primes.
     """
     ctx = lambda_context(group, lam)
-    ring = ctx.table_g.ring
-    phi_vals = ctx.table_g.values
-    chi_vals = _embedded_values(ctx.table_h, ring)
-    res_classes = ctx.table_g.classes.class_of[ctx.emb.inclusion]
-    bound = 2 * ctx.emb.subgroup.order * ring.peak * _l1(phi_vals) * ring.l1 * _l1(chi_vals)
-    bad = np.zeros((ctx.table_g.count, ctx.table_h.count), dtype=bool)
+    table_g, table_h = ctx.table_g, ctx.table_h
+    ring = table_g.ring
+    chi_distinct = _h_distinct(ctx)
+    res_phi_which = table_g.which[:, table_g.classes.class_of[ctx.emb.inclusion]]  # [k_g, |H|]
+    chi_elem = table_h.which[:, table_h.classes.class_of]  # [k_h, |H|]
+    bound = (
+        2 * ctx.emb.subgroup.order * ring.peak * _l1(table_g.distinct) * ring.l1 * _l1(chi_distinct)
+    )
+    bad = np.zeros((table_g.count, table_h.count), dtype=bool)
     for i in _oracle_primes(ring.modulus, bound):
         p, _, neg = eval_prime(ring.modulus, i)
-        res_phi = ring.evaluate(phi_vals, i)[:, res_classes]
-        chi_conj = _elem_values(ring.evaluate(chi_vals, i), ctx.table_h.classes.class_of)[..., neg]
+        res_phi = ring.evaluate(table_g.distinct, i)[res_phi_which]
+        chi_conj = ring.evaluate(chi_distinct, i)[:, neg][chi_elem]
         twisted = _brute_twisted_h_values(ctx, chi_conj, ctx.b)
         lhs = kernels.weighted_analysis(res_phi, chi_conj, p)
         rhs = kernels.weighted_analysis(res_phi, twisted, p)
@@ -491,9 +497,6 @@ def check_ideal_lattice(group: GroupTable, lam: SignHomomorphism) -> list[CheckR
     ctx = lambda_context(group, lam)
     table = ctx.table_g
     ideal = k_group_s_lambda(group, lam)
-    one_minus = np.zeros((1, table.count), dtype=np.int64)
-    one_minus[0, table.trivial_index] = 1
-    one_minus[0, ctx.lambda_index] -= 1
     if ctx.lambda_index == table.trivial_index:
         return [
             CheckReport(
@@ -501,9 +504,10 @@ def check_ideal_lattice(group: GroupTable, lam: SignHomomorphism) -> list[CheckR
                 "sign character equals the trivial character",
             )
         ]
-    # Row c decomposes (1 - lambda) * chi_c.
-    one_minus_vals = values_of_coeffs(table, one_minus)
-    gen_rows = decompose_values(table, table.values, factor=one_minus_vals)[:, 0]
+    # Row c decomposes (1 - lambda) * chi_c; 1 - lambda is the integer 0 or 2
+    # on each class.
+    one_minus = 1 - ctx.lam.values[list(table.classes.representatives)].astype(np.int64)
+    gen_rows = decompose_values(table, table.distinct[table.which] * one_minus[None, :, None])
     oracle = lattice.hermite_normal_form(gen_rows.tolist())
     emitted = lattice.hermite_normal_form([b.coeffs for b in ideal.basis])
     if oracle == emitted and len(oracle) == ideal.rank:

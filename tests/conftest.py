@@ -18,6 +18,11 @@ def dense_mul(ring):
     return ring.red[(p[:, None] + p[None, :]) % ring.modulus]
 
 
+def dense_values(table):
+    """The table's values [k, k, phi], chi_c at class j: distinct[which]."""
+    return table.distinct[table.which]
+
+
 def same_span(rows_a, rows_b) -> bool:
     """Whether two integer row sets span the same lattice: equal canonical HNFs."""
     return hermite_normal_form(rows_a) == hermite_normal_form(rows_b)
@@ -50,8 +55,9 @@ def galois_permutation_oracle(table, t):
     """pi with sigma_t chi_c = chi_pi(c), or None when some image is not a row:
     sigma_t of the whole power-basis values array, then a lookup of each image
     row by its bytes."""
-    where = {row.tobytes(): c for c, row in enumerate(table.values)}
-    found = [where.get(row.tobytes()) for row in table.ring.galois(table.values, t)]
+    values = dense_values(table)
+    where = {row.tobytes(): c for c, row in enumerate(values)}
+    found = [where.get(row.tobytes()) for row in table.ring.galois(values, t)]
     return None if None in found else found
 
 
@@ -81,7 +87,7 @@ def chartab_reference_doc(group, table) -> dict:
                 "degree": table.degrees[c],
                 "values": [Cyclotomic.make(m, v).to_json() for v in row],
             }
-            for c, row in enumerate(table.values)
+            for c, row in enumerate(dense_values(table))
         ],
     }
 

@@ -13,6 +13,7 @@ import weakref
 import numpy as np
 import pytest
 
+from conftest import dense_values
 from ksphere import characters
 from ksphere.characters import (
     _analysis_primes,
@@ -133,7 +134,7 @@ def test_an_irrational_corruption_breaks_closure_and_falls_back(spec, where, mes
     table = character_table(build_group(spec))
     assert table_invariant_failures(table) == []
     bad = corrupt_table(table, *where)
-    assert bad.values[where][1:].any()  # the corrupted value is irrational
+    assert dense_values(bad)[where][1:].any()  # the corrupted value is irrational
     assert not _galois_closed(bad)
     del routes[:]
     assert table_invariant_failures(bad) == messages
@@ -145,15 +146,18 @@ def _closed_batches(group, lam):
     batches of (group, lam), as (table, ring, values, factor)."""
     ctx = lambda_context(group, lam)
     table_g, table_h, ring = ctx.table_g, ctx.table_h, ctx.table_g.ring
-    res_all = restrict_values(ctx.emb, table_g.values)
+    res_all = restrict_values(ctx.emb, dense_values(table_g))
     h_in_g = _embedded_values(table_h, ring)
-    one_minus = np.zeros((1, table_g.count), dtype=np.int64)
-    one_minus[0, table_g.trivial_index] = 1
-    one_minus[0, ctx.lambda_index] -= 1
+    one_minus = 1 - lam.values[list(table_g.classes.representatives)].astype(np.int64)
+    coeffs = np.zeros((1, table_g.count), dtype=np.int64)
+    coeffs[0, table_g.trivial_index] = 1
+    coeffs[0, ctx.lambda_index] -= 1
     batches = [
         (table_h, ring, res_all, None),
         (table_g, ring, induced_values(ctx.emb, h_in_g), None),
-        (table_g, ring, table_g.values, values_of_coeffs(table_g, one_minus)),
+        (table_g, ring, dense_values(table_g) * one_minus[None, :, None], None),
+        # The same generators as products with the factor 1 - lambda.
+        (table_g, ring, dense_values(table_g), values_of_coeffs(table_g, coeffs)),
     ]
     pairs = ctx.orbits.pairs
     if pairs:
@@ -181,7 +185,7 @@ def test_one_point_decompositions_equal_the_all_points_helper():
 
 def test_a_batch_not_closed_up_to_sign_takes_every_point():
     table = character_table(build_group(GroupSpec.cyclic(5)))
-    varr = table.values[1:2]  # chi_1 alone: sigma_2 chi_1 = chi_2 is not in the batch
+    varr = dense_values(table)[1:2]  # chi_1 alone: sigma_2 chi_1 = chi_2 is not in the batch
     primes = _analysis_primes(table, table.ring, varr, None)
     assert _one_point_residues(table, table.ring, varr, None, primes) is None
     got = characters.decompose_values(table, varr)

@@ -12,7 +12,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import dense_mul, group_with_lambda
+from conftest import dense_mul, dense_values, group_with_lambda
 from ksphere import characters, cyclotomic, kernels, verification
 from ksphere.characters import (
     _assemble_table,
@@ -43,11 +43,12 @@ def _elem(vals, class_of):
 
 def dense_table_grams(table):
     ring = table.ring
-    elem = _elem(table.values, table.classes.class_of)
+    values = dense_values(table)
+    elem = _elem(values, table.classes.class_of)
     gram = kernels.pair_gram(elem, kernels.mul_into(elem @ ring.conj, dense_mul(ring)))
     col = kernels.pair_gram(
-        table.values.transpose(1, 0, 2),
-        kernels.mul_into(table.values @ ring.conj, dense_mul(ring)).transpose(1, 0, 2, 3),
+        values.transpose(1, 0, 2),
+        kernels.mul_into(values @ ring.conj, dense_mul(ring)).transpose(1, 0, 2, 3),
     )
     return gram, col
 
@@ -96,7 +97,7 @@ def dense_projection_terms(ctx):
     """(EW, phi per element, ind(chi) per element or None, res(phi) chi per H-element)."""
     ring = ctx.table_g.ring
     ew = verification._element_induction_matrix(ctx)
-    phi_elem = _elem(ctx.table_g.values, ctx.table_g.classes.class_of)
+    phi_elem = _elem(dense_values(ctx.table_g), ctx.table_g.classes.class_of)
     chi_helem = _elem(_embedded_values(ctx.table_h, ring), ctx.table_h.classes.class_of)
     inner = kernels.pair_products(
         phi_elem[:, ctx.emb.inclusion], kernels.mul_into(chi_helem, dense_mul(ring))
@@ -121,7 +122,7 @@ def dense_projection(ctx):
 
 def dense_orbit_sides(ctx):
     ring = ctx.table_g.ring
-    phi_elem = _elem(ctx.table_g.values, ctx.table_g.classes.class_of)
+    phi_elem = _elem(dense_values(ctx.table_g), ctx.table_g.classes.class_of)
     chi_helem = _elem(_embedded_values(ctx.table_h, ring), ctx.table_h.classes.class_of)
     res_phi = phi_elem[:, ctx.emb.inclusion]
     twisted = verification._brute_twisted_h_values(ctx, chi_helem, ctx.b)
@@ -188,12 +189,13 @@ def test_check_table_equals_dense_route_on_builtins_and_corruptions():
 def test_check_table_reports_short_and_long_tables():
     group = build_group(GroupSpec.symmetric(3))
     t = character_table(group)
-    short = _assemble_table(group, t.classes, t.degrees[:2], *_index_form(t.values[:2]), t.modulus)
+    values = dense_values(t)
+    short = _assemble_table(group, t.classes, t.degrees[:2], *_index_form(values[:2]), t.modulus)
     long = _assemble_table(
         group,
         t.classes,
         t.degrees + t.degrees[:1],
-        *_index_form(np.concatenate([t.values, t.values[:1]])),
+        *_index_form(np.concatenate([values, values[:1]])),
         t.modulus,
     )
     for table, rows in ((short, 2), (long, 4)):

@@ -40,7 +40,7 @@ from ksphere.groups import (
 from ksphere.ktheory import k_group_s_lambda
 from ksphere.verification import corrupt_table, run_verification
 
-from conftest import galois_permutation_oracle
+from conftest import dense_values, galois_permutation_oracle
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.json"
 
@@ -191,14 +191,18 @@ def test_index_form_gives_the_values_on_every_route():
     routes = set()
     for table in _index_form_tables():
         group, distinct, which = table.group, table.distinct, table.which
-        assert np.array_equal(table.values, distinct[which]), group.name
         assert np.unique(row_keys(distinct)).size == len(distinct), group.name
         assert which.shape == (table.count, table.count)
+        # Every distinct value is a value of the table, so a bound taken over
+        # `distinct` is the bound over the table's values.
+        assert np.array_equal(np.unique(which), np.arange(len(distinct))), group.name
         # The raw data of each route is already in index form.
         degrees, raw_distinct, raw_which, modulus = _table_data(group, group.classes)
         assert (modulus, raw_distinct.shape[1]) == (table.modulus, table.ring.phi)
         assert np.unique(row_keys(raw_distinct)).size == len(raw_distinct), group.name
-        assert _sorted_bytes(degrees, raw_distinct, raw_which, modulus)[1] == table.values.tobytes()
+        assert np.array_equal(np.unique(raw_which), np.arange(len(raw_distinct))), group.name
+        sorted_values = _sorted_bytes(degrees, raw_distinct, raw_which, modulus)[1]
+        assert sorted_values == dense_values(table).tobytes()
         routes.add(
             "abelian" if table.count == group.order else "product" if group.factors else "dixon"
         )
@@ -217,16 +221,8 @@ def test_certificate_and_s_lambda_never_gather_the_dense_values(fresh_caches, ce
     for lam in enumerate_sign_homs(group):
         tables.append(k_group_s_lambda(group, lam).ctx.table_h)
     assert len(tables) == 4
-    assert all("values" not in vars(t) for t in tables)
-
-
-def test_dense_values_are_gathered_once_and_read_only():
-    table = character_table(build_group(GroupSpec.symmetric(4)))
-    values = table.values
-    assert table.values is values and np.array_equal(values, table.distinct[table.which])
-    assert not values.flags.writeable
-    with pytest.raises(ValueError, match="read-only"):
-        values[0, 0, 0] = 2
+    # No dense copy of the values exists to be gathered into.
+    assert not any(hasattr(t, name) for t in tables for name in ("values", "_embedded"))
 
 
 def test_galois_permutations_from_integer_rows_equal_the_power_basis_oracle():
@@ -347,7 +343,7 @@ def test_a_corrupted_copy_computes_its_own_analysis_weights():
     assert table_invariant_failures(table) == []
     weights = dict(table._weights)
     bad = corrupt_table(table, 1, 1)
-    assert bad._weights == {} and bad._embedded == {}
+    assert bad._weights == {}
     assert any("row orthogonality fails" in f for f in table_invariant_failures(bad))
     assert bad._weights.keys() == weights.keys()
     tensors = [key for key in weights if isinstance(key, tuple)]
