@@ -8,7 +8,7 @@ orderings, which downstream code relies on for reproducible bases.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from math import factorial
 
@@ -142,6 +142,8 @@ class GroupTable:
     generators: tuple[int, ...] = ()
     name: str = "G"
     factors: tuple["GroupTable", ...] = ()
+    # The character table, set by `characters.character_table`.
+    table: "CharacterTable | None" = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.product = np.ascontiguousarray(self.product, dtype=np.int64)
@@ -208,6 +210,8 @@ class SignHomomorphism:
 
     values: np.ndarray
     label: str
+    # The lambda context, set by `characters.lambda_context`.
+    context: "LambdaContext | None" = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.values = np.ascontiguousarray(self.values, dtype=np.int8)
@@ -695,12 +699,14 @@ def build_sign_hom(table: GroupTable, spec: GroupSpec, lam: LambdaSpec) -> SignH
 
 def _subgroup_closure(table: GroupTable, seed: np.ndarray) -> np.ndarray:
     """The subgroup generated by the identity and seed, ascending."""
-    members = np.union1d([table.identity], seed)
+    mask = np.zeros(table.order, dtype=bool)
+    mask[table.identity] = True
+    mask[seed] = True
     while True:
-        grown = np.union1d(members, table.product[np.ix_(members, members)])
-        if grown.size == members.size:
+        members = np.flatnonzero(mask)
+        mask[table.product[np.ix_(members, members)]] = True
+        if np.count_nonzero(mask) == members.size:
             return members
-        members = grown
 
 
 def enumerate_sign_homs(table: GroupTable) -> list[SignHomomorphism]:

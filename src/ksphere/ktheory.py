@@ -178,7 +178,7 @@ def _check_class_count_rank(ctx: LambdaContext, sphere: str, rank: int) -> None:
     By Clifford theory for index 2 (Isaacs 1976, ch. 6) the 2 c_H - k_G fixed
     characters of G match the swapped pairs of the twist on Irr(H).
     """
-    k_g, c_h = ctx.table_g.count, np.unique(ctx.emb.class_map).size
+    k_g, c_h = ctx.table_g.count, np.count_nonzero(np.bincount(ctx.emb.class_map))
     expected = k_g - c_h if sphere == S_LAMBDA else 2 * c_h - k_g
     if rank != expected:
         raise CharacterTheoryError(f"{sphere} rank {rank}, but the class counts give {expected}")

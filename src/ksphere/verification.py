@@ -215,7 +215,7 @@ class _Transfer(NamedTuple):
     def of(ew: np.ndarray) -> "_Transfer":
         counts = np.count_nonzero(ew, axis=1)
         blocks = []
-        for length in np.unique(counts[counts > 0]):
+        for length in np.flatnonzero(np.bincount(counts)[1:]) + 1:
             rows = np.flatnonzero(counts == length)
             cols = np.nonzero(ew[rows])[1].reshape(rows.size, length)
             blocks.append((rows, cols, np.take_along_axis(ew[rows], cols, axis=1)))

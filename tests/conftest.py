@@ -104,17 +104,17 @@ def group_with_lambda(spec: GroupSpec, convention: str):
 KSPHERE_ROOT = str(Path(ksphere.__file__).resolve().parents[1])
 
 
-def run_cli(args, env=None):
-    """Run ``python -m ksphere.cli`` in a fresh process; ``env`` sets variables
-    on top of this process's environment."""
+def run_python(args, env=None):
+    """Run ``python *args`` in a fresh process that imports this ksphere;
+    ``env`` sets variables on top of this process's environment."""
     child_env = dict(os.environ)
     child_env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [KSPHERE_ROOT, child_env.get("PYTHONPATH")])
     )
     child_env.update(env or {})
-    return subprocess.run(
-        [sys.executable, "-m", "ksphere.cli", *args],
-        capture_output=True,
-        text=True,
-        env=child_env,
-    )
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=child_env)
+
+
+def run_cli(args, env=None):
+    """Run ``python -m ksphere.cli`` in a fresh process."""
+    return run_python(["-m", "ksphere.cli", *args], env)

@@ -7,7 +7,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from conftest import chartab_reference_doc, dense_values, run_cli
+from conftest import chartab_reference_doc, dense_values, run_cli, run_python
 from ksphere import cli
 from ksphere.characters import character_table
 from ksphere.cyclotomic import Cyclotomic
@@ -293,3 +293,23 @@ def test_the_parser_is_built_once_on_first_use(monkeypatch, capsys):
         cli._parser.cache_clear()
     assert built == [1]
     assert "group C4" in capsys.readouterr().out
+
+
+def test_the_cli_paths_do_not_import_numpy_ma():
+    """numpy.ma costs about 12 ms of import, pulled in by a bare np.unique or
+    np.union1d; no subcommand needs it."""
+    script = f"""
+import sys
+from ksphere import cli
+for argv in (
+    ["chartab", {D4_SPEC!r}],
+    ["kgroup", {D4_SPEC!r}, "--sphere", "s1-lambda"],
+    ["kgroup", {D4_SPEC!r}, "--sphere", "s-lambda"],
+    ["verify", {S3_SPEC!r}],
+):
+    assert cli.main(argv) == 0, argv
+print("numpy.ma" in sys.modules)
+"""
+    proc = run_python(["-c", script])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"

@@ -8,8 +8,6 @@ that a table or batch it does not cover falls back to the all-points
 route with the same messages.
 """
 
-import weakref
-
 import numpy as np
 import pytest
 
@@ -42,7 +40,8 @@ SMALL = [build_group(spec) for spec in builtin_specs_upto(64)]
 def routes(monkeypatch):
     """Fresh table caches, and (group, phi, route) for every orthogonality
     check the certificate runs: "one-point" or "all-points"."""
-    monkeypatch.setattr(characters, "_table_cache", weakref.WeakKeyDictionary())
+    for group in SMALL:
+        monkeypatch.setattr(group, "table", None)
     monkeypatch.setattr(characters, "_table_data_cache", {})
     log = []
     real = characters._orthogonality_failures

@@ -8,7 +8,6 @@ the canonical sort the bytes must be equal.
 
 import functools
 import json
-import weakref
 from math import gcd
 from pathlib import Path
 
@@ -84,8 +83,7 @@ C8xC64_SIGNS = {
 
 @pytest.fixture
 def fresh_caches(monkeypatch):
-    """Empty table caches, so every table in the test is built afresh."""
-    monkeypatch.setattr(characters, "_table_cache", weakref.WeakKeyDictionary())
+    """An empty table data cache, so every table in the test is built afresh."""
     monkeypatch.setattr(characters, "_table_data_cache", {})
 
 
@@ -333,8 +331,8 @@ def test_a_product_table_leaves_no_table_of_its_factors(fresh_caches):
     group = build_group(GroupSpec.direct_product(GroupSpec.cyclic(2), GroupSpec.cyclic(128)))
     character_table(group)
     a, b = group.factors
-    assert group in characters._table_cache
-    assert a not in characters._table_cache and b not in characters._table_cache
+    assert group.table is not None
+    assert a.table is None and b.table is None
     assert len(characters._table_data_cache) == 1
 
 

@@ -1,6 +1,7 @@
 """The brute-force check suite: passes on valid inputs, fails on corrupted ones."""
 
 import dataclasses
+import gc
 import json
 import weakref
 
@@ -11,6 +12,7 @@ from conftest import group_with_lambda
 from ksphere import characters, ktheory, verification
 from ksphere.characters import character_table, lambda_context
 from ksphere.groups import GroupSpec, build_group, builtin_specs_upto, enumerate_sign_homs
+from ksphere.ktheory import k_group_s1_lambda, k_group_s_lambda
 from ksphere.verification import (
     SCHEMA,
     check_b_independence,
@@ -204,8 +206,22 @@ def test_int64_guards_keep_their_messages():
     assert transfer.sums(np.ones((2, 1), dtype=np.int64), 1).tolist() == [[1], [3]]
 
 
+def test_a_group_its_kernel_and_its_lambda_are_freed_after_use():
+    """Tables and lambda contexts live on their objects, so nothing module-level
+    keeps a group, a kernel or a lambda alive once the caller drops it."""
+    group = build_group(GroupSpec.dihedral(6))
+    lam = enumerate_sign_homs(group)[0]
+    assert all(r.ok for r in verify_group(group, lam))
+    k_group_s1_lambda(group, lam)
+    k_group_s_lambda(group, lam)
+    ctx = lambda_context(group, lam)
+    refs = [weakref.ref(group), weakref.ref(ctx.emb.subgroup), weakref.ref(lam)]
+    del group, lam, ctx
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None, None]
+
+
 def test_each_lambda_decomposes_its_restriction_and_induction_once(monkeypatch):
-    monkeypatch.setattr(characters, "_ctx_cache", weakref.WeakKeyDictionary())
     calls = []
     real = characters.decompose_values
 
