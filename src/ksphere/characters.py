@@ -1,6 +1,6 @@
 """Character tables and representation-ring operations, all exact.
 
-A table's raw data comes by one of three routes (`_table_data`):
+A table's raw data comes by one of four routes (`_table_data`):
 - an abelian group, one with k = |G| classes, gets its dual group in
   closed form: every value is zeta_m**e with m the exponent, and the
   integer exponents e are extended along a chain of subgroups, one
@@ -14,8 +14,20 @@ A table's raw data comes by one of three routes (`_table_data`):
   norm <alpha, alpha> <beta, beta> = 1 and two of them are orthogonal
   unless both factors agree, so they are |Irr(A)| |Irr(B)| = k(A x B)
   distinct irreducibles, all of them;
-- every other group, which is nonabelian, goes to Dixon's algorithm
-  (dixon.py).
+- a nonabelian group with an abelian subgroup H of index 2, the kernel of
+  a sign homomorphism lambda, gets Irr(G) from Irr(H) by Clifford theory
+  (`_clifford_table_data`; Isaacs 1976, ch. 6). G acts on H through G/H,
+  of order 2, so H holds at least |H|/2 = |G|/4 classes of G, and the
+  search for H is skipped when 4 k < |G|. Let b be an element with
+  lambda(b) = -1 and psi^b(h) = psi(b^-1 h b) the twist of psi in Irr(H),
+  an involution of Irr(H). A fixed psi extends to G in exactly two ways,
+  chi(b h) = +-c psi(h) with c**2 = psi(b**2); these are linear, and each
+  restricts to psi. A swapped pair {psi, psi^b} induces one irreducible of
+  degree 2, psi + psi^b on H and 0 off H. With F fixed characters and P
+  pairs, F + 2 P = |H|, and the squares of the degrees add up to
+  2 F + 4 P = 2 |H| = |G|, so these 2 F + P characters are all of Irr(G);
+- every other group, which is nonabelian with no abelian subgroup of
+  index 2, goes to Dixon's algorithm (dixon.py).
 Once the class order is fixed, Irr(G) is a set of class functions and each
 value has one power-basis vector, so the routes differ only in row order.
 `_table_data` recurses into the factors and never calls `character_table`,
@@ -25,14 +37,16 @@ bytes), certifies and caches: only served tables are certified.
 Every route gives its data in index form: the D distinct values as rows of
 `distinct` [D, phi] and `which` [k, k] with values = distinct[which]. The
 abelian route has it already (`red` and the exponent table), a product
-multiplies each pair of distinct factor values once, and Dixon's values
-take one np.unique. A table has few distinct values (m on an abelian table
-of exponent m, against k**2 entries), so the index form is all a table
-stores: whatever acts on each value alone is done on `distinct` (evaluated,
-embedded or bounded once per value, then gathered by `which`), and rows are
-compared as integer rows of `which`. No dense copy of a table is kept: a
-consumer gathers only the rows and classes it reads, and a whole-table
-gather lives as long as the decomposition or oracle that reads it.
+multiplies each pair of distinct factor values once, the Clifford route
+codes each value as a sum of at most two roots and merges equal values
+with one np.unique, and Dixon's values take one np.unique. A table has few
+distinct values (m on an abelian table of exponent m, against k**2
+entries), so the index form is all a table stores: whatever acts on each
+value alone is done on `distinct` (evaluated, embedded or bounded once per
+value, then gathered by `which`), and rows are compared as integer rows of
+`which`. No dense copy of a table is kept: a consumer gathers only the
+rows and classes it reads, and a whole-table gather lives as long as the
+decomposition or oracle that reads it.
 
 Class-function values live in one cyclotomic ring per group (modulus =
 group exponent); subgroup values embed into the ambient modulus when the
@@ -113,6 +127,7 @@ from .groups import (
     SignHomomorphism,
     SubgroupEmbedding,
     coset_representatives,
+    enumerate_sign_homs,
     kernel_embedding,
     row_keys,
 )
@@ -335,13 +350,17 @@ def _table_data(group: GroupTable, classes: ConjugacyClasses):
 
     A function of the group alone. The abelian route comes first, so an
     abelian product such as C2 x C2 takes it too; a product that reaches
-    the product route has a nonabelian factor; Dixon serves the rest
+    the product route has a nonabelian factor; a group with an abelian
+    subgroup of index 2 takes the Clifford route; Dixon serves the rest
     (module docstring).
     """
     if classes.count == group.order:
         return _abelian_table_data(group, classes)
     if group.factors:
         return _product_table_data(group, classes)
+    lam = _abelian_half(group, classes)
+    if lam is not None:
+        return _clifford_table_data(group, classes, lam)
     degrees, values, modulus = dixon.character_table_data(group, classes)
     return (degrees, *_index_form(values), modulus)
 
@@ -427,6 +446,77 @@ def _product_table_data(group: GroupTable, classes: ConjugacyClasses):
     which = pair[wa[:, None], wb[None]].reshape(-1, classes.count)
     degrees = [da * db for da in degrees_a for db in degrees_b]
     return degrees, distinct, which, ring.modulus
+
+
+def _abelian_half(group: GroupTable, classes: ConjugacyClasses) -> SignHomomorphism | None:
+    """The first sign homomorphism (`enumerate_sign_homs` order) with an
+    abelian kernel, or None when G has no abelian subgroup of index 2.
+
+    Such a kernel H holds at least |H|/2 = |G|/4 classes of G, each an orbit
+    of conjugation by G, which acts on H through G/H of order 2; so the
+    search is skipped when 4 k < |G|.
+    """
+    if 4 * classes.count < group.order:
+        return None
+    for lam in enumerate_sign_homs(group):
+        h = lam.kernel_indices()
+        block = group.product[np.ix_(h, h)]
+        if np.array_equal(block, block.T):
+            return lam
+    return None
+
+
+def _clifford_table_data(group: GroupTable, classes: ConjugacyClasses, lam: SignHomomorphism):
+    """Irr(G) from the dual group of the abelian kernel H of lambda (Isaacs
+    1976, ch. 6; module docstring).
+
+    Each psi in Irr(H) is an exponent row e (psi = zeta_m**e, m = exp(G)),
+    and b, the least element with lambda(b) = -1, twists it to psi^b(h) =
+    psi(b^-1 h b), looked up among the rows. A fixed psi extends in two ways,
+    chi(b h) = +-zeta_m**f psi(h) with 2 f = e(b**2) (mod m); a swapped pair
+    induces psi + psi^b on H and 0 off H. So each value is a sum of at most
+    two roots zeta_m**a + zeta_m**a', coded as the integer a (m + 1) + a'
+    with a <= a' and m standing for no root; the distinct codes become
+    power-basis rows, and one `_index_form` over them merges the codes of
+    equal values (zeta_m**a + zeta_m**(a + m/2) = 0, for one).
+    """
+    emb = kernel_embedding(group, lam)
+    sub = emb.subgroup
+    _, _, sub_exps, sub_modulus = _abelian_table_data(sub, sub.classes)
+    m = lcm(*classes.orders)
+    e = sub_exps[:, sub.classes.class_of] * (m // sub_modulus)  # e[c, x], x in H
+    b = int(lam.negative_indices()[0])
+    twist = _find_rows(_sorted_keys(e), e[:, emb.position[group.conjugate(b, emb.inclusion)]])
+    rows = np.arange(len(e))
+    if np.any(twist < 0) or not np.array_equal(twist[twist], rows):
+        raise dixon.CharacterEngineError(
+            f"conjugation by {b} does not permute Irr(ker({lam.label})) of {group.name}"
+        )
+    fixed, pairs = np.flatnonzero(twist == rows), np.flatnonzero(twist > rows)
+    # e(b**2) is even: psi(b**2) has order dividing ord(b)/2, and ord(b) divides m.
+    square = e[fixed, emb.position[group.powers[2, b]]]
+    if np.any(square % 2):
+        raise dixon.CharacterEngineError(
+            f"exponent of a twist-fixed character of ker({lam.label}) at b**2 "
+            f"is odd in {group.name}"
+        )
+    # Each class representative is h or b h for the subgroup element h.
+    reps = np.asarray(classes.representatives, dtype=np.int64)
+    inside = emb.position[reps]
+    off = inside < 0
+    h = np.where(off, emb.position[group.product[group.inverse[b], reps]], inside)
+    plus = e[fixed][:, h] + off * (square // 2)[:, None]  # [F, k], the sign +1
+    sign = np.asarray([0, m // 2])[:, None, None]
+    extended = ((plus + off * sign) % m).reshape(-1, len(reps)) * (m + 1) + m  # [2 F, k]
+    psi, psi_b = e[pairs][:, h], e[twist[pairs]][:, h]
+    pair_code = np.minimum(psi, psi_b) * (m + 1) + np.maximum(psi, psi_b)
+    induced = np.where(off, m * (m + 1) + m, pair_code)  # [P, k]
+    codes, code_of = np.unique(np.concatenate([extended, induced]), return_inverse=True)
+    red = get_ring(m).red
+    roots = np.concatenate([red, np.zeros_like(red[:1])])  # row m: no root
+    distinct, merge = _index_form(roots[codes // (m + 1)] + roots[codes % (m + 1)])
+    degrees = [1] * (2 * fixed.size) + [2] * pairs.size
+    return degrees, distinct, merge[code_of].reshape(len(degrees), len(reps)), m
 
 
 def _embed(values: np.ndarray, modulus: int, ring: CyclotomicRing) -> np.ndarray:

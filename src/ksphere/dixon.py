@@ -1,13 +1,16 @@
 """Exact character tables of finite groups via modular class-sum splitting.
 
-This is the third of the three routes of `characters._table_data`:
-abelian groups get their tables in closed form and nonabelian groups built
-as A x B from their factors (Isaacs 1976, Thm 4.21), so Dixon runs only on
-the remaining groups, all nonabelian (the dihedral and quaternion
-families, S_n, A_n, groups given by generators, nonabelian kernels), and
-on the nonabelian factors of products. It stays the oracle of the other
-two routes in the tests: once the class order is fixed a table is unique
-up to its row order, so all three give the same canonically sorted bytes.
+This is the last of the four routes of `characters._table_data`:
+abelian groups get their tables in closed form, nonabelian groups built
+as A x B from their factors (Isaacs 1976, Thm 4.21), and groups with an
+abelian subgroup of index 2 (the dihedral and quaternion families, S3,
+many kernels) by Clifford theory from that subgroup. So Dixon runs only on
+nonabelian groups with no abelian subgroup of index 2, and on such
+factors of products: S_n and A_n for n >= 4, and groups given by
+generators and kernels that have none. It stays the oracle of the other
+three routes in the tests: once the class order is fixed a table is
+unique up to its row order, so all four give the same canonically sorted
+bytes.
 
 The algorithm works entirely over a prime field GF(p) with p = 1 (mod m),
 m the group exponent, and p*p > 4|G|:

@@ -1,13 +1,15 @@
-"""The three routes to a character table agree with Dixon byte for byte.
+"""The four routes to a character table agree with Dixon byte for byte.
 
-Abelian groups get their tables in closed form and nonabelian groups built
-as A x B from their factors; Dixon's algorithm is the oracle of both. Once
-the class order is fixed a table is unique up to its row order, so after
-the canonical sort the bytes must be equal.
+Abelian groups get their tables in closed form, nonabelian groups built as
+A x B from their factors, and groups with an abelian subgroup of index 2
+from that subgroup by Clifford theory; Dixon's algorithm is the oracle of
+all three. Once the class order is fixed a table is unique up to its row
+order, so after the canonical sort the bytes must be equal.
 """
 
 import functools
 import json
+import re
 from math import gcd
 from pathlib import Path
 
@@ -16,9 +18,11 @@ import pytest
 
 from ksphere import characters, cli, dixon
 from ksphere.characters import (
+    _abelian_half,
     _abelian_table_data,
     _analysis_weights,
     _canonical_order,
+    _clifford_table_data,
     _index_form,
     _table_data,
     character_table,
@@ -57,7 +61,8 @@ def _workload_groups(*names):
 
 WORKLOAD_GROUPS = _workload_groups("chartab-many-classes", "kgroup-wide")
 KGROUP_GROUPS = _workload_groups("kgroup-wide")
-# S6, A6, D48 and D32 have no route but Dixon; their cyclic kernels are tested below.
+# S6 and A6 have no route but Dixon; D48 and D32 take the Clifford route,
+# tested below with their kernels.
 ROUTED_GROUPS = [s for s in WORKLOAD_GROUPS if s.kind in ("cyclic", "direct_product")]
 
 
@@ -72,6 +77,25 @@ def _assert_matches_dixon(group, route=_table_data):
     degrees, values, modulus = dixon.character_table_data(group, group.classes)
     expected = _sorted_bytes(degrees, *_index_form(values), modulus)
     assert got == expected, group.name
+
+
+def _clifford_route(group, classes):
+    return _clifford_table_data(group, classes, _abelian_half(group, classes))
+
+
+def _has_abelian_half(group):
+    """Whether some index-2 subgroup of the group is abelian: every kernel tried."""
+    return any(
+        kernel_embedding(group, lam).subgroup.is_abelian() for lam in enumerate_sign_homs(group)
+    )
+
+
+def _route(group):
+    if group.classes.count == group.order:
+        return "abelian"
+    if group.factors:
+        return "product"
+    return "clifford" if _abelian_half(group, group.classes) is not None else "dixon"
 
 
 C8xC64_SIGNS = {
@@ -177,6 +201,34 @@ def test_abelian_route_matches_dixon_on_large_abelian_groups(make):
     _assert_matches_dixon(group, _abelian_table_data)
 
 
+def test_clifford_route_matches_dixon_on_the_small_builtins_and_their_kernels():
+    """Every builtin group of order <= 64, its nonabelian kernels, and D48, D32
+    and their kernels: the route finds an abelian subgroup of index 2 exactly
+    when one exists, and then gives Dixon's table."""
+    specs = builtin_specs_upto(64) + [GroupSpec.dihedral(48), GroupSpec.dihedral(32)]
+    groups = {}
+    for spec in specs:
+        group = build_group(spec)
+        kernels = [kernel_embedding(group, lam).subgroup for lam in enumerate_sign_homs(group)]
+        for sub in [group, *kernels]:
+            if sub.classes.count < sub.order and not sub.factors:
+                groups.setdefault(sub.fingerprint(), sub)
+    routed = []
+    for group in groups.values():
+        found = _abelian_half(group, group.classes)
+        assert (found is not None) == _has_abelian_half(group), group.name
+        if found is not None:
+            assert kernel_embedding(group, found).subgroup.is_abelian()
+            _assert_matches_dixon(group, _clifford_route)
+            routed.append(group.name)
+    # A nonabelian dihedral kernel has the bytes of the builtin dihedral group
+    # of half the order, so it is checked once; A4 = ker<S4, S4 and A5 have
+    # no abelian subgroup of index 2.
+    left = sorted(group.name for group in groups.values() if group.name not in routed)
+    assert (len(routed), left) == (33, ["A5", "S4", "ker(neg:0x666666)<S4"])
+    assert {"S3", "Q8", "D48", "D32"} <= set(routed)
+
+
 @functools.cache
 def _index_form_tables():
     """The served tables of every builtin group of order <= 64, of the workload
@@ -201,10 +253,8 @@ def test_index_form_gives_the_values_on_every_route():
         assert np.array_equal(np.unique(raw_which), np.arange(len(raw_distinct))), group.name
         sorted_values = _sorted_bytes(degrees, raw_distinct, raw_which, modulus)[1]
         assert sorted_values == dense_values(table).tobytes()
-        routes.add(
-            "abelian" if table.count == group.order else "product" if group.factors else "dixon"
-        )
-    assert routes == {"abelian", "product", "dixon"}
+        routes.add(_route(group))
+    assert routes == {"abelian", "product", "clifford", "dixon"}
     assert {table.group.name for table in _index_form_tables()} >= {"C256", "S6", "Q8xS4"}
 
 
@@ -240,12 +290,13 @@ def test_galois_permutations_from_integer_rows_equal_the_power_basis_oracle():
 
 
 def test_dixon_never_runs_on_a_builtin_abelian_group(fresh_caches, certified, monkeypatch):
-    calls, abelian = [], []
+    calls, abelian, halves = [], [], []
     real_dixon = dixon.character_table_data
 
     def counting_dixon(group, classes):
         calls.append(group.name)
         abelian.append(classes.count == group.order)
+        halves.append(_has_abelian_half(group))
         return real_dixon(group, classes)
 
     monkeypatch.setattr(dixon, "character_table_data", counting_dixon)
@@ -256,11 +307,12 @@ def test_dixon_never_runs_on_a_builtin_abelian_group(fresh_caches, certified, mo
     # Every served table passed the certificate once, and no factor was served.
     assert len(certified) == len(characters._table_data_cache) == len(specs)
     # The counter sees Dixon where it still runs.
-    character_table(build_group(GroupSpec.symmetric(3)))
-    assert calls == ["S3"]
-    # Over the whole sweep, Dixon runs on nonabelian groups only.
+    character_table(build_group(GroupSpec.symmetric(4)))
+    assert calls == ["S4"]
+    # Over the whole sweep, Dixon runs only on groups with no abelian
+    # subgroup of index 2, so on nonabelian groups only.
     run_verification(64)
-    assert len(calls) > 1 and not any(abelian)
+    assert len(calls) > 1 and not any(abelian) and not any(halves)
 
 
 def test_abelian_route_rejects_a_power_map_no_character_extends_along():
@@ -279,11 +331,62 @@ def test_abelian_route_rejects_a_power_map_no_character_extends_along():
         _abelian_table_data(group, classes)
 
 
+def _c4xs3_by_generators():
+    """C4 x S3 given by permutations, so that neither the product route nor
+    Dixon serves it: the abelian half is C4 x C3, and b inverts C3 alone."""
+    return build_group(
+        GroupSpec.permutation_generators(
+            [[1, 2, 3, 0, 4, 5, 6], [0, 1, 2, 3, 5, 6, 4], [0, 1, 2, 3, 5, 4, 6]]
+        )
+    )
+
+
+def test_clifford_route_rejects_a_twist_that_does_not_permute_irr(monkeypatch):
+    group = build_group(GroupSpec.dihedral(6))
+    classes, lam = group.classes, _abelian_half(group, group.classes)
+    assert lam is not None
+    b = int(lam.negative_indices()[0])
+    h = lam.kernel_indices()
+    # b^-1 h b is read as (b^-1 h) b: swap b^-1 h for two elements h of the
+    # kernel, so that the twist moves the identity, which no automorphism does.
+    product = group.product.copy()
+    row = group.inverse[b]
+    product[row, h[0]], product[row, h[1]] = product[row, h[1]], product[row, h[0]]
+    monkeypatch.setattr(group, "product", product)
+    with pytest.raises(
+        CharacterEngineError,
+        match=rf"^conjugation by {b} does not permute Irr\(ker\({lam.label}\)\) of D6$",
+    ):
+        _clifford_table_data(group, classes, lam)
+
+
+def test_clifford_route_rejects_a_square_of_b_with_an_odd_exponent():
+    group = _c4xs3_by_generators()
+    classes, lam = group.classes, _abelian_half(group, group.classes)
+    assert group.order == 24 and lam is not None
+    b = int(lam.negative_indices()[0])
+    # The twist fixes every character of C4 x C3 that is trivial on C3, and
+    # one of them sends an element c of order 4 to i = zeta_12**3. A power map
+    # claiming b**2 = c asks for 2 f = 3 (mod 12).
+    c = next(x for x in lam.kernel_indices() if classes.orders[classes.class_of[x]] == 4)
+    powers = group.powers.copy()
+    powers[2, b] = c
+    group.__dict__["powers"] = powers
+    with pytest.raises(
+        CharacterEngineError,
+        match=rf"^exponent of a twist-fixed character of ker\({lam.label}\) at b\*\*2 "
+        rf"is odd in {re.escape(group.name)}$",
+    ):
+        _clifford_table_data(group, classes, lam)
+    # The unpatched group takes the route, and its table is Dixon's.
+    _assert_matches_dixon(_c4xs3_by_generators(), _clifford_route)
+
+
 def _corrupting(route):
     """The route with chi_1's value at class 1 changed to another of its values."""
 
-    def corrupted(group, classes):
-        degrees, distinct, which, modulus = route(group, classes)
+    def corrupted(group, classes, *args):
+        degrees, distinct, which, modulus = route(group, classes, *args)
         which = which.copy()
         which[1, 1] = (which[1, 1] + 1) % len(distinct)
         return degrees, distinct, which, modulus
@@ -300,8 +403,10 @@ def _corrupting(route):
             GroupSpec.direct_product(GroupSpec.quaternion(8), GroupSpec.symmetric(3)),
         ),
         ("_abelian_table_data", GroupSpec.cyclic(5)),
+        ("_clifford_table_data", GroupSpec.dihedral(6)),
+        ("_clifford_table_data", GroupSpec.quaternion(8)),
     ],
-    ids=["C2xC2", "Q8xS3", "C5"],
+    ids=["C2xC2", "Q8xS3", "C5", "D6", "Q8"],
 )
 def test_certificate_rejects_a_corrupted_value_on_the_new_routes(
     route, spec, fresh_caches, monkeypatch
