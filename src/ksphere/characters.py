@@ -81,11 +81,13 @@ sigma_t restricts to sigma_(t mod m') on Z[zeta_m'].
   sigma_t g_ab = g_pi_t(a)pi_t(b), so iota_t(g_ab) = iota_1(g_pi_t(a)pi_t(b)).
   If iota_1(g) = n I mod p for every pair, then iota_t(g_ab) =
   n delta_pi_t(a)pi_t(b) = n delta_ab at every point, pi_t being a
-  bijection. The column sums s_ij = sum_c chi_c(i) conj(chi_c(j)) |C_j| are
-  fixed by each sigma_t, which only reorders the sum over c, so
-  iota_t(s_ij) = iota_1(s_ij). So both Grams equal n I at every point of
-  p exactly when they do at z, and the one-point certificate gives the
-  all-points verdict.
+  bijection. So g equals n I at every point of p exactly when it does at z,
+  and the one-point certificate gives the all-points verdict. The row
+  relation is all the certificate checks: on a square table it implies the
+  column relation (Isaacs 1976, Thm 2.18). With X = (chi_c(j)) and
+  D = diag(|C_j|), X D X* = n I makes X invertible with X^-1 = D X* / n, so
+  X* X = n D^-1, that is sum_c conj(chi_c(i)) chi_c(j) = (n / |C_i|) delta_ij,
+  for any positive class sizes.
 - Decomposition. Let the batch be closed up to sign, sigma_t v_b =
   eps_t(b) v_tau_t(b) with eps = +-1 (and likewise any factor). Then
   x_bi = sum_j |C_j| v_b(j) conj(chi_i(j)) satisfies sigma_t x_bi =
@@ -569,14 +571,15 @@ def _assemble_table(group, classes, degrees, distinct, which, modulus) -> Charac
 def table_invariant_failures(table: CharacterTable) -> list[str]:
     """Exact structural checks; returns one message per violated invariant.
 
-    Orthogonality is checked mod every prime the coefficient bound asks for.
+    Row orthogonality is checked mod every prime the coefficient bound asks
+    for. Once the table is square, it implies column orthogonality (Isaacs
+    1976, Thm 2.18; module docstring), so the row Gram g certifies the table.
     Where phi > 2 and sigma_-1 and each generator t of (Z/m)^* permute Irr,
     sigma_t chi_a = chi_pi_t(a), only the point z is computed:
-    iota_t(g_ab) = iota_1(g_pi_t(a)pi_t(b)) for the row Gram g and
-    iota_t(s_ij) = iota_1(s_ij) for the column Gram s, and pi_t is a
-    bijection, so both equal n I at every point exactly when they do at z
-    (module docstring). Otherwise, and whenever z finds a failure, every
-    point is computed, so the messages do not depend on the route.
+    iota_t(g_ab) = iota_1(g_pi_t(a)pi_t(b)) and pi_t is a bijection, so g
+    equals n I at every point exactly when it does at z. Otherwise, and
+    whenever z finds a failure, every point is computed, so the messages do
+    not depend on the route.
     """
     out: list[str] = []
     k = table.classes.count
@@ -606,36 +609,27 @@ def table_invariant_failures(table: CharacterTable) -> list[str]:
         if np.any(lead[any_diff] < 0):
             out.append("characters are not in canonical order")
     # Row orthogonality: sum_j |C_j| chi_a(j) conj(chi_b(j)) = n delta_ab.
-    # Column orthogonality, scaled by |C_j|: sum_c chi_c(i) conj(chi_c(j)) |C_j|
-    # = n delta_ij. Both sums are k x k products of the same two tensors.
     primes = _certificate_primes(table)
     one_point = table.ring.phi > 2 and _galois_closed(table)
-    row_bad, col_bad = _orthogonality_failures(table, primes, one_point)
-    if one_point and (row_bad.any() or col_bad.any()):
+    row_bad = _orthogonality_failures(table, primes, one_point)
+    if one_point and row_bad.any():
         # Every point names the failing pairs, so they do not depend on the route.
-        row_bad, col_bad = _orthogonality_failures(table, primes, one_point=False)
+        row_bad = _orthogonality_failures(table, primes, one_point=False)
     if row_bad.any():
         pairs = ", ".join(f"({a},{b})" for a, b in np.argwhere(row_bad)[:5])
         out.append(f"row orthogonality fails at character pairs {pairs}")
-    if col_bad.any():
-        pairs = ", ".join(f"({i},{j})" for i, j in np.argwhere(col_bad)[:5])
-        out.append(f"column orthogonality fails at class pairs {pairs}")
     return out
 
 
 def _certificate_primes(table: CharacterTable) -> int:
-    """How many evaluation primes make the lift of both Grams exact."""
-    ring, n = table.ring, table.group.order
+    """How many evaluation primes make the lift of the row Gram exact."""
     chi_l1 = _l1_norms(table.distinct)[table.which]  # |chi_c(j)|_1, [c, j]
-    row_bound = _analysis_bound(table, ring, chi_l1.max(axis=0).tolist()) + n
-    col_bound = ring.peak * ring.l1 * max(table.classes.class_sizes) * sum(
-        c * c for c in chi_l1.max(axis=1).tolist()
-    ) + n
-    return prime_count(ring.modulus, max(row_bound, col_bound))
+    bound = _analysis_bound(table, table.ring, chi_l1.max(axis=0).tolist()) + table.group.order
+    return prime_count(table.ring.modulus, bound)
 
 
 def _orthogonality_failures(table: CharacterTable, primes: int, one_point: bool):
-    """The (row, column) pairs [k, k] whose Gram entry differs from n delta at
+    """The character pairs [k, k] whose row Gram entry differs from n delta at
     some point of one of the first `primes` primes, or at z alone.
 
     At z alone, for a Galois-closed table, there is a failure exactly when
@@ -643,18 +637,14 @@ def _orthogonality_failures(table: CharacterTable, primes: int, one_point: bool)
     pairs.
     """
     ring, k, n = table.ring, table.count, table.group.order
-    row_bad = np.zeros((k, k), dtype=bool)
-    col_bad = np.zeros((k, k), dtype=bool)
+    bad = np.zeros((k, k), dtype=bool)
     for i in range(primes):
         p = eval_prime(ring.modulus, i)[0]
         images = ring.evaluate(table.distinct, i, one_point)[table.which]
         weights = _analysis_weights(table, ring, i, one_point)
         expected = (n % p) * np.eye(k, dtype=np.int64)[..., None]
-        gram = kernels.weighted_analysis(images, weights, p)
-        row_bad |= np.any(gram != expected, axis=-1)
-        col = kernels.weighted_analysis(images.transpose(1, 0, 2), weights.transpose(1, 0, 2), p)
-        col_bad |= np.any(col != expected, axis=-1)
-    return row_bad, col_bad
+        bad |= np.any(kernels.weighted_analysis(images, weights, p) != expected, axis=-1)
+    return bad
 
 
 def _galois_closed(table: CharacterTable) -> bool:
@@ -686,10 +676,14 @@ def _galois_permutation(table: CharacterTable, t: int) -> np.ndarray | None:
 
 def values_of_coeffs(table: CharacterTable, coeffs: np.ndarray) -> np.ndarray:
     """Class-function value arrays [B, k, phi] of virtual characters [B, k],
-    gathered from the rows of Irr with a nonzero coefficient only."""
+    gathered from the rows of Irr with a nonzero coefficient only, in int64
+    under a checked bound: sum_c |coeffs[b, c]| times the largest value entry."""
     coeffs = np.asarray(coeffs, dtype=np.int64)
     rows = np.flatnonzero(coeffs.any(axis=0))
-    return np.einsum("bc,cjp->bjp", coeffs[:, rows], table.distinct[table.which[rows]])
+    used = coeffs[:, rows]
+    l1 = max((sum(map(abs, row)) for row in used.tolist()), default=0)
+    kernels._require_int64(l1 * kernels._magnitude(table.distinct), "virtual character values")
+    return np.einsum("bc,cjp->bjp", used, table.distinct[table.which[rows]])
 
 
 def _embedded_values(table: CharacterTable, ring: CyclotomicRing) -> np.ndarray:

@@ -105,9 +105,9 @@ def common_eigenvectors(table: GroupTable, classes: ConjugacyClasses, p: int) ->
         # Each pending (basis, pivots) has basis[pivots] = I. So when the
         # span is invariant, mat @ basis = basis @ t has the rows t at pivots.
         for basis, pivots in active:
-            mb = mat @ basis % p
+            mb = kernels.matmul_mod(mat, basis, p)
             t = mb[pivots, :]
-            if not np.array_equal(basis @ t % p, mb):
+            if not np.array_equal(kernels.matmul_mod(basis, t, p), mb):
                 raise CharacterEngineError("subspace is not invariant under a class matrix")
             d = basis.shape[1]
             eye_d = np.eye(d, dtype=np.int64)
@@ -123,7 +123,7 @@ def common_eigenvectors(table: GroupTable, classes: ConjugacyClasses, p: int) ->
                 split += free.size
                 # basis[pivots] = I and null[free] = I, so
                 # sub[pivots[free]] = basis[pivots[free]] @ null = null[free] = I.
-                sub = basis @ null % p
+                sub = kernels.matmul_mod(basis, null, p)
                 if free.size == 1:
                     finished.append(sub[:, 0])
                 else:

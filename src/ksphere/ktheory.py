@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import lattice
+from . import kernels, lattice
 from .characters import (
     CharacterTable,
     CharacterTheoryError,
@@ -69,6 +69,8 @@ class KGroupPresentation:
         """Matrix of a virtual character, extended linearly from irreducibles."""
         if phi.table is not self.ctx.table_g:
             raise CharacterTheoryError("character does not act on this presentation")
+        bound = sum(abs(c) * kernels._magnitude(a) for c, a in zip(phi.coeffs, self.action) if c)
+        kernels._require_int64(bound, "action matrix")
         out = np.zeros((self.rank, self.rank), dtype=np.int64)
         for c, a in zip(phi.coeffs, self.action):
             if c:
@@ -232,6 +234,8 @@ def module_action(pres: KGroupPresentation, phi: VirtualCharacter, x) -> KElemen
         raise CharacterTheoryError("character does not act on this presentation")
     if pres.rank == 0:
         return pres.zero()
+    # Basis coefficients are +-1 and 0, so no entry of xh exceeds sum |coords|.
+    kernels._require_int64(sum(map(abs, coords)), "module element coordinates")
     xh = np.zeros(ctx.table_h.count, dtype=np.int64)
     for c, b in zip(coords, pres.basis):
         if c:

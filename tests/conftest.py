@@ -6,8 +6,10 @@ from pathlib import Path
 import numpy as np
 
 import ksphere
+from ksphere import kernels
+from ksphere.characters import _analysis_bound, _analysis_weights, _l1_norms
 from ksphere.cli import CHARTAB_SCHEMA
-from ksphere.cyclotomic import Cyclotomic
+from ksphere.cyclotomic import Cyclotomic, eval_prime, prime_count
 from ksphere.groups import GroupSpec, LambdaSpec, build_group, build_sign_hom
 from ksphere.lattice import hermite_normal_form
 
@@ -21,6 +23,31 @@ def dense_mul(ring):
 def dense_values(table):
     """The table's values [k, k, phi], chi_c at class j: distinct[which]."""
     return table.distinct[table.which]
+
+
+def two_gram_failures(table):
+    """Reference: the (row, column) masks [k, k] of a square table's two Grams,
+    g_ab = sum_j |C_j| chi_a(j) conj(chi_b(j)) and s_ij = sum_c chi_c(i)
+    conj(chi_c(j)) |C_j|, where they differ from n delta at some point of as
+    many primes as the larger of their two coefficient bounds asks for."""
+    ring, k, n = table.ring, table.count, table.group.order
+    chi_l1 = _l1_norms(table.distinct)[table.which]  # |chi_c(j)|_1, [c, j]
+    row_bound = _analysis_bound(table, ring, chi_l1.max(axis=0).tolist()) + n
+    col_bound = ring.peak * ring.l1 * max(table.classes.class_sizes) * sum(
+        c * c for c in chi_l1.max(axis=1).tolist()
+    ) + n
+    row_bad = np.zeros((k, k), dtype=bool)
+    col_bad = np.zeros((k, k), dtype=bool)
+    for i in range(prime_count(ring.modulus, max(row_bound, col_bound))):
+        p = eval_prime(ring.modulus, i)[0]
+        images = ring.evaluate(table.distinct, i, False)[table.which]
+        weights = _analysis_weights(table, ring, i, False)
+        expected = (n % p) * np.eye(k, dtype=np.int64)[..., None]
+        gram = kernels.weighted_analysis(images, weights, p)
+        row_bad |= np.any(gram != expected, axis=-1)
+        col = kernels.weighted_analysis(images.transpose(1, 0, 2), weights.transpose(1, 0, 2), p)
+        col_bad |= np.any(col != expected, axis=-1)
+    return row_bad, col_bad
 
 
 def same_span(rows_a, rows_b) -> bool:

@@ -7,7 +7,7 @@ never the batched kernel engine, so the two arithmetic paths check each other.
 import numpy as np
 import pytest
 
-from conftest import dense_mul, dense_values, group_with_lambda
+from conftest import dense_mul, dense_values, group_with_lambda, two_gram_failures
 from ksphere import characters
 from ksphere.characters import (
     CharacterTheoryError,
@@ -539,7 +539,7 @@ def test_certificate_reports_both_orthogonality_failures(spec, monkeypatch):
     for bad in corrupted:
         failures = table_invariant_failures(bad)
         assert any(f.startswith("row orthogonality fails at character pairs") for f in failures)
-        assert any(f.startswith("column orthogonality fails at class pairs") for f in failures)
+        assert two_gram_failures(bad)[1].any()  # the column relation the row one implies fails too
 
 
 def test_trivial_and_lambda_rows_match_the_loop_reference():
@@ -565,11 +565,45 @@ def test_trivial_and_lambda_rows_match_the_loop_reference():
 
 def test_certificate_names_the_corrupted_pairs():
     tab = character_table(build_group(GroupSpec.symmetric(3)))
-    failures = table_invariant_failures(corrupt_table(tab, 2, 1))
+    bad = corrupt_table(tab, 2, 1)
+    failures = table_invariant_failures(bad)
     pairs = "(0,2), (1,2), (2,0), (2,1), (2,2)"
     assert f"row orthogonality fails at character pairs {pairs}" in failures
-    pairs = "(0,1), (1,0), (1,1), (1,2), (2,1)"
-    assert f"column orthogonality fails at class pairs {pairs}" in failures
+    # The column relation fails at these class pairs, and only the reference names them.
+    col_pairs = [[0, 1], [1, 0], [1, 1], [1, 2], [2, 1]]
+    assert np.argwhere(two_gram_failures(bad)[1]).tolist() == col_pairs
+    assert not any(f.startswith("column") for f in failures)
+
+
+def _one_value_corruptions(table):
+    """Every copy of the table with coefficient 0 or 1 of one value moved by +-1."""
+    values = dense_values(table)
+    for c, j in np.ndindex(table.count, table.count):
+        for e in range(min(2, table.ring.phi)):
+            for delta in (1, -1):
+                shifted = values.copy()
+                shifted[c, j, e] += delta
+                yield _assemble_table(
+                    table.group, table.classes, table.degrees, *_index_form(shifted), table.modulus
+                )
+
+
+def test_the_row_gram_rejects_exactly_what_both_grams_reject():
+    """On a square table the row relation implies the column relation, so the
+    one-Gram certificate fails a table exactly when the two-Gram reference
+    fails a row or a column, and names the same character pairs."""
+    tables = 0
+    for spec in builtin_specs_upto(8):
+        for bad in _one_value_corruptions(character_table(build_group(spec))):
+            row_bad, col_bad = two_gram_failures(bad)
+            got = [f for f in table_invariant_failures(bad) if "orthogonality" in f]
+            expected = []
+            if row_bad.any() or col_bad.any():
+                pairs = ", ".join(f"({a},{b})" for a, b in np.argwhere(row_bad)[:5])
+                expected = [f"row orthogonality fails at character pairs {pairs}"]
+            assert got == expected, (bad.group.name, got, expected)
+            tables += 1
+    assert tables == 1526
 
 
 def test_decompose_values_matches_dense_oracle_on_every_small_builtin():
@@ -654,3 +688,20 @@ def test_l1_bounds_are_int64_under_a_checked_bound():
     message = r"^l1 norm: worst-case magnitude 9223372036854775808 reaches 2\*\*63$"
     with pytest.raises(OverflowError, match=message):
         characters._l1_norms(over)
+
+
+def test_virtual_character_values_are_int64_under_a_checked_bound():
+    tab = character_table(build_group(GroupSpec.cyclic(3)))
+    edge = VirtualCharacter(tab, ((1 << 62) - 1, 1 << 62, 0))
+    assert edge.as_values()[0].tolist() == [(1 << 63) - 1, 0]  # the value at the identity
+    over = VirtualCharacter(tab, (1 << 62, 1 << 62, 0))
+    assert over.degree() == 1 << 63
+    message = (
+        r"^virtual character values: worst-case magnitude 9223372036854775808 reaches 2\*\*63$"
+    )
+    with pytest.raises(OverflowError, match=message):
+        over.as_values()
+    # Small coefficients give the gathered sum of the rows, as before the check.
+    coeffs = np.array([[2, -1, 0], [0, 3, 5]], dtype=np.int64)
+    expected = np.einsum("bc,cjp->bjp", coeffs, dense_values(tab))
+    assert np.array_equal(values_of_coeffs(tab, coeffs), expected)

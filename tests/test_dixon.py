@@ -182,15 +182,26 @@ def test_choose_prime_matches_the_step_one_scan(exponent, order):
 def test_every_class_lifts_its_values_through_the_checked_product(monkeypatch):
     # The per-class root-of-unity counts are an int64 product whose bound
     # `kernels.matmul_mod` checks: one call per class, no unchecked `@`.
-    calls = []
+    # The GF(p) products that split the eigenspaces go through it too.
+    calls, eigen_calls, splitting = [], [], []
     matmul_mod = kernels.matmul_mod
+    common_eigenvectors = dixon.common_eigenvectors
 
     def counting(a, b, p):
-        calls.append(a.shape)
+        (eigen_calls if splitting else calls).append(a.shape)
         return matmul_mod(a, b, p)
 
+    def eigenvectors(*args):
+        splitting.append(True)
+        try:
+            return common_eigenvectors(*args)
+        finally:
+            splitting.pop()
+
     monkeypatch.setattr(kernels, "matmul_mod", counting)
+    monkeypatch.setattr(dixon, "common_eigenvectors", eigenvectors)
     s4 = build_group(GroupSpec.symmetric(4))
     degrees, values, m = dixon.character_table_data(s4, s4.classes)
     assert len(calls) == s4.classes.count == 5
+    assert eigen_calls
     assert sorted(degrees) == [1, 1, 2, 3, 3] and m == 12

@@ -3,10 +3,10 @@
 Every item of `perfbench/workloads.json` (read only) is a CLI argv with the
 sha256 of the `--json` report it must produce. Running them all in-process
 makes the byte-identical contract part of the test suite, as do larger
-reports beyond that set: `kgroup` of C8 x C64, `chartab` of C256, and the
-`chartab` and s-lambda `kgroup` reports of D512. The text tables that
-`chartab` prints for the items of `chartab-many-classes`, for C256 and for
-D512 are pinned here too.
+reports beyond that set: `kgroup` of C8 x C64, `chartab` of C256 and C512,
+and the `chartab` and s-lambda `kgroup` reports of D512. The text tables
+that `chartab` prints for the items of `chartab-many-classes`, for C256,
+C512 and D512 are pinned here too.
 """
 
 import hashlib
@@ -97,6 +97,21 @@ def test_chartab_of_c256_matches_golden_digests(tmp_path, capsys):
     stdout = capsys.readouterr().out.encode()
     assert hashlib.sha256(stdout).hexdigest() == (
         "a071cd25ae5d9f9936fc7b9a942ff5eddcc46fe0226c9427eee489cf98eb9e0d"
+    )
+
+
+# C512 is the largest abelian table the suite builds (k = 512, phi = 256),
+# where the orthogonality certificate is the largest share of the time.
+def test_chartab_of_c512_matches_golden_digests(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    argv = ["chartab", '{"family":"cyclic","n":512}', "--json", str(path)]
+    assert cli.main(argv) == 0, capsys.readouterr().err
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "d1ab793f7e7112aaaa6e976766603a82d5fd96136732e092620c62cd182e6608"
+    )
+    stdout = capsys.readouterr().out.encode()
+    assert hashlib.sha256(stdout).hexdigest() == (
+        "94959e2b1f028307cc1c0b865e58d345665d50c54d5069ec1367a544527c6854"
     )
 
 

@@ -237,6 +237,23 @@ def test_module_action_agrees_with_matrices():
         assert list(via_rings.coords) == list(via_matrix)
 
 
+def test_action_matrices_and_coordinates_are_int64_under_a_checked_bound():
+    group = build_group(GroupSpec.symmetric(3))
+    pres = k_group_s1_lambda(group, enumerate_sign_homs(group)[0])
+    table = pres.ctx.table_g
+    # chi0 and chi1 restrict to the trivial character of C3, so both act as [[1]].
+    edge = VirtualCharacter(table, (1 << 62, (1 << 62) - 1, 0))
+    assert pres.action_matrix(edge).tolist() == [[(1 << 63) - 1]]
+    message = r"^action matrix: worst-case magnitude 9223372036854775808 reaches 2\*\*63$"
+    with pytest.raises(OverflowError, match=message):
+        pres.action_matrix(VirtualCharacter(table, (1 << 62, 1 << 62, 0)))
+    message = r"^module element coordinates: worst-case magnitude 9223372036854775808 reaches"
+    with pytest.raises(OverflowError, match=message):
+        module_action(pres, VirtualCharacter.unit(table, 0), (1 << 63,))
+    small = VirtualCharacter(table, (2, -3, 1))
+    assert pres.action_matrix(small).tolist() == [[2 - 3 - 1]]
+
+
 def test_module_action_validations():
     t, lam = group_with_lambda(GroupSpec.symmetric(3), "sign")
     pres = k_group_s1_lambda(t, lam)
