@@ -909,8 +909,14 @@ def restrict(phi: VirtualCharacter, emb: SubgroupEmbedding) -> VirtualCharacter:
 
 
 def induced_values(emb: SubgroupEmbedding, hvals: np.ndarray) -> np.ndarray:
-    """Value-level induction of H class functions [B, k_H, phi] to G classes."""
-    numer = np.einsum("ai,bip->bap", emb.induction_weights, np.asarray(hvals, dtype=np.int64))
+    """Value-level induction of H class functions [B, k_H, phi] to G classes,
+    in int64 under a checked bound: the largest row sum of the induction
+    weights times the largest value entry."""
+    hvals = np.asarray(hvals, dtype=np.int64)
+    weights = emb.induction_weights
+    reach = int(weights.sum(axis=1).max())
+    kernels._require_int64(reach * kernels._magnitude(hvals), "induced values")
+    numer = np.einsum("ai,bip->bap", weights, hvals)
     h_order = emb.subgroup.order
     if np.any(numer % h_order):
         raise CharacterTheoryError("induced values are not algebraic integers")

@@ -130,6 +130,8 @@ class LambdaSpec:
 class GroupTable:
     """A finite group as a dense multiplication table over indices 0..n-1.
 
+    `generators` is a generating set, or () when none is recorded (kernels
+    and hand-built tables); `is_abelian` and `conjugacy_classes` rely on it.
     `factors` is (A, B) when the group was built as A x B, with element
     (x, y) at index x * |B| + y; it is empty for every other group.
     """
@@ -155,6 +157,12 @@ class GroupTable:
         return self.product.tobytes()
 
     def is_abelian(self) -> bool:
+        """Whether the group is abelian: when generators are recorded, whether
+        they commute pairwise (the S x S block of the table is symmetric);
+        otherwise whether the whole table is."""
+        if self.generators:
+            block = self.product[np.ix_(self.generators, self.generators)]
+            return bool(np.array_equal(block, block.T))
         return bool(np.array_equal(self.product, self.product.T))
 
     def conjugate(self, x, g) -> np.ndarray:
@@ -455,29 +463,45 @@ def _generator_perms(spec: GroupSpec) -> list[tuple[int, ...]]:
 def _build_permutation_group(spec: GroupSpec, degree: int, cap: int) -> GroupTable:
     """The closure of the spec's generators, its table unrolled along the Cayley graph.
 
-    perms[i] * y = (perms[i] * x) * g_s for each walk step (y, x, s), so
-    column y of the product is column x sent through `right[:, s]`. S_n and
-    A_n are relabelled into lexicographic order; generated groups keep the
-    breadth-first order.
+    S_n and A_n are relabelled into lexicographic order first, as the n x S
+    Cayley graph `rank[right[order]]`; generated groups keep the breadth-first
+    order. Either way the identity is element 0. For y = x g_s,
+    z y = (z x) g_s for every z, so column y of the product is column x sent
+    through `right[:, s]`. The columns are unrolled breadth-first from the
+    identity one level at a time: each level and generator is one gather, so
+    about diameter x S gathers build the table.
     """
     perms, right = _perm_closure(_generator_perms(spec), degree, cap)
     n = len(perms)
-    cols = np.empty((n, n), dtype=np.int64)  # cols[y] is column y of the product
-    cols[0] = np.arange(n)
-    for y, x, s in _walk(right)[0]:
-        cols[y] = right[cols[x], s]
-    product, gens = cols.T, right[0]
     if spec.kind != "permutation_generators":
         order = sorted(range(n), key=perms.__getitem__)
         rank = np.argsort(order)
-        product, gens = rank[product[np.ix_(order, order)]], rank[gens]
+        right = rank[right[order]]
         perms = [perms[i] for i in order]
+    steps = np.ascontiguousarray(right.T)  # steps[s, x] = x g_s
+    cols = np.empty((n, n), dtype=np.int64)  # cols[y] is column y of the product
+    cols[0] = np.arange(n)
+    reached = np.zeros(n, dtype=bool)
+    reached[0] = True
+    level = np.zeros(1, dtype=np.int64)
+    while level.size:
+        found = [level[:0]]  # the trivial group has no generators
+        for step in steps:
+            # x -> x g_s is injective, so the new ends of one generator are distinct.
+            y = step[level]
+            new = ~reached[y]
+            y = y[new]
+            reached[y] = True
+            cols[y] = step[cols[level[new]]]
+            found.append(y)
+        level = np.concatenate(found)
+    product = cols.T
     return GroupTable(
         n,
         product,
         _inverse_from_product(product),
         tuple(_cycle_notation(p) for p in perms),
-        generators=tuple(gens.tolist()),
+        generators=tuple(right[0].tolist()),
         name=spec.name,
     )
 
@@ -549,11 +573,43 @@ def build_group(spec: GroupSpec, cap: int | None = None) -> GroupTable:
 # ---------------------------------------------------------------------------
 
 
+def _least_conjugates(table: GroupTable) -> np.ndarray:
+    """least[x] = the least element of x's class, as orbits of x -> g^-1 x g
+    over the recorded generators g.
+
+    Starting from least = arange(n), each round takes least[x] down to the
+    least of least[x] and least[g^-1 x g] over the generators, then composes
+    least with itself. Both keep least[x] inside x's class and never raise
+    it, so least[x] <= x throughout and the rounds stop. At the fixed point
+    least[x] <= least[g^-1 x g] for every x and g; conjugation by g permutes
+    G, so summing over G makes each inequality an equality, and least is
+    constant along every generator edge. The generators generate G, so least
+    is constant on each class; as least[x] <= x lies in the class, it is the
+    class's least element.
+    """
+    gens = np.asarray(table.generators, dtype=np.int64)
+    conj = table.conjugate(gens[:, None], np.arange(table.order))  # [s, x] = g_s^-1 x g_s
+    least = np.arange(table.order)
+    while True:
+        step = np.minimum(least, least[conj].min(axis=0))
+        step = step[step]
+        if np.array_equal(step, least):
+            return least
+        least = step
+
+
 def conjugacy_classes(table: GroupTable) -> ConjugacyClasses:
-    """Conjugacy classes ordered by (representative order, size, min index)."""
-    # Each class is found at its least element, so np.unique lists the classes
-    # in the order of their least elements. A class of A x B is clA x clB, whose
-    # least element pairs the least elements of clA and clB.
+    """Conjugacy classes ordered by (representative order, size, min index).
+
+    Each class is found at its least element, so np.unique lists the classes
+    in the order of their least elements, whichever route found them: a
+    direct product reads them off its factors, an abelian group has
+    singletons, a nonabelian group with recorded generators takes the orbits
+    of conjugation by its generators (`_least_conjugates`), and a table with
+    none (a kernel or a hand-built table) gathers every x^-1 g x.
+    """
+    # A class of A x B is clA x clB, whose least element pairs the least
+    # elements of clA and clB.
     if table.factors:
         a, b = table.factors
         least_a = np.asarray(a.classes.representatives)[a.classes.class_of]
@@ -561,6 +617,8 @@ def conjugacy_classes(table: GroupTable) -> ConjugacyClasses:
         least = (least_a[:, None] * b.order + least_b[None, :]).reshape(-1)
     elif table.is_abelian():
         least = np.arange(table.order)  # every class is a singleton
+    elif table.generators:
+        least = _least_conjugates(table)
     else:
         # Row x holds x^-1 g x for every g: (x^-1 g) x read along row x of the
         # transposed table, so every gather runs along contiguous rows.

@@ -705,3 +705,24 @@ def test_virtual_character_values_are_int64_under_a_checked_bound():
     coeffs = np.array([[2, -1, 0], [0, 3, 5]], dtype=np.int64)
     expected = np.einsum("bc,cjp->bjp", coeffs, dense_values(tab))
     assert np.array_equal(values_of_coeffs(tab, coeffs), expected)
+
+
+def test_induced_values_are_int64_under_a_checked_bound():
+    """Induction from C3 to S3 multiplies values by weights whose rows sum to
+    |S3| = 6; the check names the limit instead of wrapping."""
+    g = build_group(GroupSpec.symmetric(3))
+    (lam,) = enumerate_sign_homs(g)
+    emb = kernel_embedding(g, lam)
+    assert emb.induction_weights.sum(axis=1).max() == 6
+    table_h = character_table(emb.subgroup)
+    edge = ((1 << 63) - 1) // 6
+    assert induce(VirtualCharacter(table_h, (edge, 0, 0)), emb).coeffs == (edge, edge, 0)
+    message = r"^induced values: worst-case magnitude 13835058055282163712 reaches 2\*\*63$"
+    with pytest.raises(OverflowError, match=message):
+        induce(VirtualCharacter(table_h, (1 << 61, 0, 0)), emb)
+    with pytest.raises(OverflowError, match="^induced values: "):
+        induce(VirtualCharacter(table_h, (edge + 1, 0, 0)), emb)
+    # Small values induce as the weighted sum over |H|, as before the check.
+    hvals = np.array([[[1], [2], [3]], [[-4], [0], [5]]], dtype=np.int64)
+    expected = np.einsum("ai,bip->bap", emb.induction_weights, hvals) // 3
+    assert np.array_equal(characters.induced_values(emb, hvals), expected)

@@ -4,7 +4,8 @@ Every item of `perfbench/workloads.json` (read only) is a CLI argv with the
 sha256 of the `--json` report it must produce. Running them all in-process
 makes the byte-identical contract part of the test suite, as do larger
 reports beyond that set: `kgroup` of C8 x C64, `chartab` of C256 and C512,
-and the `chartab` and s-lambda `kgroup` reports of D512. The text tables
+the `chartab` and s-lambda `kgroup` reports of D512, and the `chartab` report
+of S5 given by generators. The text tables
 that `chartab` prints for the items of `chartab-many-classes`, for C256,
 C512 and D512 are pinned here too.
 """
@@ -145,3 +146,21 @@ def test_reports_of_d512_match_golden_digests(argv, json_sha256, stdout_sha256, 
     assert hashlib.sha256(path.read_bytes()).hexdigest() == json_sha256
     stdout = capsys.readouterr().out.encode()
     assert hashlib.sha256(stdout).hexdigest() == stdout_sha256
+
+
+# A group given by generators keeps its breadth-first labels (S_n and A_n
+# are relabelled lexicographically), so this S5 pins the other labelling.
+S5_BY_GENERATORS = '{"generators": [[1,0,2,3,4],[1,2,3,4,0]]}'
+
+
+def test_chartab_of_a_generated_group_matches_golden_digests(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    argv = ["chartab", S5_BY_GENERATORS, "--json", str(path)]
+    assert cli.main(argv) == 0, capsys.readouterr().err
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "c1f3205020787d7565eb0f926e88f6ccec72a1b0994791f47d0dacdab732bfb5"
+    )
+    stdout = capsys.readouterr().out.encode()
+    assert hashlib.sha256(stdout).hexdigest() == (
+        "153a91e427201313cb6cb8230b792624ec576629442adf487c719b1de04c2486"
+    )

@@ -316,6 +316,7 @@ def test_order_cap_enforced():
 
 _TWENTY_CYCLE = tuple((i + 1) % 20 for i in range(20))
 _TWENTY_FLIP = tuple((-i) % 20 for i in range(20))
+_DEGREE_TWENTY = GroupSpec.permutation_generators([_TWENTY_CYCLE, _TWENTY_FLIP])
 
 
 @pytest.mark.parametrize(
@@ -740,16 +741,72 @@ def test_direct_product_table_matches_pair_loop_oracle(a, b):
 
 def test_conjugacy_classes_match_the_all_pairs_conjugation():
     """Each element's class representative is its least conjugate, as the
-    [x, g] table of every x^-1 g x gives it, on the builtins of order <= 64,
-    their kernels, S6, A6, D512 and C1024."""
+    [x, g] table of every x^-1 g x gives it, on the builtins of order <= 64
+    (A5 among them), their kernels, S6, A6, D512, C1024, S5 and the
+    degree-20 group."""
     tables = []
     for spec in builtin_specs_upto(64):
         t = build_group(spec)
         tables += [t] + [kernel_embedding(t, lam).subgroup for lam in enumerate_sign_homs(t)]
     tables += [build_group(GroupSpec.symmetric(6)), build_group(GroupSpec.alternating(6))]
     tables += [build_group(GroupSpec.dihedral(512)), build_group(GroupSpec.cyclic(1024))]
+    tables += [build_group(GroupSpec.symmetric(5)), build_group(_DEGREE_TWENTY)]
     for t in tables:
         g = np.arange(t.order, dtype=np.int64)
         least = t.conjugate(g[:, None], g[None, :]).min(axis=0)
         cls = conjugacy_classes(t)
         assert np.array_equal(np.asarray(cls.representatives)[cls.class_of], least), t.name
+
+
+# The groups whose recorded generators the orbit routes rely on.
+_GENERATED_SPECS = [
+    *builtin_specs_upto(64),
+    *(GroupSpec.symmetric(n) for n in (1, 2, 5, 6)),
+    *(GroupSpec.alternating(n) for n in (1, 2, 3, 5, 6)),
+    _DEGREE_TWENTY,
+    GroupSpec.dihedral(512),
+    GroupSpec.cyclic(1024),
+]
+
+
+def test_recorded_generators_generate_the_group():
+    """`generators` is a generating set: the Cayley graph on it reaches every
+    element; kernels record none; and `is_abelian`, which reads the
+    generators alone, agrees with the transpose compare on every group and
+    kernel."""
+    for spec in _GENERATED_SPECS:
+        t = build_group(spec)
+        gens = np.asarray(t.generators, dtype=np.int64)
+        assert groups._walk(t.product[:, gens])[1].all(), t.name
+        assert t.is_abelian() == np.array_equal(t.product, t.product.T), t.name
+        for lam in enumerate_sign_homs(t):
+            k = kernel_embedding(t, lam).subgroup
+            assert k.generators == (), k.name
+            assert k.is_abelian() == np.array_equal(k.product, k.product.T), k.name
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        GroupSpec.symmetric(6),
+        GroupSpec.alternating(6),
+        GroupSpec.symmetric(5),
+        GroupSpec.dihedral(512),
+        _DEGREE_TWENTY,
+    ],
+    ids=["S6", "A6", "S5", "D512", "degree20"],
+)
+def test_generator_orbit_classes_match_the_all_pairs_gather(spec):
+    """Classes from conjugation by the generators equal those of the same
+    table with no generators, which gathers every x^-1 g x."""
+    table = build_group(spec)
+    assert table.generators and not table.is_abelian()
+    plain = groups.GroupTable(table.order, table.product, table.inverse, table.element_labels)
+    got, want = table.classes, plain.classes
+    assert got.classes == want.classes
+    assert np.array_equal(got.class_of, want.class_of)
+    assert (got.representatives, got.class_sizes, got.orders) == (
+        want.representatives,
+        want.class_sizes,
+        want.orders,
+    )
