@@ -130,8 +130,10 @@ from .groups import (
     SubgroupEmbedding,
     coset_representatives,
     enumerate_sign_homs,
+    generators_commute,
     kernel_embedding,
     row_keys,
+    schreier_generators,
 )
 
 
@@ -143,7 +145,7 @@ class CharacterTheoryError(ArithmeticError):
 class ClassFunction:
     """A function on conjugacy classes with exact cyclotomic values."""
 
-    group: GroupTable
+    product: np.ndarray
     classes: ConjugacyClasses
     values: tuple[Cyclotomic, ...]
 
@@ -154,10 +156,7 @@ class ClassFunction:
     def __eq__(self, other) -> bool:
         if not isinstance(other, ClassFunction):
             return NotImplemented
-        return (
-            self.group.fingerprint() == other.group.fingerprint()
-            and self.values == other.values
-        )
+        return np.array_equal(self.product, other.product) and self.values == other.values
 
 
 @dataclass(eq=False)
@@ -173,10 +172,14 @@ class CharacterTable:
     `which[c, j]` [k, k] names the row of chi_c at class j, so the
     coefficients of chi_c at class j in the ring of `modulus` are
     distinct[which[c, j]]. Every permutation of Irr is a lookup of integer
-    rows of `which` (`row_permutation`).
+    rows of `which` (`row_permutation`). The group holds its table, so the
+    table and its irreducibles keep only what they read of the group (name,
+    order, read-only product): they make no reference cycle.
     """
 
-    group: GroupTable
+    name: str
+    order: int
+    product: np.ndarray
     classes: ConjugacyClasses
     ring: CyclotomicRing
     degrees: tuple[int, ...]
@@ -203,7 +206,7 @@ class CharacterTable:
     def irreducibles(self) -> tuple[ClassFunction, ...]:
         made = [Cyclotomic.make(self.modulus, v) for v in self.distinct]
         return tuple(
-            ClassFunction(self.group, self.classes, tuple(made[d] for d in row))
+            ClassFunction(self.product, self.classes, tuple(made[d] for d in row))
             for row in self.which.tolist()
         )
 
@@ -263,13 +266,9 @@ class VirtualCharacter:
         return values_of_coeffs(self.table, np.asarray([self.coeffs], dtype=np.int64))[0]
 
     def as_class_function(self) -> ClassFunction:
-        vals = self.as_values()
-        m = self.table.modulus
-        return ClassFunction(
-            self.table.group,
-            self.table.classes,
-            tuple(Cyclotomic.make(m, row) for row in vals),
-        )
+        t = self.table
+        values = tuple(Cyclotomic.make(t.modulus, row) for row in self.as_values())
+        return ClassFunction(t.product, t.classes, values)
 
     @staticmethod
     def unit(table: "CharacterTable", index: int) -> "VirtualCharacter":
@@ -456,14 +455,12 @@ def _abelian_half(group: GroupTable, classes: ConjugacyClasses) -> SignHomomorph
 
     Such a kernel H holds at least |H|/2 = |G|/4 classes of G, each an orbit
     of conjugation by G, which acts on H through G/H of order 2; so the
-    search is skipped when 4 k < |G|.
+    search is skipped when 4 k < |G|. H is abelian when its generators commute.
     """
     if 4 * classes.count < group.order:
         return None
     for lam in enumerate_sign_homs(group):
-        h = lam.kernel_indices()
-        block = group.product[np.ix_(h, h)]
-        if np.array_equal(block, block.T):
+        if generators_commute(group.product, schreier_generators(group, lam)):
             return lam
     return None
 
@@ -550,14 +547,17 @@ def _value_ranks(distinct: np.ndarray) -> np.ndarray:
 
 
 def _assemble_table(group, classes, degrees, distinct, which, modulus) -> CharacterTable:
-    """The table with values distinct[which], the rows of `distinct` pairwise distinct."""
+    """The table with values distinct[which], the rows of `distinct` pairwise
+    distinct; of `group`, or of a table of it, it reads name, order, product."""
     ring = get_ring(modulus)
     for array in (distinct, which):
         array.setflags(write=False)
     is_one = (distinct[:, 0] == 1) & ~distinct[:, 1:].any(axis=1)
     hits = np.flatnonzero(is_one[which].all(axis=1))
     return CharacterTable(
-        group=group,
+        name=group.name,
+        order=group.order,
+        product=group.product,
         classes=classes,
         ring=ring,
         degrees=tuple(int(d) for d in degrees),
@@ -583,7 +583,7 @@ def table_invariant_failures(table: CharacterTable) -> list[str]:
     """
     out: list[str] = []
     k = table.classes.count
-    n = table.group.order
+    n = table.order
     if table.count != k:
         out.append(f"irreducible count {table.count} != class count {k}")
         return out
@@ -624,7 +624,7 @@ def table_invariant_failures(table: CharacterTable) -> list[str]:
 def _certificate_primes(table: CharacterTable) -> int:
     """How many evaluation primes make the lift of the row Gram exact."""
     chi_l1 = _l1_norms(table.distinct)[table.which]  # |chi_c(j)|_1, [c, j]
-    bound = _analysis_bound(table, table.ring, chi_l1.max(axis=0).tolist()) + table.group.order
+    bound = _analysis_bound(table, table.ring, chi_l1.max(axis=0).tolist()) + table.order
     return prime_count(table.ring.modulus, bound)
 
 
@@ -636,7 +636,7 @@ def _orthogonality_failures(table: CharacterTable, primes: int, one_point: bool)
     there is one at some point (module docstring), though it may name fewer
     pairs.
     """
-    ring, k, n = table.ring, table.count, table.group.order
+    ring, k, n = table.ring, table.count, table.order
     bad = np.zeros((k, k), dtype=bool)
     for i in range(primes):
         p = eval_prime(ring.modulus, i)[0]
@@ -837,7 +837,7 @@ def _decompose_at_all_points(table, ring, varr, factor, primes) -> np.ndarray:
     if np.any(irrational):
         where = np.argwhere(irrational)[0]
         raise CharacterTheoryError(
-            f"non-rational multiplicity on {table.group.name}: "
+            f"non-rational multiplicity on {table.name}: "
             f"function {', '.join(str(w) for w in where[:-1])}, irreducible chi{where[-1]}"
         )
     return _exact_multiplicities(table, ring, residues)
@@ -857,12 +857,12 @@ def _analysis_sums(table, ring, varr, factor, i, one_point=False) -> np.ndarray:
 
 def _exact_multiplicities(table, ring, residues) -> np.ndarray:
     """|G|^-1 times the CRT lift of the rational analysis sums, checked integral."""
-    order = table.group.order
+    order = table.order
     c0 = symmetric_lift(residues, ring.modulus)
     if np.any(c0 % order):
         where = np.argwhere(c0 % order)[0]
         raise CharacterTheoryError(
-            f"non-integer multiplicity {c0[tuple(where)]}/{order} on {table.group.name}: "
+            f"non-integer multiplicity {c0[tuple(where)]}/{order} on {table.name}: "
             f"function {', '.join(str(w) for w in where[:-1])}, irreducible chi{where[-1]}"
         )
     return (c0 // order).astype(np.int64)
@@ -875,7 +875,7 @@ def _exact_multiplicities(table, ring, residues) -> np.ndarray:
 
 def inner_product(f: ClassFunction, g: ClassFunction) -> Cyclotomic:
     """<f, g> = |G|^-1 sum |C_j| f(j) conj(g(j)), exact."""
-    if f.group.fingerprint() != g.group.fingerprint():
+    if not np.array_equal(f.product, g.product):
         raise CharacterTheoryError("inner product of class functions on different groups")
     m = max(f.modulus, g.modulus)
     if f.modulus % g.modulus and g.modulus % f.modulus:
@@ -883,7 +883,7 @@ def inner_product(f: ClassFunction, g: ClassFunction) -> Cyclotomic:
     total = Cyclotomic.integer(m, 0)
     for size, a, b in zip(f.classes.class_sizes, f.values, g.values):
         total = total + a.embed(m) * b.embed(m).conjugate() * size
-    return total.divide_exact(f.group.order)
+    return total.divide_exact(len(f.product))
 
 
 # ---------------------------------------------------------------------------
@@ -957,7 +957,7 @@ def row_permutation(table: CharacterTable, rows: np.ndarray) -> np.ndarray:
     """
     pi = _find_rows(table._which_keys, rows)
     if not np.array_equal(np.sort(pi), np.arange(table.count)):
-        raise CharacterTheoryError(f"rows are not a permutation of Irr({table.group.name})")
+        raise CharacterTheoryError(f"rows are not a permutation of Irr({table.name})")
     pi.setflags(write=False)
     return pi
 
@@ -1019,10 +1019,12 @@ def tensor_product(a: VirtualCharacter, b: VirtualCharacter) -> VirtualCharacter
 
 @dataclass(eq=False)
 class LambdaContext:
-    """Shared data for one (group, sign homomorphism) pair."""
+    """Shared data for one (group, sign homomorphism) pair. Of lambda, which
+    holds it, the context keeps the label and values: so no reference cycle."""
 
     group: GroupTable
-    lam: SignHomomorphism
+    label: str
+    values: np.ndarray
     table_g: CharacterTable
     emb: SubgroupEmbedding
     table_h: CharacterTable
@@ -1077,7 +1079,8 @@ def lambda_context(group: GroupTable, lam: SignHomomorphism) -> LambdaContext:
         sigma = twist_permutation(emb, cosets[0])
         ctx = LambdaContext(
             group=group,
-            lam=lam,
+            label=lam.label,
+            values=lam.values,
             table_g=table_g,
             emb=emb,
             table_h=table_h,

@@ -192,7 +192,7 @@ def _cmd_kgroup(args) -> int:
         pres = k_group_s1_lambda(group, lam)
         table_h = pres.ctx.table_h
         print(f"group {group.name}, lambda {lam.label}, sphere {S1_LAMBDA}")
-        print(f"kernel subgroup of order {table_h.group.order} with "
+        print(f"kernel subgroup of order {table_h.order} with "
               f"{table_h.count} irreducible characters")
         print(f"rank {pres.rank}")
         for i, b in enumerate(pres.basis):

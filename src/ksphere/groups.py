@@ -130,8 +130,8 @@ class LambdaSpec:
 class GroupTable:
     """A finite group as a dense multiplication table over indices 0..n-1.
 
-    `generators` is a generating set, or () when none is recorded (kernels
-    and hand-built tables); `is_abelian` and `conjugacy_classes` rely on it.
+    `generators` is a generating set, () only for the trivial group (a kernel
+    records `schreier_generators`); `is_abelian` and `conjugacy_classes` rely on it.
     `factors` is (A, B) when the group was built as A x B, with element
     (x, y) at index x * |B| + y; it is empty for every other group.
     """
@@ -140,8 +140,8 @@ class GroupTable:
     product: np.ndarray
     inverse: np.ndarray
     element_labels: tuple[str, ...]
+    generators: tuple[int, ...]
     identity: int = 0
-    generators: tuple[int, ...] = ()
     name: str = "G"
     factors: tuple["GroupTable", ...] = ()
     # The character table, set by `characters.character_table`.
@@ -157,13 +157,8 @@ class GroupTable:
         return self.product.tobytes()
 
     def is_abelian(self) -> bool:
-        """Whether the group is abelian: when generators are recorded, whether
-        they commute pairwise (the S x S block of the table is symmetric);
-        otherwise whether the whole table is."""
-        if self.generators:
-            block = self.product[np.ix_(self.generators, self.generators)]
-            return bool(np.array_equal(block, block.T))
-        return bool(np.array_equal(self.product, self.product.T))
+        """Whether the group is abelian, that is, whether its generators commute."""
+        return generators_commute(self.product, self.generators)
 
     def conjugate(self, x, g) -> np.ndarray:
         """x^-1 g x, elementwise over broadcast index arrays."""
@@ -282,6 +277,12 @@ class SubgroupEmbedding:
         w[cmap, np.arange(sizes_h.size)] = self.ambient.order // sizes_g[cmap] * sizes_h
         w.setflags(write=False)
         return w
+
+
+def generators_commute(product: np.ndarray, gens) -> bool:
+    """Whether `gens` commute pairwise: the S x S block of the table is symmetric."""
+    block = product[np.ix_(gens, gens)]
+    return bool(np.array_equal(block, block.T))
 
 
 # ---------------------------------------------------------------------------
@@ -604,9 +605,8 @@ def conjugacy_classes(table: GroupTable) -> ConjugacyClasses:
     Each class is found at its least element, so np.unique lists the classes
     in the order of their least elements, whichever route found them: a
     direct product reads them off its factors, an abelian group has
-    singletons, a nonabelian group with recorded generators takes the orbits
-    of conjugation by its generators (`_least_conjugates`), and a table with
-    none (a kernel or a hand-built table) gathers every x^-1 g x.
+    singletons, and any other group takes the orbits of conjugation by its
+    generators (`_least_conjugates`).
     """
     # A class of A x B is clA x clB, whose least element pairs the least
     # elements of clA and clB.
@@ -617,14 +617,8 @@ def conjugacy_classes(table: GroupTable) -> ConjugacyClasses:
         least = (least_a[:, None] * b.order + least_b[None, :]).reshape(-1)
     elif table.is_abelian():
         least = np.arange(table.order)  # every class is a singleton
-    elif table.generators:
-        least = _least_conjugates(table)
     else:
-        # Row x holds x^-1 g x for every g: (x^-1 g) x read along row x of the
-        # transposed table, so every gather runs along contiguous rows.
-        product = table.product
-        right = np.ascontiguousarray(product.T)  # right[x, y] = y x
-        least = np.take_along_axis(right, product[table.inverse], axis=1).min(axis=0)
+        least = _least_conjugates(table)
     reps, class_of = np.unique(least, return_inverse=True)
     sizes = np.bincount(class_of)
     orders = np.argmax(table.powers[1:, reps] == table.identity, axis=0) + 1
@@ -639,32 +633,6 @@ def conjugacy_classes(table: GroupTable) -> ConjugacyClasses:
         class_sizes=tuple(sizes[perm].tolist()),
         orders=tuple(orders[perm].tolist()),
     )
-
-
-def group_axiom_violations(table: GroupTable, max_order: int = 256) -> list[str]:
-    """Exhaustive associativity/identity/inverse check (desk scale only)."""
-    n = table.order
-    if n > max_order:
-        raise ValueError(f"exhaustive check limited to order {max_order}")
-    prod = table.product
-    out = []
-    if not np.array_equal(prod[table.identity], np.arange(n)):
-        out.append("identity fails on the left")
-    if not np.array_equal(prod[:, table.identity], np.arange(n)):
-        out.append("identity fails on the right")
-    if not np.array_equal(prod[np.arange(n), table.inverse], np.full(n, table.identity)):
-        out.append("inverse law fails")
-    for i in range(n):
-        rows = prod[prod[i], :]
-        cols = prod[i, prod]
-        if not np.array_equal(rows, cols):
-            out.append(f"associativity fails for left factor {i}")
-            break
-    for i in range(n):
-        if len(set(int(v) for v in prod[i])) != n:
-            out.append(f"left multiplication by {i} is not a bijection")
-            break
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -812,6 +780,22 @@ def enumerate_sign_homs(table: GroupTable) -> list[SignHomomorphism]:
 # ---------------------------------------------------------------------------
 
 
+def schreier_generators(table: GroupTable, lam: SignHomomorphism) -> list[int]:
+    """Generators of ker lambda, as ambient indices: t s rep(t s)^-1 for each
+    generator s and t in the transversal {1, b}, b the least element with
+    lambda(b) = -1, less the identity and repeats (Schreier's lemma; Holt,
+    Eick & O'Brien, Handbook of Computational Group Theory, 2005, 4.1)."""
+    prod, b = table.product, int(lam.negative_indices()[0])
+    b_inv = table.inverse[b]
+    found = []
+    for s in table.generators:
+        if lam.values[s] > 0:
+            found += [s, prod[prod[b, s], b_inv]]
+        else:
+            found += [prod[s, b_inv], prod[b, s]]
+    return [x for x in dict.fromkeys(map(int, found)) if x != table.identity]
+
+
 def kernel_embedding(table: GroupTable, lam: SignHomomorphism) -> SubgroupEmbedding:
     """The kernel H with |H| = |G|/2, re-indexed by ascending ambient index."""
     h_idx = lam.kernel_indices()
@@ -826,7 +810,7 @@ def kernel_embedding(table: GroupTable, lam: SignHomomorphism) -> SubgroupEmbedd
         product=sub_product,
         inverse=sub_inverse,
         element_labels=tuple(table.element_labels[int(i)] for i in h_idx),
-        generators=(),
+        generators=tuple(pos[schreier_generators(table, lam)].tolist()),
         name=f"ker({lam.label})<{table.name}",
     )
     return SubgroupEmbedding(sub, h_idx, table)

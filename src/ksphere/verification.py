@@ -178,7 +178,7 @@ def corrupt_table(table: CharacterTable, char_index: int, class_index: int, delt
     values = table.distinct[table.which]
     values[char_index, class_index, 0] += delta
     return _assemble_table(
-        table.group, table.classes, table.degrees, *_index_form(values), table.modulus
+        table, table.classes, table.degrees, *_index_form(values), table.modulus
     )
 
 
@@ -261,7 +261,7 @@ def _element_induction(ctx: LambdaContext, check: str):
     ind_elem = _element_induced(ctx, transfer, chi_helem)
     if ind_elem is None:
         return CheckReport(
-            check, ctx.group.name, ctx.lam.label, "fail",
+            check, ctx.group.name, ctx.label, "fail",
             "element-level induction produced non-integral values",
         )
     return transfer, chi_helem, ind_elem
@@ -506,7 +506,7 @@ def check_ideal_lattice(group: GroupTable, lam: SignHomomorphism) -> list[CheckR
         ]
     # Row c decomposes (1 - lambda) * chi_c; 1 - lambda is the integer 0 or 2
     # on each class.
-    one_minus = 1 - ctx.lam.values[list(table.classes.representatives)].astype(np.int64)
+    one_minus = 1 - ctx.values[list(table.classes.representatives)].astype(np.int64)
     gen_rows = decompose_values(table, table.distinct[table.which] * one_minus[None, :, None])
     oracle = lattice.hermite_normal_form(gen_rows.tolist())
     emitted = lattice.hermite_normal_form([b.coeffs for b in ideal.basis])

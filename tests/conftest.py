@@ -10,7 +10,7 @@ from ksphere import kernels
 from ksphere.characters import _analysis_bound, _analysis_weights, _l1_norms
 from ksphere.cli import CHARTAB_SCHEMA
 from ksphere.cyclotomic import Cyclotomic, eval_prime, prime_count
-from ksphere.groups import GroupSpec, LambdaSpec, build_group, build_sign_hom
+from ksphere.groups import ConjugacyClasses, GroupSpec, LambdaSpec, build_group, build_sign_hom
 from ksphere.lattice import hermite_normal_form
 
 
@@ -30,7 +30,7 @@ def two_gram_failures(table):
     g_ab = sum_j |C_j| chi_a(j) conj(chi_b(j)) and s_ij = sum_c chi_c(i)
     conj(chi_c(j)) |C_j|, where they differ from n delta at some point of as
     many primes as the larger of their two coefficient bounds asks for."""
-    ring, k, n = table.ring, table.count, table.group.order
+    ring, k, n = table.ring, table.count, table.order
     chi_l1 = _l1_norms(table.distinct)[table.which]  # |chi_c(j)|_1, [c, j]
     row_bound = _analysis_bound(table, ring, chi_l1.max(axis=0).tolist()) + n
     col_bound = ring.peak * ring.l1 * max(table.classes.class_sizes) * sum(
@@ -48,6 +48,69 @@ def two_gram_failures(table):
         col = kernels.weighted_analysis(images.transpose(1, 0, 2), weights.transpose(1, 0, 2), p)
         col_bad |= np.any(col != expected, axis=-1)
     return row_bad, col_bad
+
+
+def all_pairs_classes(table):
+    """Reference: the classes from the [x, g] gather of every x^-1 g x, each
+    found at its least element, ordered by (representative order, size,
+    least element). Row x of the gather holds (x^-1 g) x read along row x of
+    the transposed table, so every gather runs along contiguous rows."""
+    product = table.product
+    right = np.ascontiguousarray(product.T)  # right[x, y] = y x
+    least = np.take_along_axis(right, product[table.inverse], axis=1).min(axis=0).tolist()
+    members = {}
+    for x, r in enumerate(least):
+        members.setdefault(r, []).append(x)
+
+    def element_order(x):
+        y, s = x, 1
+        while y != table.identity:
+            y, s = int(product[y, x]), s + 1
+        return s
+
+    key = {r: (element_order(r), len(m), r) for r, m in members.items()}
+    reps = sorted(members, key=key.get)
+    class_of = np.empty(table.order, dtype=np.int64)
+    for c, r in enumerate(reps):
+        class_of[members[r]] = c
+    return ConjugacyClasses(
+        classes=tuple(tuple(members[r]) for r in reps),
+        class_of=class_of,
+        representatives=tuple(reps),
+        class_sizes=tuple(len(members[r]) for r in reps),
+        orders=tuple(key[r][0] for r in reps),
+    )
+
+
+def group_axiom_violations(table, max_order: int = 256) -> list[str]:
+    """Reference: exhaustive associativity/identity/inverse check (desk scale only)."""
+    n = table.order
+    if n > max_order:
+        raise ValueError(f"exhaustive check limited to order {max_order}")
+    prod = table.product
+    out = []
+    if not np.array_equal(prod[table.identity], np.arange(n)):
+        out.append("identity fails on the left")
+    if not np.array_equal(prod[:, table.identity], np.arange(n)):
+        out.append("identity fails on the right")
+    if not np.array_equal(prod[np.arange(n), table.inverse], np.full(n, table.identity)):
+        out.append("inverse law fails")
+    for i in range(n):
+        rows = prod[prod[i], :]
+        cols = prod[i, prod]
+        if not np.array_equal(rows, cols):
+            out.append(f"associativity fails for left factor {i}")
+            break
+    for i in range(n):
+        if len(set(int(v) for v in prod[i])) != n:
+            out.append(f"left multiplication by {i} is not a bijection")
+            break
+    return out
+
+
+def transpose_abelian(table) -> bool:
+    """Reference: whether the whole multiplication table equals its transpose."""
+    return bool(np.array_equal(table.product, table.product.T))
 
 
 def same_span(rows_a, rows_b) -> bool:

@@ -51,7 +51,7 @@ def scalar_values(vc: VirtualCharacter):
     m = table.modulus
     cls = table.classes
     out = []
-    for x in range(table.group.order):
+    for x in range(table.order):
         j = int(cls.class_of[x])
         total = Cyclotomic.integer(m, 0)
         for c, coeff in enumerate(vc.coeffs):
@@ -67,7 +67,7 @@ def scalar_inner_over_elements(table, avals, bvals):
     total = Cyclotomic.integer(m, 0)
     for a, b in zip(avals, bvals):
         total = total + a.embed(m) * b.embed(m).conjugate()
-    return total.divide_exact(table.group.order)
+    return total.divide_exact(table.order)
 
 
 def frobenius_induced_values(emb, hvals):
@@ -495,8 +495,8 @@ def dense_decompose(table, varr, ring):
     weighted = (_embedded_values(table, ring) @ ring.conj) * sizes[None, :, None]
     at = np.einsum("ijq,pqr->ijpr", weighted, dense_mul(ring))
     x = np.einsum("bjp,ijpr->bir", np.asarray(varr, dtype=np.int64), at)
-    assert not np.any(x[..., 1:]) and not np.any(x[..., 0] % table.group.order)
-    return x[..., 0] // table.group.order
+    assert not np.any(x[..., 1:]) and not np.any(x[..., 0] % table.order)
+    return x[..., 0] // table.order
 
 
 def _prime_spy(monkeypatch):
@@ -534,7 +534,7 @@ def test_certificate_reports_both_orthogonality_failures(spec, monkeypatch):
     shifted[2, 1, 1] += 1
     corrupted = [
         corrupt_table(tab, 1, 1),
-        _assemble_table(tab.group, tab.classes, tab.degrees, *_index_form(shifted), tab.modulus),
+        _assemble_table(tab, tab.classes, tab.degrees, *_index_form(shifted), tab.modulus),
     ]
     for bad in corrupted:
         failures = table_invariant_failures(bad)
@@ -584,7 +584,7 @@ def _one_value_corruptions(table):
                 shifted = values.copy()
                 shifted[c, j, e] += delta
                 yield _assemble_table(
-                    table.group, table.classes, table.degrees, *_index_form(shifted), table.modulus
+                    table, table.classes, table.degrees, *_index_form(shifted), table.modulus
                 )
 
 
@@ -601,7 +601,7 @@ def test_the_row_gram_rejects_exactly_what_both_grams_reject():
             if row_bad.any() or col_bad.any():
                 pairs = ", ".join(f"({a},{b})" for a, b in np.argwhere(row_bad)[:5])
                 expected = [f"row orthogonality fails at character pairs {pairs}"]
-            assert got == expected, (bad.group.name, got, expected)
+            assert got == expected, (bad.name, got, expected)
             tables += 1
     assert tables == 1526
 
@@ -634,7 +634,7 @@ def test_decompose_values_rejects_non_rational_and_non_integral_functions(spec):
         decompose_values(tab, at_identity)
     at_identity[0, 0] = 0
     at_identity[0, 0, 0] = 1  # the regular character divided by |G|
-    with pytest.raises(CharacterTheoryError, match=f"non-integer multiplicity 1/{tab.group.order}"):
+    with pytest.raises(CharacterTheoryError, match=f"non-integer multiplicity 1/{tab.order}"):
         decompose_values(tab, at_identity)
 
 

@@ -6,6 +6,7 @@ from math import lcm
 import numpy as np
 import pytest
 
+from conftest import all_pairs_classes, group_axiom_violations, transpose_abelian
 from ksphere import groups
 from ksphere.groups import (
     GroupSpec,
@@ -21,7 +22,6 @@ from ksphere.groups import (
     conjugacy_classes,
     coset_representatives,
     enumerate_sign_homs,
-    group_axiom_violations,
     kernel_embedding,
     make_sign_hom,
     parse_group_document,
@@ -172,11 +172,13 @@ def test_conjugacy_classes_match_brute_oracle():
     ids=["C2xD3", "Q8xS4", "S4xS4", "D8xD4", "A5xC6"],
 )
 def test_product_classes_match_the_all_pairs_gather(a, b):
-    """Classes read off the factors equal those of the same table with no factors."""
+    """Classes read off the factors equal those of the all-pairs gather."""
     table = build_group(GroupSpec.direct_product(a, b))
     assert [f.name for f in table.factors] == [a.name, b.name]
-    plain = groups.GroupTable(table.order, table.product, table.inverse, table.element_labels)
-    got, want = table.classes, plain.classes
+    _assert_same_classes(table.classes, all_pairs_classes(table))
+
+
+def _assert_same_classes(got, want):
     assert got.classes == want.classes
     assert np.array_equal(got.class_of, want.class_of)
     assert (got.representatives, got.class_sizes, got.orders) == (
@@ -771,42 +773,43 @@ _GENERATED_SPECS = [
 
 def test_recorded_generators_generate_the_group():
     """`generators` is a generating set: the Cayley graph on it reaches every
-    element; kernels record none; and `is_abelian`, which reads the
-    generators alone, agrees with the transpose compare on every group and
-    kernel."""
+    element of every group and of every kernel, whose Schreier generators
+    are neither the identity nor repeated; and `is_abelian`, which reads the
+    generators alone, agrees with the transpose compare on all of them."""
     for spec in _GENERATED_SPECS:
         t = build_group(spec)
-        gens = np.asarray(t.generators, dtype=np.int64)
-        assert groups._walk(t.product[:, gens])[1].all(), t.name
-        assert t.is_abelian() == np.array_equal(t.product, t.product.T), t.name
-        for lam in enumerate_sign_homs(t):
-            k = kernel_embedding(t, lam).subgroup
-            assert k.generators == (), k.name
-            assert k.is_abelian() == np.array_equal(k.product, k.product.T), k.name
+        tables = [t] + [kernel_embedding(t, lam).subgroup for lam in enumerate_sign_homs(t)]
+        for k in tables:
+            gens = np.asarray(k.generators, dtype=np.int64)
+            assert groups._walk(k.product[:, gens])[1].all(), k.name
+            assert k.is_abelian() == transpose_abelian(k), k.name
+        for k in tables[1:]:
+            assert k.identity not in k.generators, k.name
+            assert len(set(k.generators)) == len(k.generators), k.name
+            assert k.generators or k.order == 1, k.name
 
 
 @pytest.mark.parametrize(
-    "spec",
+    "spec, kernels",
     [
-        GroupSpec.symmetric(6),
-        GroupSpec.alternating(6),
-        GroupSpec.symmetric(5),
-        GroupSpec.dihedral(512),
-        _DEGREE_TWENTY,
+        (GroupSpec.symmetric(6), 1),
+        (GroupSpec.alternating(6), 0),
+        (GroupSpec.symmetric(5), 1),
+        (GroupSpec.symmetric(4), 1),
+        (GroupSpec.dihedral(512), 2),
+        (_DEGREE_TWENTY, 2),
     ],
-    ids=["S6", "A6", "S5", "D512", "degree20"],
+    ids=["S6", "A6", "S5", "S4", "D512", "degree20"],
 )
-def test_generator_orbit_classes_match_the_all_pairs_gather(spec):
-    """Classes from conjugation by the generators equal those of the same
-    table with no generators, which gathers every x^-1 g x."""
+def test_generator_orbit_classes_match_the_all_pairs_gather(spec, kernels):
+    """Classes from conjugation by the generators equal those of the gather
+    of every x^-1 g x, on the group and on its nonabelian kernels (A6 < S6,
+    A5 < S5, A4 < S4, two D256 < D512 and two of order 20 in the degree-20
+    group), which conjugate by their Schreier generators."""
     table = build_group(spec)
-    assert table.generators and not table.is_abelian()
-    plain = groups.GroupTable(table.order, table.product, table.inverse, table.element_labels)
-    got, want = table.classes, plain.classes
-    assert got.classes == want.classes
-    assert np.array_equal(got.class_of, want.class_of)
-    assert (got.representatives, got.class_sizes, got.orders) == (
-        want.representatives,
-        want.class_sizes,
-        want.orders,
-    )
+    subs = [kernel_embedding(table, lam).subgroup for lam in enumerate_sign_homs(table)]
+    nonabelian = [sub for sub in subs if not transpose_abelian(sub)]
+    assert len(nonabelian) == kernels
+    for t in [table, *nonabelian]:
+        assert t.generators and not t.is_abelian(), t.name
+        _assert_same_classes(t.classes, all_pairs_classes(t))

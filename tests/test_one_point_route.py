@@ -47,7 +47,7 @@ def routes(monkeypatch):
     real = characters._orthogonality_failures
 
     def spy(table, primes, one_point):
-        log.append((table.group.name, table.ring.phi, "one-point" if one_point else "all-points"))
+        log.append((table.name, table.ring.phi, "one-point" if one_point else "all-points"))
         return real(table, primes, one_point)
 
     monkeypatch.setattr(characters, "_orthogonality_failures", spy)
@@ -156,7 +156,7 @@ def test_an_irrational_corruption_breaks_closure_and_falls_back(spec, where, mes
     assert not _galois_closed(bad)
     del routes[:]
     assert table_invariant_failures(bad) == messages
-    assert routes == [(table.group.name, table.ring.phi, "all-points")]
+    assert routes == [(table.name, table.ring.phi, "all-points")]
 
 
 def _closed_batches(group, lam):

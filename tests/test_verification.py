@@ -221,12 +221,41 @@ def test_a_group_its_kernel_and_its_lambda_are_freed_after_use():
     assert [ref() for ref in refs] == [None, None, None]
 
 
+@pytest.mark.parametrize(
+    "spec", [GroupSpec.symmetric(4), GroupSpec.dihedral(6)], ids=["S4", "D6"]
+)
+def test_no_reference_cycle_holds_a_group_or_its_lambda(spec):
+    """With the cyclic collector off, dropping the names frees the group, its
+    kernel, both tables, lambda and its context: nothing points back at its
+    owner, so reference counting alone frees them."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        group = build_group(spec)
+        table_g = character_table(group)
+        assert table_g.irreducibles
+        homs = enumerate_sign_homs(group)
+        ctx = [lambda_context(group, lam) for lam in homs][0]
+        assert ctx.table_h.irreducibles
+        k_group_s1_lambda(group, homs[0])
+        assert all(r.ok for r in verify_group(group))
+        refs = [
+            weakref.ref(x)
+            for x in (group, ctx.emb.subgroup, table_g, ctx.table_h, homs[0], ctx)
+        ]
+        del group, table_g, homs, ctx
+        assert [ref() for ref in refs] == [None] * 6
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def test_each_lambda_decomposes_its_restriction_and_induction_once(monkeypatch):
     calls = []
     real = characters.decompose_values
 
     def counting(table, varr, *args, **kwargs):
-        calls.append("G" if table.group is group else "H")
+        calls.append("G" if table is group.table else "H")
         return real(table, varr, *args, **kwargs)
 
     for module in (characters, ktheory, verification):
