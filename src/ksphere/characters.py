@@ -427,15 +427,18 @@ def _product_table_data(group: GroupTable, classes: ConjugacyClasses):
     `_table_data` sends abelian products to `_abelian_table_data`, so at
     least one factor here is nonabelian. The factors' raw data comes from
     `_table_data` uncertified: the product
-    table's certificate checks every value built from it. Class j of A x B,
+    table's certificate checks every value built from it. Factors with equal
+    tables (as in S4 x S4) share one build of it. Class j of A x B,
     with least element r = x |B| + y, lies over the classes of x in A and y
     in B; the products are taken in the ring of m = lcm of the factor
     moduli, the exponent of A x B, once for each pair of distinct factor
     values.
     """
     a, b = group.factors
-    degrees_a, distinct_a, which_a, m_a = _table_data(a, a.classes)
-    degrees_b, distinct_b, which_b, m_b = _table_data(b, b.classes)
+    data_a = _table_data(a, a.classes)
+    data_b = data_a if np.array_equal(a.product, b.product) else _table_data(b, b.classes)
+    degrees_a, distinct_a, which_a, m_a = data_a
+    degrees_b, distinct_b, which_b, m_b = data_b
     ring = get_ring(lcm(m_a, m_b))
     reps = np.asarray(classes.representatives, dtype=np.int64)
     wa = which_a[:, a.classes.class_of[reps // b.order]]  # [ka, k]

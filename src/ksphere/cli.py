@@ -122,11 +122,12 @@ def _dump_json(doc: dict, path: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _chartab_json(group, table, value_json: np.ndarray):
+def _chartab_json(group, table, labels, value_json: np.ndarray):
     """The chartab report as encoded parts in sorted key order: a head, one
     part per irreducible and a tail, written in turn by `_write_json`.
 
-    `value_json[d]` is `table.distinct[d]` encoded, so each distinct value is
+    `labels[j]` is the label of class j's representative. `value_json[d]` is
+    `table.distinct[d]` encoded, so each distinct value is
     encoded once rather than once per table cell. The joined parts equal
     `_encode` of the whole document: keys are spliced in the order `sort_keys`
     gives (classes, group, irreducibles, modulus, schema; degree, name,
@@ -134,12 +135,8 @@ def _chartab_json(group, table, value_json: np.ndarray):
     """
     classes = table.classes
     class_doc = [
-        {
-            "label": group.element_labels[rep],
-            "size": classes.class_sizes[j],
-            "element_order": classes.orders[j],
-        }
-        for j, rep in enumerate(classes.representatives)
+        {"label": label, "size": size, "element_order": order}
+        for label, size, order in zip(labels, classes.class_sizes, classes.orders)
     ]
     yield (
         f'{{"classes":{_encode(class_doc)},'
@@ -162,27 +159,31 @@ def _cmd_chartab(args) -> int:
     # Render and encode each distinct value of the table once; `which[c, j]`
     # picks chi_c's value at class j.
     rendered = [Cyclotomic.make(m, v) for v in table.distinct]
-    texts = np.array([str(v) for v in rendered], dtype=object)
+    texts = [str(v) for v in rendered]
     lens = np.array(list(map(len, texts)), dtype=np.int64)
-    cols = [
-        [group.element_labels[rep] for rep in classes.representatives],
-        [str(s) for s in classes.class_sizes],
-        [str(o) for o in classes.orders],
-    ]
+    labels = [group.label(rep) for rep in classes.representatives]
+    cols = [labels, [str(s) for s in classes.class_sizes], [str(o) for o in classes.orders]]
     header_w = [max(map(len, cells)) for cells in zip(*cols)]
-    col_w = np.maximum(lens[which].max(axis=0), header_w).tolist()
+    col_w = np.maximum(lens[which].max(axis=0), header_w)
     name_w = max(len(name) for name in (*table.names, "class")) + 2
+    # Each distinct text padded once to each distinct column width:
+    # padded[d, w] is texts[d] right-justified to widths[w].
+    widths, width_of = np.unique(col_w, return_inverse=True)
+    padded = np.array([[t.rjust(w) for w in widths.tolist()] for t in texts], dtype=object)
 
     def line(first: str, cells) -> str:
-        return first.ljust(name_w) + "  ".join([t.rjust(w) for t, w in zip(cells, col_w)])
+        return first.ljust(name_w) + "  ".join(cells)
 
     lines = [f"group {group.name}: order {group.order}, exponent {m}, {classes.count} classes"]
-    lines += [line(label, row) for label, row in zip(("class", "size", "order"), cols)]
-    lines += [line(name, row) for name, row in zip(table.names, texts[which])]
+    lines += [
+        line(label, map(str.rjust, row, col_w.tolist()))
+        for label, row in zip(("class", "size", "order"), cols)
+    ]
+    lines += [line(name, row) for name, row in zip(table.names, padded[which, width_of])]
     print("\n".join(lines))
     if args.json:
         value_json = np.array([_encode(v.to_json()) for v in rendered], dtype=object)
-        _write_json(_chartab_json(group, table, value_json), args.json)
+        _write_json(_chartab_json(group, table, labels, value_json), args.json)
     return 0
 
 

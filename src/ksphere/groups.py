@@ -1,15 +1,18 @@
 """Finite groups as explicit multiplication tables, with sign homomorphisms.
 
 Element 0 is always the identity. Every constructor is deterministic:
-building the same spec twice yields identical tables, labels, and class
-orderings, which downstream code relies on for reproducible bases.
+building the same spec twice yields identical tables, element labels and
+class orderings, which downstream code relies on for reproducible bases.
+Element labels are rendered on demand, one element at a time
+(`GroupTable.label`), so a build does no per-element string work.
 """
 
 from __future__ import annotations
 
 import os
+from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cached_property, partial, reduce
 from math import factorial
 
 import numpy as np
@@ -134,12 +137,16 @@ class GroupTable:
     records `schreier_generators`); `is_abelian` and `conjugacy_classes` rely on it.
     `factors` is (A, B) when the group was built as A x B, with element
     (x, y) at index x * |B| + y; it is empty for every other group.
+    `render(x)` is the label of element x, a function each builder passes in:
+    a closed form for the cyclic, dihedral and quaternion families, the cycle
+    notation of one closure row for a permutation group, the factors' labels
+    for a product and the ambient group's for a kernel. `label` calls it.
     """
 
     order: int
     product: np.ndarray
     inverse: np.ndarray
-    element_labels: tuple[str, ...]
+    render: Callable[[int], str] = field(repr=False)
     generators: tuple[int, ...]
     identity: int = 0
     name: str = "G"
@@ -155,6 +162,10 @@ class GroupTable:
 
     def fingerprint(self) -> bytes:
         return self.product.tobytes()
+
+    def label(self, x) -> str:
+        """The label of element x, rendered on demand."""
+        return self.render(int(x))
 
     def is_abelian(self) -> bool:
         """Whether the group is abelian, that is, whether its generators commute."""
@@ -327,33 +338,45 @@ def _validate_permutation(g, idx: int, degree: int) -> tuple[int, ...]:
 def row_keys(rows: np.ndarray) -> np.ndarray:
     """One opaque void scalar per row: equal exactly when the rows are equal."""
     rows = np.ascontiguousarray(rows, dtype=np.int64)
+    if not rows.shape[-1]:  # zero-width rows are all equal
+        return np.zeros(rows.shape[:-1], dtype="V1")
     return rows.view(np.dtype((np.void, 8 * rows.shape[-1]))).reshape(rows.shape[:-1])
 
 
-def _perm_closure(gens: list[tuple[int, ...]], degree: int, cap: int):
-    """The group generated by `gens`, found by one breadth-first orbit pass.
-
-    Returns the elements in breadth-first order from the identity and
-    `right[i, s]`, the index of elems[i] * gens[s] (gens[s] applied first):
-    the Cayley graph, as in the orbit algorithm with Schreier vectors (Holt,
+def _perm_closure(gens: np.ndarray, cap: int) -> np.ndarray:
+    """The group generated by the rows of `gens` [S, degree], as an
+    [n, degree] array in breadth-first order from the identity along the
+    edges x -> x g_s (g_s applied first), as in the orbit algorithm (Holt,
     Eick & O'Brien, Handbook of Computational Group Theory, 2005, 4.1).
+
+    Each level is gathered through every generator, and its new elements are
+    the first occurrences, in (parent, generator) order, of rows not seen
+    before: the order in which a breadth-first queue meets them. The level
+    goes in blocks of at most max(n, S) candidate rows, n the elements found
+    so far, so no gather outgrows the elements or the generators already
+    held. `known` holds the keys of the elements so far, ascending.
     """
-    identity = tuple(range(degree))
-    elems = [identity]
-    index = {identity: 0}
-    right = []
-    for x in elems:  # grows while it is walked: a breadth-first queue
-        row = []
-        for g in gens:
-            y = tuple(x[j] for j in g)
-            if y not in index:
-                if len(elems) >= cap:
-                    raise OrderLimitError(f"generated group exceeds the order cap {cap}")
-                index[y] = len(elems)
-                elems.append(y)
-            row.append(index[y])
-        right.append(row)
-    return elems, np.asarray(right, dtype=np.int64)
+    num, degree = gens.shape
+    level = np.arange(degree, dtype=np.int64)[None]
+    levels, known = [level], row_keys(level)
+    while len(level):
+        found = []
+        block = max(1, known.size // max(1, num))
+        for lo in range(0, len(level), block):
+            parents = level[lo : lo + block]
+            cand = parents[:, gens].reshape(len(parents) * num, degree)  # x g_s, parent-major
+            keys = row_keys(cand)
+            at = np.minimum(np.searchsorted(known, keys), known.size - 1)
+            fresh = np.nonzero(known[at] != keys)[0]
+            new, first = np.unique(keys[fresh], return_index=True)
+            if known.size + new.size > cap:
+                raise OrderLimitError(f"generated group exceeds the order cap {cap}")
+            found.append(cand[fresh[np.sort(first)]])
+            # Two ascending runs: a stable sort merges them in linear time.
+            known = np.sort(np.concatenate([known, new]), kind="stable")
+        level = np.concatenate(found)
+        levels.append(level)
+    return np.concatenate(levels)
 
 
 def _walk(right: np.ndarray) -> tuple[list[tuple[int, int, int]], np.ndarray]:
@@ -380,12 +403,9 @@ def _walk(right: np.ndarray) -> tuple[list[tuple[int, int, int]], np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-def _inverse_from_product(product: np.ndarray, identity: int = 0) -> np.ndarray:
-    n = product.shape[0]
-    inverse = np.empty(n, dtype=np.int64)
-    rows, cols = np.nonzero(product == identity)
-    inverse[rows] = cols
-    return inverse
+def _power_label(letter: str, i: int) -> str:
+    """The label of letter**i: e, letter, letter^i."""
+    return "e" if i == 0 else (letter if i == 1 else f"{letter}^{i}")
 
 
 def _build_cyclic(n: int) -> GroupTable:
@@ -393,9 +413,9 @@ def _build_cyclic(n: int) -> GroupTable:
         raise GroupSpecError(f"cyclic parameter must be >= 1, got {n}")
     idx = np.arange(n, dtype=np.int64)
     product = (idx[:, None] + idx[None, :]) % n
-    labels = tuple("e" if i == 0 else ("a" if i == 1 else f"a^{i}") for i in range(n))
     gens = (1,) if n > 1 else ()
-    return GroupTable(n, product, (-idx) % n, labels, generators=gens, name=f"C{n}")
+    render = partial(_power_label, "a")
+    return GroupTable(n, product, (-idx) % n, render, generators=gens, name=f"C{n}")
 
 
 def _build_dihedral(n: int) -> GroupTable:
@@ -408,15 +428,21 @@ def _build_dihedral(n: int) -> GroupTable:
     fb, ib = fa.T, ia.T
     jj = np.where(fb == 1, (ib - ia) % n, (ia + ib) % n)
     product = ((fa + fb) % 2) * n + jj
-    rot = ["e", "r"] + [f"r^{i}" for i in range(2, n)]
-    ref = ["s", "s*r"] + [f"s*r^{i}" for i in range(2, n)]
-    labels = tuple(rot[:n] + ref[:n])
-    return GroupTable(
-        order, product, _inverse_from_product(product), labels, generators=(1, n), name=f"D{n}"
-    )
+    # (r^i)^-1 = r^-i, and every reflection s r^i is its own inverse.
+    idx = np.arange(n, dtype=np.int64)
+    inverse = np.concatenate([(-idx) % n, n + idx])
+
+    def render(x: int) -> str:
+        k, i = divmod(x, n)
+        rot = _power_label("r", i)
+        return rot if not k else ("s" if i == 0 else f"s*{rot}")
+
+    return GroupTable(order, product, inverse, render, generators=(1, n), name=f"D{n}")
 
 
 _QUATERNION_LABELS = ("1", "i", "-1", "-i", "j", "k", "-j", "-k")
+# x^-1 = -x for every x but +-1: i, j and k all square to -1.
+_QUATERNION_INVERSE = (0, 3, 2, 1, 6, 7, 4, 5)
 
 
 def _build_quaternion(n: int) -> GroupTable:
@@ -433,8 +459,8 @@ def _build_quaternion(n: int) -> GroupTable:
     return GroupTable(
         8,
         product,
-        _inverse_from_product(product),
-        _QUATERNION_LABELS,
+        _QUATERNION_INVERSE,
+        _QUATERNION_LABELS.__getitem__,
         generators=(1, 4),
         name="Q8",
     )
@@ -464,45 +490,54 @@ def _generator_perms(spec: GroupSpec) -> list[tuple[int, ...]]:
 def _build_permutation_group(spec: GroupSpec, degree: int, cap: int) -> GroupTable:
     """The closure of the spec's generators, its table unrolled along the Cayley graph.
 
-    S_n and A_n are relabelled into lexicographic order first, as the n x S
-    Cayley graph `rank[right[order]]`; generated groups keep the breadth-first
-    order. Either way the identity is element 0. For y = x g_s,
-    z y = (z x) g_s for every z, so column y of the product is column x sent
-    through `right[:, s]`. The columns are unrolled breadth-first from the
-    identity one level at a time: each level and generator is one gather, so
-    about diameter x S gathers build the table.
+    S_n and A_n are relabelled into lexicographic order (one lexsort over
+    the columns); generated groups keep the breadth-first order. Either way
+    the identity is element 0. `steps[s, x]` is the index of g_s x, and the
+    inverse of x is its inverse permutation (argsort): both are looked up
+    among the elements' sorted row keys. For y = g_s x, y z = g_s (x z) for
+    every z, so row y of the product is row x sent through `steps[s]`. The
+    rows are unrolled breadth-first from the identity one level at a time:
+    each level and generator is one gather, so about diameter x S gathers
+    build the table.
     """
-    perms, right = _perm_closure(_generator_perms(spec), degree, cap)
-    n = len(perms)
+    gens = _generator_perms(spec)
+    gens = np.asarray(gens, dtype=np.int64).reshape(len(gens), degree)
+    perms = _perm_closure(gens, cap)
     if spec.kind != "permutation_generators":
-        order = sorted(range(n), key=perms.__getitem__)
-        rank = np.argsort(order)
-        right = rank[right[order]]
-        perms = [perms[i] for i in order]
-    steps = np.ascontiguousarray(right.T)  # steps[s, x] = x g_s
-    cols = np.empty((n, n), dtype=np.int64)  # cols[y] is column y of the product
-    cols[0] = np.arange(n)
+        perms = perms[np.lexsort(perms.T[::-1])]
+    perms.setflags(write=False)
+    n = len(perms)
+    keys = row_keys(perms)
+    by_key = np.argsort(keys)
+    keys = keys[by_key]
+    # The group holds every g_s x and every inverse, so each key is found; one
+    # generator at a time keeps every gather [n, degree].
+    steps = np.empty((len(gens), n), dtype=np.int64)
+    for s, g in enumerate(gens):
+        steps[s] = by_key[np.searchsorted(keys, row_keys(g[perms]))]  # (g_s x)[j] = g_s[x[j]]
+    inverse = by_key[np.searchsorted(keys, row_keys(np.argsort(perms, axis=1)))]
+    product = np.empty((n, n), dtype=np.int64)
+    product[0] = np.arange(n)
     reached = np.zeros(n, dtype=bool)
     reached[0] = True
     level = np.zeros(1, dtype=np.int64)
     while level.size:
         found = [level[:0]]  # the trivial group has no generators
         for step in steps:
-            # x -> x g_s is injective, so the new ends of one generator are distinct.
+            # x -> g_s x is injective, so the new ends of one generator are distinct.
             y = step[level]
             new = ~reached[y]
             y = y[new]
             reached[y] = True
-            cols[y] = step[cols[level[new]]]
+            product[y] = step[product[level[new]]]
             found.append(y)
         level = np.concatenate(found)
-    product = cols.T
     return GroupTable(
         n,
         product,
-        _inverse_from_product(product),
-        tuple(_cycle_notation(p) for p in perms),
-        generators=tuple(right[0].tolist()),
+        inverse,
+        lambda x: _cycle_notation(perms[x].tolist()),
+        generators=tuple(steps[:, 0].tolist()),
         name=spec.name,
     )
 
@@ -514,15 +549,12 @@ def _build_direct_product(a: GroupTable, b: GroupTable, cap: int) -> GroupTable:
     # Encode (x, y) -> x * |B| + y; axes (x1, y1, x2, y2) flatten to (row, column).
     product = a.product[:, None, :, None] * b.order + b.product[None, :, None, :]
     inverse = a.inverse[:, None] * b.order + b.inverse[None, :]
-    labels = tuple(
-        f"({la},{lb})" for la in a.element_labels for lb in b.element_labels
-    )
     gens = tuple(g * b.order for g in a.generators) + tuple(int(g) for g in b.generators)
     return GroupTable(
         order,
         product.reshape(order, order),
         inverse.reshape(-1),
-        labels,
+        lambda x: f"({a.label(x // b.order)},{b.label(x % b.order)})",
         generators=gens,
         name=f"{a.name}x{b.name}",
         factors=(a, b),
@@ -679,7 +711,7 @@ def _signs_from_generators(table: GroupTable, signs: tuple[int, ...], label: str
         g = int(gens[i])
         raise LambdaSpecError(
             f"generator_signs[{i}] = {signs[i]:+d} is not realised by a homomorphism: "
-            f"generator {i} ({table.element_labels[g]}) is a product of generators "
+            f"generator {i} ({table.label(g)}) is a product of generators "
             f"with sign {int(vals[g]):+d}"
         )
     return make_sign_hom(table, vals, label)
@@ -809,7 +841,7 @@ def kernel_embedding(table: GroupTable, lam: SignHomomorphism) -> SubgroupEmbedd
         order=len(h_idx),
         product=sub_product,
         inverse=sub_inverse,
-        element_labels=tuple(table.element_labels[int(i)] for i in h_idx),
+        render=lambda e: table.label(h_idx[e]),
         generators=tuple(pos[schreier_generators(table, lam)].tolist()),
         name=f"ker({lam.label})<{table.name}",
     )

@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -6,7 +7,7 @@ from pathlib import Path
 import numpy as np
 
 import ksphere
-from ksphere import kernels
+from ksphere import groups, kernels
 from ksphere.characters import _analysis_bound, _analysis_weights, _l1_norms
 from ksphere.cli import CHARTAB_SCHEMA
 from ksphere.cyclotomic import Cyclotomic, eval_prime, prime_count
@@ -80,6 +81,63 @@ def all_pairs_classes(table):
         class_sizes=tuple(len(members[r]) for r in reps),
         orders=tuple(key[r][0] for r in reps),
     )
+
+
+def compose(p, q):
+    """(p * q)(i) = p(q(i)): apply q first."""
+    return tuple(p[q[i]] for i in range(len(p)))
+
+
+def bfs_closure(gens, degree):
+    """Reference: the elements generated by gens, frontier by frontier from the identity."""
+    identity = tuple(range(degree))
+    elems, seen, frontier = [identity], {identity}, [identity]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in gens:
+                y = compose(x, g)
+                if y not in seen:
+                    seen.add(y)
+                    elems.append(y)
+                    nxt.append(y)
+        frontier = nxt
+    return elems
+
+
+def oracle_perms(spec):
+    """Reference element list in table order: S_n and A_n sorted, generated groups by BFS."""
+    if spec.kind == "symmetric":
+        return sorted(itertools.permutations(range(spec.n)))
+    if spec.kind == "alternating":
+        return [p for p in sorted(itertools.permutations(range(spec.n)))
+                if groups._perm_parity(p) == 1]
+    return bfs_closure(spec.generators, len(spec.generators[0]))
+
+
+def eager_labels(spec: GroupSpec) -> tuple[str, ...]:
+    """Reference: the label of every element of the spec's group as one
+    tuple in table order, built family by family from the spec alone."""
+    if spec.kind == "cyclic":
+        return tuple("e" if i == 0 else ("a" if i == 1 else f"a^{i}") for i in range(spec.n))
+    if spec.kind == "dihedral":
+        rot = ["e", "r"] + [f"r^{i}" for i in range(2, spec.n)]
+        ref = ["s", "s*r"] + [f"s*r^{i}" for i in range(2, spec.n)]
+        return tuple(rot[: spec.n] + ref[: spec.n])
+    if spec.kind == "quaternion":
+        return ("1", "i", "-1", "-i", "j", "k", "-j", "-k")
+    if spec.kind == "direct_product":
+        labels_a, labels_b = map(eager_labels, spec.factors)
+        return tuple(f"({a},{b})" for a in labels_a for b in labels_b)
+    return tuple(groups._cycle_notation(p) for p in oracle_perms(spec))
+
+
+def inverse_from_product(product: np.ndarray, identity: int = 0) -> np.ndarray:
+    """Reference: the inverse of each element, read off the |G| x |G| table."""
+    inverse = np.empty(product.shape[0], dtype=np.int64)
+    rows, cols = np.nonzero(product == identity)
+    inverse[rows] = cols
+    return inverse
 
 
 def group_axiom_violations(table, max_order: int = 256) -> list[str]:
@@ -165,7 +223,7 @@ def chartab_reference_doc(group, table) -> dict:
         "modulus": m,
         "classes": [
             {
-                "label": group.element_labels[rep],
+                "label": group.label(rep),
                 "size": classes.class_sizes[j],
                 "element_order": classes.orders[j],
             }

@@ -335,10 +335,10 @@ def test_twist_class_map_rejects_outside_elements_and_a_non_normal_subgroup():
         with pytest.raises(CharacterTheoryError, match="not in the ambient group"):
             twist_class_map(emb, g)
     # <(0 1)> in S3: a 3-cycle conjugates (0 1) out of it.
-    swap = t.element_labels.index("(0 1)")
-    emb = SubgroupEmbedding(build_group(GroupSpec.cyclic(2)), [0, swap], t)
+    labels = [t.label(x) for x in range(t.order)]
+    emb = SubgroupEmbedding(build_group(GroupSpec.cyclic(2)), [0, labels.index("(0 1)")], t)
     with pytest.raises(CharacterTheoryError, match="not normal"):
-        twist_class_map(emb, t.element_labels.index("(0 1 2)"))
+        twist_class_map(emb, labels.index("(0 1 2)"))
 
 
 def test_twist_is_involution_and_b_independent():

@@ -12,7 +12,7 @@ from ksphere import cli
 from ksphere.characters import character_table
 from ksphere.cyclotomic import Cyclotomic
 from ksphere.groups import build_group, parse_group_document
-from ksphere import verification
+from ksphere import groups, verification
 from ksphere.verification import CheckReport
 
 S3_SPEC = '{"family":"S","n":3,"lambda":{"convention":"sign"}}'
@@ -73,6 +73,34 @@ def test_chartab_report_is_the_reference_document_encoded(spec, tmp_path, capsys
     assert np.array_equal(
         np.array([[v.num for v in row] for row in values], dtype=np.int64), dense_values(table)
     )
+
+
+def test_only_chartab_renders_labels_and_only_its_representatives(monkeypatch, tmp_path, capsys):
+    """Labels are rendered on demand: chartab S6 renders at most k + |S| of
+    its 720, with or without --json, and kgroup and verify render none."""
+    rendered = []
+    real_label = groups.GroupTable.label
+
+    def counting_label(self, x):
+        rendered.append(int(x))
+        return real_label(self, x)
+
+    monkeypatch.setattr(groups.GroupTable, "label", counting_label)
+    s6 = '{"family":"S","n":6}'
+    assert cli.main(["chartab", s6, "--json", str(tmp_path / "s6.json")]) == 0
+    group = build_group(parse_group_document(json.loads(s6))[0])
+    reps = group.classes.representatives
+    assert set(rendered) == set(reps)
+    assert len(rendered) <= len(reps) + len(group.generators)
+    rendered.clear()
+    s4 = '{"family":"S","n":4,"lambda":{"convention":"sign"}}'
+    for sphere in ("s1-lambda", "s-lambda"):
+        assert cli.main(["kgroup", s4, "--sphere", sphere]) == 0
+    d4 = '{"family":"D","n":4,"lambda":{"convention":"reflection-sign"}}'
+    for spec in (s4, d4):
+        assert cli.main(["verify", spec]) == 0
+    assert rendered == []
+    capsys.readouterr()
 
 
 def test_kgroup_s1_lambda_s3(tmp_path, capsys):

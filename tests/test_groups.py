@@ -6,7 +6,15 @@ from math import lcm
 import numpy as np
 import pytest
 
-from conftest import all_pairs_classes, group_axiom_violations, transpose_abelian
+from conftest import (
+    all_pairs_classes,
+    compose,
+    eager_labels,
+    group_axiom_violations,
+    inverse_from_product,
+    oracle_perms,
+    transpose_abelian,
+)
 from ksphere import groups
 from ksphere.groups import (
     GroupSpec,
@@ -40,38 +48,6 @@ def brute_closure(gens):
         if new <= elems:
             return elems
         elems |= new
-
-
-def _compose(p, q):
-    """(p * q)(i) = p(q(i)): apply q first."""
-    return tuple(p[q[i]] for i in range(len(p)))
-
-
-def _bfs_closure(gens, degree):
-    """Reference: the elements generated by gens, frontier by frontier from the identity."""
-    identity = tuple(range(degree))
-    elems, seen, frontier = [identity], {identity}, [identity]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = _compose(x, g)
-                if y not in seen:
-                    seen.add(y)
-                    elems.append(y)
-                    nxt.append(y)
-        frontier = nxt
-    return elems
-
-
-def _oracle_perms(spec):
-    """Reference element list in table order: S_n and A_n sorted, generated groups by BFS."""
-    if spec.kind == "symmetric":
-        return sorted(itertools.permutations(range(spec.n)))
-    if spec.kind == "alternating":
-        return [p for p in sorted(itertools.permutations(range(spec.n)))
-                if groups._perm_parity(p) == 1]
-    return _bfs_closure(spec.generators, len(spec.generators[0]))
 
 
 def brute_classes(table):
@@ -304,7 +280,7 @@ def test_determinism_of_construction():
     a = build_group(spec)
     b = build_group(spec)
     assert np.array_equal(a.product, b.product)
-    assert a.element_labels == b.element_labels
+    assert [a.label(x) for x in range(a.order)] == [b.label(x) for x in range(b.order)]
     ca, cb = conjugacy_classes(a), conjugacy_classes(b)
     assert ca.classes == cb.classes
 
@@ -412,7 +388,7 @@ _SIGN_SPECS = (
 @pytest.mark.parametrize("spec", _SIGN_SPECS, ids=lambda s: s.name)
 def test_sign_convention_is_the_parity_of_every_element(spec):
     # Oracle: the parity of each element's permutation, in table order.
-    parities = [groups._perm_parity(p) for p in _oracle_perms(spec)]
+    parities = [groups._perm_parity(p) for p in oracle_perms(spec)]
     t = build_group(spec)
     if -1 not in parities:
         with pytest.raises(LambdaSpecError, match="'sign' is not surjective"):
@@ -445,7 +421,7 @@ def _signs_oracle(table, signs, label):
         if vals[g] != signs[i]:
             return (
                 f"generator_signs[{i}] = {signs[i]:+d} is not realised by a homomorphism: "
-                f"generator {i} ({table.element_labels[g]}) is a product of generators "
+                f"generator {i} ({table.label(g)}) is a product of generators "
                 f"with sign {int(vals[g]):+d}"
             )
     try:
@@ -672,15 +648,29 @@ def test_parse_group_document_errors_name_fields():
         GroupSpec.symmetric(6),
         GroupSpec.alternating(6),
         GroupSpec.permutation_generators([_TWENTY_CYCLE, _TWENTY_FLIP]),
+        GroupSpec.symmetric(1),
+        GroupSpec.symmetric(2),
+        GroupSpec.alternating(1),
+        GroupSpec.alternating(2),
+        GroupSpec.alternating(3),
+        GroupSpec.permutation_generators([()]),
+        GroupSpec.permutation_generators([(1, 0, 2), (1, 2, 0), (1, 0, 2)]),
+        GroupSpec.permutation_generators([(0, 1, 2, 3), (1, 0, 3, 2), (0, 1, 2, 3), (2, 3, 0, 1)]),
+        GroupSpec.permutation_generators(list(itertools.permutations(range(4)))[::-1]),
     ],
-    ids=["S5", "A5", "S6", "A6", "degree20"],
+    ids=[
+        "S5", "A5", "S6", "A6", "degree20", "S1", "S2", "A1", "A2", "A3",
+        "degree0", "repeat", "identity", "every-element",
+    ],
 )
 def test_build_group_matches_compose_oracle(spec):
-    perms = _oracle_perms(spec)
+    perms = oracle_perms(spec)
     index = {p: i for i, p in enumerate(perms)}
     t = build_group(spec)
-    assert t.product.tolist() == [[index[_compose(p, q)] for q in perms] for p in perms]
-    assert t.element_labels == tuple(groups._cycle_notation(p) for p in perms)
+    assert t.product.tolist() == [[index[compose(p, q)] for q in perms] for p in perms]
+    assert tuple(t.label(x) for x in range(t.order)) == tuple(
+        groups._cycle_notation(p) for p in perms
+    )
     assert t.generators == tuple(index[g] for g in groups._generator_perms(spec))
 
 
@@ -787,6 +777,49 @@ def test_recorded_generators_generate_the_group():
             assert k.identity not in k.generators, k.name
             assert len(set(k.generators)) == len(k.generators), k.name
             assert k.generators or k.order == 1, k.name
+
+
+def _with_kernels(specs):
+    """(table, eager labels) for each spec's group and each of its kernels."""
+    out = []
+    for spec in specs:
+        t, labels = build_group(spec), eager_labels(spec)
+        out.append((t, labels))
+        for lam in enumerate_sign_homs(t):
+            emb = kernel_embedding(t, lam)
+            out.append((emb.subgroup, tuple(labels[i] for i in emb.inclusion)))
+    return out
+
+
+def test_every_builder_inverts_as_the_product_table_does():
+    """Each builder's inverse (closed forms, inverse permutations, factor
+    pairs, kernel restriction) equals the |G| x |G| scan of its table."""
+    specs = [
+        *builtin_specs_upto(64),
+        GroupSpec.symmetric(6),
+        GroupSpec.alternating(6),
+        GroupSpec.dihedral(512),
+        GroupSpec.cyclic(1024),
+        _DEGREE_TWENTY,
+        GroupSpec.direct_product(GroupSpec.quaternion(8), GroupSpec.symmetric(3)),
+    ]
+    for t, _ in _with_kernels(specs):
+        assert np.array_equal(t.inverse, inverse_from_product(t.product)), t.name
+
+
+def test_labels_on_demand_match_the_eager_reference():
+    """label(x) renders what the eager reference lists for x, on every group
+    family, nonabelian products and kernels."""
+    specs = [
+        *builtin_specs_upto(64),
+        GroupSpec.symmetric(6),
+        GroupSpec.dihedral(512),
+        GroupSpec.direct_product(GroupSpec.quaternion(8), GroupSpec.symmetric(3)),
+        GroupSpec.direct_product(GroupSpec.symmetric(4), GroupSpec.dihedral(4)),
+        GroupSpec.direct_product(GroupSpec.cyclic(3), _DEGREE_TWENTY),
+    ]
+    for t, labels in _with_kernels(specs):
+        assert tuple(t.label(x) for x in range(t.order)) == labels, t.name
 
 
 @pytest.mark.parametrize(

@@ -435,6 +435,25 @@ def test_chartab_of_a_nested_product_certifies_only_the_served_table(
     assert certified == ["C2xC2xC2"]
 
 
+def test_equal_factors_share_one_dixon_run(fresh_caches, monkeypatch):
+    """S4 x S4 builds its factors' raw data once for both, so Dixon runs on
+    one S4; A4 x S4, whose factors differ, builds each factor's own."""
+    calls = []
+    real_dixon = dixon.character_table_data
+
+    def counting_dixon(group, classes):
+        calls.append(group.name)
+        return real_dixon(group, classes)
+
+    monkeypatch.setattr(dixon, "character_table_data", counting_dixon)
+    s4 = GroupSpec.symmetric(4)
+    character_table(build_group(GroupSpec.direct_product(s4, s4)))
+    assert calls == ["S4"]
+    calls.clear()
+    character_table(build_group(GroupSpec.direct_product(GroupSpec.alternating(4), s4)))
+    assert calls == ["A4", "S4"]
+
+
 def test_a_product_table_leaves_no_table_of_its_factors(fresh_caches):
     group = build_group(GroupSpec.direct_product(GroupSpec.cyclic(2), GroupSpec.cyclic(128)))
     character_table(group)
