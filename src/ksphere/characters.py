@@ -211,17 +211,34 @@ class CharacterTable:
         )
 
     @cached_property
-    def _distinct_keys(self) -> tuple[np.ndarray, np.ndarray]:
+    def _distinct_keys(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return _sorted_keys(self.distinct)
 
     @cached_property
-    def _which_keys(self) -> tuple[np.ndarray, np.ndarray]:
+    def _which_keys(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return _sorted_keys(self.which)
 
     def value_indices(self, values: np.ndarray) -> np.ndarray:
         """The d with distinct[d] equal to v exactly, for each value v of
         `values` [..., phi], or -1 where v is not a value of the table."""
         return _find_rows(self._distinct_keys, values)
+
+    @cached_property
+    def _root_exponents(self) -> np.ndarray:
+        """[D]: the e with distinct[d] = zeta**e, or -1 where distinct[d] is
+        not a root of unity; one lookup of the m rows of `red`."""
+        root = self.value_indices(self.ring.red)
+        exps = np.full(len(self.distinct), -1, dtype=np.int64)
+        found = np.flatnonzero(root >= 0)
+        exps[root[found]] = found
+        return exps
+
+    @cached_property
+    def _zeta_multiples(self) -> np.ndarray:
+        """[D, m]: the index of distinct[d] * zeta**s among the rows of
+        `distinct`, or -1 where that product is not a value of the table
+        (`linear_product_permutations`)."""
+        return _zeta_multiples(self)
 
 
 @dataclass(eq=False)
@@ -232,9 +249,10 @@ class VirtualCharacter:
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.coeffs) != self.table.count:
+        coeffs = self.coeffs.tolist() if isinstance(self.coeffs, np.ndarray) else self.coeffs
+        if len(coeffs) != self.table.count:
             raise ValueError("coefficient vector length mismatch")
-        self.coeffs = tuple(int(c) for c in self.coeffs)
+        self.coeffs = tuple(map(int, coeffs))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, VirtualCharacter):
@@ -908,7 +926,7 @@ def restrict(phi: VirtualCharacter, emb: SubgroupEmbedding) -> VirtualCharacter:
     gvals = values_of_coeffs(table_g, np.asarray([phi.coeffs]))
     hvals = restrict_values(emb, gvals)
     coeffs = decompose_values(table_h, hvals, table_g.ring)[0]
-    return VirtualCharacter(table_h, tuple(int(c) for c in coeffs))
+    return VirtualCharacter(table_h, coeffs)
 
 
 def induced_values(emb: SubgroupEmbedding, hvals: np.ndarray) -> np.ndarray:
@@ -935,7 +953,7 @@ def induce(chi: VirtualCharacter, emb: SubgroupEmbedding) -> VirtualCharacter:
     hvals = _embed(values_of_coeffs(table_h, [chi.coeffs]), table_h.modulus, table_g.ring)
     gvals = induced_values(emb, hvals)
     coeffs = decompose_values(table_g, gvals, table_g.ring)[0]
-    return VirtualCharacter(table_g, tuple(int(c) for c in coeffs))
+    return VirtualCharacter(table_g, coeffs)
 
 
 def twist_class_map(emb: SubgroupEmbedding, g: int) -> np.ndarray:
@@ -953,31 +971,88 @@ def twist_class_map(emb: SubgroupEmbedding, g: int) -> np.ndarray:
 
 def row_permutation(table: CharacterTable, rows: np.ndarray) -> np.ndarray:
     """The permutation pi of Irr with rows[c] = which[pi(c)], for integer rows
-    [k, k] naming values of `table.distinct`, found by one sorted lookup.
+    [..., k, k] naming values of `table.distinct`, found by one sorted lookup:
+    one permutation [..., k] for each leading index.
 
     Raises when a row is not a row of `which` (an entry -1 names no value) or
-    two rows coincide.
+    two rows of one permutation coincide.
     """
     pi = _find_rows(table._which_keys, rows)
-    if not np.array_equal(np.sort(pi), np.arange(table.count)):
+    if pi.shape[-1:] != (table.count,) or np.any(np.sort(pi, axis=-1) != np.arange(table.count)):
         raise CharacterTheoryError(f"rows are not a permutation of Irr({table.name})")
     pi.setflags(write=False)
     return pi
 
 
-def _sorted_keys(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The row keys of `rows` [N, w], a view, and the order that sorts them."""
+def _sorted_keys(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The int64 rows [N, w], their row keys (a view) and the order that sorts the keys."""
+    rows = np.ascontiguousarray(rows, dtype=np.int64)
     keys = row_keys(rows)
-    return keys, np.argsort(keys, kind="stable")
+    return rows, keys, np.argsort(keys, kind="stable")
 
 
-def _find_rows(sorted_keys: tuple[np.ndarray, np.ndarray], rows: np.ndarray) -> np.ndarray:
+def _find_rows(sorted_keys: tuple[np.ndarray, ...], rows: np.ndarray) -> np.ndarray:
     """For each row of `rows` [..., w], the least index of an equal row among
-    the rows keyed by `sorted_keys` (`_sorted_keys`), or -1 when none is."""
-    keys, order = sorted_keys
-    wanted = row_keys(rows)
-    at = order[np.minimum(np.searchsorted(keys, wanted, sorter=order), len(keys) - 1)]
-    return np.where(keys[at] == wanted, at, -1)
+    the rows keyed by `sorted_keys` (`_sorted_keys`), or -1 when none is.
+
+    The sorted keys give one candidate per row, and the candidate is compared
+    with the row entry by entry, as integers."""
+    known, keys, order = sorted_keys
+    at = order[np.minimum(np.searchsorted(keys, row_keys(rows), sorter=order), len(keys) - 1)]
+    return np.where((known[at] == rows).all(axis=-1), at, -1)
+
+
+def _zeta_multiples(table: CharacterTable) -> np.ndarray:
+    """[D, m]: entry [d, s] is the index of distinct[d] * zeta**s among the
+    rows of `distinct`, or -1 where that product is not a value of the table.
+
+    A root of unity zeta**e needs index arithmetic alone: its multiples are
+    zeta**(e + s), looked up once among the rows of `red`. Every other value
+    is multiplied by zeta one step at a time, each step one shift of the
+    power basis and one reduction of the coefficient carried past
+    z**(phi - 1), by red[phi] = z**phi, and each product is looked up.
+    """
+    ring, m = table.ring, table.modulus
+    exps = table._root_exponents
+    root = np.full(m, -1, dtype=np.int64)
+    root[exps[exps >= 0]] = np.flatnonzero(exps >= 0)
+    out = np.empty((len(exps), m), dtype=np.int64)
+    roots = exps >= 0
+    out[roots] = root[(exps[roots, None] + np.arange(m)) % m]
+    others = np.flatnonzero(~roots)
+    if others.size:
+        cur = table.distinct[others]
+        # |x zeta**s|_inf <= |x|_1 peak for every s, and a step adds a carry
+        # times red[phi] to a shifted coefficient.
+        bound = int(_l1_norms(cur).max()) * ring.peak * (1 + ring.peak)
+        kernels._require_int64(bound, "multiple of zeta")
+        carry = ring.red[ring.phi % m]
+        shifted = np.zeros_like(cur)
+        for s in range(m):
+            out[others, s] = table.value_indices(cur)
+            shifted[:, 1:] = cur[:, :-1]
+            cur = shifted + cur[:, -1:] * carry
+    out.setflags(write=False)
+    return out
+
+
+def linear_product_permutations(table: CharacterTable, linear) -> np.ndarray:
+    """[L, k]: row l is the permutation pi of Irr with chi_c chi_linear[l] =
+    chi_pi(c), for L characters chi_linear[l] of degree 1.
+
+    chi_linear[l](j) = zeta**s_j at every class j, so chi_c chi_linear[l] has
+    the index row _zeta_multiples[which[c, j], s_j]. Each of the L k product
+    rows is looked up in full (`row_permutation`), so a product that is not
+    an irreducible of the table raises.
+    """
+    linear = np.asarray(linear, dtype=np.intp).reshape(-1)
+    s = table._root_exponents[table.which[linear]]  # [L, k]
+    bad = (np.asarray(table.degrees)[linear] != 1) | np.any(s < 0, axis=1)
+    if bad.any():
+        raise CharacterTheoryError(
+            f"chi{linear[np.argmax(bad)]} of {table.name} is not a linear character"
+        )
+    return row_permutation(table, table._zeta_multiples[table.which, s[:, None, :]])
 
 
 def involution_orbits(perm: np.ndarray) -> OrbitData:
@@ -1002,7 +1077,7 @@ def conjugate_twist(chi: VirtualCharacter, emb: SubgroupEmbedding, g: int) -> Vi
         raise CharacterTheoryError("character does not live on the subgroup")
     out = np.zeros(table_h.count, dtype=np.int64)
     out[twist_permutation(emb, g)] = chi.coeffs
-    return VirtualCharacter(table_h, tuple(out))
+    return VirtualCharacter(table_h, out)
 
 
 def tensor_product(a: VirtualCharacter, b: VirtualCharacter) -> VirtualCharacter:
@@ -1012,7 +1087,7 @@ def tensor_product(a: VirtualCharacter, b: VirtualCharacter) -> VirtualCharacter
     va = values_of_coeffs(table, np.asarray([a.coeffs]))
     vb = values_of_coeffs(table, np.asarray([b.coeffs]))
     coeffs = decompose_values(table, va, factor=vb)[0, 0]
-    return VirtualCharacter(table, tuple(int(c) for c in coeffs))
+    return VirtualCharacter(table, coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -1039,12 +1114,9 @@ class LambdaContext:
 
     @cached_property
     def restriction(self) -> np.ndarray:
-        """R[a, i] = multiplicity of chi_i in res(phi_a), decomposed on first read."""
-        table_g = self.table_g
-        res_vals = table_g.distinct[table_g.which[:, self.emb.class_map]]  # [k_G, k_H, phi]
-        r = decompose_values(self.table_h, res_vals, table_g.ring)
-        r.setflags(write=False)
-        return r
+        """R[a, i] = multiplicity of chi_i in res(phi_a), looked up on first
+        read (`_clifford_restriction`)."""
+        return _clifford_restriction(self)
 
     @cached_property
     def induction(self) -> np.ndarray:
@@ -1053,6 +1125,54 @@ class LambdaContext:
         t = decompose_values(self.table_g, induced_values(self.emb, hvals), self.table_g.ring)
         t.setflags(write=False)
         return t
+
+
+def _clifford_restriction(ctx: LambdaContext) -> np.ndarray:
+    """R[a, i] = multiplicity of psi_i in res(phi_a), by an exact lookup.
+
+    H = ker lambda has index 2, so res(phi_a) is a twist-fixed psi_c or the
+    orbit sum psi_c + psi_sigma(c) of a swapped pair, and each fixed psi_c
+    is the restriction of two irreducibles of G, each pair's sum of one
+    (Isaacs 1976, ch. 6). These F + P candidates are put in index form: at
+    each class of H a candidate is the pair (d, d') of value indices of H,
+    d' = D_H standing for no second term; the distinct pairs alone are
+    summed, embedded in the ring of G and looked up among the values of G,
+    so each candidate becomes an integer row of value indices of G. Each
+    restricted row which_G[a, class_map] is looked up among those rows. A
+    row found nowhere, or a candidate found other than two (fixed) or one
+    (pair) times, raises.
+    """
+    table_g, table_h = ctx.table_g, ctx.table_h
+    fixed = np.asarray(ctx.orbits.fixed, dtype=np.intp)
+    pairs = np.asarray(ctx.orbits.pairs, dtype=np.intp).reshape(-1, 2)
+    first = np.concatenate([fixed, pairs[:, 0]])
+    none = len(table_h.distinct)
+    lone = np.full((fixed.size, table_h.count), none, dtype=np.int64)
+    a, b = table_h.which[first], np.concatenate([lone, table_h.which[pairs[:, 1]]])
+    codes, code_of = np.unique(np.minimum(a, b) * (none + 1) + np.maximum(a, b), return_inverse=True)
+    embedded = _embed(table_h.distinct, table_h.modulus, table_g.ring)
+    embedded = np.concatenate([embedded, np.zeros_like(embedded[:1])])  # row D_H: no term
+    sums = embedded[codes // (none + 1)] + embedded[codes % (none + 1)]
+    candidates = table_g.value_indices(sums)[code_of.reshape(-1)].reshape(a.shape)
+    hit = _find_rows(_sorted_keys(candidates), table_g.which[:, ctx.emb.class_map])
+    if np.any(hit < 0):
+        raise CharacterTheoryError(
+            f"restriction of chi{int(np.argmax(hit < 0))} of {table_g.name} to ker({ctx.label}) "
+            f"is neither a twist-fixed character nor an orbit sum"
+        )
+    expected = np.repeat([2, 1], [fixed.size, len(pairs)])
+    if not np.array_equal(np.bincount(hit, minlength=first.size), expected):
+        raise CharacterTheoryError(
+            f"restrictions of Irr({table_g.name}) to ker({ctx.label}) do not meet each "
+            f"fixed character twice and each orbit sum once"
+        )
+    r = np.zeros((table_g.count, table_h.count), dtype=np.int64)
+    rows = np.arange(table_g.count)
+    r[rows, first[hit]] = 1
+    paired = hit >= fixed.size
+    r[rows[paired], pairs[hit[paired] - fixed.size, 1]] = 1
+    r.setflags(write=False)
+    return r
 
 
 def lambda_index(table_g: CharacterTable, lam: SignHomomorphism) -> int:

@@ -321,8 +321,11 @@ def _perm_parity(p: tuple[int, ...]) -> int:
     return (-1) ** sum(len(c) - 1 for c in _cycles(p))
 
 
-def _cycle_notation(p: tuple[int, ...]) -> str:
-    parts = ["(" + " ".join(map(str, c)) + ")" for c in _cycles(p) if len(c) > 1]
+def _cycle_notation(p: tuple[int, ...], points=None) -> str:
+    """The cycles of p that move a point, each from its least point; with
+    `points` (ascending), p acts on points[0], points[1], ... in that order."""
+    name = str if points is None else (lambda i: str(points[i]))
+    parts = ["(" + " ".join(map(name, c)) + ")" for c in _cycles(p) if len(c) > 1]
     return "".join(parts) if parts else "()"
 
 
@@ -502,8 +505,12 @@ def _build_permutation_group(spec: GroupSpec, degree: int, cap: int) -> GroupTab
     """
     gens = _generator_perms(spec)
     gens = np.asarray(gens, dtype=np.int64).reshape(len(gens), degree)
+    # A point that every generator fixes is fixed by the group, so the group
+    # is closed on the moved points alone, renumbered 0, 1, ... in order.
+    moved = np.flatnonzero(np.any(gens != np.arange(degree), axis=0))
+    gens = np.searchsorted(moved, gens[:, moved])
     perms = _perm_closure(gens, cap)
-    if spec.kind != "permutation_generators":
+    if spec.kind != "permutation_generators" and len(perms) > 1:
         perms = perms[np.lexsort(perms.T[::-1])]
     perms.setflags(write=False)
     n = len(perms)
@@ -536,7 +543,7 @@ def _build_permutation_group(spec: GroupSpec, degree: int, cap: int) -> GroupTab
         n,
         product,
         inverse,
-        lambda x: _cycle_notation(perms[x].tolist()),
+        lambda x: _cycle_notation(perms[x].tolist(), moved.tolist()),
         generators=tuple(steps[:, 0].tolist()),
         name=spec.name,
     )

@@ -7,6 +7,26 @@ extra trivial coordinate it is the span of chi - (twist of chi) over
 Irr(ker lambda), with an identically zero internal product. The twist does
 not depend on the coset element. Both carry exact integer data and are
 verified against lattice oracles in the test suite.
+
+The s1-lambda action. phi_a in Irr(G) acts on the basis element
+e = psi_rep - psi_partner as res(phi_a) e, read in the pair basis. Write
+res(phi_a) = sum_c R[a, c] psi_c and let N_e[c] be the coordinates of
+psi_c e over Irr(H), H = ker lambda; then the coordinates of res(phi_a) e
+are t[a, e] = R[a] N_e.
+- R. H has index 2, so by Clifford theory (Isaacs 1976, ch. 6) res(phi_a)
+  is a twist-fixed psi_c or an orbit sum psi_c + psi_sigma(c), with
+  multiplicity one. `LambdaContext.restriction` finds which by an exact
+  lookup of the restricted row among those candidates, in index form.
+- N for a linear psi_rep. Then psi_partner is linear too, and psi_c psi_rep
+  is irreducible: it is psi_pi(c) for a permutation pi of Irr(H)
+  (`linear_product_permutations`). So N_e has rows e_pi_rep(c) -
+  e_pi_partner(c), and t[a, e, i] = R[a, pi_rep^-1(i)] - R[a, pi_partner^-1(i)]:
+  two gathers of R.
+- N for a non-linear psi_rep (the degree-3 pair of A5 < S5, the degree-8
+  pair of A6 < S6) comes from one decomposition of the k_H x e products
+  psi_c (psi_rep - psi_partner), in the ring of H.
+The product is bounded in int64 before it is formed, and every t is checked
+twist-antiinvariant before its pair coordinates are read.
 """
 
 from __future__ import annotations
@@ -15,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels, lattice
+from . import kernels
 from .characters import (
     CharacterTable,
     CharacterTheoryError,
@@ -24,10 +44,10 @@ from .characters import (
     decompose_values,
     involution_orbits,
     lambda_context,
+    linear_product_permutations,
     restrict,
     row_permutation,
     tensor_product,
-    _embed,
 )
 from .groups import GroupTable, SignHomomorphism
 
@@ -142,14 +162,17 @@ class IdealPresentation:
 # ---------------------------------------------------------------------------
 
 
-def _antiinvariant_coords(ctx: LambdaContext, t: np.ndarray) -> np.ndarray:
-    """Coordinates of twist-antiinvariant vectors of Z^Irr(H) in the pair basis.
+def _antiinvariant_coords(ctx: LambdaContext, t: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Coordinates of twist-antiinvariant integer vectors of Z^Irr(H), laid
+    along `axis` of t, in the pair basis.
 
     Raises when a vector is not in the span (nonzero on a fixed character or
     asymmetric on a pair): such input signals an internal invariant violation.
     """
-    t = np.asarray(t, dtype=np.int64)
-    bad = np.any((t[..., ctx.twist] != -t).reshape(-1, t.shape[-1]), axis=0)
+    t = np.asarray(t)
+    axis %= t.ndim
+    others = tuple(a for a in range(t.ndim) if a != axis)
+    bad = np.any(np.take(t, ctx.twist, axis=axis) != -t, axis=others)
     if bad.any():
         c = int(np.argmax(bad))
         s = int(ctx.twist[c])
@@ -158,16 +181,23 @@ def _antiinvariant_coords(ctx: LambdaContext, t: np.ndarray) -> np.ndarray:
             if s == c
             else f"vector is not antiinvariant on the pair ({min(c, s)},{max(c, s)})"
         )
-    return t[..., np.asarray([rep for rep, _ in ctx.orbits.pairs], dtype=np.intp)]
+    reps = np.asarray([rep for rep, _ in ctx.orbits.pairs], dtype=np.intp)
+    return np.take(t, reps, axis=axis)
 
 
-def _pair_differences(table: CharacterTable, pairs) -> np.ndarray:
-    """Coefficient rows [len(pairs), k] of chi_rep - chi_partner, checked independent."""
-    coeffs = np.zeros((len(pairs), table.count), dtype=np.int64)
-    for e, (rep, partner) in enumerate(pairs):
-        coeffs[e, rep], coeffs[e, partner] = 1, -1
-    if not lattice.integrally_independent(coeffs.tolist()):
+def _pair_differences(table: CharacterTable, pairs) -> list[list[int]]:
+    """Coefficient rows [len(pairs), k] of chi_rep - chi_partner, checked independent.
+
+    When the 2 len(pairs) indices are pairwise distinct, row e alone is
+    nonzero at column rep_e, so every integer relation among the rows is
+    trivial; otherwise the rows are refused.
+    """
+    flat = [c for pair in pairs for c in pair]
+    if len(set(flat)) != len(flat):
         raise CharacterTheoryError("orbit differences are not integrally independent")
+    coeffs = [[0] * table.count for _ in pairs]
+    for row, (rep, partner) in zip(coeffs, pairs):
+        row[rep], row[partner] = 1, -1
     return coeffs
 
 
@@ -193,23 +223,11 @@ def k_group_s1_lambda(group: GroupTable, lam: SignHomomorphism) -> KGroupPresent
     pairs = ctx.orbits.pairs
     rank = len(pairs)
     _check_class_count_rank(ctx, S1_LAMBDA, rank)
-    coeff_mat = _pair_differences(table_h, pairs)
     basis = tuple(
         BasisElement(rep, partner, VirtualCharacter(table_h, row), f"ind(chi{rep}⊗(ζ-1))")
-        for (rep, partner), row in zip(pairs, coeff_mat)
+        for (rep, partner), row in zip(pairs, _pair_differences(table_h, pairs))
     )
-    if rank:
-        ring_g = table_g.ring
-        # basis_e = chi_rep - chi_partner, gathered from the embedded distinct values.
-        distinct_h = _embed(table_h.distinct, table_h.modulus, ring_g)
-        reps, partners = np.asarray(pairs, dtype=np.intp).T
-        basis_vals = distinct_h[table_h.which[reps]] - distinct_h[table_h.which[partners]]
-        res_all = table_g.distinct[table_g.which[:, ctx.emb.class_map]]  # [k_G, k_H, phi]
-        # t[a, e] = coordinates of res(phi_a) * basis_e over Irr(H).
-        t = decompose_values(table_h, res_all, ring_g, factor=basis_vals)
-        mats = tuple(np.ascontiguousarray(m.T) for m in _antiinvariant_coords(ctx, t))
-    else:
-        mats = tuple(np.zeros((0, 0), dtype=np.int64) for _ in range(table_g.count))
+    mats = tuple(_s1_action(ctx))
     if not np.array_equal(mats[table_g.trivial_index], np.eye(rank, dtype=np.int64)):
         raise CharacterTheoryError("trivial character does not act as the identity")
     return KGroupPresentation(
@@ -220,6 +238,61 @@ def k_group_s1_lambda(group: GroupTable, lam: SignHomomorphism) -> KGroupPresent
         action=mats,
         ctx=ctx,
     )
+
+
+# Bytes of one block [block, k_H, k_G] of product coordinates in `_s1_action`.
+_ACTION_BLOCK_BYTES = 1 << 25
+
+
+def _s1_action(ctx: LambdaContext) -> np.ndarray:
+    """The action matrices [k_G, rank, rank]: entry [a, f, e] is the
+    coordinate on basis_f of res(phi_a) basis_e, as R[a] N_e (module docstring).
+
+    The coordinates over Irr(H) are laid out [e, i, a], so that each gather
+    moves rows of R^T, in the least integer type that holds their checked
+    bound, and go in blocks of basis elements, each block checked
+    twist-antiinvariant (`_antiinvariant_coords`).
+    """
+    table_h = ctx.table_h
+    pairs = np.asarray(ctx.orbits.pairs, dtype=np.intp).reshape(-1, 2)
+    k_g, k_h, rank = ctx.table_g.count, table_h.count, len(pairs)
+    if not rank:
+        return np.zeros((k_g, 0, 0), dtype=np.int64)
+    r = ctx.restriction
+    linear = np.asarray(table_h.degrees)[pairs[:, 0]] == 1
+    # inverse[e, side, i]: the c with psi_c psi_pairs[e, side] = psi_i, for linear psi_rep.
+    inverse = np.empty((rank, 2, k_h), dtype=np.intp)
+    lin = np.flatnonzero(linear)
+    chunk = max(1, _ACTION_BLOCK_BYTES // (16 * k_h * k_h))
+    for lo in range(0, lin.size, chunk):
+        e = lin[lo : lo + chunk]
+        pi = linear_product_permutations(table_h, pairs[e])
+        inverse[e] = np.argsort(pi, axis=-1).reshape(e.size, 2, k_h)
+    heavy = np.flatnonzero(~linear)
+    # products[c, f, i]: coordinate on psi_i of psi_c (psi_rep - psi_partner) for heavy[f].
+    products = np.zeros((k_h, 0, k_h), dtype=np.int64)
+    if heavy.size:
+        values = table_h.distinct[table_h.which]
+        reps, partners = table_h.which[pairs[heavy, 0]], table_h.which[pairs[heavy, 1]]
+        factor = table_h.distinct[reps] - table_h.distinct[partners]
+        products = decompose_values(table_h, values, factor=factor)
+    # |t[a, e, i]| <= sum_c |R[a, c]| max |N_e|, and a linear N_e has rows
+    # e_pi_rep(c) - e_pi_partner(c), of entries at most 1.
+    bound = max(sum(map(abs, row)) for row in r.tolist()) * max(1, kernels._magnitude(products))
+    kernels._require_int64(bound, "restricted products")
+    dtype = np.min_scalar_type(-bound - 1)  # holds -t too
+    r_t = np.ascontiguousarray(r.T, dtype=dtype)  # [k_H, k_G]
+    slot = np.cumsum(~linear) - 1  # position of a heavy e in `products`
+    coords = np.empty((rank, rank, k_g), dtype=dtype)  # [e, f, a]
+    block = max(1, _ACTION_BLOCK_BYTES // (dtype.itemsize * k_g * k_h))
+    for lo in range(0, rank, block):
+        part = np.arange(lo, min(rank, lo + block))
+        lin = linear[part]
+        t = np.empty((part.size, k_h, k_g), dtype=dtype)
+        t[lin] = r_t[inverse[part[lin], 0]] - r_t[inverse[part[lin], 1]]
+        t[~lin] = np.einsum("ac,cfi->fia", r, products[:, slot[part[~lin]]])
+        coords[part] = _antiinvariant_coords(ctx, t, axis=1)
+    return np.ascontiguousarray(coords.transpose(2, 1, 0), dtype=np.int64)
 
 
 def module_action(pres: KGroupPresentation, phi: VirtualCharacter, x) -> KElement:
@@ -241,9 +314,9 @@ def module_action(pres: KGroupPresentation, phi: VirtualCharacter, x) -> KElemen
         if c:
             xh += c * np.asarray(b.character.coeffs, dtype=np.int64)
     res = restrict(phi, ctx.emb)
-    prod = tensor_product(res, VirtualCharacter(ctx.table_h, tuple(int(v) for v in xh)))
+    prod = tensor_product(res, VirtualCharacter(ctx.table_h, xh))
     out = _antiinvariant_coords(ctx, np.asarray(prod.coeffs, dtype=np.int64))
-    return KElement(pres, tuple(int(v) for v in out))
+    return KElement(pres, tuple(out.tolist()))
 
 
 def ring_product(alpha: KElement, beta: KElement) -> KElement:

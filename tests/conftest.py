@@ -8,7 +8,13 @@ import numpy as np
 
 import ksphere
 from ksphere import groups, kernels
-from ksphere.characters import _analysis_bound, _analysis_weights, _l1_norms
+from ksphere.characters import (
+    _analysis_bound,
+    _analysis_weights,
+    _embed,
+    _l1_norms,
+    decompose_values,
+)
 from ksphere.cli import CHARTAB_SCHEMA
 from ksphere.cyclotomic import Cyclotomic, eval_prime, prime_count
 from ksphere.groups import ConjugacyClasses, GroupSpec, LambdaSpec, build_group, build_sign_hom
@@ -24,6 +30,30 @@ def dense_mul(ring):
 def dense_values(table):
     """The table's values [k, k, phi], chi_c at class j: distinct[which]."""
     return table.distinct[table.which]
+
+
+def restriction_by_decomposition(ctx):
+    """Reference: R [k_G, k_H], each restricted row of Irr(G) decomposed over
+    Irr(H) at evaluation primes."""
+    table_g = ctx.table_g
+    res_vals = table_g.distinct[table_g.which[:, ctx.emb.class_map]]  # [k_G, k_H, phi]
+    return decompose_values(ctx.table_h, res_vals, table_g.ring)
+
+
+def s1_action_by_products(ctx):
+    """Reference: the s1-lambda action matrices [k_G, rank, rank] from the
+    k_G x rank products res(phi_a) (psi_rep - psi_partner), decomposed over
+    Irr(H) at evaluation primes and read off on the pair representatives."""
+    table_g, table_h = ctx.table_g, ctx.table_h
+    pairs = ctx.orbits.pairs
+    if not pairs:
+        return np.zeros((table_g.count, 0, 0), dtype=np.int64)
+    distinct_h = _embed(table_h.distinct, table_h.modulus, table_g.ring)
+    reps, partners = np.asarray(pairs, dtype=np.intp).T
+    basis_vals = distinct_h[table_h.which[reps]] - distinct_h[table_h.which[partners]]
+    res_all = table_g.distinct[table_g.which[:, ctx.emb.class_map]]  # [k_G, k_H, phi]
+    t = decompose_values(table_h, res_all, table_g.ring, factor=basis_vals)
+    return np.swapaxes(t[..., reps], 1, 2)
 
 
 def two_gram_failures(table):

@@ -7,7 +7,13 @@ never the batched kernel engine, so the two arithmetic paths check each other.
 import numpy as np
 import pytest
 
-from conftest import dense_mul, dense_values, group_with_lambda, two_gram_failures
+from conftest import (
+    dense_mul,
+    dense_values,
+    group_with_lambda,
+    s1_action_by_products,
+    two_gram_failures,
+)
 from ksphere import characters
 from ksphere.characters import (
     CharacterTheoryError,
@@ -87,6 +93,15 @@ def frobenius_induced_values(emb, hvals):
 
 
 # -- tables -------------------------------------------------------------------
+
+
+def test_virtual_character_coefficients_are_python_ints_of_checked_length():
+    table = character_table(build_group(GroupSpec.symmetric(3)))
+    for coeffs in (np.array([1, -2, 3]), [np.int64(1), -2, 3], (1.0, -2.0, 3.0)):
+        chi = VirtualCharacter(table, coeffs)
+        assert chi.coeffs == (1, -2, 3) and {type(c) for c in chi.coeffs} == {int}
+    with pytest.raises(ValueError, match="coefficient vector length mismatch"):
+        VirtualCharacter(table, np.array([1, 2]))
 
 
 def test_cyclic3_table_rows_exactly():
@@ -639,10 +654,15 @@ def test_decompose_values_rejects_non_rational_and_non_integral_functions(spec):
 
 
 def test_s1_lambda_products_on_d17_need_two_primes_and_match_dense_oracle(monkeypatch):
+    """The k_G x rank products decomposed at evaluation primes (the reference
+    route) need two primes; the action as R N takes none, and matches the
+    dense oracle."""
     group, lam = group_with_lambda(GroupSpec.dihedral(17), "reflection-sign")
     ctx = lambda_context(group, lam)
     calls = _prime_spy(monkeypatch)
     pres = k_group_s1_lambda(group, lam)
+    assert calls == []
+    s1_action_by_products(ctx)
     assert [(m, count) for m, _, count in calls] == [(ctx.table_g.modulus, 2)]
 
     ring = ctx.table_g.ring

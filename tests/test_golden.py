@@ -4,8 +4,8 @@ Every item of `perfbench/workloads.json` (read only) is a CLI argv with the
 sha256 of the `--json` report it must produce. Running them all in-process
 makes the byte-identical contract part of the test suite, as do larger
 reports beyond that set: `kgroup` of C8 x C64, `chartab` of C256 and C512,
-the `chartab` and s-lambda `kgroup` reports of D512, and the `chartab` report
-of S5 given by generators. The text tables
+the `chartab` and both `kgroup` reports of D512, the `chartab` report of S5
+given by generators and the s1-lambda `kgroup` report of S5 with the sign. The text tables
 that `chartab` prints for the items of `chartab-many-classes`, for C256,
 C512 and D512 are pinned here too.
 """
@@ -118,8 +118,9 @@ def test_chartab_of_c512_matches_golden_digests(tmp_path, capsys):
 
 # D512 (order 1024) has the abelian subgroup C512 of index 2, so its table
 # comes from C512 by Clifford theory; Dixon took about 35 s on it. The pins
-# were taken from Dixon's table. The s1-lambda report, whose decomposition
-# still takes about 30 s, is left out of the suite.
+# were taken from Dixon's table. The s1-lambda action is R N: 255 pairs of
+# permutations of Irr(C512), and its 135 MB of matrices are the largest
+# report the suite writes.
 D512 = '{"family":"dihedral","n":512}'
 D512_REFLECTION_SIGN = '{"family":"dihedral","n":512,"lambda":{"convention":"reflection-sign"}}'
 
@@ -137,8 +138,13 @@ D512_REFLECTION_SIGN = '{"family":"dihedral","n":512,"lambda":{"convention":"ref
             "3da7bbeb76882b3b737141cc05fad10041699fdc15a49d160bb5cbf4c7da3289",
             "fe8f470b2ea0ac8d5aef7d1f885d3e497fe18a5f611aac55954d2d469771ab75",
         ),
+        (
+            ["kgroup", D512_REFLECTION_SIGN, "--sphere", "s1-lambda"],
+            "248194ebbad6434915214a415a4657f9ad8660c0261f376c16647f2c396f2433",
+            "f82c261952f37017dd5139b7bbc2b388cf94a858c37f05a877f68dcbf3589079",
+        ),
     ],
-    ids=["chartab", "kgroup-s-lambda"],
+    ids=["chartab", "kgroup-s-lambda", "kgroup-s1-lambda"],
 )
 def test_reports_of_d512_match_golden_digests(argv, json_sha256, stdout_sha256, tmp_path, capsys):
     path = tmp_path / "report.json"
@@ -163,4 +169,22 @@ def test_chartab_of_a_generated_group_matches_golden_digests(tmp_path, capsys):
     stdout = capsys.readouterr().out.encode()
     assert hashlib.sha256(stdout).hexdigest() == (
         "153a91e427201313cb6cb8230b792624ec576629442adf487c719b1de04c2486"
+    )
+
+
+# The sign of S5 has kernel A5, whose one swapped pair has degree 3, so its
+# s1-lambda action decomposes the products psi_c (psi_1 - psi_2) over Irr(A5).
+S5_SIGN = '{"family":"S","n":5,"lambda":{"convention":"sign"}}'
+
+
+def test_kgroup_report_of_a_non_linear_pair_matches_golden_digests(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    argv = ["kgroup", S5_SIGN, "--sphere", "s1-lambda", "--json", str(path)]
+    assert cli.main(argv) == 0, capsys.readouterr().err
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "56600523134fcf89a07d424df2de5f1d32e4e837d3fc269c759b37ed12bf23cb"
+    )
+    stdout = capsys.readouterr().out.encode()
+    assert hashlib.sha256(stdout).hexdigest() == (
+        "d58b075930667902adb876e022e4688e67083a8764f41c053820a0b26bd26655"
     )

@@ -297,6 +297,14 @@ _TWENTY_FLIP = tuple((-i) % 20 for i in range(20))
 _DEGREE_TWENTY = GroupSpec.permutation_generators([_TWENTY_CYCLE, _TWENTY_FLIP])
 
 
+def _block_swaps(degree, starts):
+    """The product of the swaps (s s+1) for s in `starts`, on `degree` points."""
+    p = list(range(degree))
+    for s in starts:
+        p[s], p[s + 1] = s + 1, s
+    return tuple(p)
+
+
 @pytest.mark.parametrize(
     "spec, order, message",
     [
@@ -657,10 +665,12 @@ def test_parse_group_document_errors_name_fields():
         GroupSpec.permutation_generators([(1, 0, 2), (1, 2, 0), (1, 0, 2)]),
         GroupSpec.permutation_generators([(0, 1, 2, 3), (1, 0, 3, 2), (0, 1, 2, 3), (2, 3, 0, 1)]),
         GroupSpec.permutation_generators(list(itertools.permutations(range(4)))[::-1]),
+        GroupSpec.permutation_generators([(0, 4, 2, 3, 1, 5, 6, 8, 7), (0, 1, 2, 3, 6, 5, 8, 7, 4)]),
+        GroupSpec.permutation_generators([_block_swaps(60, (5, 30)), _block_swaps(60, (30, 58))]),
     ],
     ids=[
         "S5", "A5", "S6", "A6", "degree20", "S1", "S2", "A1", "A2", "A3",
-        "degree0", "repeat", "identity", "every-element",
+        "degree0", "repeat", "identity", "every-element", "fixed-points", "wide",
     ],
 )
 def test_build_group_matches_compose_oracle(spec):
@@ -682,6 +692,17 @@ def test_one_cycle_walk_gives_parity_and_notation():
     assert groups._cycle_notation((3, 1, 0, 2)) == "(0 3 2)"
     assert groups._cycle_notation((0, 1, 2)) == groups._cycle_notation(()) == "()"
     assert groups._perm_parity(()) == 1
+
+
+def test_a_wide_generated_group_closes_on_its_moved_points():
+    """C2^10 given by 100 generators of degree 2000, each a product of some of
+    the swaps (2i 2i+1), i < 10: 1980 points are fixed by every generator,
+    and the labels still name the original points."""
+    rng = np.random.default_rng(2000)
+    gens = [_block_swaps(2000, 2 * np.flatnonzero(rng.integers(0, 2, 10))) for _ in range(100)]
+    t = build_group(GroupSpec.permutation_generators(gens))
+    assert t.order == 1024 and t.is_abelian()
+    assert [t.label(g) for g in t.generators] == [groups._cycle_notation(g) for g in gens]
 
 
 def test_degree_zero_generators_give_the_trivial_group():

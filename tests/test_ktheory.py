@@ -5,20 +5,29 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import group_with_lambda, in_span
+from conftest import (
+    group_with_lambda,
+    in_span,
+    restriction_by_decomposition,
+    s1_action_by_products,
+)
 from ksphere import ktheory
 from ksphere.characters import (
     CharacterTheoryError,
     VirtualCharacter,
+    _clifford_restriction,
     character_table,
     involution_orbits,
     lambda_context,
+    linear_product_permutations,
     tensor_product,
 )
 from ksphere.groups import GroupSpec, build_group, builtin_specs_upto, enumerate_sign_homs
 from ksphere.ktheory import (
     _antiinvariant_coords,
     _lambda_tensor_permutation,
+    _pair_differences,
+    _s1_action,
     k_group_s1_lambda,
     k_group_s_lambda,
     module_action,
@@ -176,6 +185,118 @@ def test_basis_is_integrally_independent():
         t, lam = group_with_lambda(spec, conv)
         pres = k_group_s1_lambda(t, lam)
         assert integrally_independent([b.character.coeffs for b in pres.basis])
+
+
+def test_overlapping_pairs_are_refused():
+    table = character_table(build_group(GroupSpec.cyclic(4)))
+    assert _pair_differences(table, [(1, 3), (0, 2)]) == [[0, 1, 0, -1], [1, 0, -1, 0]]
+    with pytest.raises(CharacterTheoryError, match="^orbit differences are not integrally"):
+        _pair_differences(table, [(0, 1), (1, 2)])
+
+
+# -- the action as R N -----------------------------------------------------
+
+
+def _r_n_pairs():
+    """Every builtin (group, lambda) of order <= 64, then S5 and S6 with the sign."""
+    for spec in builtin_specs_upto(64):
+        group = build_group(spec)
+        for lam in enumerate_sign_homs(group):
+            yield group, lam
+    for n in (5, 6):
+        yield group_with_lambda(GroupSpec.symmetric(n), "sign")
+
+
+def test_restriction_and_action_match_the_product_route():
+    """R by Clifford lookup equals R decomposed, and R N equals the k_G x rank
+    products decomposed at evaluation primes (`tests/conftest.py`)."""
+    count, heavy = 0, {}
+    for group, lam in _r_n_pairs():
+        ctx = lambda_context(group, lam)
+        assert np.array_equal(ctx.restriction, restriction_by_decomposition(ctx)), group.name
+        pres = k_group_s1_lambda(group, lam)
+        action = np.asarray(pres.action).reshape(ctx.table_g.count, pres.rank, pres.rank)
+        assert np.array_equal(action, s1_action_by_products(ctx)), (group.name, lam.label)
+        degrees = {ctx.table_h.degrees[rep] for rep, _ in ctx.orbits.pairs} - {1}
+        if degrees:
+            heavy[group.name] = degrees
+        count += 1
+    assert count == 450
+    # The swapped pairs of A5 < S5 and A6 < S6 are not linear: N is decomposed.
+    assert heavy == {"S5": {3}, "S6": {8}}
+
+
+def test_a_corrupted_value_of_g_makes_the_restriction_lookup_raise():
+    group, lam = group_with_lambda(GroupSpec.dihedral(6), "reflection-sign")
+    ctx = lambda_context(group, lam)
+    assert ctx.restriction.sum() == 2 * len(ctx.orbits.fixed) + 2 * len(ctx.orbits.pairs)
+    bad = replace(ctx, table_g=corrupt_table(ctx.table_g, ctx.lambda_index, 0))
+    with pytest.raises(CharacterTheoryError, match="is neither a twist-fixed character"):
+        _clifford_restriction(bad)
+    # In D4, chi1 is -1 on the class {r, r^3}; +2 there makes it restrict to
+    # the trivial psi0, which three characters of G then meet.
+    group, lam = group_with_lambda(GroupSpec.dihedral(4), "reflection-sign")
+    ctx = lambda_context(group, lam)
+    assert ctx.restriction[:, 0].tolist() == [1, 0, 0, 1, 0]
+    bad = replace(ctx, table_g=corrupt_table(ctx.table_g, 1, 4, delta=2))
+    with pytest.raises(CharacterTheoryError, match="do not meet each fixed character twice"):
+        _clifford_restriction(bad)
+
+
+def test_a_corrupted_value_of_h_makes_the_permutation_lookup_raise():
+    group, lam = group_with_lambda(GroupSpec.dihedral(6), "reflection-sign")
+    ctx = lambda_context(group, lam)
+    linear = np.asarray(ctx.orbits.pairs).reshape(-1)
+    assert linear_product_permutations(ctx.table_h, linear).shape == (linear.size, 6)
+    bad = corrupt_table(ctx.table_h, 0, 1)
+    with pytest.raises(CharacterTheoryError, match="^rows are not a permutation of Irr"):
+        linear_product_permutations(bad, linear)
+    with pytest.raises(CharacterTheoryError, match="^chi0 of .* is not a linear character"):
+        linear_product_permutations(corrupt_table(ctx.table_h, 0, 0), [0])
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        GroupSpec.cyclic(12),
+        GroupSpec.dihedral(5),
+        GroupSpec.quaternion(8),
+        GroupSpec.alternating(4),
+        GroupSpec.symmetric(4),
+        GroupSpec.direct_product(GroupSpec.symmetric(3), GroupSpec.cyclic(4)),
+    ],
+    ids=lambda s: s.name,
+)
+def test_linear_products_permute_irr_as_the_decomposed_products_do(spec):
+    table = character_table(build_group(spec))
+    linear = [c for c, d in enumerate(table.degrees) if d == 1]
+    perms = linear_product_permutations(table, linear)
+    for lin, pi in zip(linear, perms.tolist()):
+        for c in range(table.count):
+            product = tensor_product(VirtualCharacter.unit(table, c), VirtualCharacter.unit(table, lin))
+            assert product == VirtualCharacter.unit(table, pi[c])
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [GroupSpec.cyclic(6), GroupSpec.alternating(5), GroupSpec.symmetric(4), GroupSpec.dihedral(7)],
+    ids=lambda s: s.name,
+)
+def test_zeta_multiples_are_the_products_with_every_root(spec):
+    table = character_table(build_group(spec))
+    ring = table.ring
+    products = ring.multiply(table.distinct[:, None], ring.red[None])  # [D, m, phi]
+    assert np.array_equal(table._zeta_multiples, table.value_indices(products))
+    # Only the cyclic table has roots of unity alone; the others step by zeta.
+    assert (table._root_exponents < 0).any() == (spec.kind != "cyclic")
+
+
+def test_the_restricted_products_are_int64_under_a_checked_bound():
+    group, lam = group_with_lambda(GroupSpec.symmetric(5), "sign")
+    ctx = replace(lambda_context(group, lam))
+    ctx.restriction = np.full_like(lambda_context(group, lam).restriction, 1 << 61)
+    with pytest.raises(OverflowError, match="^restricted products: worst-case magnitude"):
+        _s1_action(ctx)
 
 
 # -- module structure -----------------------------------------------------
