@@ -57,53 +57,41 @@ domain: a value x of Z[zeta_m] maps to its images iota_t(x) = x(z**t) at
 the phi primitive m-th roots of unity z**t modulo primes p = 1 (mod m),
 the class sums become k x k modular matrix products, and a coefficient
 bound computed beforehand fixes how many primes make the CRT lift exact.
-Every decomposition is checked for exact integrality: a non-rational or
-non-integer multiplicity anywhere aborts with a diagnostic rather than
-rounding.
+Every decomposition is checked for exact integrality at every point of
+each prime: a rational integer has the same image at every point, so a
+multiplicity whose images differ is non-rational, and it, or a
+non-integer one, aborts with a diagnostic rather than rounding.
 
-One point per prime, z itself, is enough when the rows are Galois-closed.
-Let sigma_t be the automorphism zeta -> zeta**t of Z[zeta_m], t a unit mod
-m. Then iota_t = iota_1 o sigma_t, and sigma_t commutes with complex
-conjugation, which is sigma_-1. Suppose that for each generator t of
-(Z/m)^* (`CyclotomicRing.unit_generators`) there is a permutation pi_t of
-Irr with sigma_t chi_a = chi_pi_t(a) exactly. It is checked in the power
-basis on the distinct values alone: sigma_t acts on each value, so with
-tau_t the lookup of the D images sigma_t(distinct) among the rows of
-`distinct` (`CyclotomicRing.galois`), sigma_t(values) = distinct[tau_t[which]]
-exactly, and pi_t is the lookup of the k integer rows tau_t[which] among
-the rows of `which` (`row_permutation`). A row not found (an image not
-found is the entry -1) means sigma_t does not permute Irr. Composing them
-gives such a permutation pi_t for every unit t. A table of modulus m' | m,
-embedded in Z[zeta_m], is permuted by sigma_t as by sigma_(t mod m'), since
-sigma_t restricts to sigma_(t mod m') on Z[zeta_m'].
-- Certificate. The images of the table are those of its distinct values,
-  iota(distinct)[which]. Let g_ab = sum_j |C_j| chi_a(j) conj(chi_b(j)). Then
-  sigma_t g_ab = g_pi_t(a)pi_t(b), so iota_t(g_ab) = iota_1(g_pi_t(a)pi_t(b)).
-  If iota_1(g) = n I mod p for every pair, then iota_t(g_ab) =
-  n delta_pi_t(a)pi_t(b) = n delta_ab at every point, pi_t being a
-  bijection. So g equals n I at every point of p exactly when it does at z,
-  and the one-point certificate gives the all-points verdict. The row
-  relation is all the certificate checks: on a square table it implies the
-  column relation (Isaacs 1976, Thm 2.18). With X = (chi_c(j)) and
-  D = diag(|C_j|), X D X* = n I makes X invertible with X^-1 = D X* / n, so
-  X* X = n D^-1, that is sum_c conj(chi_c(i)) chi_c(j) = (n / |C_i|) delta_ij,
-  for any positive class sizes.
-- Decomposition. Let the batch be closed up to sign, sigma_t v_b =
-  eps_t(b) v_tau_t(b) with eps = +-1 (and likewise any factor). Then
-  x_bi = sum_j |C_j| v_b(j) conj(chi_i(j)) satisfies sigma_t x_bi =
-  eps_t(b) x_tau_t(b)pi_t(i), so iota_t(x_bi) = eps_t(b)
-  iota_1(x_tau_t(b)pi_t(i)). The all-points route calls x rational when
-  iota_t(x) = iota_1(x) at every point. That holds for every entry exactly
-  when eps_t(b) iota_1(x_tau_t(b)pi_t(i)) = iota_1(x_bi) for every entry
-  and every generator t: if t = g h with g a generator, iota_t(x_bi) =
-  iota_h(sigma_g x_bi) = eps_g(b) iota_h(x_tau_g(b)pi_g(i)), which by
-  induction on the word length of h is eps_g(b) iota_1(x_tau_g(b)pi_g(i))
-  = iota_1(x_bi). So the one-point route accepts exactly the batches the
-  all-points route accepts, with the same residues at z.
-In both, conj(chi_i) at z is read off as chi_pi_-1(i) at z. When a row is
-not closed or a one-point check fails, the all-points route runs, so every
-verdict and message is the one it gives. Where phi <= 2 there is at most
-one point to save, and the all-points route runs.
+The certificate needs one point per prime, z itself, when the table is
+Galois-closed. Let sigma_t be the automorphism zeta -> zeta**t of
+Z[zeta_m], t a unit mod m. Then iota_t = iota_1 o sigma_t, and sigma_t
+commutes with complex conjugation, which is sigma_-1. Suppose that for each
+generator t of (Z/m)^* (`CyclotomicRing.unit_generators`) there is a
+permutation pi_t of Irr with sigma_t chi_a = chi_pi_t(a) exactly. It is
+checked in the power basis on the distinct values alone: sigma_t acts on
+each value, so with tau_t the lookup of the D images sigma_t(distinct)
+among the rows of `distinct` (`CyclotomicRing.galois`), sigma_t(values) =
+distinct[tau_t[which]] exactly, and pi_t is the lookup of the k integer
+rows tau_t[which] among the rows of `which` (`row_permutation`). A row not
+found (an image not found is the entry -1) means sigma_t does not permute
+Irr. Composing them gives such a permutation pi_t for every unit t.
+
+The images of the table are those of its distinct values,
+iota(distinct)[which]. Let g_ab = sum_j |C_j| chi_a(j) conj(chi_b(j)). Then
+sigma_t g_ab = g_pi_t(a)pi_t(b), so iota_t(g_ab) = iota_1(g_pi_t(a)pi_t(b)).
+If iota_1(g) = n I mod p for every pair, then iota_t(g_ab) =
+n delta_pi_t(a)pi_t(b) = n delta_ab at every point, pi_t being a bijection.
+So g equals n I at every point of p exactly when it does at z, and the
+one-point certificate gives the all-points verdict; conj(chi_b) at z is
+read off as chi_pi_-1(b) at z. When the table is not closed, the
+certificate runs at every point, and when z finds a failure, every point
+names the failing pairs, so every verdict and message is the one every
+point gives. Where phi <= 2 there is at most one point to save, and every
+point is taken. The row relation is all the certificate checks: on a
+square table it implies the column relation (Isaacs 1976, Thm 2.18). With
+X = (chi_c(j)) and D = diag(|C_j|), X D X* = n I makes X invertible with
+X^-1 = D X* / n, so X* X = n D^-1, that is sum_c conj(chi_c(i)) chi_c(j) =
+(n / |C_i|) delta_ij, for any positive class sizes.
 """
 
 from __future__ import annotations
@@ -753,28 +741,6 @@ def _analysis_weights(table, ring, i: int, one_point: bool) -> np.ndarray:
     return w
 
 
-def _signed_galois_images(ring: CyclotomicRing, rows: np.ndarray):
-    """[G, B] arrays (tau, eps) with sigma_t rows[b] = eps rows[tau] for the
-    G generators t of (Z/m)^* and eps = +-1, or None when some image is not
-    a row up to sign."""
-    where = {row.tobytes(): b for b, row in enumerate(rows)}
-    tau, eps = [], []
-    for t in ring.unit_generators:
-        for image in ring.galois(rows, t):
-            b, sign = where.get(image.tobytes()), 1
-            if b is None:
-                b, sign = where.get((-image).tobytes()), -1
-            if b is None:
-                return None
-            tau.append(b)
-            eps.append(sign)
-    shape = (len(ring.unit_generators), len(rows))
-    return (
-        np.asarray(tau, dtype=np.intp).reshape(shape),
-        np.asarray(eps, dtype=np.int64).reshape(shape),
-    )
-
-
 def decompose_values(
     table: CharacterTable,
     varr: np.ndarray,
@@ -785,11 +751,7 @@ def decompose_values(
 
     With `factor` [F, k, phi], decomposes every pointwise product
     varr[b] * factor[f] instead and returns [B, F, ki]; the products are
-    formed only in the evaluation domain. Where phi > 2, sigma_-1 and each
-    generator of (Z/m)^* permute Irr, and each generator maps the rows of
-    `varr` (and of `factor`) to rows up to sign, one point per prime
-    decides (module docstring); otherwise, or when z finds a non-rational
-    multiplicity, every point is computed.
+    formed only in the evaluation domain.
 
     Raises CharacterTheoryError when any multiplicity fails to be a rational
     integer: that always signals an internal bug or corrupted input, never a
@@ -799,58 +761,8 @@ def decompose_values(
     varr = np.asarray(varr, dtype=np.int64)
     if factor is not None:
         factor = np.asarray(factor, dtype=np.int64)
-    primes = _analysis_primes(table, ring, varr, factor)
-    residues = _one_point_residues(table, ring, varr, factor, primes) if ring.phi > 2 else None
-    if residues is None:
-        return _decompose_at_all_points(table, ring, varr, factor, primes)
-    return _exact_multiplicities(table, ring, residues)
-
-
-def _analysis_primes(table, ring, varr, factor) -> int:
-    """How many evaluation primes make the lift of the analysis sums exact."""
-    l1 = _l1_norms(varr).max(axis=0, initial=0).tolist()  # per class j, max_b |varr[b, j]|_1
-    if factor is not None:
-        factor_l1 = _l1_norms(factor).max(axis=0, initial=0).tolist()
-        l1 = [a * b * ring.l1 for a, b in zip(l1, factor_l1)]
-    return prime_count(ring.modulus, _analysis_bound(table, ring, l1))
-
-
-def _one_point_residues(table, ring, varr, factor, primes) -> list[np.ndarray] | None:
-    """The analysis sums at z, one array [B, (F,) ki] per prime, or None when
-    the batch is not Galois-closed or a sum is not rational at some prime."""
-    if not _galois_closed(table):
-        return None
-    batches = [_signed_galois_images(ring, rows) for rows in (varr, factor) if rows is not None]
-    if any(batch is None for batch in batches):
-        return None
-    # For each generator g and entry e: the entry that iota_g(x_e) is read
-    # from, index[g][e], and whether it enters with sign -1, negative[g][e].
-    pi = np.asarray([_galois_permutation(table, t) for t in ring.unit_generators], dtype=np.intp)
-    pi = pi.reshape(-1, table.count)
-    (tau, eps), *factor_images = batches
-    if factor is None:
-        index = (tau[:, :, None], pi[:, None, :])
-        negative = eps[:, :, None] < 0
-    else:
-        tau_f, eps_f = factor_images[0]
-        index = (tau[:, :, None, None], tau_f[:, None, :, None], pi[:, None, None, :])
-        negative = (eps[:, :, None] * eps_f[:, None, :])[..., None] < 0
-    residues = []
-    for i in range(primes):
-        p = eval_prime(ring.modulus, i)[0]
-        x = _analysis_sums(table, ring, varr, factor, i, one_point=True)[..., 0]
-        # iota_g(x) = eps iota_1(x at the image entry); rational means equal to iota_1(x).
-        moved = x[index]
-        if np.any(np.where(negative, -moved % p, moved) != x):
-            return None
-        residues.append(x)
-    return residues
-
-
-def _decompose_at_all_points(table, ring, varr, factor, primes) -> np.ndarray:
-    """`decompose_values` with the analysis sums taken at every point of each prime."""
     irrational, residues = False, []
-    for i in range(primes):
+    for i in range(_analysis_primes(table, ring, varr, factor)):
         x = _analysis_sums(table, ring, varr, factor, i)
         # A rational integer has the same image at every evaluation point.
         irrational |= np.any(x != x[..., :1], axis=-1)
@@ -864,14 +776,23 @@ def _decompose_at_all_points(table, ring, varr, factor, primes) -> np.ndarray:
     return _exact_multiplicities(table, ring, residues)
 
 
-def _analysis_sums(table, ring, varr, factor, i, one_point=False) -> np.ndarray:
-    """x[b, (f,) c, e] = sum_j |C_j| varr[b, j] (factor[f, j]) conj(chi_c(j))
-    mod the i-th prime of `ring`, at every point e or at z alone."""
-    p = eval_prime(ring.modulus, i)[0]
-    images = ring.evaluate(varr, i, one_point)
+def _analysis_primes(table, ring, varr, factor) -> int:
+    """How many evaluation primes make the lift of the analysis sums exact."""
+    l1 = _l1_norms(varr).max(axis=0, initial=0).tolist()  # per class j, max_b |varr[b, j]|_1
     if factor is not None:
-        images = images[:, None] * ring.evaluate(factor, i, one_point)[None] % p
-    weights = _analysis_weights(table, ring, i, one_point)
+        factor_l1 = _l1_norms(factor).max(axis=0, initial=0).tolist()
+        l1 = [a * b * ring.l1 for a, b in zip(l1, factor_l1)]
+    return prime_count(ring.modulus, _analysis_bound(table, ring, l1))
+
+
+def _analysis_sums(table, ring, varr, factor, i) -> np.ndarray:
+    """x[b, (f,) c, e] = sum_j |C_j| varr[b, j] (factor[f, j]) conj(chi_c(j))
+    mod the i-th prime of `ring`, at every point e."""
+    p = eval_prime(ring.modulus, i)[0]
+    images = ring.evaluate(varr, i)
+    if factor is not None:
+        images = images[:, None] * ring.evaluate(factor, i)[None] % p
+    weights = _analysis_weights(table, ring, i, one_point=False)
     x = kernels.weighted_analysis(images.reshape((-1,) + images.shape[-2:]), weights, p)
     return x.reshape(images.shape[:-2] + x.shape[-2:])
 

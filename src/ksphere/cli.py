@@ -192,18 +192,19 @@ def _cmd_kgroup(args) -> int:
     if args.sphere == S1_LAMBDA:
         pres = k_group_s1_lambda(group, lam)
         table_h = pres.ctx.table_h
+        # Each matrix is converted once, for --json and for stdout alike.
+        doc = pres.to_jsonable()
         print(f"group {group.name}, lambda {lam.label}, sphere {S1_LAMBDA}")
         print(f"kernel subgroup of order {table_h.order} with "
               f"{table_h.count} irreducible characters")
         print(f"rank {pres.rank}")
-        for i, b in enumerate(pres.basis):
-            print(f"  basis[{i}] {b.label} = chi{b.rep} - chi{b.partner}  "
-                  f"coeffs {list(b.character.coeffs)}")
+        for i, b in enumerate(doc["basis"]):
+            print(f"  basis[{i}] {b['label']} = chi{b['rep']} - chi{b['partner']}  "
+                  f"coeffs {b['coeffs']}")
         print("action of the ambient irreducibles:")
-        for name, mat in zip(pres.action_names, pres.action):
-            print(f"  {name}: {mat.tolist()}")
+        for name, mat in zip(doc["action"]["names"], doc["action"]["matrices"]):
+            print(f"  {name}: {mat}")
         print("product rule: zero (alpha*beta = 0 for all elements)")
-        doc = pres.to_jsonable()
     else:
         pres = k_group_s_lambda(group, lam)
         table = pres.ctx.table_g

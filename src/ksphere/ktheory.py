@@ -24,7 +24,8 @@ are t[a, e] = R[a] N_e.
   two gathers of R.
 - N for a non-linear psi_rep (the degree-3 pair of A5 < S5, the degree-8
   pair of A6 < S6) comes from one decomposition of the k_H x e products
-  psi_c (psi_rep - psi_partner), in the ring of H.
+  psi_c (psi_rep - psi_partner), in the ring of H, at every point of each
+  prime, as every decomposition is.
 The product is bounded in int64 before it is formed, and every t is checked
 twist-antiinvariant before its pair coordinates are read.
 """

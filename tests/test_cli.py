@@ -297,11 +297,19 @@ def test_version_and_help():
     assert proc.returncode == 0 and "reflection-sign" in proc.stdout
 
 
-def test_verify_all_upto_32_json_is_byte_identical(tmp_path, capsys):
-    path = tmp_path / "verify32.json"
-    assert cli.main(["verify", "--all-upto", "32", "--json", str(path)]) == 0
-    digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    assert digest == "06d20efc6fdc5ecaa68bdbcbdea2c80bd090f1ad82598bfc97502777dd2ffe65"
+@pytest.mark.parametrize(
+    "n, expected",
+    [
+        (32, "06d20efc6fdc5ecaa68bdbcbdea2c80bd090f1ad82598bfc97502777dd2ffe65"),
+        # At 64 the induction matrices and ideal generators reach phi = 32.
+        (64, "2897b52a5be16f3631f2cb2d71871787622f497550b1a083601eb3ffb84e02a9"),
+    ],
+    ids=["32", "64"],
+)
+def test_verify_all_upto_json_is_byte_identical(n, expected, tmp_path, capsys):
+    path = tmp_path / f"verify{n}.json"
+    assert cli.main(["verify", "--all-upto", str(n), "--json", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == expected
 
 
 def test_the_parser_is_built_once_on_first_use(monkeypatch, capsys):

@@ -1,11 +1,13 @@
-"""The one-point route of the certificate and of decomposition.
+"""The one-point route of the certificate.
 
-When each generator of Gal(Q(zeta_m)/Q) permutes the rows, the Grams and
-analysis sums at z itself decide what every point decides (characters.py
-module docstring). These tests check that the route is taken wherever it
-applies, that it agrees with the all-points route called directly, and
-that a table or batch it does not cover falls back to the all-points
-route with the same messages.
+When each generator of Gal(Q(zeta_m)/Q) permutes the rows of a table, its
+row Gram at z itself decides what every point decides (characters.py
+module docstring). These tests check that the certificate takes the route
+wherever it applies, and that a table it does not cover falls back to
+every point with the same messages. Decompositions take every point of
+each prime; the last two tests pin the result for a C5 batch that sigma_t
+does not permute, and the message for one it permutes whose
+multiplicities are irrational.
 """
 
 import numpy as np
@@ -14,21 +16,13 @@ import pytest
 from conftest import dense_values
 from ksphere import characters, kernels
 from ksphere.characters import (
-    _analysis_primes,
     _analysis_weights,
     _certificate_primes,
-    _decompose_at_all_points,
-    _embedded_values,
-    _exact_multiplicities,
     _galois_closed,
-    _one_point_residues,
     _orthogonality_failures,
     character_table,
-    induced_values,
     lambda_context,
-    restrict_values,
     table_invariant_failures,
-    values_of_coeffs,
 )
 from ksphere.groups import GroupSpec, build_group, builtin_specs_upto, enumerate_sign_homs
 from ksphere.verification import corrupt_table
@@ -159,64 +153,18 @@ def test_an_irrational_corruption_breaks_closure_and_falls_back(spec, where, mes
     assert routes == [(table.name, table.ring.phi, "all-points")]
 
 
-def _closed_batches(group, lam):
-    """The restriction, induction, ideal-generator and s1-lambda product
-    batches of (group, lam), as (table, ring, values, factor)."""
-    ctx = lambda_context(group, lam)
-    table_g, table_h, ring = ctx.table_g, ctx.table_h, ctx.table_g.ring
-    res_all = restrict_values(ctx.emb, dense_values(table_g))
-    h_in_g = _embedded_values(table_h, ring)
-    one_minus = 1 - lam.values[list(table_g.classes.representatives)].astype(np.int64)
-    coeffs = np.zeros((1, table_g.count), dtype=np.int64)
-    coeffs[0, table_g.trivial_index] = 1
-    coeffs[0, ctx.lambda_index] -= 1
-    batches = [
-        (table_h, ring, res_all, None),
-        (table_g, ring, induced_values(ctx.emb, h_in_g), None),
-        (table_g, ring, dense_values(table_g) * one_minus[None, :, None], None),
-        # The same generators as products with the factor 1 - lambda.
-        (table_g, ring, dense_values(table_g), values_of_coeffs(table_g, coeffs)),
-    ]
-    pairs = ctx.orbits.pairs
-    if pairs:
-        diffs = np.zeros((len(pairs), table_h.count), dtype=np.int64)
-        for e, (rep, partner) in enumerate(pairs):
-            diffs[e, rep], diffs[e, partner] = 1, -1
-        batches.append((table_h, ring, res_all, np.einsum("ec,cjp->ejp", diffs, h_in_g)))
-    return batches
-
-
-def test_one_point_decompositions_equal_the_all_points_helper():
-    kinds = 0
-    for group in SMALL:
-        for lam in enumerate_sign_homs(group):
-            for table, ring, varr, factor in _closed_batches(group, lam):
-                primes = _analysis_primes(table, ring, varr, factor)
-                residues = _one_point_residues(table, ring, varr, factor, primes)
-                assert residues is not None, (group.name, lam.label)
-                got = _exact_multiplicities(table, ring, residues)
-                expected = _decompose_at_all_points(table, ring, varr, factor, primes)
-                assert np.array_equal(got, expected), (group.name, lam.label)
-                kinds += ring.phi > 2
-    assert kinds > 100
-
-
-def test_a_batch_not_closed_up_to_sign_takes_every_point():
+def test_a_batch_not_closed_up_to_sign_decomposes():
     table = character_table(build_group(GroupSpec.cyclic(5)))
     varr = dense_values(table)[1:2]  # chi_1 alone: sigma_2 chi_1 = chi_2 is not in the batch
-    primes = _analysis_primes(table, table.ring, varr, None)
-    assert _one_point_residues(table, table.ring, varr, None, primes) is None
     got = characters.decompose_values(table, varr)
     assert got.tolist() == [[0, 1, 0, 0, 0]]
 
 
-def test_a_closed_batch_with_irrational_multiplicities_is_reported_from_every_point():
+def test_a_closed_batch_with_irrational_multiplicities_is_reported():
     table = character_table(build_group(GroupSpec.cyclic(5)))
     ring = table.ring
     varr = np.zeros((4, table.count, ring.phi), dtype=np.int64)
     varr[:, 0] = ring.red[1:5]  # zeta**a at the identity class, a = 1..4: sigma_t permutes them
-    primes = _analysis_primes(table, ring, varr, None)
-    assert _one_point_residues(table, ring, varr, None, primes) is None
     message = "^non-rational multiplicity on C5: function 0, irreducible chi0$"
     with pytest.raises(characters.CharacterTheoryError, match=message):
         characters.decompose_values(table, varr)
