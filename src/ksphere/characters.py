@@ -223,10 +223,38 @@ class CharacterTable:
 
     @cached_property
     def _zeta_multiples(self) -> np.ndarray:
-        """[D, m]: the index of distinct[d] * zeta**s among the rows of
-        `distinct`, or -1 where that product is not a value of the table
-        (`linear_product_permutations`)."""
-        return _zeta_multiples(self)
+        """[D, m]: entry [d, s] is the index of distinct[d] * zeta**s among the
+        rows of `distinct`, or -1 where that product is not a value of the table
+        (`linear_product_permutations`).
+
+        A root of unity zeta**e needs index arithmetic alone: its multiples are
+        zeta**(e + s), looked up once among the rows of `red`. Every other value
+        is multiplied by zeta one step at a time, each step one shift of the
+        power basis and one reduction of the coefficient carried past
+        z**(phi - 1), by red[phi] = z**phi, and each product is looked up.
+        """
+        ring, m = self.ring, self.modulus
+        exps = self._root_exponents
+        root = np.full(m, -1, dtype=np.int64)
+        root[exps[exps >= 0]] = np.flatnonzero(exps >= 0)
+        out = np.empty((len(exps), m), dtype=np.int64)
+        roots = exps >= 0
+        out[roots] = root[(exps[roots, None] + np.arange(m)) % m]
+        others = np.flatnonzero(~roots)
+        if others.size:
+            cur = self.distinct[others]
+            # |x zeta**s|_inf <= |x|_1 peak for every s, and a step adds a carry
+            # times red[phi] to a shifted coefficient.
+            bound = int(_l1_norms(cur).max()) * ring.peak * (1 + ring.peak)
+            kernels._require_int64(bound, "multiple of zeta")
+            carry = ring.red[ring.phi % m]
+            shifted = np.zeros_like(cur)
+            for s in range(m):
+                out[others, s] = self.value_indices(cur)
+                shifted[:, 1:] = cur[:, :-1]
+                cur = shifted + cur[:, -1:] * carry
+        out.setflags(write=False)
+        return out
 
 
 @dataclass(eq=False)
@@ -921,40 +949,6 @@ def _find_rows(sorted_keys: tuple[np.ndarray, ...], rows: np.ndarray) -> np.ndar
     known, keys, order = sorted_keys
     at = order[np.minimum(np.searchsorted(keys, row_keys(rows), sorter=order), len(keys) - 1)]
     return np.where((known[at] == rows).all(axis=-1), at, -1)
-
-
-def _zeta_multiples(table: CharacterTable) -> np.ndarray:
-    """[D, m]: entry [d, s] is the index of distinct[d] * zeta**s among the
-    rows of `distinct`, or -1 where that product is not a value of the table.
-
-    A root of unity zeta**e needs index arithmetic alone: its multiples are
-    zeta**(e + s), looked up once among the rows of `red`. Every other value
-    is multiplied by zeta one step at a time, each step one shift of the
-    power basis and one reduction of the coefficient carried past
-    z**(phi - 1), by red[phi] = z**phi, and each product is looked up.
-    """
-    ring, m = table.ring, table.modulus
-    exps = table._root_exponents
-    root = np.full(m, -1, dtype=np.int64)
-    root[exps[exps >= 0]] = np.flatnonzero(exps >= 0)
-    out = np.empty((len(exps), m), dtype=np.int64)
-    roots = exps >= 0
-    out[roots] = root[(exps[roots, None] + np.arange(m)) % m]
-    others = np.flatnonzero(~roots)
-    if others.size:
-        cur = table.distinct[others]
-        # |x zeta**s|_inf <= |x|_1 peak for every s, and a step adds a carry
-        # times red[phi] to a shifted coefficient.
-        bound = int(_l1_norms(cur).max()) * ring.peak * (1 + ring.peak)
-        kernels._require_int64(bound, "multiple of zeta")
-        carry = ring.red[ring.phi % m]
-        shifted = np.zeros_like(cur)
-        for s in range(m):
-            out[others, s] = table.value_indices(cur)
-            shifted[:, 1:] = cur[:, :-1]
-            cur = shifted + cur[:, -1:] * carry
-    out.setflags(write=False)
-    return out
 
 
 def linear_product_permutations(table: CharacterTable, linear) -> np.ndarray:

@@ -21,7 +21,9 @@ are t[a, e] = R[a] N_e.
   is irreducible: it is psi_pi(c) for a permutation pi of Irr(H)
   (`linear_product_permutations`). So N_e has rows e_pi_rep(c) -
   e_pi_partner(c), and t[a, e, i] = R[a, pi_rep^-1(i)] - R[a, pi_partner^-1(i)]:
-  two gathers of R.
+  two gathers of R. Only pi_rep is looked up: psi_partner = psi_rep^sigma,
+  sigma the twist, so psi_c psi_partner = (psi_sigma(c) psi_rep)^sigma and
+  pi_partner = sigma pi_rep sigma.
 - N for a non-linear psi_rep (the degree-3 pair of A5 < S5, the degree-8
   pair of A6 < S6) comes from one decomposition of the k_H x e products
   psi_c (psi_rep - psi_partner), in the ring of H, at every point of each
@@ -241,7 +243,8 @@ def k_group_s1_lambda(group: GroupTable, lam: SignHomomorphism) -> KGroupPresent
     )
 
 
-# Bytes of one block [block, k_H, k_G] of product coordinates in `_s1_action`.
+# Bytes of one block of basis elements in `_s1_action`: its [block, k_H, k_H]
+# int64 product rows and its [block, k_H, k_G] product coordinates.
 _ACTION_BLOCK_BYTES = 1 << 25
 
 
@@ -251,24 +254,17 @@ def _s1_action(ctx: LambdaContext) -> np.ndarray:
 
     The coordinates over Irr(H) are laid out [e, i, a], so that each gather
     moves rows of R^T, in the least integer type that holds their checked
-    bound, and go in blocks of basis elements, each block checked
-    twist-antiinvariant (`_antiinvariant_coords`).
+    bound. They go in blocks of basis elements: each block looks up pi_rep
+    for its linear representatives, takes pi_partner = sigma pi_rep sigma,
+    and is checked twist-antiinvariant (`_antiinvariant_coords`).
     """
-    table_h = ctx.table_h
+    table_h, sigma = ctx.table_h, ctx.twist
     pairs = np.asarray(ctx.orbits.pairs, dtype=np.intp).reshape(-1, 2)
     k_g, k_h, rank = ctx.table_g.count, table_h.count, len(pairs)
     if not rank:
         return np.zeros((k_g, 0, 0), dtype=np.int64)
     r = ctx.restriction
     linear = np.asarray(table_h.degrees)[pairs[:, 0]] == 1
-    # inverse[e, side, i]: the c with psi_c psi_pairs[e, side] = psi_i, for linear psi_rep.
-    inverse = np.empty((rank, 2, k_h), dtype=np.intp)
-    lin = np.flatnonzero(linear)
-    chunk = max(1, _ACTION_BLOCK_BYTES // (16 * k_h * k_h))
-    for lo in range(0, lin.size, chunk):
-        e = lin[lo : lo + chunk]
-        pi = linear_product_permutations(table_h, pairs[e])
-        inverse[e] = np.argsort(pi, axis=-1).reshape(e.size, 2, k_h)
     heavy = np.flatnonzero(~linear)
     # products[c, f, i]: coordinate on psi_i of psi_c (psi_rep - psi_partner) for heavy[f].
     products = np.zeros((k_h, 0, k_h), dtype=np.int64)
@@ -285,12 +281,16 @@ def _s1_action(ctx: LambdaContext) -> np.ndarray:
     r_t = np.ascontiguousarray(r.T, dtype=dtype)  # [k_H, k_G]
     slot = np.cumsum(~linear) - 1  # position of a heavy e in `products`
     coords = np.empty((rank, rank, k_g), dtype=dtype)  # [e, f, a]
-    block = max(1, _ACTION_BLOCK_BYTES // (dtype.itemsize * k_g * k_h))
+    block = max(1, _ACTION_BLOCK_BYTES // (k_h * max(8 * k_h, dtype.itemsize * k_g)))
     for lo in range(0, rank, block):
         part = np.arange(lo, min(rank, lo + block))
         lin = linear[part]
         t = np.empty((part.size, k_h, k_g), dtype=dtype)
-        t[lin] = r_t[inverse[part[lin], 0]] - r_t[inverse[part[lin], 1]]
+        if lin.any():
+            # inv[f, i]: the c with psi_c psi_rep = psi_i; psi_partner = psi_rep^sigma,
+            # so psi_c psi_partner = (psi_sigma(c) psi_rep)^sigma and its c is sigma inv sigma.
+            inv = np.argsort(linear_product_permutations(table_h, pairs[part[lin], 0]), axis=-1)
+            t[lin] = r_t[inv] - r_t[sigma[inv[:, sigma]]]
         t[~lin] = np.einsum("ac,cfi->fia", r, products[:, slot[part[~lin]]])
         coords[part] = _antiinvariant_coords(ctx, t, axis=1)
     return np.ascontiguousarray(coords.transpose(2, 1, 0), dtype=np.int64)

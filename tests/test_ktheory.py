@@ -226,6 +226,64 @@ def test_restriction_and_action_match_the_product_route():
     assert heavy == {"S5": {3}, "S6": {8}}
 
 
+def test_the_partner_permutation_is_the_twisted_representative_permutation():
+    """psi_partner = psi_rep^sigma, so pi_partner = sigma pi_rep sigma, which
+    `_s1_action` takes in place of looking pi_partner up."""
+    count = 0
+    for group, lam in _r_n_pairs():
+        ctx = lambda_context(group, lam)
+        sigma = ctx.twist
+        pairs = np.asarray(ctx.orbits.pairs, dtype=np.intp).reshape(-1, 2)
+        pairs = pairs[np.asarray(ctx.table_h.degrees)[pairs[:, 0]] == 1]
+        pi_rep = linear_product_permutations(ctx.table_h, pairs[:, 0])
+        partners = linear_product_permutations(ctx.table_h, pairs[:, 1])
+        assert np.array_equal(partners, sigma[pi_rep[:, sigma]]), (group.name, lam.label)
+        count += len(pairs)
+    assert count > 0
+
+
+@pytest.mark.parametrize("n", [8, 12])
+def test_a_repaired_twist_makes_the_action_raise(n):
+    """With two pairs (a, b), (c, d) of the twist re-paired as a <-> d, b <-> c,
+    sigma pi_rep sigma is no longer the partner's permutation."""
+    group, lam = group_with_lambda(GroupSpec.dihedral(n), "reflection-sign")
+    ctx = lambda_context(group, lam)
+    (a, b), (c, d) = ctx.orbits.pairs[:2]
+    twist = ctx.twist.copy()
+    twist[[a, d, b, c]] = d, a, c, b
+    with pytest.raises(CharacterTheoryError):
+        _s1_action(replace(ctx, twist=twist))
+
+
+def _linear_and_heavy_lambda():
+    """S3 x S4 with the lambda whose kernel C3 x S4 has linear and non-linear pairs."""
+    group = build_group(GroupSpec.direct_product(GroupSpec.symmetric(3), GroupSpec.symmetric(4)))
+    for lam in enumerate_sign_homs(group):
+        ctx = lambda_context(group, lam)
+        degrees = {ctx.table_h.degrees[rep] for rep, _ in ctx.orbits.pairs}
+        if 1 in degrees and len(degrees) > 1:
+            return group, lam
+    raise AssertionError("no lambda of S3 x S4 has linear and non-linear pairs")
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: group_with_lambda(GroupSpec.symmetric(5), "sign"),
+        lambda: group_with_lambda(GroupSpec.symmetric(6), "sign"),
+        lambda: group_with_lambda(GroupSpec.dihedral(12), "reflection-sign"),
+        _linear_and_heavy_lambda,
+    ],
+    ids=["S5-sign", "S6-sign", "D12-reflection-sign", "S3xS4-linear-and-heavy"],
+)
+def test_one_basis_element_per_block_gives_the_same_action(monkeypatch, make):
+    group, lam = make()
+    ctx = lambda_context(group, lam)
+    monkeypatch.setattr(ktheory, "_ACTION_BLOCK_BYTES", 1)
+    assert len(ctx.orbits.pairs) > 0
+    assert np.array_equal(_s1_action(ctx), s1_action_by_products(ctx))
+
+
 def test_a_corrupted_value_of_g_makes_the_restriction_lookup_raise():
     group, lam = group_with_lambda(GroupSpec.dihedral(6), "reflection-sign")
     ctx = lambda_context(group, lam)
