@@ -1013,7 +1013,8 @@ def tensor_product(a: VirtualCharacter, b: VirtualCharacter) -> VirtualCharacter
 @dataclass(eq=False)
 class LambdaContext:
     """Shared data for one (group, sign homomorphism) pair. Of lambda, which
-    holds it, the context keeps the label and values: so no reference cycle."""
+    holds it, the context keeps the label and values: so no reference cycle.
+    `restriction` R is the one restriction/induction matrix: induction is R^T."""
 
     group: GroupTable
     label: str
@@ -1032,14 +1033,6 @@ class LambdaContext:
         """R[a, i] = multiplicity of chi_i in res(phi_a), looked up on first
         read (`_clifford_restriction`)."""
         return _clifford_restriction(self)
-
-    @cached_property
-    def induction(self) -> np.ndarray:
-        """T[i, a] = multiplicity of phi_a in ind(chi_i), decomposed on first read."""
-        hvals = _embedded_values(self.table_h, self.table_g.ring)
-        t = decompose_values(self.table_g, induced_values(self.emb, hvals), self.table_g.ring)
-        t.setflags(write=False)
-        return t
 
 
 def _clifford_restriction(ctx: LambdaContext) -> np.ndarray:

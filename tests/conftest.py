@@ -12,8 +12,10 @@ from ksphere.characters import (
     _analysis_bound,
     _analysis_weights,
     _embed,
+    _embedded_values,
     _l1_norms,
     decompose_values,
+    induced_values,
 )
 from ksphere.cli import CHARTAB_SCHEMA
 from ksphere.cyclotomic import Cyclotomic, eval_prime, prime_count
@@ -38,6 +40,21 @@ def restriction_by_decomposition(ctx):
     table_g = ctx.table_g
     res_vals = table_g.distinct[table_g.which[:, ctx.emb.class_map]]  # [k_G, k_H, phi]
     return decompose_values(ctx.table_h, res_vals, table_g.ring)
+
+
+def induction_by_decomposition(ctx):
+    """Reference: T [k_H, k_G], the induced values of each irreducible of H
+    decomposed over Irr(G) at evaluation primes."""
+    hvals = _embedded_values(ctx.table_h, ctx.table_g.ring)
+    return decompose_values(ctx.table_g, induced_values(ctx.emb, hvals))
+
+
+def ideal_generators_by_decomposition(ctx):
+    """Reference: row c [k_G, k_G] decomposes (1 - lambda) chi_c over Irr(G)
+    at evaluation primes; 1 - lambda is the integer 0 or 2 on each class."""
+    table = ctx.table_g
+    one_minus = 1 - ctx.values[list(table.classes.representatives)].astype(np.int64)
+    return decompose_values(table, table.distinct[table.which] * one_minus[None, :, None])
 
 
 def s1_action_by_products(ctx):

@@ -7,7 +7,9 @@ import pytest
 
 from conftest import (
     group_with_lambda,
+    ideal_generators_by_decomposition,
     in_span,
+    induction_by_decomposition,
     restriction_by_decomposition,
     s1_action_by_products,
 )
@@ -208,12 +210,18 @@ def _r_n_pairs():
 
 
 def test_restriction_and_action_match_the_product_route():
-    """R by Clifford lookup equals R decomposed, and R N equals the k_G x rank
-    products decomposed at evaluation primes (`tests/conftest.py`)."""
+    """R by Clifford lookup equals R decomposed, the decomposed induction
+    equals R^T, the decomposed (1 - lambda) chi_c span the emitted s-lambda
+    basis, and R N equals the k_G x rank products decomposed at evaluation
+    primes (`tests/conftest.py`)."""
     count, heavy = 0, {}
     for group, lam in _r_n_pairs():
         ctx = lambda_context(group, lam)
         assert np.array_equal(ctx.restriction, restriction_by_decomposition(ctx)), group.name
+        assert np.array_equal(induction_by_decomposition(ctx), ctx.restriction.T), group.name
+        basis = [b.coeffs for b in k_group_s_lambda(group, lam).basis]
+        generators = ideal_generators_by_decomposition(ctx).tolist()
+        assert hermite_normal_form(generators) == hermite_normal_form(basis), group.name
         pres = k_group_s1_lambda(group, lam)
         action = np.asarray(pres.action).reshape(ctx.table_g.count, pres.rank, pres.rank)
         assert np.array_equal(action, s1_action_by_products(ctx)), (group.name, lam.label)

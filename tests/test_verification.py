@@ -40,6 +40,12 @@ SAMPLE = [
     (GroupSpec.cyclic(12), "onto-pm1"),
 ]
 
+_NEGATIVE = [
+    (GroupSpec.symmetric(4), "sign"),
+    (GroupSpec.dihedral(6), "reflection-sign"),
+    (GroupSpec.quaternion(8), "onto-pm1"),
+]
+
 
 @pytest.mark.parametrize("spec,conv", SAMPLE, ids=lambda v: getattr(v, "name", v))
 def test_all_checks_pass(spec, conv):
@@ -250,25 +256,58 @@ def test_no_reference_cycle_holds_a_group_or_its_lambda(spec):
             gc.enable()
 
 
-def test_each_lambda_decomposes_its_restriction_and_induction_once(monkeypatch):
+def test_verify_makes_no_decomposition(monkeypatch):
+    """R is a Clifford lookup, Frobenius and the ideal lattice read R, and the
+    s1-lambda action of a linear pair is permutations of Irr(H): a passing
+    `verify` decomposes nothing."""
     calls = []
     real = characters.decompose_values
 
     def counting(table, varr, *args, **kwargs):
-        calls.append("G" if table is group.table else "H")
+        calls.append(table.name)
         return real(table, varr, *args, **kwargs)
 
     for module in (characters, ktheory, verification):
         monkeypatch.setattr(module, "decompose_values", counting)
-    group = build_group(GroupSpec.symmetric(4))
-    (lam,) = enumerate_sign_homs(group)
-    assert all(r.ok for r in verify_group(group, lam))
-    # T once and the ideal-lattice oracle. R is a lookup, and the s1-lambda
-    # action of the linear pair of A4 is two permutations of Irr(A4).
-    assert sorted(calls) == ["G", "G"]
-    calls.clear()
-    check_frobenius_reciprocity(group, lam)
-    check_mackey_restriction(group, lam)
-    assert calls == []
+    for spec, conv in (GroupSpec.symmetric(4), "sign"), (GroupSpec.dihedral(8), "reflection-sign"):
+        group, lam = group_with_lambda(spec, conv)
+        assert all(r.ok for r in verify_group(group, lam))
+        assert calls == [], group.name
+        assert not lambda_context(group, lam).restriction.flags.writeable
+
+
+@pytest.mark.parametrize("spec,conv", _NEGATIVE, ids=lambda v: getattr(v, "name", v))
+def test_a_moved_restriction_entry_fails_frobenius_and_the_ideal_lattice(monkeypatch, spec, conv):
+    group, lam = group_with_lambda(spec, conv)
     ctx = lambda_context(group, lam)
-    assert not ctx.restriction.flags.writeable and not ctx.induction.flags.writeable
+    bad = ctx.restriction.copy()
+    bad[0, 0], bad[0, 1] = 0, 1  # res(trivial) moved off the trivial character
+    corrupted = dataclasses.replace(ctx)
+    corrupted.__dict__["restriction"] = bad  # the cached-property slot
+    monkeypatch.setattr(verification, "lambda_context", lambda g, l: corrupted)
+    assert check_frobenius_reciprocity(group, lam) == [
+        verification.CheckReport(
+            "frobenius-reciprocity", group.name, lam.label, "fail",
+            "mismatch at (chi0, chi0): ind gives 1, res gives 0",
+        )
+    ]
+    (report,) = check_ideal_lattice(group, lam)
+    assert report.status == "fail" and report.details.endswith("span equal: False")
+
+
+@pytest.mark.parametrize("spec,conv", _NEGATIVE, ids=lambda v: getattr(v, "name", v))
+def test_a_dropped_or_doubled_basis_element_fails_the_ideal_lattice(monkeypatch, spec, conv):
+    """Dropping a basis element lowers the rank. Doubling one keeps the rank
+    and stays in ker R, but its span is not saturated (an HNF pivot of 2)."""
+    group, lam = group_with_lambda(spec, conv)
+    ideal = k_group_s_lambda(group, lam)
+    first, rest = ideal.basis[0], ideal.basis[1:]
+    for basis in rest, (first + first,) + rest:
+        emitted = dataclasses.replace(ideal, basis=basis, rank=len(basis))
+        monkeypatch.setattr(verification, "k_group_s_lambda", lambda g, l: emitted)
+        assert check_ideal_lattice(group, lam) == [
+            verification.CheckReport(
+                "ideal-lattice", group.name, lam.label, "fail",
+                f"oracle rank {ideal.rank}, emitted rank {len(basis)}, span equal: False",
+            )
+        ]
