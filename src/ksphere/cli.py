@@ -187,13 +187,32 @@ def _cmd_chartab(args) -> int:
     return 0
 
 
+def _kgroup_s1_json(report: dict, matrix_texts: list[str]):
+    """`report` encoded with its empty action matrices replaced by the texts,
+    as parts for `_write_json`. The text of a list of int rows is its
+    `_encode` with a space after each comma. Inside an encoded string a quote
+    is escaped, so the key `"matrices":[` occurs once."""
+    head, key, tail = _encode(report).partition('"matrices":[')
+    yield head + key
+    for a, text in enumerate(matrix_texts):
+        yield ("," if a else "") + text.replace(" ", "")
+    yield tail
+
+
 def _cmd_kgroup(args) -> int:
     spec, group, lam = _resolve(args.groupspec, need_lambda=True)
+    report = {
+        "schema": KGROUP_SCHEMA,
+        "group": {"name": group.name, "order": group.order},
+        "lambda": lam.label,
+    }
     if args.sphere == S1_LAMBDA:
         pres = k_group_s1_lambda(group, lam)
         table_h = pres.ctx.table_h
-        # Each matrix is converted once, for --json and for stdout alike.
         doc = pres.to_jsonable()
+        # Each matrix is rendered once, for stdout and for --json alike.
+        texts = [str(mat) for mat in doc["action"]["matrices"]]
+        doc["action"]["matrices"] = []
         print(f"group {group.name}, lambda {lam.label}, sphere {S1_LAMBDA}")
         print(f"kernel subgroup of order {table_h.order} with "
               f"{table_h.count} irreducible characters")
@@ -202,32 +221,24 @@ def _cmd_kgroup(args) -> int:
             print(f"  basis[{i}] {b['label']} = chi{b['rep']} - chi{b['partner']}  "
                   f"coeffs {b['coeffs']}")
         print("action of the ambient irreducibles:")
-        for name, mat in zip(doc["action"]["names"], doc["action"]["matrices"]):
-            print(f"  {name}: {mat}")
+        for name, text in zip(doc["action"]["names"], texts):
+            print(f"  {name}: {text}")
         print("product rule: zero (alpha*beta = 0 for all elements)")
+        parts = _kgroup_s1_json({**report, "presentation": doc}, texts)
     else:
         pres = k_group_s_lambda(group, lam)
-        table = pres.ctx.table_g
         print(f"group {group.name}, lambda {lam.label}, sphere {S_LAMBDA}")
         print(f"rank {pres.rank} (ideal generated by 1 - lambda, "
-              f"lambda = {table.names[pres.lambda_index]})")
+              f"lambda = {pres.table.names[pres.lambda_index]})")
         for i, b in enumerate(pres.basis):
             rep, partner = pres.pairs[i]
             print(f"  basis[{i}] chi{rep} - chi{partner}  coeffs {list(b.coeffs)}")
         if pres.fixed:
             fixed = ", ".join(f"chi{c}" for c in pres.fixed)
             print(f"fixed by tensoring with lambda: {fixed}")
-        doc = pres.to_jsonable()
+        parts = [_encode({**report, "presentation": pres.to_jsonable()})]
     if args.json:
-        _dump_json(
-            {
-                "schema": KGROUP_SCHEMA,
-                "group": {"name": group.name, "order": group.order},
-                "lambda": lam.label,
-                "presentation": doc,
-            },
-            args.json,
-        )
+        _write_json(parts, args.json)
     return 0
 
 

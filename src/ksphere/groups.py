@@ -642,20 +642,21 @@ def conjugacy_classes(table: GroupTable) -> ConjugacyClasses:
     """Conjugacy classes ordered by (representative order, size, min index).
 
     Each class is found at its least element, so np.unique lists the classes
-    in the order of their least elements, whichever route found them: a
-    direct product reads them off its factors, an abelian group has
-    singletons, and any other group takes the orbits of conjugation by its
-    generators (`_least_conjugates`).
+    in the order of their least elements, whichever route found them: an
+    abelian group has singletons, so an abelian product never reads its
+    factors; a nonabelian direct product reads them off its factors; and any
+    other group takes the orbits of conjugation by its generators
+    (`_least_conjugates`).
     """
-    # A class of A x B is clA x clB, whose least element pairs the least
-    # elements of clA and clB.
-    if table.factors:
+    if table.is_abelian():
+        least = np.arange(table.order)  # every class is a singleton
+    elif table.factors:
+        # A class of A x B is clA x clB, whose least element pairs the least
+        # elements of clA and clB.
         a, b = table.factors
         least_a = np.asarray(a.classes.representatives)[a.classes.class_of]
         least_b = np.asarray(b.classes.representatives)[b.classes.class_of]
         least = (least_a[:, None] * b.order + least_b[None, :]).reshape(-1)
-    elif table.is_abelian():
-        least = np.arange(table.order)  # every class is a singleton
     else:
         least = _least_conjugates(table)
     reps, class_of = np.unique(least, return_inverse=True)

@@ -2,11 +2,14 @@
 
 Both pair the swapped orbits of an involution on irreducibles. For the sphere
 with a one-dimensional sign action the group is the ideal generated by
-1 - lambda in R(G), spanned by phi - lambda*phi; for the two-sphere with the
-extra trivial coordinate it is the span of chi - (twist of chi) over
-Irr(ker lambda), with an identically zero internal product. The twist does
-not depend on the coset element. Both carry exact integer data and are
-verified against lattice oracles in the test suite.
+1 - lambda in R(G), spanned by phi - lambda*phi over the swapped orbits of
+tensoring by lambda (Segal, Equivariant K-theory, 1968). It needs Irr(G) and
+lambda alone, so it builds no lambda context: no kernel, no Irr(ker lambda),
+no twist. For the two-sphere with the extra trivial coordinate it is the
+span of chi - (twist of chi) over Irr(ker lambda), with an identically zero
+internal product. The twist does not depend on the coset element. Both carry
+exact integer data and are verified against lattice oracles in the test
+suite.
 
 The s1-lambda action. phi_a in Irr(G) acts on the basis element
 e = psi_rep - psi_partner as res(phi_a) e, read in the pair basis. Write
@@ -44,9 +47,11 @@ from .characters import (
     CharacterTheoryError,
     LambdaContext,
     VirtualCharacter,
+    character_table,
     decompose_values,
     involution_orbits,
     lambda_context,
+    lambda_index,
     linear_product_permutations,
     restrict,
     row_permutation,
@@ -139,7 +144,8 @@ class KElement:
 
 @dataclass(eq=False)
 class IdealPresentation:
-    """Basis of the ideal generated by 1 - lambda inside R(G)."""
+    """Basis of the ideal generated by 1 - lambda inside R(G), on `table`,
+    the table of G; `lambda_index` is lambda's index in it."""
 
     sphere: str
     rank: int
@@ -147,7 +153,7 @@ class IdealPresentation:
     pairs: tuple[tuple[int, int], ...]
     fixed: tuple[int, ...]
     lambda_index: int
-    ctx: LambdaContext
+    table: CharacterTable
 
     def to_jsonable(self) -> dict:
         return {
@@ -204,16 +210,21 @@ def _pair_differences(table: CharacterTable, pairs) -> list[list[int]]:
     return coeffs
 
 
-def _check_class_count_rank(ctx: LambdaContext, sphere: str, rank: int) -> None:
+def _check_class_count_rank(
+    table_g: CharacterTable, values: np.ndarray, sphere: str, rank: int
+) -> None:
     """Raise unless `rank` is k_G - c_H (s-lambda) or 2 c_H - k_G (s1-lambda),
-    c_H being the number of G-classes inside H = ker lambda.
+    c_H being the number of G-classes inside H = ker lambda: H is normal, so
+    a union of classes, and c_H counts the representatives where the
+    lambda `values` (one sign per element) are +1.
 
     The orbit sums chi + lambda*chi are a basis of the class functions that
     vanish off H, so there are c_H orbits, k_G - c_H of them swapped pairs.
     By Clifford theory for index 2 (Isaacs 1976, ch. 6) the 2 c_H - k_G fixed
     characters of G match the swapped pairs of the twist on Irr(H).
     """
-    k_g, c_h = ctx.table_g.count, np.count_nonzero(np.bincount(ctx.emb.class_map))
+    k_g = table_g.count
+    c_h = int(np.count_nonzero(values[list(table_g.classes.representatives)] > 0))
     expected = k_g - c_h if sphere == S_LAMBDA else 2 * c_h - k_g
     if rank != expected:
         raise CharacterTheoryError(f"{sphere} rank {rank}, but the class counts give {expected}")
@@ -225,7 +236,7 @@ def k_group_s1_lambda(group: GroupTable, lam: SignHomomorphism) -> KGroupPresent
     table_g, table_h = ctx.table_g, ctx.table_h
     pairs = ctx.orbits.pairs
     rank = len(pairs)
-    _check_class_count_rank(ctx, S1_LAMBDA, rank)
+    _check_class_count_rank(table_g, ctx.values, S1_LAMBDA, rank)
     basis = tuple(
         BasisElement(rep, partner, VirtualCharacter(table_h, row), f"ind(chi{rep}⊗(ζ-1))")
         for (rep, partner), row in zip(pairs, _pair_differences(table_h, pairs))
@@ -332,26 +343,29 @@ def ring_product(alpha: KElement, beta: KElement) -> KElement:
 # ---------------------------------------------------------------------------
 
 
-def _lambda_tensor_permutation(ctx: LambdaContext) -> np.ndarray:
-    """Permutation pi of Irr(G) with lambda * chi_c = chi_pi(c).
+def _lambda_tensor_permutation(table: CharacterTable, index: int) -> np.ndarray:
+    """Permutation pi of Irr(G) with lambda * chi_c = chi_pi(c), lambda being
+    chi_index.
 
     lambda is +-1 on every class, so lambda * chi_c is chi_c's value row with
     its values negated where lambda = -1: in index form, the row of `which`
     with nu applied on those classes, nu the negation map on the distinct
     values, and its index is a lookup of that integer row.
     """
-    table = ctx.table_g
     nu = table.value_indices(-table.distinct)  # -distinct[d] = distinct[nu[d]], or -1
-    flip = table.distinct[table.which[ctx.lambda_index], 0] < 0
+    flip = table.distinct[table.which[index], 0] < 0
     return row_permutation(table, np.where(flip, nu[table.which], table.which))
 
 
 def k_group_s_lambda(group: GroupTable, lam: SignHomomorphism) -> IdealPresentation:
-    """Basis {phi - lambda*phi} over swapped orbits of tensoring by the sign."""
-    ctx = lambda_context(group, lam)
-    table = ctx.table_g
-    orbits = involution_orbits(_lambda_tensor_permutation(ctx))
-    _check_class_count_rank(ctx, S_LAMBDA, len(orbits.pairs))
+    """Basis {phi - lambda*phi} over swapped orbits of tensoring by the sign.
+
+    It reads Irr(G) and lambda alone: no kernel, no Irr(ker lambda), no twist.
+    """
+    table = character_table(group)
+    index = lambda_index(table, lam)
+    orbits = involution_orbits(_lambda_tensor_permutation(table, index))
+    _check_class_count_rank(table, lam.values, S_LAMBDA, len(orbits.pairs))
     basis = tuple(VirtualCharacter(table, row) for row in _pair_differences(table, orbits.pairs))
     return IdealPresentation(
         sphere=S_LAMBDA,
@@ -359,8 +373,8 @@ def k_group_s_lambda(group: GroupTable, lam: SignHomomorphism) -> IdealPresentat
         basis=basis,
         pairs=orbits.pairs,
         fixed=orbits.fixed,
-        lambda_index=ctx.lambda_index,
-        ctx=ctx,
+        lambda_index=index,
+        table=table,
     )
 
 

@@ -502,7 +502,7 @@ def check_ideal_lattice(group: GroupTable, lam: SignHomomorphism) -> list[CheckR
     ctx = lambda_context(group, lam)
     table = ctx.table_g
     ideal = k_group_s_lambda(group, lam)
-    if ctx.lambda_index == table.trivial_index:
+    if ideal.lambda_index == table.trivial_index:
         return [
             CheckReport(
                 "ideal-lattice", group.name, lam.label, "fail",

@@ -16,6 +16,7 @@ from ksphere.characters import (
     _l1_norms,
     decompose_values,
     induced_values,
+    lambda_context,
 )
 from ksphere.cli import CHARTAB_SCHEMA
 from ksphere.cyclotomic import Cyclotomic, eval_prime, prime_count
@@ -71,6 +72,62 @@ def s1_action_by_products(ctx):
     res_all = table_g.distinct[table_g.which[:, ctx.emb.class_map]]  # [k_G, k_H, phi]
     t = decompose_values(table_h, res_all, table_g.ring, factor=basis_vals)
     return np.swapaxes(t[..., reps], 1, 2)
+
+
+def s_lambda_by_context(group, lam) -> dict:
+    """Reference: the s-lambda data read through the lambda context. c_H is
+    the number of classes of G met by the kernel's class map, lambda's index
+    is the context's, and chi_c is paired with the chi_d whose dense value
+    row equals lambda chi_c."""
+    ctx = lambda_context(group, lam)
+    table = ctx.table_g
+    values = dense_values(table)
+    signs = ctx.values[list(table.classes.representatives)].astype(np.int64)
+    lam_row = np.zeros_like(values[0])
+    lam_row[:, 0] = signs
+    assert np.array_equal(values[ctx.lambda_index], lam_row)
+    index_of = {row.tobytes(): d for d, row in enumerate(values)}
+    partner = [index_of[(values[c] * signs[:, None]).tobytes()] for c in range(table.count)]
+    pairs = tuple((c, d) for c, d in enumerate(partner) if c < d)
+    c_h = np.count_nonzero(np.bincount(ctx.emb.class_map))
+    assert len(pairs) == table.count - c_h
+    basis = [[0] * table.count for _ in pairs]
+    for row, (c, d) in zip(basis, pairs):
+        row[c], row[d] = 1, -1
+    return {
+        "rank": len(pairs),
+        "basis": basis,
+        "pairs": pairs,
+        "fixed": tuple(c for c, d in enumerate(partner) if c == d),
+        "lambda_index": ctx.lambda_index,
+    }
+
+
+def _least_conjugates_by_factors(table) -> np.ndarray:
+    """The least element of each element's class, a direct product's read
+    off its factors' at every level: a class of A x B is clA x clB."""
+    if not table.factors:
+        classes = groups.conjugacy_classes(table)
+        return np.asarray(classes.representatives)[classes.class_of]
+    a, b = table.factors
+    least_a, least_b = _least_conjugates_by_factors(a), _least_conjugates_by_factors(b)
+    return (least_a[:, None] * b.order + least_b[None, :]).reshape(-1)
+
+
+def classes_by_factors(table) -> dict:
+    """Reference: the class data of a direct product by the factor route,
+    ordered by (representative order, size, least element) as
+    `groups.conjugacy_classes` orders them."""
+    reps, class_of = np.unique(_least_conjugates_by_factors(table), return_inverse=True)
+    sizes = np.bincount(class_of)
+    orders = np.argmax(table.powers[1:, reps] == table.identity, axis=0) + 1
+    perm = np.lexsort((reps, sizes, orders))
+    return {
+        "class_of": np.argsort(perm)[class_of],
+        "representatives": tuple(reps[perm].tolist()),
+        "class_sizes": tuple(sizes[perm].tolist()),
+        "orders": tuple(orders[perm].tolist()),
+    }
 
 
 def two_gram_failures(table):

@@ -3,6 +3,7 @@
 import hashlib
 import json
 from functools import reduce
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from ksphere import cli
 from ksphere.characters import character_table
 from ksphere.cyclotomic import Cyclotomic
 from ksphere.groups import build_group, parse_group_document
-from ksphere import groups, verification
+from ksphere import characters, groups, ktheory, verification
+from ksphere.ktheory import k_group_s1_lambda, k_group_s_lambda
 from ksphere.verification import CheckReport
 
 S3_SPEC = '{"family":"S","n":3,"lambda":{"convention":"sign"}}'
@@ -349,3 +351,98 @@ print("numpy.ma" in sys.modules)
     proc = run_python(["-c", script])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "False"
+
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.json"
+S6_SIGN = '{"family":"S","n":6,"lambda":{"convention":"sign"}}'
+C64_SIGN = '{"family":"C","n":64,"lambda":{"convention":"onto-pm1"}}'
+D512_REFLECTION_SIGN = '{"family":"dihedral","n":512,"lambda":{"convention":"reflection-sign"}}'
+# AGL(1, 31): x -> x + 1 and x -> 3 x on the 31 points; 3 generates (Z/31)^*,
+# so the second generator is a 30-cycle, odd.
+AGL_1_31_SIGN = json.dumps({
+    "generators": [[(x + 1) % 31 for x in range(31)], [3 * x % 31 for x in range(31)]],
+    "lambda": {"convention": "sign"},
+})
+
+
+def _count_calls(monkeypatch, name: str, calls: list) -> list:
+    """Append `name` to `calls` at each call of the function `name`, through
+    every module that binds it."""
+    real = getattr(characters, name)
+
+    def counting(*args):
+        calls.append(name)
+        return real(*args)
+
+    for module in (groups, characters, ktheory, verification, cli):
+        if getattr(module, name, None) is real:
+            monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "spec, table_embeddings",
+    [(S6_SIGN, 0), (D512_REFLECTION_SIGN, 1), (AGL_1_31_SIGN, 0)],
+    ids=["S6", "D512", "AGL(1,31)"],
+)
+def test_kgroup_s_lambda_builds_no_kernel(spec, table_embeddings, monkeypatch, tmp_path, capsys):
+    """The s-lambda report reads Irr(G) and lambda alone: no lambda context,
+    so no Irr(ker lambda) and no twist, and no kernel embedding but those
+    that building Irr(G) makes, as `chartab` does (the Clifford route of
+    D512 embeds its abelian half, the rotations, once)."""
+    calls = []
+    for name in ("kernel_embedding", "lambda_context"):
+        _count_calls(monkeypatch, name, calls)
+    monkeypatch.setattr(characters, "_table_data_cache", {})
+    assert cli.main(["chartab", spec]) == 0
+    assert calls == ["kernel_embedding"] * table_embeddings
+    calls.clear()
+    monkeypatch.setattr(characters, "_table_data_cache", {})
+    path = tmp_path / "report.json"
+    assert cli.main(["kgroup", spec, "--sphere", "s-lambda", "--json", str(path)]) == 0
+    assert json.loads(path.read_text())["presentation"]["rank"] > 0
+    assert calls == ["kernel_embedding"] * table_embeddings
+    capsys.readouterr()
+
+
+def test_kgroup_s1_lambda_never_looks_up_the_lambda_index(monkeypatch, capsys):
+    calls = _count_calls(monkeypatch, "_sign_character_index", [])
+    assert cli.main(["kgroup", S6_SIGN, "--sphere", "s1-lambda"]) == 0
+    assert "rank 1" in capsys.readouterr().out
+    assert calls == []
+    # Control: the s-lambda report looks it up once.
+    assert cli.main(["kgroup", S6_SIGN, "--sphere", "s-lambda"]) == 0
+    assert len(calls) == 1
+    capsys.readouterr()
+
+
+def _kgroup_cases():
+    items = json.loads(WORKLOADS.read_text())["kgroup-wide"]
+    cases = [item["argv"][1:] for item in items]
+    cases += [[C64_SIGN, "--sphere", "s1-lambda"], [S3_SPEC, "--sphere", "s1-lambda"]]
+    return cases
+
+
+def test_kgroup_json_is_the_whole_report_encoded(tmp_path, capsys):
+    """On every `kgroup-wide` item, on C64 (rank 0) and on S3 (a negative
+    entry), the report spliced from the matrix texts is `_encode` of the
+    whole report."""
+    ranks, entries = set(), set()
+    for spec, _, sphere in _kgroup_cases():
+        path = tmp_path / "report.json"
+        assert cli.main(["kgroup", spec, "--sphere", sphere, "--json", str(path)]) == 0
+        capsys.readouterr()
+        _, group, lam = cli._resolve(spec, need_lambda=True)
+        build = k_group_s1_lambda if sphere == "s1-lambda" else k_group_s_lambda
+        pres = build(group, lam)
+        report = {
+            "schema": cli.KGROUP_SCHEMA,
+            "group": {"name": group.name, "order": group.order},
+            "lambda": lam.label,
+            "presentation": pres.to_jsonable(),
+        }
+        assert path.read_text() == cli._encode(report) + "\n", (group.name, lam.label, sphere)
+        if sphere == "s1-lambda":
+            ranks.add(pres.rank)
+            entries.update(np.unique(pres.action).tolist())
+    assert 0 in ranks and min(entries) < 0

@@ -5,7 +5,8 @@ sha256 of the `--json` report it must produce. Running them all in-process
 makes the byte-identical contract part of the test suite, as do larger
 reports beyond that set: `kgroup` of C8 x C64, `chartab` of C256 and C512,
 the `chartab` and both `kgroup` reports of D512, the `chartab` report of S5
-given by generators and the s1-lambda `kgroup` report of S5 with the sign. The text tables
+given by generators, the s1-lambda `kgroup` report of S5 with the sign and the
+s-lambda `kgroup` report of S6 with the sign. The text tables
 that `chartab` prints for the items of `chartab-many-classes`, for C256,
 C512 and D512 are pinned here too.
 """
@@ -187,4 +188,22 @@ def test_kgroup_report_of_a_non_linear_pair_matches_golden_digests(tmp_path, cap
     stdout = capsys.readouterr().out.encode()
     assert hashlib.sha256(stdout).hexdigest() == (
         "d58b075930667902adb876e022e4688e67083a8764f41c053820a0b26bd26655"
+    )
+
+
+# The s-lambda report of S6 with the sign reads Irr(S6) and the sign alone;
+# its kernel A6 would need Dixon's algorithm.
+S6_SIGN = '{"family":"S","n":6,"lambda":{"convention":"sign"}}'
+
+
+def test_kgroup_s_lambda_report_of_s6_matches_golden_digests(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    argv = ["kgroup", S6_SIGN, "--sphere", "s-lambda", "--json", str(path)]
+    assert cli.main(argv) == 0, capsys.readouterr().err
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "a88c5061bfcf9927ac4c6b1b39b7243584cec2cceb28aa18221c0bed8e28fdb9"
+    )
+    stdout = capsys.readouterr().out.encode()
+    assert hashlib.sha256(stdout).hexdigest() == (
+        "aa42795e9f472c39fafbe8607e4a53e35965a86719d65b5ef91760eb95cfbbca"
     )

@@ -8,6 +8,7 @@ import pytest
 
 from conftest import (
     all_pairs_classes,
+    classes_by_factors,
     compose,
     eager_labels,
     group_axiom_violations,
@@ -273,6 +274,30 @@ def test_abelian_groups_have_singleton_classes():
         cls = conjugacy_classes(t)
         assert cls.count == t.order
         assert all(s == 1 for s in cls.class_sizes)
+
+
+def test_abelian_products_are_classed_without_their_factors():
+    """Every builtin abelian product up to order 128, C2^7 and C3 x C3 x C3 x C6:
+    the singleton route gives the class data of the factor route, and no
+    factor's classes are computed."""
+    specs = [s for s in abelian_specs_upto(128) if s.kind == "direct_product"]
+    c3, c6 = GroupSpec.cyclic(3), GroupSpec.cyclic(6)
+    pair = GroupSpec.direct_product
+    specs.append(pair(pair(c3, c3), pair(c3, c6)))
+    names = set()
+    for spec in specs:
+        table = build_group(spec)
+        got, want = conjugacy_classes(table), classes_by_factors(table)
+        assert np.array_equal(got.class_of, want["class_of"]), table.name
+        assert (got.representatives, got.class_sizes, got.orders) == (
+            want["representatives"], want["class_sizes"], want["orders"]
+        ), table.name
+        table = build_group(spec)
+        assert table.classes.count == table.order
+        assert not any("classes" in vars(f) for f in table.factors), table.name
+        names.add(table.name)
+    assert len(specs) == 203
+    assert {"C2xC2xC2xC2xC2xC2xC2", "C3xC3xC3xC6"} <= names
 
 
 def test_determinism_of_construction():

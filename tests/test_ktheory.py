@@ -11,6 +11,7 @@ from conftest import (
     in_span,
     induction_by_decomposition,
     restriction_by_decomposition,
+    s_lambda_by_context,
     s1_action_by_products,
 )
 from ksphere import ktheory
@@ -21,6 +22,7 @@ from ksphere.characters import (
     character_table,
     involution_orbits,
     lambda_context,
+    lambda_index,
     linear_product_permutations,
     tensor_product,
 )
@@ -152,7 +154,7 @@ def test_rank_checks_reject_wrong_orbits(monkeypatch):
         k_group_s1_lambda(t, lam)
     monkeypatch.undo()
     monkeypatch.setattr(
-        ktheory, "_lambda_tensor_permutation", lambda ctx: np.arange(ctx.table_g.count)
+        ktheory, "_lambda_tensor_permutation", lambda table, index: np.arange(table.count)
     )
     with pytest.raises(CharacterTheoryError, match="s-lambda rank 0, but the class counts give 1"):
         k_group_s_lambda(t, lam)
@@ -547,7 +549,7 @@ def test_s_lambda_basis_lives_in_the_ideal():
     ]:
         t, lam = group_with_lambda(spec, conv)
         ideal = k_group_s_lambda(t, lam)
-        tab = ideal.ctx.table_g
+        tab = ideal.table
         one_minus = [0] * tab.count
         one_minus[tab.trivial_index] += 1
         one_minus[ideal.lambda_index] -= 1
@@ -566,7 +568,7 @@ def test_s_lambda_span_matches_lattice_oracle():
     ]:
         t, lam = group_with_lambda(spec, conv)
         ideal = k_group_s_lambda(t, lam)
-        tab = ideal.ctx.table_g
+        tab = ideal.table
         one_minus = [0] * tab.count
         one_minus[tab.trivial_index] += 1
         one_minus[ideal.lambda_index] -= 1
@@ -585,7 +587,7 @@ def test_s_lambda_pairing_matches_tensor_decomposition():
         t = build_group(spec)
         for lam in enumerate_sign_homs(t):
             ideal = k_group_s_lambda(t, lam)
-            tab = ideal.ctx.table_g
+            tab = ideal.table
             lam_chi = VirtualCharacter.unit(tab, ideal.lambda_index)
             partner = []
             for c in range(tab.count):
@@ -596,6 +598,27 @@ def test_s_lambda_pairing_matches_tensor_decomposition():
             assert ideal.fixed == tuple(c for c, d in enumerate(partner) if c == d)
 
 
+def test_s_lambda_from_irr_g_matches_the_context_route():
+    """Every builtin (group, lambda) of order <= 64, and S5 and S6 with the sign:
+    the presentation read off Irr(G) and lambda alone equals the one read
+    through the lambda context."""
+    cases = [(t, lam) for t in map(build_group, builtin_specs_upto(64))
+             for lam in enumerate_sign_homs(t)]
+    cases += [group_with_lambda(GroupSpec.symmetric(n), "sign") for n in (5, 6)]
+    for t, lam in cases:
+        ideal = k_group_s_lambda(t, lam)
+        want = s_lambda_by_context(t, lam)
+        assert ideal.table is lambda_context(t, lam).table_g
+        assert {
+            "rank": ideal.rank,
+            "basis": [list(b.coeffs) for b in ideal.basis],
+            "pairs": ideal.pairs,
+            "fixed": ideal.fixed,
+            "lambda_index": ideal.lambda_index,
+        } == want, (t.name, lam.label)
+    assert len(cases) > 400
+
+
 @pytest.mark.parametrize(
     "spec, conv",
     [(GroupSpec.symmetric(3), "sign"), (GroupSpec.dihedral(4), "reflection-sign")],
@@ -603,8 +626,9 @@ def test_s_lambda_pairing_matches_tensor_decomposition():
 )
 def test_lambda_tensor_lookup_rejects_corrupt_table(spec, conv):
     t, lam = group_with_lambda(spec, conv)
-    ctx = lambda_context(t, lam)
-    _lambda_tensor_permutation(ctx)  # control: the clean table gives a permutation
-    bad = replace(ctx, table_g=corrupt_table(ctx.table_g, ctx.table_g.trivial_index, 1))
+    table = character_table(t)
+    index = lambda_index(table, lam)
+    _lambda_tensor_permutation(table, index)  # control: the clean table gives a permutation
+    bad = corrupt_table(table, table.trivial_index, 1)
     with pytest.raises(CharacterTheoryError, match="not a permutation"):
-        _lambda_tensor_permutation(bad)
+        _lambda_tensor_permutation(bad, index)

@@ -26,6 +26,7 @@ from ksphere.characters import (
     _index_form,
     _table_data,
     character_table,
+    lambda_context,
     table_invariant_failures,
 )
 from ksphere.dixon import CharacterEngineError
@@ -268,9 +269,11 @@ def test_certificate_and_s_lambda_never_gather_the_dense_values(fresh_caches, ce
     table = character_table(group)
     assert certified == ["C2xC48"] and table.ring.phi > 2
     assert characters._galois_closed(table)  # so the certificate took the one-point route
-    tables = [table]
-    for lam in enumerate_sign_homs(group):
-        tables.append(k_group_s_lambda(group, lam).ctx.table_h)
+    lams = enumerate_sign_homs(group)
+    for lam in lams:
+        k_group_s_lambda(group, lam)
+    assert certified == ["C2xC48"]  # s-lambda read no kernel table
+    tables = [table] + [lambda_context(group, lam).table_h for lam in lams]
     assert len(tables) == 4
     # No dense copy of the values exists to be gathered into.
     assert not any(hasattr(t, name) for t in tables for name in ("values", "_embedded"))
