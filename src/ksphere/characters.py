@@ -1015,7 +1015,7 @@ class LambdaContext:
     """Shared data for one (group, sign homomorphism) pair. Of lambda, which
     holds it, the context keeps the label and values: so no reference cycle.
     `restriction` R is the one restriction/induction matrix: induction is R^T.
-    R and `lambda_index` are computed on first read (s1-lambda reads R alone)."""
+    R is computed on first read."""
 
     group: GroupTable
     label: str
@@ -1027,11 +1027,6 @@ class LambdaContext:
     b: int
     twist: np.ndarray
     orbits: OrbitData
-
-    @cached_property
-    def lambda_index(self) -> int:
-        """Index of the sign character of lambda in Irr(G) (`lambda_index`)."""
-        return _sign_character_index(self.table_g, self.values)
 
     @cached_property
     def restriction(self) -> np.ndarray:
@@ -1090,15 +1085,10 @@ def _clifford_restriction(ctx: LambdaContext) -> np.ndarray:
 
 def lambda_index(table_g: CharacterTable, lam: SignHomomorphism) -> int:
     """Index of the degree-1 character whose values are the signs of lambda."""
-    return _sign_character_index(table_g, lam.values)
-
-
-def _sign_character_index(table_g: CharacterTable, values: np.ndarray) -> int:
-    """`lambda_index` of the sign homomorphism whose +-1 per element is `values`."""
     signs = np.zeros((2, table_g.ring.phi), dtype=np.int64)
     signs[:, 0] = (1, -1)
     plus, minus = table_g.value_indices(signs)
-    row = np.where(values[list(table_g.classes.representatives)] < 0, minus, plus)
+    row = np.where(lam.values[list(table_g.classes.representatives)] < 0, minus, plus)
     idx = int(_find_rows(table_g._which_keys, row))
     if idx < 0:
         raise CharacterTheoryError("sign character is not in the table")

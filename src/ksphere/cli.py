@@ -103,52 +103,33 @@ def _encode(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
 
 
-def _write_json(parts, path: str) -> None:
-    """Write the encoded parts of one report in turn, then a newline."""
+# A slot in a report stands for a pre-rendered text. It encodes as "\u0000",
+# which no other encoded string of a report holds: every string of a report
+# comes from code (builder labels, conventions checked against
+# `groups._CONVENTIONS`, check names), and ensure_ascii escapes any NUL.
+_SLOT = "\0"
+
+
+def _write_json(doc: dict, texts, path: str) -> None:
+    """Write `_encode(doc)` with the i-th text in place of the i-th slot in
+    that encoding, then a newline. Each text must be the encoding of what
+    its slot stands for. `texts` may be a generator: each text is written as
+    it is made, so a large report is never held whole."""
+    pieces = _encode(doc).split(_encode(_SLOT))
     try:
         with open(path, "w", encoding="utf-8") as out:
-            out.writelines(parts)
+            out.write(pieces[0])
+            for text, piece in zip(texts, pieces[1:], strict=True):
+                out.write(text)
+                out.write(piece)
             out.write("\n")
     except OSError as exc:
         raise InputError(f"cannot write --json path {path}: {exc}") from exc
 
 
-def _dump_json(doc: dict, path: str) -> None:
-    _write_json([_encode(doc)], path)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
-
-
-def _chartab_json(group, table, labels, value_json: np.ndarray):
-    """The chartab report as encoded parts in sorted key order: a head, one
-    part per irreducible and a tail, written in turn by `_write_json`.
-
-    `labels[j]` is the label of class j's representative. `value_json[d]` is
-    `table.distinct[d]` encoded, so each distinct value is
-    encoded once rather than once per table cell. The joined parts equal
-    `_encode` of the whole document: keys are spliced in the order `sort_keys`
-    gives (classes, group, irreducibles, modulus, schema; degree, name,
-    values), and every other part goes through `_encode`.
-    """
-    classes = table.classes
-    class_doc = [
-        {"label": label, "size": size, "element_order": order}
-        for label, size, order in zip(labels, classes.class_sizes, classes.orders)
-    ]
-    yield (
-        f'{{"classes":{_encode(class_doc)},'
-        f'"group":{_encode({"name": group.name, "order": group.order})},'
-        f'"irreducibles":['
-    )
-    for c, (degree, name, row) in enumerate(zip(table.degrees, table.names, table.which)):
-        yield (
-            f'{"," if c else ""}{{"degree":{_encode(degree)},"name":{_encode(name)},'
-            f'"values":[{",".join(value_json[row])}]}}'
-        )
-    yield f'],"modulus":{_encode(table.modulus)},"schema":{_encode(CHARTAB_SCHEMA)}}}'
 
 
 def _cmd_chartab(args) -> int:
@@ -182,21 +163,23 @@ def _cmd_chartab(args) -> int:
     lines += [line(name, row) for name, row in zip(table.names, padded[which, width_of])]
     print("\n".join(lines))
     if args.json:
+        # Each distinct value is encoded once, not once per table cell.
         value_json = np.array([_encode(v.to_json()) for v in rendered], dtype=object)
-        _write_json(_chartab_json(group, table, labels, value_json), args.json)
+        doc = {
+            "schema": CHARTAB_SCHEMA,
+            "group": {"name": group.name, "order": group.order},
+            "classes": [
+                {"label": label, "size": size, "element_order": order}
+                for label, size, order in zip(labels, classes.class_sizes, classes.orders)
+            ],
+            "irreducibles": [
+                {"degree": degree, "name": name, "values": _SLOT}
+                for degree, name in zip(table.degrees, table.names)
+            ],
+            "modulus": m,
+        }
+        _write_json(doc, (f"[{','.join(value_json[row])}]" for row in which), args.json)
     return 0
-
-
-def _kgroup_s1_json(report: dict, matrix_texts: list[str]):
-    """`report` encoded with its empty action matrices replaced by the texts,
-    as parts for `_write_json`. The text of a list of int rows is its
-    `_encode` with a space after each comma. Inside an encoded string a quote
-    is escaped, so the key `"matrices":[` occurs once."""
-    head, key, tail = _encode(report).partition('"matrices":[')
-    yield head + key
-    for a, text in enumerate(matrix_texts):
-        yield ("," if a else "") + text.replace(" ", "")
-    yield tail
 
 
 def _cmd_kgroup(args) -> int:
@@ -212,7 +195,7 @@ def _cmd_kgroup(args) -> int:
         doc = pres.to_jsonable()
         # Each matrix is rendered once, for stdout and for --json alike.
         texts = [str(mat) for mat in doc["action"]["matrices"]]
-        doc["action"]["matrices"] = []
+        doc["action"]["matrices"] = [_SLOT] * len(texts)
         print(f"group {group.name}, lambda {lam.label}, sphere {S1_LAMBDA}")
         print(f"kernel subgroup of order {table_h.order} with "
               f"{table_h.count} irreducible characters")
@@ -224,7 +207,8 @@ def _cmd_kgroup(args) -> int:
         for name, text in zip(doc["action"]["names"], texts):
             print(f"  {name}: {text}")
         print("product rule: zero (alpha*beta = 0 for all elements)")
-        parts = _kgroup_s1_json({**report, "presentation": doc}, texts)
+        # The text of a list of int rows is its encoding with a space after each comma.
+        slot_texts = (text.replace(" ", "") for text in texts)
     else:
         pres = k_group_s_lambda(group, lam)
         print(f"group {group.name}, lambda {lam.label}, sphere {S_LAMBDA}")
@@ -236,9 +220,9 @@ def _cmd_kgroup(args) -> int:
         if pres.fixed:
             fixed = ", ".join(f"chi{c}" for c in pres.fixed)
             print(f"fixed by tensoring with lambda: {fixed}")
-        parts = [_encode({**report, "presentation": pres.to_jsonable()})]
+        doc, slot_texts = pres.to_jsonable(), []
     if args.json:
-        _write_json(parts, args.json)
+        _write_json({**report, "presentation": doc}, slot_texts, args.json)
     return 0
 
 
@@ -264,7 +248,7 @@ def _cmd_verify(args) -> int:
         print(f"{tag:4s} {r.check} {r.group} {r.lam}{detail}")
     print(f"{len(reports)} checks, {fails} failures")
     if args.json:
-        _dump_json(reports_to_jsonable(reports), args.json)
+        _write_json(reports_to_jsonable(reports), [], args.json)
     return 1 if fails else 0
 
 

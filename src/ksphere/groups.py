@@ -549,10 +549,8 @@ def _build_permutation_group(spec: GroupSpec, degree: int, cap: int) -> GroupTab
     )
 
 
-def _build_direct_product(a: GroupTable, b: GroupTable, cap: int) -> GroupTable:
+def _build_direct_product(a: GroupTable, b: GroupTable) -> GroupTable:
     order = a.order * b.order
-    if order > cap:
-        raise OrderLimitError(f"group of order {order} exceeds the order cap {cap}")
     # Encode (x, y) -> x * |B| + y; axes (x1, y1, x2, y2) flatten to (row, column).
     product = a.product[:, None, :, None] * b.order + b.product[None, :, None, :]
     inverse = a.inverse[:, None] * b.order + b.inverse[None, :]
@@ -576,36 +574,33 @@ def build_group(spec: GroupSpec, cap: int | None = None) -> GroupTable:
     KSPHERE_MAX_ORDER environment variable).
     """
     cap = order_cap() if cap is None else cap
-    if spec.kind == "cyclic":
-        if spec.n > cap:
-            raise OrderLimitError(f"group of order {spec.n} exceeds the order cap {cap}")
-        return _build_cyclic(spec.n)
-    if spec.kind == "dihedral":
-        if 2 * spec.n > cap:
-            raise OrderLimitError(f"group of order {2 * spec.n} exceeds the order cap {cap}")
-        return _build_dihedral(spec.n)
-    if spec.kind == "quaternion":
-        if spec.n > cap:
-            raise OrderLimitError(f"group of order {spec.n} exceeds the order cap {cap}")
-        return _build_quaternion(spec.n)
-    if spec.kind in ("symmetric", "alternating"):
-        if not 1 <= spec.n <= 6:
-            raise GroupSpecError(f"{spec.kind} parameter must be in 1..6, got {spec.n}")
-        order = factorial(spec.n) if spec.kind == "symmetric" else max(factorial(spec.n) // 2, 1)
-        if order > cap:
-            raise OrderLimitError(f"group of order {order} exceeds the order cap {cap}")
-        return _build_permutation_group(spec, spec.n, cap)
-    if spec.kind == "direct_product":
-        if len(spec.factors) != 2:
-            raise GroupSpecError("direct_product requires exactly two factors")
-        a = build_group(spec.factors[0], cap)
-        b = build_group(spec.factors[1], cap)
-        return _build_direct_product(a, b, cap)
-    if spec.kind == "permutation_generators":
+    kind, n = spec.kind, spec.n
+    if kind == "permutation_generators":
+        # The order is known only as the closure grows, which checks the cap itself.
         if not spec.generators:
             raise GroupSpecError("permutation_generators requires at least one generator")
         return _build_permutation_group(spec, len(spec.generators[0]), cap)
-    raise GroupSpecError(f"unknown group kind {spec.kind!r}")
+    if kind == "direct_product":
+        if len(spec.factors) != 2:
+            raise GroupSpecError("direct_product requires exactly two factors")
+        a, b = (build_group(factor, cap) for factor in spec.factors)
+        order, build = a.order * b.order, partial(_build_direct_product, a, b)
+    elif kind in ("symmetric", "alternating"):
+        if not 1 <= n <= 6:
+            raise GroupSpecError(f"{kind} parameter must be in 1..6, got {n}")
+        order = factorial(n) if kind == "symmetric" else max(factorial(n) // 2, 1)
+        build = partial(_build_permutation_group, spec, n, cap)
+    elif kind == "cyclic":
+        order, build = n, partial(_build_cyclic, n)
+    elif kind == "dihedral":
+        order, build = 2 * n, partial(_build_dihedral, n)
+    elif kind == "quaternion":
+        order, build = n, partial(_build_quaternion, n)
+    else:
+        raise GroupSpecError(f"unknown group kind {kind!r}")
+    if order > cap:
+        raise OrderLimitError(f"group of order {order} exceeds the order cap {cap}")
+    return build()
 
 
 # ---------------------------------------------------------------------------
@@ -900,10 +895,10 @@ def _spec_from_factors(factors: tuple[int, ...]) -> GroupSpec:
     return reduce(GroupSpec.direct_product, specs) if len(specs) > 1 else specs[0]
 
 
-def abelian_specs_upto(max_order: int, min_order: int = 1) -> list[GroupSpec]:
-    """One spec per isomorphism type of abelian group in the order range."""
+def abelian_specs_upto(max_order: int) -> list[GroupSpec]:
+    """One spec per isomorphism type of abelian group of order at most max_order."""
     out = []
-    for n in range(min_order, max_order + 1):
+    for n in range(1, max_order + 1):
         for factors in abelian_factor_lists(n):
             out.append(_spec_from_factors(factors))
     return out

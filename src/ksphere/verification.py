@@ -84,6 +84,18 @@ def reports_to_jsonable(reports) -> dict:
     return {"schema": SCHEMA, "checks": [r.to_jsonable() for r in ordered]}
 
 
+def _verdict(check: str, group: str, lam: str, bad: np.ndarray, detail) -> CheckReport:
+    """The pass report of `check` when no entry of `bad` is set, else its fail
+    report with details `detail(np.argwhere(bad))`."""
+    if not bad.any():
+        return CheckReport(check, group, lam, "pass")
+    return CheckReport(check, group, lam, "fail", detail(np.argwhere(bad)))
+
+
+def _offending_pairs(at: np.ndarray) -> str:
+    return "offending pairs " + ", ".join(f"({a},{b})" for a, b in at[:5])
+
+
 def _h_distinct(ctx: LambdaContext) -> np.ndarray:
     """The distinct values of Irr(H) [D_H, phi], embedded in the ambient ring."""
     return _embed(ctx.table_h.distinct, ctx.table_h.modulus, ctx.table_g.ring)
@@ -159,24 +171,8 @@ def check_table(group: GroupTable, table: CharacterTable | None = None) -> list[
         cols = images[table.which.T]  # [k, r, e]
         col = kernels.weighted_analysis(cols, cols[..., neg], p)
         col_bad |= np.any(col != col_expected[..., None] % p, axis=-1)
-    if not row_bad.any():
-        out.append(CheckReport("table-row-orthogonality", name, "-", "pass"))
-    else:
-        pairs = ", ".join(f"({a},{b})" for a, b in np.argwhere(row_bad)[:5])
-        out.append(
-            CheckReport(
-                "table-row-orthogonality", name, "-", "fail", f"offending pairs {pairs}"
-            )
-        )
-    if not col_bad.any():
-        out.append(CheckReport("table-column-orthogonality", name, "-", "pass"))
-    else:
-        pairs = ", ".join(f"({i},{j})" for i, j in np.argwhere(col_bad)[:5])
-        out.append(
-            CheckReport(
-                "table-column-orthogonality", name, "-", "fail", f"offending pairs {pairs}"
-            )
-        )
+    out.append(_verdict("table-row-orthogonality", name, "-", row_bad, _offending_pairs))
+    out.append(_verdict("table-column-orthogonality", name, "-", col_bad, _offending_pairs))
     return out
 
 
@@ -360,12 +356,10 @@ def check_projection_formula(group: GroupTable, lam: SignHomomorphism) -> list[C
         ind_img = ring.evaluate(ind_rows, i) * h_order % p
         lhs = phi_img[:, None, g_class_of[rows]] * ind_img[None]
         bad |= np.any((numer - lhs) % p, axis=(2, 3))
-    if not bad.any():
-        return [CheckReport("projection-formula", group.name, lam.label, "pass")]
     return [
-        CheckReport(
-            "projection-formula", group.name, lam.label, "fail",
-            _projection_failure(ctx, transfer, chi_helem, np.argwhere(bad)),
+        _verdict(
+            "projection-formula", group.name, lam.label, bad,
+            lambda pairs: _projection_failure(ctx, transfer, chi_helem, pairs),
         )
     ]
 
@@ -400,10 +394,12 @@ def check_mackey_restriction(group: GroupTable, lam: SignHomomorphism) -> list[C
     res_ind = ind_elem[:, ctx.emb.inclusion, :]
     twisted = _brute_twisted_h_values(ctx, chi_helem, ctx.b)
     differs = np.any(res_ind != chi_helem + twisted, axis=(1, 2))
-    if not differs.any():
-        return [CheckReport("mackey-restriction", group.name, lam.label, "pass")]
-    detail = f"element values differ for chi{int(np.argmax(differs))}"
-    return [CheckReport("mackey-restriction", group.name, lam.label, "fail", detail)]
+    return [
+        _verdict(
+            "mackey-restriction", group.name, lam.label, differs,
+            lambda at: f"element values differ for chi{at[0, 0]}",
+        )
+    ]
 
 
 def check_orbit_multiplicities(group: GroupTable, lam: SignHomomorphism) -> list[CheckReport]:
@@ -430,16 +426,10 @@ def check_orbit_multiplicities(group: GroupTable, lam: SignHomomorphism) -> list
         lhs = kernels.weighted_analysis(res_phi, chi_conj, p)
         rhs = kernels.weighted_analysis(res_phi, twisted, p)
         bad |= np.any(lhs != rhs, axis=-1)
-    if not bad.any():
-        return [CheckReport("orbit-multiplicities", group.name, lam.label, "pass")]
-    a, b = np.argwhere(bad)[0]
     return [
-        CheckReport(
-            "orbit-multiplicities",
-            group.name,
-            lam.label,
-            "fail",
-            f"<res phi{a}, chi{b}> differs from the twisted multiplicity",
+        _verdict(
+            "orbit-multiplicities", group.name, lam.label, bad,
+            lambda at: f"<res phi{at[0, 0]}, chi{at[0, 1]}> differs from the twisted multiplicity",
         )
     ]
 
@@ -460,15 +450,13 @@ def check_b_independence(group: GroupTable, lam: SignHomomorphism) -> list[Check
     ctx = lambda_context(group, lam)
     elems = np.asarray([ctx.b, *ctx.cosets], dtype=np.int64)
     classes = ctx.emb.subgroup.classes.class_of[_twisted_positions(ctx, elems[:, None])]
-    differs = np.flatnonzero(np.any(classes[1:] != classes[0], axis=1))
-    if differs.size:
-        return [
-            CheckReport(
-                "b-independence", group.name, lam.label, "fail",
-                f"element-level twist differs for coset element {ctx.cosets[differs[0]]}",
-            )
-        ]
-    return [CheckReport("b-independence", group.name, lam.label, "pass")]
+    differs = np.any(classes[1:] != classes[0], axis=1)
+    return [
+        _verdict(
+            "b-independence", group.name, lam.label, differs,
+            lambda at: f"element-level twist differs for coset element {ctx.cosets[at[0, 0]]}",
+        )
+    ]
 
 
 def check_corollary(group: GroupTable, lam: SignHomomorphism) -> list[CheckReport]:

@@ -77,15 +77,14 @@ def s1_action_by_products(ctx):
 def s_lambda_by_context(group, lam) -> dict:
     """Reference: the s-lambda data read through the lambda context. c_H is
     the number of classes of G met by the kernel's class map, lambda's index
-    is the context's, and chi_c is paired with the chi_d whose dense value
-    row equals lambda chi_c."""
+    is that of the dense value row equal to the signs of lambda, and chi_c is
+    paired with the chi_d whose dense value row equals lambda chi_c."""
     ctx = lambda_context(group, lam)
     table = ctx.table_g
     values = dense_values(table)
     signs = ctx.values[list(table.classes.representatives)].astype(np.int64)
     lam_row = np.zeros_like(values[0])
     lam_row[:, 0] = signs
-    assert np.array_equal(values[ctx.lambda_index], lam_row)
     index_of = {row.tobytes(): d for d, row in enumerate(values)}
     partner = [index_of[(values[c] * signs[:, None]).tobytes()] for c in range(table.count)]
     pairs = tuple((c, d) for c, d in enumerate(partner) if c < d)
@@ -99,7 +98,7 @@ def s_lambda_by_context(group, lam) -> dict:
         "basis": basis,
         "pairs": pairs,
         "fixed": tuple(c for c, d in enumerate(partner) if c == d),
-        "lambda_index": ctx.lambda_index,
+        "lambda_index": index_of[lam_row.tobytes()],
     }
 
 

@@ -223,7 +223,8 @@ def test_restrict_lambda_character_is_trivial():
     ]:
         t, lam = group_with_lambda(spec, conv)
         ctx = lambda_context(t, lam)
-        res = restrict(VirtualCharacter.unit(ctx.table_g, ctx.lambda_index), ctx.emb)
+        lam_chi = VirtualCharacter.unit(ctx.table_g, characters.lambda_index(ctx.table_g, lam))
+        res = restrict(lam_chi, ctx.emb)
         assert res == VirtualCharacter.unit(ctx.table_h, ctx.table_h.trivial_index)
 
 
@@ -277,7 +278,7 @@ def test_induce_trivial_is_trivial_plus_lambda():
     ind = induce(VirtualCharacter.unit(ctx.table_h, ctx.table_h.trivial_index), ctx.emb)
     expect = [0] * ctx.table_g.count
     expect[ctx.table_g.trivial_index] += 1
-    expect[ctx.lambda_index] += 1
+    expect[characters.lambda_index(ctx.table_g, lam)] += 1
     assert list(ind.coeffs) == expect
 
 

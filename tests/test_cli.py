@@ -406,7 +406,7 @@ def test_kgroup_s_lambda_builds_no_kernel(spec, table_embeddings, monkeypatch, t
 
 
 def test_kgroup_s1_lambda_never_looks_up_the_lambda_index(monkeypatch, capsys):
-    calls = _count_calls(monkeypatch, "_sign_character_index", [])
+    calls = _count_calls(monkeypatch, "lambda_index", [])
     assert cli.main(["kgroup", S6_SIGN, "--sphere", "s1-lambda"]) == 0
     assert "rank 1" in capsys.readouterr().out
     assert calls == []
@@ -446,3 +446,18 @@ def test_kgroup_json_is_the_whole_report_encoded(tmp_path, capsys):
             ranks.add(pres.rank)
             entries.update(np.unique(pres.action).tolist())
     assert 0 in ranks and min(entries) < 0
+
+
+def test_write_json_puts_each_text_in_its_slot(tmp_path):
+    """Slots fill in the order of the encoding (keys sorted), a report with
+    no slot is its encoding, and a count of texts other than the count of
+    slots raises."""
+    path = tmp_path / "report.json"
+    doc = {"b": [cli._SLOT, 1], "a": {"z": cli._SLOT}, "c": "x"}
+    cli._write_json(doc, iter(["[2,3]", '"t"']), str(path))
+    assert path.read_text() == '{"a":{"z":[2,3]},"b":["t",1],"c":"x"}\n'
+    cli._write_json({"c": "x"}, [], str(path))
+    assert path.read_text() == '{"c":"x"}\n'
+    for texts in (["1"], ["1", "2", "3"]):
+        with pytest.raises(ValueError):
+            cli._write_json(doc, texts, str(path))

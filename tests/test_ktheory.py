@@ -298,7 +298,7 @@ def test_a_corrupted_value_of_g_makes_the_restriction_lookup_raise():
     group, lam = group_with_lambda(GroupSpec.dihedral(6), "reflection-sign")
     ctx = lambda_context(group, lam)
     assert ctx.restriction.sum() == 2 * len(ctx.orbits.fixed) + 2 * len(ctx.orbits.pairs)
-    bad = replace(ctx, table_g=corrupt_table(ctx.table_g, ctx.lambda_index, 0))
+    bad = replace(ctx, table_g=corrupt_table(ctx.table_g, lambda_index(ctx.table_g, lam), 0))
     with pytest.raises(CharacterTheoryError, match="is neither a twist-fixed character"):
         _clifford_restriction(bad)
     # In D4, chi1 is -1 on the class {r, r^3}; +2 there makes it restrict to
@@ -389,7 +389,7 @@ def test_lambda_character_acts_as_identity():
     ]:
         t, lam = group_with_lambda(spec, conv)
         pres = k_group_s1_lambda(t, lam)
-        lam_idx = pres.ctx.lambda_index
+        lam_idx = lambda_index(pres.ctx.table_g, lam)
         assert np.array_equal(pres.action[lam_idx], np.eye(pres.rank, dtype=np.int64))
 
 

@@ -347,16 +347,17 @@ def test_projection_reports_a_non_integral_product_induction(monkeypatch):
 
 
 def test_orbit_multiplicities_report_a_wrong_twist(monkeypatch):
-    group, lam = group_with_lambda(GroupSpec.dihedral(5), "reflection-sign")
     real = verification._brute_twisted_h_values
 
     def shifted(ctx, helem, b):
         return np.roll(real(ctx, helem, b), 1, axis=-2)
 
     monkeypatch.setattr(verification, "_brute_twisted_h_values", shifted)
-    projection, orbit = _lambda_checks_match(group, lam, monkeypatch)
-    assert projection == ""
-    assert orbit.startswith("<res phi") and orbit.endswith("differs from the twisted multiplicity")
+    for n, first in [(5, "phi2, chi1"), (6, "phi2, chi3")]:
+        group, lam = group_with_lambda(GroupSpec.dihedral(n), "reflection-sign")
+        projection, orbit = _lambda_checks_match(group, lam, monkeypatch)
+        assert projection == ""
+        assert orbit == f"<res {first}> differs from the twisted multiplicity"
 
 
 # ---------------------------------------------------------------------------

@@ -77,8 +77,13 @@ def test_corrupted_table_is_reported():
     reports = check_table(t, bad)
     by_name = {r.check: r for r in reports}
     assert by_name["table-row-orthogonality"].status == "fail"
-    assert "(2," in by_name["table-row-orthogonality"].details
+    assert by_name["table-row-orthogonality"].details == (
+        "offending pairs (0,2), (1,2), (2,0), (2,1), (2,2)"
+    )
     assert by_name["table-column-orthogonality"].status == "fail"
+    assert by_name["table-column-orthogonality"].details == (
+        "offending pairs (0,1), (1,0), (1,1), (1,2), (2,1)"
+    )
 
 
 def test_corrupting_identity_column_breaks_degree_sum():
@@ -115,6 +120,23 @@ def test_mackey_twist_fixed_gives_double():
     t, lam = group_with_lambda(GroupSpec.cyclic(8), "onto-pm1")
     (rep,) = check_mackey_restriction(t, lam)
     assert rep.status == "pass"
+
+
+def test_mackey_reports_a_wrong_twist(monkeypatch):
+    # Shifting every twisted value by one H-element leaves only the trivial
+    # chi0 of the kernel unchanged, so chi1 is the first to differ.
+    t, lam = group_with_lambda(GroupSpec.dihedral(5), "reflection-sign")
+    real = verification._brute_twisted_h_values
+    monkeypatch.setattr(
+        verification,
+        "_brute_twisted_h_values",
+        lambda ctx, helem, b: np.roll(real(ctx, helem, b), 1, axis=-2),
+    )
+    assert check_mackey_restriction(t, lam) == [
+        verification.CheckReport(
+            "mackey-restriction", t.name, lam.label, "fail", "element values differ for chi1"
+        )
+    ]
 
 
 def test_individual_checks_pass_on_dihedral5():
