@@ -556,9 +556,16 @@ def _clifford_table_data(group: GroupTable, classes: ConjugacyClasses, lam: Sign
 
 
 def _embed(values: np.ndarray, modulus: int, ring: CyclotomicRing) -> np.ndarray:
-    """Power-basis values [..., phi] of the ring of `modulus`, in `ring`."""
+    """Power-basis values [..., phi] of the ring of `modulus`, in `ring`.
+
+    The rows of the embedding matrix E are rows of `ring.red`, so a coefficient
+    of v @ E is at most |v|_1 peak <= phi |v|_inf peak; raises OverflowError
+    unless that is below 2**63.
+    """
     if modulus == ring.modulus:
         return values
+    bound = values.shape[-1] * kernels._magnitude(values) * ring.peak
+    kernels._require_int64(bound, "embedded values")
     return values @ get_ring(modulus).embed_matrix(ring)
 
 

@@ -96,7 +96,7 @@ def common_eigenvectors(table: GroupTable, classes: ConjugacyClasses, p: int) ->
     for i in range(1, k):
         if not active:
             break
-        members = np.asarray(classes.classes[i], dtype=np.int64)
+        members = np.flatnonzero(classes.class_of == i)
         mat = (
             kernels.class_matrix(table.product, table.inverse, classes.class_of, members, reps)
             % p
@@ -196,6 +196,9 @@ def character_table_data(
             raise CharacterEngineError("root-of-unity multiplicities do not sum to the degree")
         if np.any(counts > degree_arr[:, None]):
             raise CharacterEngineError("root-of-unity multiplicity exceeds the degree")
+        # Each row of counts is nonnegative and sums to its degree d <= isqrt(n)
+        # (checked above), and |red| < 2**20 (_COEFF_LIMIT, checked when the ring
+        # is built), so each coefficient is below isqrt(n) * 2**20 <= 2**62 for n < 2**84.
         values[:, j, :] = counts @ ring.red[exps]
 
     if np.any(values[:, 0, 0] != degree_arr) or np.any(values[:, 0, 1:]):

@@ -201,9 +201,12 @@ class GroupTable:
 
 @dataclass(eq=False)
 class ConjugacyClasses:
-    """Partition of a group into conjugacy classes, canonically ordered."""
+    """Partition of a group into conjugacy classes, canonically ordered.
 
-    classes: tuple[tuple[int, ...], ...]
+    Element x lies in class class_of[x], so class i's members are
+    np.flatnonzero(class_of == i); its least element is representatives[i].
+    """
+
     class_of: np.ndarray
     representatives: tuple[int, ...]
     class_sizes: tuple[int, ...]
@@ -215,7 +218,7 @@ class ConjugacyClasses:
 
     @property
     def count(self) -> int:
-        return len(self.classes)
+        return len(self.representatives)
 
 
 @dataclass(eq=False)
@@ -566,14 +569,14 @@ def _build_direct_product(a: GroupTable, b: GroupTable) -> GroupTable:
     )
 
 
-def build_group(spec: GroupSpec, cap: int | None = None) -> GroupTable:
+def build_group(spec: GroupSpec) -> GroupTable:
     """Construct the multiplication table for a group spec.
 
     Raises GroupSpecError on invalid parameters and OrderLimitError when the
     resulting order would exceed the cap (default 1024, overridable via the
     KSPHERE_MAX_ORDER environment variable).
     """
-    cap = order_cap() if cap is None else cap
+    cap = order_cap()
     kind, n = spec.kind, spec.n
     if kind == "permutation_generators":
         # The order is known only as the closure grows, which checks the cap itself.
@@ -583,7 +586,7 @@ def build_group(spec: GroupSpec, cap: int | None = None) -> GroupTable:
     if kind == "direct_product":
         if len(spec.factors) != 2:
             raise GroupSpecError("direct_product requires exactly two factors")
-        a, b = (build_group(factor, cap) for factor in spec.factors)
+        a, b = (build_group(factor) for factor in spec.factors)
         order, build = a.order * b.order, partial(_build_direct_product, a, b)
     elif kind in ("symmetric", "alternating"):
         if not 1 <= n <= 6:
@@ -620,13 +623,14 @@ def _least_conjugates(table: GroupTable) -> np.ndarray:
     G, so summing over G makes each inequality an equality, and least is
     constant along every generator edge. The generators generate G, so least
     is constant on each class; as least[x] <= x lies in the class, it is the
-    class's least element.
+    class's least element. The trivial group has no generators: the empty
+    minimum over them is `initial`, `order`, above every element.
     """
     gens = np.asarray(table.generators, dtype=np.int64)
     conj = table.conjugate(gens[:, None], np.arange(table.order))  # [s, x] = g_s^-1 x g_s
     least = np.arange(table.order)
     while True:
-        step = np.minimum(least, least[conj].min(axis=0))
+        step = np.minimum(least, least[conj].min(axis=0, initial=table.order))
         step = step[step]
         if np.array_equal(step, least):
             return least
@@ -634,36 +638,18 @@ def _least_conjugates(table: GroupTable) -> np.ndarray:
 
 
 def conjugacy_classes(table: GroupTable) -> ConjugacyClasses:
-    """Conjugacy classes ordered by (representative order, size, min index).
+    """Conjugacy classes ordered by (representative order, size, least element).
 
-    Each class is found at its least element, so np.unique lists the classes
-    in the order of their least elements, whichever route found them: an
-    abelian group has singletons, so an abelian product never reads its
-    factors; a nonabelian direct product reads them off its factors; and any
-    other group takes the orbits of conjugation by its generators
-    (`_least_conjugates`).
+    One route for every group: the orbits of conjugation by its generators
+    (`_least_conjugates`) find each class at its least element, which
+    np.unique lists in ascending order before the lexsort orders them.
     """
-    if table.is_abelian():
-        least = np.arange(table.order)  # every class is a singleton
-    elif table.factors:
-        # A class of A x B is clA x clB, whose least element pairs the least
-        # elements of clA and clB.
-        a, b = table.factors
-        least_a = np.asarray(a.classes.representatives)[a.classes.class_of]
-        least_b = np.asarray(b.classes.representatives)[b.classes.class_of]
-        least = (least_a[:, None] * b.order + least_b[None, :]).reshape(-1)
-    else:
-        least = _least_conjugates(table)
-    reps, class_of = np.unique(least, return_inverse=True)
+    reps, class_of = np.unique(_least_conjugates(table), return_inverse=True)
     sizes = np.bincount(class_of)
     orders = np.argmax(table.powers[1:, reps] == table.identity, axis=0) + 1
     perm = np.lexsort((reps, sizes, orders))
-    class_of = np.argsort(perm)[class_of]
-    members = np.argsort(class_of, kind="stable").tolist()
-    ends = np.cumsum(sizes[perm]).tolist()
     return ConjugacyClasses(
-        classes=tuple(tuple(members[a:b]) for a, b in zip([0, *ends], ends)),
-        class_of=class_of,
+        class_of=np.argsort(perm)[class_of],
         representatives=tuple(reps[perm].tolist()),
         class_sizes=tuple(sizes[perm].tolist()),
         orders=tuple(orders[perm].tolist()),

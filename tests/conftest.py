@@ -154,6 +154,13 @@ def two_gram_failures(table):
     return row_bad, col_bad
 
 
+def class_members(classes) -> tuple[tuple[int, ...], ...]:
+    """The members of each class in ascending order, read off `class_of`."""
+    return tuple(
+        tuple(np.flatnonzero(classes.class_of == i).tolist()) for i in range(classes.count)
+    )
+
+
 def all_pairs_classes(table):
     """Reference: the classes from the [x, g] gather of every x^-1 g x, each
     found at its least element, ordered by (representative order, size,
@@ -178,7 +185,6 @@ def all_pairs_classes(table):
     for c, r in enumerate(reps):
         class_of[members[r]] = c
     return ConjugacyClasses(
-        classes=tuple(tuple(members[r]) for r in reps),
         class_of=class_of,
         representatives=tuple(reps),
         class_sizes=tuple(len(members[r]) for r in reps),

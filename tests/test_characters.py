@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    class_members,
     dense_mul,
     dense_values,
     group_with_lambda,
@@ -258,11 +259,12 @@ def test_embedding_transfer_data_matches_element_oracles():
             ctx = lambda_context(group, lam)
             emb = ctx.emb
             cls_h = emb.subgroup.classes
+            members_g = class_members(cls_g)
             pos = {int(x): e for e, x in enumerate(emb.inclusion)}
             assert emb.position.tolist() == [pos.get(x, -1) for x in range(group.order)]
             assert emb.class_map.tolist() == [
-                next(a for a, c in enumerate(cls_g.classes) if int(emb.inclusion[h[0]]) in c)
-                for h in cls_h.classes
+                next(a for a, c in enumerate(members_g) if int(emb.inclusion[h[0]]) in c)
+                for h in class_members(cls_h)
             ]
             # Element rows of the transfer matrix, summed into H-class columns,
             # give the row of that element's G-class.
@@ -709,6 +711,18 @@ def test_l1_bounds_are_int64_under_a_checked_bound():
     message = r"^l1 norm: worst-case magnitude 9223372036854775808 reaches 2\*\*63$"
     with pytest.raises(OverflowError, match=message):
         characters._l1_norms(over)
+
+
+def test_embedded_values_are_int64_under_a_checked_bound():
+    """Z[zeta_3] into Z[zeta_6] sends zeta_3 to zeta_6**2 = zeta_6 - 1, so
+    (a, b) goes to (a - b, b); the check names the limit instead of wrapping."""
+    ring = get_ring(6)
+    edge = np.array([[1 << 61, -(1 << 61)]], dtype=np.int64)
+    assert characters._embed(edge, 3, ring).tolist() == [[1 << 62, -(1 << 61)]]
+    over = np.array([[1 << 62, -(1 << 62)]], dtype=np.int64)
+    message = r"^embedded values: worst-case magnitude 9223372036854775808 reaches 2\*\*63$"
+    with pytest.raises(OverflowError, match=message):
+        characters._embed(over, 3, ring)
 
 
 def test_virtual_character_values_are_int64_under_a_checked_bound():

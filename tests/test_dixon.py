@@ -119,7 +119,7 @@ def test_common_eigenvectors_of_cyclic_group_are_its_characters():
             table.product,
             table.inverse,
             classes.class_of,
-            np.asarray(classes.classes[1]),
+            np.flatnonzero(classes.class_of == 1),
             np.asarray(classes.representatives),
         )
         assert (len(dixon.eigenvalues_mod(first % p, p)) < n) == (factors != (5,))

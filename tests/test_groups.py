@@ -8,6 +8,7 @@ import pytest
 
 from conftest import (
     all_pairs_classes,
+    class_members,
     classes_by_factors,
     compose,
     eager_labels,
@@ -18,6 +19,7 @@ from conftest import (
 )
 from ksphere import groups
 from ksphere.groups import (
+    ORDER_CAP_ENV,
     GroupSpec,
     GroupSpecError,
     LambdaSpec,
@@ -125,10 +127,11 @@ def _order_oracle(table, x):
 def test_conjugacy_classes_match_brute_oracle():
     for t in _class_oracle_tables():
         cls = conjugacy_classes(t)
-        assert {frozenset(c) for c in cls.classes} == brute_classes(t), t.name
+        members = class_members(cls)
+        assert {frozenset(c) for c in members} == brute_classes(t), t.name
         assert sum(cls.class_sizes) == t.order
-        assert cls.classes[0] == (0,)
-        for cid, c in enumerate(cls.classes):
+        assert members[0] == (0,)
+        for cid, c in enumerate(members):
             assert cls.representatives[cid] == min(c)
             assert c == tuple(sorted(c)) and cls.class_sizes[cid] == len(c)
             assert cls.orders[cid] == _order_oracle(t, c[0])
@@ -145,18 +148,22 @@ def test_conjugacy_classes_match_brute_oracle():
         (GroupSpec.symmetric(4), GroupSpec.symmetric(4)),
         (GroupSpec.dihedral(8), GroupSpec.dihedral(4)),
         (GroupSpec.alternating(5), GroupSpec.cyclic(6)),
+        (GroupSpec.symmetric(5), GroupSpec.cyclic(2)),
+        (GroupSpec.symmetric(4), GroupSpec.dihedral(6)),
+        (GroupSpec.quaternion(8), GroupSpec.cyclic(8)),
     ],
-    ids=["C2xD3", "Q8xS4", "S4xS4", "D8xD4", "A5xC6"],
+    ids=["C2xD3", "Q8xS4", "S4xS4", "D8xD4", "A5xC6", "S5xC2", "S4xD6", "Q8xC8"],
 )
 def test_product_classes_match_the_all_pairs_gather(a, b):
-    """Classes read off the factors equal those of the all-pairs gather."""
+    """Classes of a direct product, from conjugation by the factors'
+    generators, equal those of the all-pairs gather."""
     table = build_group(GroupSpec.direct_product(a, b))
     assert [f.name for f in table.factors] == [a.name, b.name]
     _assert_same_classes(table.classes, all_pairs_classes(table))
 
 
 def _assert_same_classes(got, want):
-    assert got.classes == want.classes
+    assert class_members(got) == class_members(want)
     assert np.array_equal(got.class_of, want.class_of)
     assert (got.representatives, got.class_sizes, got.orders) == (
         want.representatives,
@@ -229,7 +236,7 @@ def test_powers_and_class_orders_match_repeated_multiplication(spec):
         assert t.powers[:, x].tolist() == expect
     cls = t.classes
     assert exponent == lcm(*cls.orders)
-    for c, members in enumerate(cls.classes):
+    for c, members in enumerate(class_members(cls)):
         assert {order[x] for x in members} == {cls.orders[c]}
 
 
@@ -278,8 +285,8 @@ def test_abelian_groups_have_singleton_classes():
 
 def test_abelian_products_are_classed_without_their_factors():
     """Every builtin abelian product up to order 128, C2^7 and C3 x C3 x C3 x C6:
-    the singleton route gives the class data of the factor route, and no
-    factor's classes are computed."""
+    the generator orbits give the class data of the factor route
+    (`classes_by_factors`), and no factor's classes are computed."""
     specs = [s for s in abelian_specs_upto(128) if s.kind == "direct_product"]
     c3, c6 = GroupSpec.cyclic(3), GroupSpec.cyclic(6)
     pair = GroupSpec.direct_product
@@ -307,14 +314,15 @@ def test_determinism_of_construction():
     assert np.array_equal(a.product, b.product)
     assert [a.label(x) for x in range(a.order)] == [b.label(x) for x in range(b.order)]
     ca, cb = conjugacy_classes(a), conjugacy_classes(b)
-    assert ca.classes == cb.classes
+    assert class_members(ca) == class_members(cb)
 
 
-def test_order_cap_enforced():
+def test_order_cap_enforced(monkeypatch):
     with pytest.raises(OrderLimitError):
         build_group(GroupSpec.cyclic(4096))
+    monkeypatch.setenv(ORDER_CAP_ENV, "100")
     with pytest.raises(OrderLimitError):
-        build_group(GroupSpec.symmetric(6), cap=100)
+        build_group(GroupSpec.symmetric(6))
 
 
 _TWENTY_CYCLE = tuple((i + 1) % 20 for i in range(20))
@@ -343,10 +351,12 @@ def _block_swaps(degree, starts):
     ],
     ids=["S6", "A6", "degree20"],
 )
-def test_order_cap_boundary(spec, order, message):
-    assert build_group(spec, cap=order).order == order
+def test_order_cap_boundary(monkeypatch, spec, order, message):
+    monkeypatch.setenv(ORDER_CAP_ENV, str(order))
+    assert build_group(spec).order == order
+    monkeypatch.setenv(ORDER_CAP_ENV, str(order - 1))
     with pytest.raises(OrderLimitError) as info:
-        build_group(spec, cap=order - 1)
+        build_group(spec)
     assert str(info.value) == message
 
 
