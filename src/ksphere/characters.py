@@ -32,7 +32,7 @@ Once the class order is fixed, Irr(G) is a set of class functions and each
 value has one power-basis vector, so the routes differ only in row order.
 `_table_data` recurses into the factors and never calls `character_table`,
 the one place that sorts (`_canonical_order`, so every route gives the same
-bytes), certifies and caches: only served tables are certified.
+bytes), certifies and records: only served tables are certified.
 
 Every route gives its data in index form: the D distinct values as rows of
 `distinct` [D, phi] and `which` [k, k] with values = distinct[which]. The
@@ -337,18 +337,6 @@ class OrbitData:
 
 
 # ---------------------------------------------------------------------------
-# caches
-# ---------------------------------------------------------------------------
-
-# Certified data (degrees, distinct, which, modulus), hit by group objects
-# with equal tables: equal kernels, repeated CLI items. A group object holds
-# its own table (`GroupTable.table`). Counted over one pass of each benchmark
-# workload: 167 hits against 86 builds on verify-sweep, 60 against 20 on
-# kgroup-wide, 0 against 10 on chartab-many-classes.
-_table_data_cache: dict[bytes, tuple] = {}
-
-
-# ---------------------------------------------------------------------------
 # table construction
 # ---------------------------------------------------------------------------
 
@@ -357,9 +345,15 @@ def character_table(group: GroupTable) -> CharacterTable:
     """The full table of irreducible characters, exact and canonically sorted."""
     if group.table is not None:
         return group.table
-    classes = group.classes
-    key = group.fingerprint()
-    data = _table_data_cache.get(key)
+    # The certified data (degrees, distinct, which, modulus) is kept on the
+    # registry record of the product table (`GroupTable.record`), read by
+    # group objects with equal tables: equal kernels, repeated CLI items. A
+    # group object holds its own table (`GroupTable.table`). Counted over one
+    # pass of each benchmark workload: 167 reads against 86 builds on
+    # verify-sweep, 40 against 20 on kgroup-wide, 0 against 10 on
+    # chartab-many-classes.
+    classes, record = group.classes, group.record
+    data = record.data
     fresh = data is None
     if fresh:
         degrees_raw, distinct, which_raw, modulus = _table_data(group, classes)
@@ -368,13 +362,13 @@ def character_table(group: GroupTable) -> CharacterTable:
         data = (degrees, distinct, np.ascontiguousarray(which_raw[order]), modulus)
     table = _assemble_table(group, classes, *data)
     if fresh:
-        # Only certified data is cached, so a cache hit needs no certificate.
+        # Only certified data is recorded, so recorded data needs no certificate.
         failures = table_invariant_failures(table)
         if failures:
             raise dixon.CharacterEngineError(
                 f"character table of {group.name} failed self-checks: {failures}"
             )
-        _table_data_cache[key] = data
+        record.data = data
     group.table = table
     return table
 

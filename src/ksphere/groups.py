@@ -134,7 +134,8 @@ class GroupTable:
     """A finite group as a dense multiplication table over indices 0..n-1.
 
     `generators` is a generating set, () only for the trivial group (a kernel
-    records `schreier_generators`); `is_abelian` and `conjugacy_classes` rely on it.
+    records `schreier_generators`); `conjugacy_classes` and the table
+    registry (`table_record`) rely on it.
     `factors` is (A, B) when the group was built as A x B, with element
     (x, y) at index x * |B| + y; it is empty for every other group.
     `render(x)` is the label of element x, a function each builder passes in:
@@ -160,16 +161,9 @@ class GroupTable:
         self.product.setflags(write=False)
         self.inverse.setflags(write=False)
 
-    def fingerprint(self) -> bytes:
-        return self.product.tobytes()
-
     def label(self, x) -> str:
         """The label of element x, rendered on demand."""
         return self.render(int(x))
-
-    def is_abelian(self) -> bool:
-        """Whether the group is abelian, that is, whether its generators commute."""
-        return generators_commute(self.product, self.generators)
 
     def conjugate(self, x, g) -> np.ndarray:
         """x^-1 g x, elementwise over broadcast index arrays."""
@@ -194,9 +188,17 @@ class GroupTable:
         return out
 
     @cached_property
+    def record(self) -> "TableRecord":
+        """The registry record of this product table, found on first read."""
+        return table_record(self.product, self.generators)
+
+    @cached_property
     def classes(self) -> "ConjugacyClasses":
-        """The conjugacy classes, computed on first read."""
-        return conjugacy_classes(self)
+        """The conjugacy classes, computed once per distinct product table."""
+        record = self.record
+        if record.classes is None:
+            record.classes = conjugacy_classes(self)
+        return record.classes
 
 
 @dataclass(eq=False)
@@ -297,6 +299,70 @@ def generators_commute(product: np.ndarray, gens) -> bool:
     """Whether `gens` commute pairwise: the S x S block of the table is symmetric."""
     block = product[np.ix_(gens, gens)]
     return bool(np.array_equal(block, block.T))
+
+
+# ---------------------------------------------------------------------------
+# table registry
+# ---------------------------------------------------------------------------
+
+
+@dataclass(eq=False)
+class TableRecord:
+    """What is computed once per distinct product table: its conjugacy
+    classes and its certified character data (degrees, distinct, which,
+    modulus), set by `characters.character_table`. `generators` and
+    `columns` = product[:, generators] identify the table (`table_record`).
+    A record holds no group object.
+    """
+
+    generators: np.ndarray
+    columns: np.ndarray
+    classes: ConjugacyClasses | None = None
+    data: tuple | None = None
+
+    def __post_init__(self):
+        self.generators.setflags(write=False)
+        self.columns.setflags(write=False)
+
+
+# The records of the distinct product tables met so far, by `_table_key`; a
+# key holds more than one record only when different tables share it.
+_registry: dict[tuple[int, int], list[TableRecord]] = {}
+
+_KEY_ENTRIES = 4096
+
+
+def _table_key(product: np.ndarray) -> tuple[int, int]:
+    """(n, hash of every s-th entry of the flattened table), s the least
+    stride that takes at most _KEY_ENTRIES entries: the whole table when
+    n <= 64. The key keeps the hash, not the sampled bytes, so a record
+    costs no copy of its sample."""
+    stride = -(-product.size // _KEY_ENTRIES)
+    return len(product), hash(product.reshape(-1)[::stride].tobytes())
+
+
+def table_record(product: np.ndarray, generators) -> TableRecord:
+    """The registry record of a group's product table, made on first sight.
+
+    A record matches when product[:, record.generators] == record.columns,
+    and then the two tables are equal, whatever generators the new group
+    records. Element 0 is the identity of both, and the record's generators
+    g_1, ..., g_S generate its group (the `GroupTable` contract), so each y
+    is a word y = g_(s_1) ... g_(s_k) there: the walk 0 -> g_(s_1) -> ... -> y
+    along the columns. The new table has the same columns, so the same walk,
+    and y = g_(s_1) ... g_(s_k) in it too. By associativity,
+    x y = (...((x g_(s_1)) g_(s_2)) ...) g_(s_k) in either table, a walk
+    from x along the same columns: the same element. The lookup gathers
+    n x S entries and copies no n x n array.
+    """
+    records = _registry.setdefault(_table_key(product), [])
+    for record in records:
+        if np.array_equal(product[:, record.generators], record.columns):
+            return record
+    gens = np.asarray(generators, dtype=np.int64)
+    record = TableRecord(gens, product[:, gens])
+    records.append(record)
+    return record
 
 
 # ---------------------------------------------------------------------------

@@ -154,6 +154,11 @@ def two_gram_failures(table):
     return row_bad, col_bad
 
 
+def certified_records() -> list:
+    """The table registry's records that hold certified character data."""
+    return [rec for recs in groups._registry.values() for rec in recs if rec.data is not None]
+
+
 def class_members(classes) -> tuple[tuple[int, ...], ...]:
     """The members of each class in ascending order, read off `class_of`."""
     return tuple(

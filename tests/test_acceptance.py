@@ -18,6 +18,7 @@ from ksphere.groups import (
     build_group,
     builtin_specs_upto,
     enumerate_sign_homs,
+    generators_commute,
 )
 from ksphere.ktheory import k_group_s1_lambda, k_group_s_lambda, ring_product
 from ksphere.verification import (
@@ -168,7 +169,7 @@ def test_criterion_6_module_structure():
     groups = 0
     for spec in builtin_specs_upto(48):
         group = build_group(spec)
-        if group.is_abelian():
+        if generators_commute(group.product, group.generators):
             continue
         homs = enumerate_sign_homs(group)
         if not homs:

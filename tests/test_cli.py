@@ -393,16 +393,34 @@ def test_kgroup_s_lambda_builds_no_kernel(spec, table_embeddings, monkeypatch, t
     calls = []
     for name in ("kernel_embedding", "lambda_context"):
         _count_calls(monkeypatch, name, calls)
-    monkeypatch.setattr(characters, "_table_data_cache", {})
+    monkeypatch.setattr(groups, "_registry", {})
     assert cli.main(["chartab", spec]) == 0
     assert calls == ["kernel_embedding"] * table_embeddings
     calls.clear()
-    monkeypatch.setattr(characters, "_table_data_cache", {})
+    monkeypatch.setattr(groups, "_registry", {})
     path = tmp_path / "report.json"
     assert cli.main(["kgroup", spec, "--sphere", "s-lambda", "--json", str(path)]) == 0
     assert json.loads(path.read_text())["presentation"]["rank"] > 0
     assert calls == ["kernel_embedding"] * table_embeddings
     capsys.readouterr()
+
+
+def test_kgroup_wide_classes_and_certifies_each_table_once(monkeypatch, tmp_path, capsys):
+    """One pass of the `kgroup-wide` items in file order, from an empty table
+    registry, certifies 20 tables and classes 27: each distinct product
+    table once, however many group objects (the items of one group, equal
+    kernels of different groups) share it."""
+    calls = _count_calls(monkeypatch, "table_invariant_failures", [])
+    real = groups.conjugacy_classes
+    monkeypatch.setattr(
+        groups, "conjugacy_classes", lambda table: calls.append("classes") or real(table)
+    )
+    monkeypatch.setattr(groups, "_registry", {})
+    path = str(tmp_path / "report.json")
+    for item in json.loads(WORKLOADS.read_text())["kgroup-wide"]:
+        assert cli.main(item["argv"] + ["--json", path]) == 0
+    capsys.readouterr()
+    assert (calls.count("table_invariant_failures"), calls.count("classes")) == (20, 27)
 
 
 def test_kgroup_s1_lambda_never_looks_up_the_lambda_index(monkeypatch, capsys):

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import dense_values
-from ksphere import characters, kernels
+from ksphere import characters, groups, kernels
 from ksphere.characters import (
     _analysis_weights,
     _certificate_primes,
@@ -36,7 +36,8 @@ def routes(monkeypatch):
     check the certificate runs: "one-point" or "all-points"."""
     for group in SMALL:
         monkeypatch.setattr(group, "table", None)
-    monkeypatch.setattr(characters, "_table_data_cache", {})
+        monkeypatch.delitem(vars(group), "record", raising=False)
+    monkeypatch.setattr(groups, "_registry", {})
     log = []
     real = characters._orthogonality_failures
 

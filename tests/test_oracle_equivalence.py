@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import dense_mul, dense_values, group_with_lambda
-from ksphere import characters, cyclotomic, kernels, verification
+from ksphere import characters, cyclotomic, groups, kernels, verification
 from ksphere.characters import (
     _assemble_table,
     _embedded_values,
@@ -420,7 +420,7 @@ def test_oracle_and_library_use_disjoint_primes(monkeypatch):
 
     monkeypatch.setattr(characters, "prime_count", spy_for("characters"))
     monkeypatch.setattr(verification, "prime_count", spy_for("verification"))
-    monkeypatch.setattr(characters, "_table_data_cache", {})  # certify every table afresh
+    monkeypatch.setattr(groups, "_registry", {})  # certify every table afresh
     run_verification(32)
     assert used["characters"] and used["verification"]
     assert not used["characters"] & used["verification"]

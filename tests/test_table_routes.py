@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ksphere import characters, cli, dixon
+from ksphere import characters, cli, dixon, groups
 from ksphere.characters import (
     _abelian_half,
     _abelian_table_data,
@@ -38,13 +38,14 @@ from ksphere.groups import (
     build_sign_hom,
     builtin_specs_upto,
     enumerate_sign_homs,
+    generators_commute,
     kernel_embedding,
     parse_group_document,
 )
 from ksphere.ktheory import k_group_s_lambda
 from ksphere.verification import corrupt_table, run_verification
 
-from conftest import dense_values, galois_permutation_oracle
+from conftest import certified_records, dense_values, galois_permutation_oracle
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.json"
 
@@ -87,7 +88,8 @@ def _clifford_route(group, classes):
 def _has_abelian_half(group):
     """Whether some index-2 subgroup of the group is abelian: every kernel tried."""
     return any(
-        kernel_embedding(group, lam).subgroup.is_abelian() for lam in enumerate_sign_homs(group)
+        generators_commute(sub.product, sub.generators)
+        for sub in (kernel_embedding(group, lam).subgroup for lam in enumerate_sign_homs(group))
     )
 
 
@@ -108,8 +110,8 @@ C8xC64_SIGNS = {
 
 @pytest.fixture
 def fresh_caches(monkeypatch):
-    """An empty table data cache, so every table in the test is built afresh."""
-    monkeypatch.setattr(characters, "_table_data_cache", {})
+    """An empty table registry, so every table in the test is built afresh."""
+    monkeypatch.setattr(groups, "_registry", {})
 
 
 @pytest.fixture
@@ -166,7 +168,7 @@ def test_abelian_route_matches_dixon_on_every_abelian_kernel_upto_64():
         for lam in enumerate_sign_homs(group):
             sub = kernel_embedding(group, lam).subgroup
             if sub.classes.count == sub.order:
-                kernels.setdefault(sub.fingerprint(), sub)
+                kernels.setdefault(sub.record, sub)
     for sub in kernels.values():
         _assert_matches_dixon(sub, _abelian_table_data)
     noncyclic = [sub for sub in kernels.values() if sub.order not in sub.classes.orders]
@@ -207,25 +209,26 @@ def test_clifford_route_matches_dixon_on_the_small_builtins_and_their_kernels():
     and their kernels: the route finds an abelian subgroup of index 2 exactly
     when one exists, and then gives Dixon's table."""
     specs = builtin_specs_upto(64) + [GroupSpec.dihedral(48), GroupSpec.dihedral(32)]
-    groups = {}
+    distinct = {}
     for spec in specs:
         group = build_group(spec)
         kernels = [kernel_embedding(group, lam).subgroup for lam in enumerate_sign_homs(group)]
         for sub in [group, *kernels]:
             if sub.classes.count < sub.order and not sub.factors:
-                groups.setdefault(sub.fingerprint(), sub)
+                distinct.setdefault(sub.record, sub)
     routed = []
-    for group in groups.values():
+    for group in distinct.values():
         found = _abelian_half(group, group.classes)
         assert (found is not None) == _has_abelian_half(group), group.name
         if found is not None:
-            assert kernel_embedding(group, found).subgroup.is_abelian()
+            sub = kernel_embedding(group, found).subgroup
+            assert generators_commute(sub.product, sub.generators)
             _assert_matches_dixon(group, _clifford_route)
             routed.append(group.name)
     # A nonabelian dihedral kernel has the bytes of the builtin dihedral group
     # of half the order, so it is checked once; A4 = ker<S4, S4 and A5 have
     # no abelian subgroup of index 2.
-    left = sorted(group.name for group in groups.values() if group.name not in routed)
+    left = sorted(group.name for group in distinct.values() if group.name not in routed)
     assert (len(routed), left) == (33, ["A5", "S4", "ker(neg:0x666666)<S4"])
     assert {"S3", "Q8", "D48", "D32"} <= set(routed)
 
@@ -311,7 +314,7 @@ def test_dixon_never_runs_on_a_builtin_abelian_group(fresh_caches, certified, mo
         assert character_table(build_group(spec)).count == build_group(spec).order
     assert calls == []
     # Every served table passed the certificate once, and no factor was served.
-    assert len(certified) == len(characters._table_data_cache) == len(specs)
+    assert len(certified) == len(certified_records()) == len(specs)
     # The counter sees Dixon where it still runs.
     character_table(build_group(GroupSpec.symmetric(4)))
     assert calls == ["S4"]
@@ -463,7 +466,7 @@ def test_a_product_table_leaves_no_table_of_its_factors(fresh_caches):
     a, b = group.factors
     assert group.table is not None
     assert a.table is None and b.table is None
-    assert len(characters._table_data_cache) == 1
+    assert len(certified_records()) == 1
 
 
 def test_a_corrupted_copy_computes_its_own_analysis_weights():
